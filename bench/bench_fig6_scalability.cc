@@ -12,21 +12,20 @@
 // not years — is reproduced as the final row.
 //
 // Since the packed-share refactor (docs/packed-eval.md) and the transfer
-// crypto engine (docs/transfer-crypto.md) the bench calibrates every term
-// twice — the MPC per-AND cost with the seed one-role-per-task schedule vs
+// crypto engine (docs/transfer-crypto.md) the bench calibrates every
+// projected term twice — the MPC per-AND cost with one GmwParty per role vs
 // the batched bitsliced data plane, and the four transfer role costs with
-// the seed pure-scheme functions vs the batched wire-level engine
+// the per-role pure-scheme functions vs the batched wire-level engine
 // (fixed-base key tables, batch-affine encryption, cached noise points) —
-// and A/B-runs the real validation points with both schedules, so every
-// speedup claim carries its own baseline measured in the same run and
-// build. The projected batched rows also carry the engine's once-per-run
-// certificate-table build charge, so the speedup is honest about setup.
-// Scheduling assumptions differ by design: the seed baseline keeps the
-// paper's conservative no-overlap serialization, while the batched rows
-// model the worker-pool transfer plane overlapping a node's independent
-// per-edge tasks across kTransferWorkers deployment cores (recorded in the
-// JSON as "transfer_workers"); the validation runs below are real
-// wall-clock on this machine and make no such assumption.
+// so every projected speedup carries its own baseline calibrated in the
+// same run and build. The projected batched rows also carry the engine's
+// once-per-run certificate-table build charge, so the speedup is honest
+// about setup. Scheduling assumptions differ by design: the baseline keeps
+// the paper's conservative no-overlap serialization, while the batched
+// rows model the worker-pool transfer plane overlapping a node's
+// independent per-edge tasks across kTransferWorkers deployment cores
+// (recorded in the JSON as "transfer_workers"); the validation runs below
+// are real wall-clock on this machine and make no such assumption.
 // Everything is also written to BENCH_fig6.json (in the working directory;
 // CI runs from the repo root and uploads it), one entry per (N, mode) with
 // wall-ms, bytes/node and, where a baseline exists, its wall-ms.
@@ -39,8 +38,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <new>
 #include <string>
 #include <vector>
@@ -133,11 +130,10 @@ struct JsonEntry {
   double ha_control_bytes = -1;
   double ha_checkpoint_ms = -1;
   // secure-ot rows only (docs/offline-phase.md): base-OT protocol
-  // executions under the factory vs the per-role baseline, the factory's
-  // offline generation / online-wait wall, and how much of the offline work
-  // overlapped the online phase. Negative = not an OT row (fields omitted).
+  // executions, the triple factory's offline generation / online-wait
+  // wall, and how much of the offline work overlapped the online phase.
+  // Negative = not an OT row (fields omitted).
   double base_ot_count = -1;
-  double base_ot_count_baseline = -1;
   double offline_ms = -1;
   double offline_wait_ms = -1;
   double overlap_ms = -1;
@@ -175,10 +171,9 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per
     }
     if (e.base_ot_count >= 0) {
       std::fprintf(f,
-                   ", \"base_ot_count\": %.0f, \"base_ot_count_baseline\": %.0f"
-                   ", \"offline_ms\": %.2f, \"offline_wait_ms\": %.2f, \"overlap_ms\": %.2f",
-                   e.base_ot_count, e.base_ot_count_baseline, e.offline_ms, e.offline_wait_ms,
-                   e.overlap_ms);
+                   ", \"base_ot_count\": %.0f, \"offline_ms\": %.2f, \"offline_wait_ms\": %.2f"
+                   ", \"overlap_ms\": %.2f",
+                   e.base_ot_count, e.offline_ms, e.offline_wait_ms, e.overlap_ms);
     }
     std::fprintf(f, ", \"bytes_per_node\": %.0f}%s\n", e.bytes_per_node,
                  i + 1 < entries.size() ? "," : "");
@@ -190,69 +185,17 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per
 
 // --- Secure OT offline phase (docs/offline-phase.md) -----------------------
 //
-// Real end-to-end runs with IKNP OT-extension triples, driven through
-// core::Runtime directly so a transport observer can split the wire into
-// offline (session namespace 8 — all OT-triple traffic) and online bytes.
-// The factory and per-role rows must release the same figure over
-// bit-identical per-node ONLINE traffic — the offline phase is the only
-// thing the factory is allowed to change.
+// Real end-to-end runs with IKNP OT-extension triples through the node-pair
+// triple factory, driven through core::Runtime directly.
 
-struct OtOnlineStats {
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t msgs_sent = 0;
-  uint64_t msgs_received = 0;
-  bool operator==(const OtOnlineStats& o) const {
-    return bytes_sent == o.bytes_sent && bytes_received == o.bytes_received &&
-           msgs_sent == o.msgs_sent && msgs_received == o.msgs_received;
-  }
-};
-
-class OtTrafficSplitter : public net::NetworkObserver {
- public:
-  void OnSend(net::NodeId from, net::NodeId, net::SessionId session,
-              const Bytes& payload) override {
-    if ((session >> 60) == 8) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    online_[from].bytes_sent += payload.size();
-    online_[from].msgs_sent += 1;
-  }
-  void OnRecv(net::NodeId to, net::NodeId, net::SessionId session,
-              const Bytes& payload) override {
-    if ((session >> 60) == 8) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    online_[to].bytes_received += payload.size();
-    online_[to].msgs_received += 1;
-  }
-  std::map<net::NodeId, OtOnlineStats> online() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return online_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<net::NodeId, OtOnlineStats> online_;
-};
-
-struct OtRunResult {
-  int64_t released = 0;
-  core::RunMetrics metrics;
-  std::map<net::NodeId, OtOnlineStats> online;
-};
-
-OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_batching) {
+core::RunMetrics RunSecureOt(int n, int degree, int block_size, int fanout) {
   engine::TopologySpec topo = engine::CorePeripheryTopology(n, std::max(2, n / 10));
   topo.degree_cap = degree;
   graph::Graph g = engine::BuildTopologyGraph(topo, /*seed=*/4);
   finance::EnProgramParams en = EnParams(degree, /*iterations=*/1);
-  // Lean 8-bit fixed point: the row is an offline-phase A/B, and the
-  // shared online/extension work (which scales with circuit size and is
-  // identical in both runs) would otherwise dilute the base-OT delta the
-  // row exists to measure.
+  // Lean 8-bit fixed point: the row measures the offline phase, and the
+  // online/extension work (which scales with circuit size) would otherwise
+  // dilute it.
   en.format.value_bits = 8;
   en.format.frac_bits = 4;
   finance::WorkloadParams workload;
@@ -270,15 +213,11 @@ OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_b
   config.seed = 4;
   config.transfer_budget_alpha = 0.99;
   config.use_ot_triples = true;
-  config.ot_batching = ot_batching;
   config.aggregation_fanout = fanout;
   core::Runtime runtime(config, g, program);
-  OtTrafficSplitter meter;
-  runtime.AttachObserver(&meter);
-  OtRunResult result;
-  result.released = runtime.Run(states, &result.metrics);
-  result.online = meter.online();
-  return result;
+  core::RunMetrics metrics;
+  runtime.Run(states, &metrics);
+  return metrics;
 }
 
 engine::RunSpec ValidationSpec(int n, int degree, int block_size) {
@@ -372,62 +311,27 @@ void Run() {
   std::printf("# latency, not bandwidth, dominates a WAN deployment; the run stays in the\n"
               "# hours-not-years regime the paper's conclusion needs\n");
 
-  // Validation points: projection vs a real end-to-end run, executed with
-  // both data planes. Released figures and per-node traffic must agree
-  // bit-for-bit (engine_test pins this); wall time is the A/B quantity.
+  // Validation points: projection vs a real end-to-end run.
   std::printf("\n# validation runs (D and N reduced to keep the default bench fast)\n");
   std::vector<int> validation_ns = FullScale() ? std::vector<int>{20, 100}
                                                : std::vector<int>{20};
   for (int n : validation_ns) {
     int degree = FullScale() ? 10 : 6;
     engine::RunSpec spec = ValidationSpec(n, degree, block_size);
-
-    // Baseline = the full seed schedule: both batched planes off.
-    spec.mpc_batching = false;
-    spec.transfer_batching = false;
-    engine::RunReport baseline = engine::Engine(spec).Run();
-    spec.mpc_batching = true;
-    spec.transfer_batching = true;
     engine::RunReport report = engine::Engine(spec).Run();
-    // The batched planes must release the same figure over the same wire
-    // bytes — speedup claims only count if the protocol is unchanged.
-    DSTRESS_CHECK(report.released == baseline.released);
-    DSTRESS_CHECK(report.metrics.total_bytes == baseline.metrics.total_bytes);
-    DSTRESS_CHECK(report.metrics.avg_bytes_per_node == baseline.metrics.avg_bytes_per_node);
 
     costmodel::Projection proj = Project(costs, ParamsFor(n, degree, block_size));
     std::printf(
-        "N=%-5d D=%-3d measured: %6.1f s end-to-end (seed %6.1f s), MPC compute %5.2f s "
-        "(seed %5.2f s, %.1fx), %6.2f MB/node | projected: %6.1f s\n",
-        n, degree, report.metrics.total_seconds, baseline.metrics.total_seconds,
-        report.metrics.compute.seconds, baseline.metrics.compute.seconds,
-        baseline.metrics.compute.seconds / std::max(report.metrics.compute.seconds, 1e-9),
+        "N=%-5d D=%-3d measured: %6.1f s end-to-end, MPC compute %5.2f s, %6.2f MB/node | "
+        "projected: %6.1f s\n",
+        n, degree, report.metrics.total_seconds, report.metrics.compute.seconds,
         report.metrics.avg_bytes_per_node / 1e6, proj.total_seconds);
-    json.push_back(JsonEntry{n, degree, "secure", report.metrics.total_seconds * 1e3,
-                             baseline.metrics.total_seconds * 1e3,
-                             report.metrics.avg_bytes_per_node});
-    json.push_back(JsonEntry{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3,
-                             baseline.metrics.compute.seconds * 1e3,
-                             report.metrics.avg_bytes_per_node});
-
-    // Batched-phase scheduling A/B (RunSpec::mpc_per_node_schedule): the
-    // same batched data plane scheduled as one lockstep task per node (the
-    // OT path's shape, here with dealer triples) vs one whole-phase
-    // lockstep call. Results and wire bytes must be identical — this row
-    // measures pure core::Runtime::RunBatchedPhase scheduling, multi-thread
-    // task dispatch against a single bitsliced pass.
-    spec.mpc_per_node_schedule = true;
-    engine::RunReport per_node = engine::Engine(spec).Run();
-    spec.mpc_per_node_schedule = false;
-    DSTRESS_CHECK(per_node.released == report.released);
-    DSTRESS_CHECK(per_node.metrics.total_bytes == report.metrics.total_bytes);
-    std::printf(
-        "N=%-5d D=%-3d mpc sched: per-node %5.2f s vs lockstep %5.2f s compute "
-        "(identical figure and wire bytes)\n",
-        n, degree, per_node.metrics.compute.seconds, report.metrics.compute.seconds);
-    json.push_back(JsonEntry{n, degree, "secure-mpc-sched", per_node.metrics.compute.seconds * 1e3,
-                             report.metrics.compute.seconds * 1e3,
-                             per_node.metrics.avg_bytes_per_node});
+    JsonEntry secure{n, degree, "secure", report.metrics.total_seconds * 1e3};
+    secure.bytes_per_node = report.metrics.avg_bytes_per_node;
+    json.push_back(secure);
+    JsonEntry secure_mpc{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3};
+    secure_mpc.bytes_per_node = report.metrics.avg_bytes_per_node;
+    json.push_back(secure_mpc);
 
     // HA overhead at the acceptance point (N=20, docs/ha.md): the same
     // run over real sockets, plain vs HA-enabled (heartbeats + sequence
@@ -467,72 +371,43 @@ void Run() {
       json.push_back(ha_row);
     }
   }
-  std::printf("# note: end-to-end time on this container is dominated by the EC transfer\n"
-              "# crypto, so the 'secure' rows' speedup tracks the batched transfer engine;\n"
-              "# the MPC rows isolate the packed evaluation path.\n");
+  std::printf("# note: measured end-to-end time is dominated by the EC transfer crypto;\n"
+              "# the 'secure-mpc' rows isolate the packed evaluation path.\n");
 
-  // Secure OT offline phase: the node-pair triple factory (ot_batching on,
-  // the default for `triples ot` runs) against the per-role IKNP baseline,
-  // in the same build and run. The factory pays base OTs once per node pair
-  // instead of once per (role, peer) and prefetches iteration i+1's triples
-  // while iteration i evaluates; tools/check_bench.py --ot-min-speedup pins
-  // the wall-clock floor. Block size 10 keeps the per-role baseline's
-  // setup-dominated regime honest at bench-friendly N; the N=20 row runs a
-  // fanout-4 aggregation tree, which both exercises the factory's tree
-  // demand re-derivation and reflects how per-role setup cost scales with
-  // role-group count.
-  std::printf("\n# secure OT offline phase: node-pair triple factory vs per-role IKNP\n");
-  std::printf("%6s %6s %12s %12s %10s %10s %12s %12s\n", "N", "k+1", "factory(s)",
-              "per-role(s)", "speedup", "base-OTs", "(baseline)", "overlap(ms)");
+  // Secure OT offline phase through the node-pair triple factory: base OTs
+  // paid once per node pair, iteration i+1's triples prefetched while
+  // iteration i evaluates. Block size 10 keeps the offline phase dominant at
+  // bench-friendly N; the N=20 row runs a fanout-4 aggregation tree, which
+  // exercises the factory's tree demand re-derivation.
+  std::printf("\n# secure OT offline phase: node-pair triple factory\n");
+  std::printf("%6s %6s %12s %10s %12s %12s\n", "N", "k+1", "wall(s)", "base-OTs", "offline(s)",
+              "overlap(ms)");
   const int ot_block_size = 10;
   for (int n : {10, 20}) {
     const int ot_degree = 3;
     const int ot_fanout = n == 20 ? 4 : 0;
-    OtRunResult baseline =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/false);
-    OtRunResult factory =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/true);
-    // Fidelity re-assertion at bench scale: same released figure, and the
-    // online phase's per-node traffic (everything outside the offline
-    // session namespace) identical in bytes and message counts.
-    DSTRESS_CHECK(factory.released == baseline.released);
-    DSTRESS_CHECK(factory.online.size() == baseline.online.size());
-    for (const auto& [node, stats] : factory.online) {
-      DSTRESS_CHECK(stats == baseline.online.at(node));
-    }
-    double overlap_ms = std::max(
-        0.0, (factory.metrics.offline_seconds - factory.metrics.offline_wait_seconds) * 1e3);
-    std::printf("%6d %6d %12.2f %12.2f %9.1fx %10llu %12llu %12.0f\n", n, ot_block_size,
-                factory.metrics.total_seconds, baseline.metrics.total_seconds,
-                baseline.metrics.total_seconds /
-                    std::max(factory.metrics.total_seconds, 1e-9),
-                static_cast<unsigned long long>(factory.metrics.base_ot_executions),
-                static_cast<unsigned long long>(baseline.metrics.base_ot_executions),
+    core::RunMetrics m = RunSecureOt(n, ot_degree, ot_block_size, ot_fanout);
+    double overlap_ms = std::max(0.0, (m.offline_seconds - m.offline_wait_seconds) * 1e3);
+    std::printf("%6d %6d %12.2f %10llu %12.2f %12.0f\n", n, ot_block_size, m.total_seconds,
+                static_cast<unsigned long long>(m.base_ot_executions), m.offline_seconds,
                 overlap_ms);
-    JsonEntry ot_row{n, ot_degree, "secure-ot", factory.metrics.total_seconds * 1e3,
-                     baseline.metrics.total_seconds * 1e3,
-                     factory.metrics.avg_bytes_per_node};
-    ot_row.base_ot_count = static_cast<double>(factory.metrics.base_ot_executions);
-    ot_row.base_ot_count_baseline = static_cast<double>(baseline.metrics.base_ot_executions);
-    ot_row.offline_ms = factory.metrics.offline_seconds * 1e3;
-    ot_row.offline_wait_ms = factory.metrics.offline_wait_seconds * 1e3;
+    JsonEntry ot_row{n, ot_degree, "secure-ot", m.total_seconds * 1e3};
+    ot_row.bytes_per_node = m.avg_bytes_per_node;
+    ot_row.base_ot_count = static_cast<double>(m.base_ot_executions);
+    ot_row.offline_ms = m.offline_seconds * 1e3;
+    ot_row.offline_wait_ms = m.offline_wait_seconds * 1e3;
     ot_row.overlap_ms = overlap_ms;
     json.push_back(ot_row);
   }
-  std::printf("# identical released figures and per-node online traffic both rows; only the\n"
-              "# offline phase (base-OT count, extend batching, prefetch) differs\n");
 
   // Beyond the projection: the cleartext fast path actually executes the
   // large-N sweep the secure mode can only model — same circuits, same
   // transport and scheduler, word-parallel over the same EvalPlan. Since
-  // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M;
-  // smaller points A/B the arena against the retired container plane
-  // (wall_ms_baseline), whose figures and wire bytes must agree
-  // bit-for-bit, and tools/check_bench.py --cleartext-max-wall-ms pins the
-  // N=1M row's wall clock.
+  // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M, and
+  // tools/check_bench.py --cleartext-max-wall-ms pins the N=1M row's wall
+  // clock.
   std::printf("\n# cleartext fast-path sweep (real runs through engine::Engine)\n");
-  std::printf("%8s %6s %12s %12s %18s\n", "N", "I", "arena(s)", "legacy(s)",
-              "traffic/node(kB)");
+  std::printf("%8s %6s %12s %18s\n", "N", "I", "wall(s)", "traffic/node(kB)");
   std::vector<int> sweep_ns = FullScale()
                                   ? std::vector<int>{2000, 10000, 20000, 100000, 1000000}
                                   : std::vector<int>{2000, 10000, 100000, 1000000};
@@ -549,20 +424,6 @@ void Run() {
     spec.shock.shocked_banks = {0, 1, 2};
     spec.seed = 4;
     spec.mode = engine::ExecutionMode::kCleartextFast;
-
-    // Container-plane baseline, A/B'd at the sizes it can still sustain;
-    // the arena row must release the identical figure over identical wire
-    // bytes (the graphplane_test corpus pins the full surface).
-    double legacy_ms = -1;
-    if (n <= 20000) {
-      spec.cleartext_arena = false;
-      engine::RunReport legacy = engine::Engine(spec).Run();
-      spec.cleartext_arena = true;
-      engine::RunReport arena = engine::Engine(spec).Run();
-      DSTRESS_CHECK(arena.released == legacy.released);
-      DSTRESS_CHECK(arena.metrics.total_bytes == legacy.metrics.total_bytes);
-      legacy_ms = legacy.metrics.total_seconds * 1e3;
-    }
 
     engine::Engine eng(spec);
     engine::RunReport report = eng.Run();
@@ -581,11 +442,11 @@ void Run() {
                   static_cast<unsigned long long>(calls));
       DSTRESS_CHECK(bytes < 64ull << 20);
     }
-    std::printf("%8d %6d %12.2f %12.2f %18.2f\n", n, report.iterations,
-                report.metrics.total_seconds, legacy_ms < 0 ? 0.0 : legacy_ms / 1e3,
+    std::printf("%8d %6d %12.2f %18.2f\n", n, report.iterations, report.metrics.total_seconds,
                 report.metrics.avg_bytes_per_node / 1e3);
-    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, legacy_ms,
-                             report.metrics.avg_bytes_per_node});
+    JsonEntry row{n, 8, "cleartext", report.metrics.total_seconds * 1e3};
+    row.bytes_per_node = report.metrics.avg_bytes_per_node;
+    json.push_back(row);
   }
   std::printf("# the sweep grid that took the paper a cost model now runs for real,\n"
               "# including the N=1M point ROADMAP item 3 asked for\n");
@@ -641,8 +502,7 @@ void Run() {
   std::printf("# one lockstep pass amortizes per-edge messaging and fixed overheads across\n"
               "# lanes; tools/check_bench.py --ensemble-min-speedup pins the floor. Since\n"
               "# the arena graph plane the solo baselines are themselves bitsliced (64\n"
-              "# vertices per word), so the margin is ~2x fixed-cost amortization, not the\n"
-              "# ~13x the container-plane solos left on the table.\n");
+              "# vertices per word), so the margin is ~2x fixed-cost amortization.\n");
 
   WriteJson(json, block_size, seed_costs.seconds_per_and * 1e6, costs.seconds_per_and * 1e6);
 }

@@ -535,20 +535,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         p.Fail("unknown ensemble sub-directive '" + sub + "'");
         return std::nullopt;
       }
-    } else if (directive == "transfer_batching") {
-      // A/B knob for the batched transfer crypto engine; results and traffic
-      // are bit-identical either way, only CPU time differs.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "on") {
-        spec.transfer_batching = true;
-      } else if (p.tokens[1] == "off") {
-        spec.transfer_batching = false;
-      } else {
-        p.Fail("transfer_batching must be 'on' or 'off'");
-        return std::nullopt;
-      }
     } else if (directive == "triples") {
       // Offline-phase source for secure mode: "dealer" (simulated offline
       // phase, fast, default) or "ot" (IKNP OT-extension triples — the real
@@ -562,37 +548,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         spec.use_ot_triples = true;
       } else {
         p.Fail("triples must be 'dealer' or 'ot'");
-        return std::nullopt;
-      }
-    } else if (directive == "ot_batching") {
-      // A/B knob for the node-pair triple factory (docs/offline-phase.md);
-      // released figures and online traffic are bit-identical either way,
-      // only the offline phase's setup cost and overlap differ. No effect
-      // without 'triples ot'.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "on") {
-        spec.ot_batching = true;
-      } else if (p.tokens[1] == "off") {
-        spec.ot_batching = false;
-      } else {
-        p.Fail("ot_batching must be 'on' or 'off'");
-        return std::nullopt;
-      }
-    } else if (directive == "graph_plane") {
-      // Cleartext data-plane A/B (docs/graph-plane.md): "arena" is the flat
-      // bitsliced plane (default), "legacy" the original container plane.
-      // Figures, states and per-node traffic are bit-identical either way.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "arena") {
-        spec.cleartext_arena = true;
-      } else if (p.tokens[1] == "legacy") {
-        spec.cleartext_arena = false;
-      } else {
-        p.Fail("graph_plane must be 'arena' or 'legacy'");
         return std::nullopt;
       }
     } else if (directive == "early_exit") {

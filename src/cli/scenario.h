@@ -35,12 +35,8 @@
 //   triples <dealer|ot>                         (secure-mode offline phase:
 //                                                simulated dealer (default) or
 //                                                real IKNP OT-extension
-//                                                triples)
-//   ot_batching <on|off>                        (with `triples ot`: node-pair
-//                                                triple factory + offline/
-//                                                online pipelining (default on)
-//                                                vs the per-role baseline —
-//                                                docs/offline-phase.md)
+//                                                triples from the node-pair
+//                                                factory — docs/offline-phase.md)
 //   seed <s>
 //
 // Unknown directives, malformed arguments, out-of-range vertices and

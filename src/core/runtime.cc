@@ -15,9 +15,9 @@ namespace dstress::core {
 
 namespace {
 
-// Session-id namespaces (top 4 bits of a 64-bit id select the phase).
+// Session-id namespaces (top 4 bits of a 64-bit id select the phase;
+// namespace 2 is unused, and 8 is the offline phase's, see triple_factory.h).
 constexpr net::SessionId kInitSession = 1ULL << 60;
-constexpr net::SessionId kComputeSession = 2ULL << 60;
 constexpr net::SessionId kTransferSession = 3ULL << 60;
 constexpr net::SessionId kAggGatherSession = 4ULL << 60;
 constexpr net::SessionId kAggEvalSession = 5ULL << 60;
@@ -139,10 +139,9 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   dlog_table_ = std::make_unique<crypto::DlogTable>(transfer_params_.dlog_range);
   edges_ = graph.Edges();
 
-  threads_target_ = ResolveThreadBudget(config.max_parallel_tasks);
-  pool_ = std::make_unique<WorkerPool>(threads_target_);
+  pool_ = std::make_unique<WorkerPool>(ResolveThreadBudget(config.max_parallel_tasks));
 
-  if (config_.use_ot_triples && config_.ot_batching) {
+  if (config_.use_ot_triples) {
     mpc::TripleFactoryOptions factory_options;
     factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
     factory_options.pipeline = config_.ot_prefetch;
@@ -156,38 +155,21 @@ crypto::ChaCha20Prg Runtime::RolePrg(uint64_t role_tag, uint64_t instance) {
   return crypto::ChaCha20Prg::FromSeed(RolePrgSeed(config_.seed, role_tag), instance);
 }
 
-mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index,
-                                            const std::vector<int>& block) {
+mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index) {
   if (triple_factory_ != nullptr) {
-    // Factory mode: the offline waves enqueued per phase carry this role's
+    // OT triples: the offline waves enqueued per phase carry this role's
     // triples; the view is a local blocking cursor over them.
     return triple_factory_->ViewFor(tag, member_index);
   }
   std::pair<uint64_t, int> key{tag, member_index};
-  {
-    std::lock_guard<std::mutex> lock(triple_mu_);
-    auto it = triple_sources_.find(key);
-    if (it != triple_sources_.end()) {
-      return it->second.get();
-    }
-  }
-  std::unique_ptr<mpc::TripleSource> source;
-  if (config_.use_ot_triples) {
-    // Legacy per-role path (ot_batching off; the A/B baseline). All triple
-    // traffic rides the offline session namespace, keyed by role tag, so
-    // observers classify offline vs online bytes the same way in both
-    // modes; the shared cache lets a regenerated role reuse its base-OT
-    // setup instead of re-running it.
-    source = std::make_unique<mpc::OtTripleSource>(
-        net_.get(), block, member_index,
-        RolePrg(0x77, (tag << 8) | static_cast<uint64_t>(member_index)),
-        mpc::kOfflineSessionNamespace | tag, &iknp_cache_);
-  } else {
-    source = std::make_unique<mpc::DealerTripleSource>(member_index, config_.block_size,
-                                                       config_.seed ^ tag);
-  }
   std::lock_guard<std::mutex> lock(triple_mu_);
-  auto [it, _] = triple_sources_.emplace(key, std::move(source));
+  auto it = triple_sources_.find(key);
+  if (it == triple_sources_.end()) {
+    it = triple_sources_
+             .emplace(key, std::make_unique<mpc::DealerTripleSource>(
+                               member_index, config_.block_size, config_.seed ^ tag))
+             .first;
+  }
   return it->second.get();
 }
 
@@ -207,7 +189,7 @@ void Runtime::EnqueueComputeWave(int num_scenarios) {
     d.tag = static_cast<uint64_t>(v);
     d.parties = setup_.blocks[v];
     // Ensembles draw num_and once per scenario from the shared (v, m)
-    // source (ComputePhaseEnsemble), so one wave covers all lanes.
+    // source (ComputePhase), so one wave covers all lanes.
     d.count = num_and * static_cast<size_t>(num_scenarios);
     demands.push_back(std::move(d));
   }
@@ -233,7 +215,7 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
     triple_factory_->Enqueue(std::move(demands));
     return;
   }
-  // Tree aggregation (solo runs only — RunEnsemble requires fanout 0).
+  // Tree aggregation (solo runs only — ensembles require fanout 0).
   // Re-derive the level structure exactly as AggregateTree will: same
   // RolePrg(0x55, 0) block stream, same per-size circuits, so the demand
   // tags and counts line up with what each tree role draws.
@@ -290,11 +272,6 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
   triple_factory_->Enqueue(std::move(demands));
 }
 
-void Runtime::RunGrouped(size_t groups, size_t subtasks,
-                         const std::function<void(size_t, size_t)>& fn) {
-  pool_->RunGrouped(groups, subtasks, fn);
-}
-
 uint64_t Runtime::ConfigFingerprint() const {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a
   auto mix = [&h](uint64_t v) {
@@ -326,9 +303,7 @@ void Runtime::SaveCheckpoint(int next_iteration, RunMetrics* m) {
   {
     std::lock_guard<std::mutex> lock(triple_mu_);
     for (const auto& [key, source] : triple_sources_) {
-      auto* dealer = dynamic_cast<mpc::DealerTripleSource*>(source.get());
-      DSTRESS_CHECK(dealer != nullptr);  // the ctor rejects checkpoint + OT
-      snapshot.triple_cursors.push_back({key.first, key.second, dealer->calls()});
+      snapshot.triple_cursors.push_back({key.first, key.second, source->calls()});
     }
   }
   std::string error;
@@ -371,37 +346,91 @@ int Runtime::RestoreCheckpoint() {
   return snapshot.next_iteration;
 }
 
-void Runtime::InitPhase(const std::vector<mpc::BitVector>& initial_states) {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  int d = program_.degree_bound;
+// Scenario lanes. Run is RunEnsemble with one scenario: S scenarios advance
+// in lockstep as extra lanes of the batched planes, role (s, v) living at
+// flat share index s*n + v. Compute phases batch all S*n vertex instances
+// into one EvalBatchInstances pass and transfers run the scenario-salted
+// CommunicatePhase; lane 0's PRG instances, session ids and order keys are
+// the solo run's. Scenario s's released figure equals Run(initial_states[s]):
+// init-share and transfer randomness cancel out of opened values, and the
+// aggregation noise is drawn from the same (kNoiseRoleTag, m) streams every
+// solo run uses.
 
-  state_shares_.assign(n, std::vector<mpc::BitVector>(k1));
+void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
+  const int n = graph_.num_vertices();
+  const int k1 = config_.block_size;
+  const int d = program_.degree_bound;
+  const int num_scenarios = static_cast<int>(initial_states.size());
+  const size_t total = static_cast<size_t>(num_scenarios) * n;
+
+  state_shares_.assign(total, std::vector<mpc::BitVector>(k1));
   inmsg_shares_.assign(
-      n, std::vector<std::vector<mpc::BitVector>>(
-             d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
+      total, std::vector<std::vector<mpc::BitVector>>(
+                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
   outmsg_shares_.assign(
-      n, std::vector<std::vector<mpc::BitVector>>(
-             d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
+      total, std::vector<std::vector<mpc::BitVector>>(
+                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
 
-  // Each node splits its initial state and distributes the shares to its
-  // block. Sends never block, so a simple send-all / receive-all sequence
-  // is deadlock-free and still meters every byte.
-  for (int v = 0; v < n; v++) {
-    DSTRESS_CHECK(static_cast<int>(initial_states[v].size()) == program_.state_bits);
-    auto prg = RolePrg(0x11, static_cast<uint64_t>(v));
-    auto shares = mpc::ShareBits(initial_states[v], k1, prg);
-    for (int m = 0; m < k1; m++) {
-      net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
-                 kInitSession | static_cast<uint64_t>(v));
+  for (int s = 0; s < num_scenarios; s++) {
+    const uint64_t salt = static_cast<uint64_t>(s) << 40;
+    for (int v = 0; v < n; v++) {
+      DSTRESS_CHECK(static_cast<int>(initial_states[s][v].size()) == program_.state_bits);
+      auto prg = RolePrg(0x11, static_cast<uint64_t>(s) * n + static_cast<uint64_t>(v));
+      auto shares = mpc::ShareBits(initial_states[s][v], k1, prg);
+      for (int m = 0; m < k1; m++) {
+        net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
+                   kInitSession | salt | static_cast<uint64_t>(v));
+      }
     }
   }
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      Bytes raw = net_->Recv(setup_.blocks[v][m], v, kInitSession | static_cast<uint64_t>(v));
-      state_shares_[v][m] = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+  for (int s = 0; s < num_scenarios; s++) {
+    const uint64_t salt = static_cast<uint64_t>(s) << 40;
+    for (int v = 0; v < n; v++) {
+      for (int m = 0; m < k1; m++) {
+        Bytes raw =
+            net_->Recv(setup_.blocks[v][m], v, kInitSession | salt | static_cast<uint64_t>(v));
+        state_shares_[static_cast<size_t>(s) * n + v][m] =
+            UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+      }
     }
   }
+}
+
+void Runtime::ComputePhase(int num_scenarios) {
+  const int n = graph_.num_vertices();
+  const int k1 = config_.block_size;
+  const size_t num_and = update_circuit_.stats().num_and;
+
+  std::vector<std::pair<int, int>> roles;
+  roles.reserve(static_cast<size_t>(num_scenarios) * n * k1);
+  for (int g = 0; g < num_scenarios * n; g++) {
+    for (int m = 0; m < k1; m++) {
+      roles.emplace_back(g, m);
+    }
+  }
+  RunBatchedPhase(
+      roles,
+      [&](int g, int m) {
+        // Triple sources are shared per (vertex, member) across scenarios —
+        // consumed in ascending scenario order at every member, and triple
+        // randomness cancels out of opened results anyway.
+        const int v = g % n;
+        mpc::TripleSource* source = TripleSourceFor(static_cast<uint64_t>(v), m);
+        mpc::BatchInstance item;
+        item.plan = &update_plan_;
+        item.parties = setup_.blocks[v];
+        item.my_index = m;
+        if (num_and > 0) {
+          item.triples = source->Generate(num_and);
+        }
+        item.input_shares = AssembleUpdateInput(g, m);
+        item.order_key = static_cast<uint64_t>(g);
+        return item;
+      },
+      [&](size_t i, const mpc::BitVector& output) {
+        ScatterUpdateOutput(roles[i].first, roles[i].second, output);
+      },
+      /*count_rounds=*/true);
 }
 
 mpc::BitVector Runtime::AssembleUpdateInput(int v, int m) const {
@@ -424,167 +453,41 @@ void Runtime::ScatterUpdateOutput(int v, int m, const mpc::BitVector& output) {
   }
 }
 
-// Compute-phase stats: triples total plus the observed exchange-round
-// count (the rounds max is only meaningful for the update circuit — the
-// aggregation stages account their triples directly).
-void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
-  triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
-  size_t prev = compute_rounds_.load(std::memory_order_relaxed);
-  while (stats.rounds > prev &&
-         !compute_rounds_.compare_exchange_weak(prev, stats.rounds, std::memory_order_relaxed)) {
-  }
-}
-
-void Runtime::ComputePhase() {
-  if (config_.batch_mpc) {
-    ComputePhaseBatched();
-  } else {
-    ComputePhaseUnbatched();
-  }
-}
-
-// Seed schedule: one pool task and one GmwParty per (vertex, member) role.
-void Runtime::ComputePhaseUnbatched() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-
-  RunGrouped(static_cast<size_t>(n), static_cast<size_t>(k1), [&](size_t vg, size_t ms) {
-    int v = static_cast<int>(vg);
-    int m = static_cast<int>(ms);
-    net::SessionId session = kComputeSession | static_cast<uint64_t>(v);
-
-    mpc::TripleSource* triples = TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-    mpc::GmwParty party(net_.get(), setup_.blocks[v], m, triples, session);
-    mpc::PackedShareMatrix input(update_plan_.num_inputs(), 1);
-    input.SetInstance(0, AssembleUpdateInput(v, m));
-    mpc::BatchStats stats;
-    mpc::BitVector output = party.EvalBatch(update_plan_, input, &stats).Instance(0);
-    AccumulateBatchStats(stats);
-    ScatterUpdateOutput(v, m, output);
-  });
-}
-
+// A batched MPC phase: every role in `roles` advances through its circuit's
+// AND layers in lockstep in one EvalBatchInstances call on this thread.
+// Nothing ever parks: dealer tapes and factory views need no communication
+// at draw time (the OT traffic already ran in the offline wave), and each
+// round's receives are satisfied by sends earlier in the same round.
 void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                              const std::function<int(int, int)>& node_of,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
                               const std::function<void(size_t, const mpc::BitVector&)>& sink,
                               bool count_rounds) {
-  auto accumulate = [&](const mpc::BatchStats& stats) {
-    if (count_rounds) {
-      AccumulateBatchStats(stats);
-    } else {
-      triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
-    }
-  };
-  const bool interactive_triples = config_.use_ot_triples && !config_.ot_batching;
-  if (!interactive_triples && !config_.batch_mpc_per_node) {
-    // Single-scheduler mode: the triple source needs no communication
-    // (dealer tapes, or factory views whose OT traffic already ran in the
-    // offline wave), so the whole phase is one lockstep call on this
-    // thread.
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(roles.size());
-    for (auto [g, m] : roles) {
-      items.push_back(make_item(g, m));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t i = 0; i < roles.size(); i++) {
-      sink(i, outputs[i]);
-    }
-    return;
+  std::vector<mpc::BatchInstance> items;
+  items.reserve(roles.size());
+  for (auto [g, m] : roles) {
+    items.push_back(make_item(g, m));
   }
-  // Per-node schedule (always for OT triples; opt-in for dealer triples
-  // via batch_mpc_per_node): one lockstep task per executing node. Triples
-  // are prefetched inside make_item in role order — ascending by group at
-  // every node — so the collective pairwise OT sessions run in a globally
-  // consistent order and the smallest unfinished group can always progress.
-  // Dealer sources are per-(node, session) streams behind a mutex, so the
-  // same prefetch order holds and the schedules stay traffic-identical.
-  std::map<int, std::vector<size_t>> by_node;
+  mpc::BatchStats stats;
+  std::vector<mpc::BitVector> outputs =
+      mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
+  triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
+  if (count_rounds) {
+    // Exchange rounds are only meaningful for the update circuit.
+    compute_rounds_ = std::max(compute_rounds_, stats.rounds);
+  }
   for (size_t i = 0; i < roles.size(); i++) {
-    by_node[node_of(roles[i].first, roles[i].second)].push_back(i);
-  }
-  std::vector<const std::vector<size_t>*> tasks;
-  tasks.reserve(by_node.size());
-  for (auto& [x, idxs] : by_node) {
-    tasks.push_back(&idxs);
-  }
-  RunGrouped(1, tasks.size(), [&](size_t, size_t t) {
-    const std::vector<size_t>& idxs = *tasks[t];
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(idxs.size());
-    for (size_t i : idxs) {
-      items.push_back(make_item(roles[i].first, roles[i].second));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t k = 0; k < idxs.size(); k++) {
-      sink(idxs[k], outputs[k]);
-    }
-  });
-}
-
-// Batched schedule: the step's (vertex, member) roles advance through the
-// update circuit's AND layers in lockstep over bitsliced shares
-// (batch_eval.h) instead of one task + one GmwParty per role. Wire traffic
-// is bit-identical to the unbatched schedule — same per-instance payloads,
-// rounds still = AND depth — but the per-layer synchronization is paid once
-// per scheduler instead of once per role, and the free gates of up to 64
-// roles cost one word op.
-void Runtime::ComputePhaseBatched() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  const size_t num_and = update_circuit_.stats().num_and;
-
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(n) * k1);
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(v, m);
-    }
-  }
-  RunBatchedPhase(
-      roles, [&](int v, int m) { return setup_.blocks[v][m]; },
-      [&](int v, int m) {
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-        mpc::BatchInstance item;
-        item.plan = &update_plan_;
-        item.parties = setup_.blocks[v];
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
-        item.input_shares = AssembleUpdateInput(v, m);
-        item.order_key = static_cast<uint64_t>(v);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        ScatterUpdateOutput(roles[i].first, roles[i].second, output);
-      },
-      /*count_rounds=*/true);
-}
-
-void Runtime::CommunicatePhase() {
-  if (config_.batch_transfer) {
-    CommunicatePhaseBatched(/*scenario=*/0);
-  } else {
-    CommunicatePhaseUnbatched();
+    sink(i, outputs[i]);
   }
 }
 
-// Batched schedule: the step's per-edge role work runs through the wire-
-// level batch engine (transfer/batch_engine.h) in four barrier-separated
+// A communication step: the per-edge role work runs through the wire-level
+// batch engine (transfer/batch_engine.h) in four barrier-separated
 // sub-phases — senders, source endpoints, dest endpoints, receivers — so
 // every Recv is satisfied by a Send from an earlier sub-phase and no task
-// ever parks on a peer. Messages, sessions and byte counts are identical to
-// the unbatched schedule; only the CPU cost per role changes.
-void Runtime::CommunicatePhaseBatched(int scenario) {
+// ever parks on a peer. Messages, sessions and byte counts are those of
+// the per-role transfer functions (transfer.h), pinned by the engine_test
+// fidelity digests.
+void Runtime::CommunicatePhase(int scenario) {
   int k1 = config_.block_size;
   const int n = graph_.num_vertices();
   // Ensemble lane (scenario > 0): shares live at flat index s*n + v, and
@@ -600,7 +503,7 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
 
   // Sub-phase 1: all sender members of every edge, one batched encrypt per
   // edge sharing the certificate's fixed-base tables.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     int out_slot = SlotOf(graph_.OutNeighbors(i), j);
@@ -621,7 +524,7 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
   });
 
   // Sub-phase 2: node i aggregates + masks every edge's bundles.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     std::vector<Bytes> bundles;
@@ -636,7 +539,7 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
 
   // Sub-phase 3: node j adjusts and fans the columns out (same Channel
   // burst as RunDestEndpoint, so per-node traffic accounting matches).
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     int in_slot = SlotOf(graph_.InNeighbors(j), i);
@@ -653,7 +556,7 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
 
   // Sub-phase 4: all receiver members of every edge, one batched recovery
   // per edge sharing the c1 fixed-base table.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     int in_slot = SlotOf(graph_.InNeighbors(j), i);
@@ -678,45 +581,6 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
   });
 }
 
-void Runtime::CommunicatePhaseUnbatched() {
-  int k1 = config_.block_size;
-  size_t roles_per_edge = static_cast<size_t>(2 * k1 + 2);
-
-  RunGrouped(edges_.size(), roles_per_edge, [&](size_t e, size_t role_s) {
-    int role = static_cast<int>(role_s);
-    auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | e;
-    int out_slot = SlotOf(graph_.OutNeighbors(i), j);
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
-
-    if (role < k1) {
-      // Sender member `role` of B_i.
-      int member_node = setup_.blocks[i][role];
-      auto prg = RolePrg(0x22, (e << 8) | static_cast<uint64_t>(role));
-      transfer::RunSenderMember(net_.get(), member_node, i, session,
-                                outmsg_shares_[i][out_slot][role],
-                                setup_.edge_certificates.at({i, j}), prg);
-    } else if (role == k1) {
-      // Node i: aggregation + masking noise.
-      std::vector<int> member_nodes = setup_.blocks[i];
-      auto prg = RolePrg(0x33, e);
-      transfer::RunSourceEndpoint(net_.get(), i, member_nodes, j, session, transfer_params_, prg);
-    } else if (role == k1 + 1) {
-      // Node j: ephemeral adjustment + fan-out.
-      transfer::RunDestEndpoint(net_.get(), j, i, setup_.blocks[j], session,
-                                setup_.neighbor_keys[j][in_slot], transfer_params_);
-    } else {
-      // Receiver member of B_j.
-      int y = role - (k1 + 2);
-      int member_node = setup_.blocks[j][y];
-      inmsg_shares_[j][in_slot][y] =
-          transfer::RunReceiverMember(net_.get(), member_node, j, session,
-                                      setup_.node_keys[member_node], *dlog_table_,
-                                      transfer_params_);
-    }
-  });
-}
-
 int64_t Runtime::AggregateSingleLevel() {
   int n = graph_.num_vertices();
   int k1 = config_.block_size;
@@ -734,7 +598,7 @@ int64_t Runtime::AggregateSingleLevel() {
   }
 
   std::vector<int64_t> results(k1, 0);
-  RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
+  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
     int m = static_cast<int>(m_flat);
     int agg_node = setup_.aggregation_block[m];
     mpc::BitVector input;
@@ -753,7 +617,7 @@ int64_t Runtime::AggregateSingleLevel() {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
 
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(agg_circuit, input);
     triples_consumed_.fetch_add(agg_circuit.stats().num_and, std::memory_order_relaxed);
@@ -786,84 +650,69 @@ int64_t Runtime::AggregateTree() {
     }
   }
 
-  // Leaf level: partial sums of up to `fanout` vertex states stay shared.
-  // Each role's input is the gathered state shares of its group's vertices;
-  // each distinct group size needs its own circuit (the last group may be
-  // short), precompiled once per level.
-  std::map<int, std::pair<circuit::Circuit, circuit::EvalPlan>> leaf_plans;
-  auto leaf_plan_for = [&](int size) -> const circuit::EvalPlan& {
-    auto it = leaf_plans.find(size);
-    if (it == leaf_plans.end()) {
-      circuit::Circuit c = BuildAggregateCircuit(program_, size, /*with_noise=*/false);
+  // Every stage below the root runs all its roles in lockstep (see
+  // ComputePhase): group g of a stage sums up to `fanout` of its `inputs`
+  // shared words into one shared partial on stage_blocks[g], drawing
+  // triples under tag_base + g. Each distinct group size needs its own
+  // circuit (the last group may be short), compiled once per run.
+  std::map<std::pair<bool, int>, std::pair<circuit::Circuit, circuit::EvalPlan>> plans;
+  auto plan_for = [&](bool leaf, int size) -> const circuit::EvalPlan& {
+    auto it = plans.find({leaf, size});
+    if (it == plans.end()) {
+      circuit::Circuit c = leaf ? BuildAggregateCircuit(program_, size, /*with_noise=*/false)
+                                : BuildCombineCircuit(program_, size, /*with_noise=*/false);
       circuit::EvalPlan plan(c);
-      it = leaf_plans.emplace(size, std::make_pair(std::move(c), std::move(plan))).first;
+      it = plans.emplace(std::make_pair(leaf, size), std::make_pair(std::move(c), std::move(plan)))
+               .first;
     }
     return it->second.second;
   };
-  leaf_plan_for(std::min(n, fanout));
-  if (n % fanout != 0) {
-    leaf_plan_for(n - (num_groups - 1) * fanout);
-  }
-  auto leaf_input = [&](int g, int m) {
-    int lo = g * fanout;
-    int hi = std::min(n, lo + fanout);
-    int agg_node = blocks[g][m];
-    mpc::BitVector input;
-    for (int v = lo; v < hi; v++) {
-      Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
-                             kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-    }
-    return input;
-  };
-  std::vector<std::vector<mpc::BitVector>> shares(num_groups, std::vector<mpc::BitVector>(k1));
-  if (config_.batch_mpc) {
-    // All leaf roles advance in lockstep (same wire traffic as the
-    // per-role schedule; see ComputePhaseBatched).
+  auto run_stage = [&](bool leaf, int inputs, const std::vector<std::vector<int>>& stage_blocks,
+                       uint64_t tag_base, const std::function<mpc::BitVector(int, int)>& input_of) {
     std::vector<std::pair<int, int>> roles;
-    roles.reserve(static_cast<size_t>(num_groups) * k1);
-    for (int g = 0; g < num_groups; g++) {
+    roles.reserve(stage_blocks.size() * k1);
+    for (int g = 0; g < static_cast<int>(stage_blocks.size()); g++) {
       for (int m = 0; m < k1; m++) {
         roles.emplace_back(g, m);
       }
     }
+    std::vector<std::vector<mpc::BitVector>> out(stage_blocks.size(),
+                                                 std::vector<mpc::BitVector>(k1));
     RunBatchedPhase(
-        roles, [&](int g, int m) { return blocks[g][m]; },
+        roles,
         [&](int g, int m) {
-          int size = std::min(n, g * fanout + fanout) - g * fanout;
-          const circuit::EvalPlan& plan = leaf_plan_for(size);
-          mpc::TripleSource* source =
-              TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
+          const circuit::EvalPlan& plan =
+              plan_for(leaf, std::min(inputs, g * fanout + fanout) - g * fanout);
+          mpc::TripleSource* source = TripleSourceFor(tag_base + static_cast<uint64_t>(g), m);
           mpc::BatchInstance item;
           item.plan = &plan;
-          item.parties = blocks[g];
+          item.parties = stage_blocks[g];
           item.my_index = m;
           if (plan.stats().num_and > 0) {
             item.triples = source->Generate(plan.stats().num_and);
           }
-          item.input_shares = leaf_input(g, m);
+          item.input_shares = input_of(g, m);
           item.order_key = static_cast<uint64_t>(g);
           return item;
         },
         [&](size_t i, const mpc::BitVector& output) {
-          shares[roles[i].first][roles[i].second] = output;
+          out[roles[i].first][roles[i].second] = output;
         },
         /*count_rounds=*/false);
-  } else {
-    RunGrouped(static_cast<size_t>(num_groups), static_cast<size_t>(k1),
-               [&](size_t gg, size_t mm) {
-                 int g = static_cast<int>(gg);
-                 int m = static_cast<int>(mm);
-                 int size = std::min(n, g * fanout + fanout) - g * fanout;
-                 const circuit::EvalPlan& plan = leaf_plan_for(size);
-                 net::SessionId session = kAggEvalSession | static_cast<uint64_t>(g);
-                 mpc::TripleSource* triples =
-                     TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
-                 mpc::GmwParty party(net_.get(), blocks[g], m, triples, session);
-                 shares[g][m] = party.Eval(plan, leaf_input(g, m));
-                 triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-               });
-  }
+    return out;
+  };
+
+  // Leaf level: partial sums of up to `fanout` vertex states stay shared.
+  std::vector<std::vector<mpc::BitVector>> shares =
+      run_stage(/*leaf=*/true, n, blocks, kAggTripleTag + 1, [&](int g, int m) {
+        mpc::BitVector input;
+        for (int v = g * fanout; v < std::min(n, g * fanout + fanout); v++) {
+          Bytes raw = net_->Recv(blocks[g][m], setup_.blocks[v][m],
+                                 kAggGatherSession | static_cast<uint64_t>(v));
+          mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
+        }
+        return input;
+      });
 
   // Intermediate combine levels (without noise) until one root group of at
   // most `fanout` partials remains — the general tree of §3.6. For the
@@ -884,82 +733,19 @@ int64_t Runtime::AggregateTree() {
                    kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
       }
     }
-    std::map<int, std::pair<circuit::Circuit, circuit::EvalPlan>> combine_plans;
-    auto combine_plan_for = [&](int size) -> const circuit::EvalPlan& {
-      auto it = combine_plans.find(size);
-      if (it == combine_plans.end()) {
-        circuit::Circuit c = BuildCombineCircuit(program_, size, /*with_noise=*/false);
-        circuit::EvalPlan plan(c);
-        it = combine_plans.emplace(size, std::make_pair(std::move(c), std::move(plan))).first;
-      }
-      return it->second.second;
-    };
-    combine_plan_for(std::min(p, fanout));
-    combine_plan_for(p - (next_groups - 1) * fanout);
-    auto combine_input = [&, p](int g, int m, const std::vector<std::vector<int>>& nb) {
-      int lo = g * fanout;
-      int hi = std::min(p, lo + fanout);
-      int agg_node = nb[g][m];
-      mpc::BitVector input;
-      for (int child = lo; child < hi; child++) {
-        Bytes raw =
-            net_->Recv(agg_node, blocks[child][m],
-                       kAggCombineSession | (level << 32) | static_cast<uint64_t>(child));
-        mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
-      }
-      return input;
-    };
-    std::vector<std::vector<mpc::BitVector>> next_shares(next_groups,
-                                                         std::vector<mpc::BitVector>(k1));
-    if (config_.batch_mpc) {
-      std::vector<std::pair<int, int>> roles;
-      roles.reserve(static_cast<size_t>(next_groups) * k1);
-      for (int g = 0; g < next_groups; g++) {
-        for (int m = 0; m < k1; m++) {
-          roles.emplace_back(g, m);
-        }
-      }
-      RunBatchedPhase(
-          roles, [&](int g, int m) { return next_blocks[g][m]; },
-          [&](int g, int m) {
-            int size = std::min(p, g * fanout + fanout) - g * fanout;
-            const circuit::EvalPlan& plan = combine_plan_for(size);
-            mpc::TripleSource* source = TripleSourceFor(
-                kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m, next_blocks[g]);
-            mpc::BatchInstance item;
-            item.plan = &plan;
-            item.parties = next_blocks[g];
-            item.my_index = m;
-            if (plan.stats().num_and > 0) {
-              item.triples = source->Generate(plan.stats().num_and);
-            }
-            item.input_shares = combine_input(g, m, next_blocks);
-            item.order_key = static_cast<uint64_t>(g);
-            return item;
-          },
-          [&](size_t i, const mpc::BitVector& output) {
-            next_shares[roles[i].first][roles[i].second] = output;
-          },
-          /*count_rounds=*/false);
-    } else {
-      RunGrouped(static_cast<size_t>(next_groups), static_cast<size_t>(k1),
-                 [&](size_t gg, size_t mm) {
-                   int g = static_cast<int>(gg);
-                   int m = static_cast<int>(mm);
-                   int size = std::min(p, g * fanout + fanout) - g * fanout;
-                   const circuit::EvalPlan& plan = combine_plan_for(size);
-                   net::SessionId session =
-                       kAggEvalSession | (level << 32) | static_cast<uint64_t>(g);
-                   mpc::TripleSource* triples = TripleSourceFor(
-                       kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m,
-                       next_blocks[g]);
-                   mpc::GmwParty party(net_.get(), next_blocks[g], m, triples, session);
-                   next_shares[g][m] = party.Eval(plan, combine_input(g, m, next_blocks));
-                   triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-                 });
-    }
+    shares = run_stage(
+        /*leaf=*/false, p, next_blocks, kAggTripleTag + 1 + (level << 20), [&](int g, int m) {
+          mpc::BitVector input;
+          for (int child = g * fanout; child < std::min(p, g * fanout + fanout); child++) {
+            Bytes raw =
+                net_->Recv(next_blocks[g][m], blocks[child][m],
+                           kAggCombineSession | (level << 32) | static_cast<uint64_t>(child));
+            mpc::AppendBits(&input,
+                            UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
+          }
+          return input;
+        });
     blocks = std::move(next_blocks);
-    shares = std::move(next_shares);
     level++;
   }
 
@@ -974,7 +760,7 @@ int64_t Runtime::AggregateTree() {
   circuit::Circuit combine_circuit = BuildCombineCircuit(program_, p, /*with_noise=*/true);
   last_aggregate_ands_ += combine_circuit.stats().num_and;
   std::vector<int64_t> results(k1, 0);
-  RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
+  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
     int m = static_cast<int>(m_flat);
     int root_node = setup_.aggregation_block[m];
     mpc::BitVector input;
@@ -988,7 +774,7 @@ int64_t Runtime::AggregateTree() {
     for (size_t b = 0; b < noise_bits; b++) {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(combine_circuit, input);
     triples_consumed_.fetch_add(combine_circuit.stats().num_and, std::memory_order_relaxed);
@@ -1003,188 +789,6 @@ int64_t Runtime::AggregatePhase() {
     return AggregateTree();
   }
   return AggregateSingleLevel();
-}
-
-int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics) {
-  DSTRESS_CHECK(static_cast<int>(initial_states.size()) == graph_.num_vertices());
-  RunMetrics local;
-  RunMetrics* m = metrics != nullptr ? metrics : &local;
-  *m = RunMetrics{};
-  m->iterations = program_.iterations;
-  m->update_and_gates = update_circuit_.stats().num_and;
-  m->update_and_depth = update_circuit_.stats().and_depth;
-  triples_consumed_.store(0, std::memory_order_relaxed);
-  compute_rounds_.store(0, std::memory_order_relaxed);
-
-  Stopwatch total;
-  uint64_t bytes_before = net_->TotalBytes();
-  uint64_t base_ots_before = ot::BaseOtExecutionCount();
-  mpc::TripleFactoryStats factory_before;
-  if (triple_factory_ != nullptr) {
-    factory_before = triple_factory_->stats();
-  }
-
-  // Offline wave for the first computation step; the per-iteration
-  // enqueues below keep the factory one phase ahead of the online plane.
-  EnqueueComputeWave(/*num_scenarios=*/1);
-
-  Stopwatch phase;
-  int start_iteration = 0;
-  if (config_.resume) {
-    // Rejoin at the checkpointed iteration barrier: the share arrays and
-    // dealer tapes replace the init phase (docs/ha.md).
-    start_iteration = RestoreCheckpoint();
-    m->resumed_from_iteration = start_iteration;
-    m->init.seconds = phase.ElapsedSeconds();
-  } else {
-    InitPhase(initial_states);
-    m->init.seconds = phase.ElapsedSeconds();
-    m->init.bytes = net_->TotalBytes() - bytes_before;
-  }
-
-  uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = start_iteration; iter < program_.iterations; iter++) {
-    // Prefetch the NEXT computation step's triples (the loop's next
-    // iteration, or the final step after it) while this iteration's online
-    // phases evaluate.
-    EnqueueComputeWave(/*num_scenarios=*/1);
-
-    phase.Reset();
-    ComputePhase();
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    CommunicatePhase();
-    m->communicate.seconds += phase.ElapsedSeconds();
-    m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    if (config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
-      SaveCheckpoint(iter + 1, m);
-    }
-  }
-  // Final computation step (§3.6). Its triples were enqueued by the last
-  // loop iteration (or the pre-loop enqueue when iterations == 0); the
-  // aggregation wave overlaps this step.
-  EnqueueAggregateWave(/*num_scenarios=*/1);
-  phase.Reset();
-  ComputePhase();
-  m->compute.seconds += phase.ElapsedSeconds();
-  m->compute.bytes += net_->TotalBytes() - phase_bytes;
-  phase_bytes = net_->TotalBytes();
-
-  phase.Reset();
-  last_aggregate_ands_ = 0;
-  int64_t result = AggregatePhase();
-  m->aggregate_and_gates = last_aggregate_ands_;
-  m->aggregate.seconds = phase.ElapsedSeconds();
-  m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
-
-  m->total_seconds = total.ElapsedSeconds();
-  m->total_bytes = net_->TotalBytes() - bytes_before;
-  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / graph_.num_vertices();
-  m->update_rounds = compute_rounds_.load(std::memory_order_relaxed);
-  m->triples_consumed = triples_consumed_.load(std::memory_order_relaxed);
-  m->ha_control_bytes = net_->HaControlBytes();
-  m->ha_resumes = net_->HaResumeCount();
-  m->base_ot_executions = ot::BaseOtExecutionCount() - base_ots_before;
-  if (triple_factory_ != nullptr) {
-    mpc::TripleFactoryStats fs = triple_factory_->stats();
-    m->offline_seconds = fs.offline_seconds - factory_before.offline_seconds;
-    m->offline_wait_seconds = fs.online_wait_seconds - factory_before.online_wait_seconds;
-  }
-  return result;
-}
-
-// --- scenario ensemble (RunEnsemble) ---------------------------------------
-//
-// S scenarios advance in lockstep as extra lanes of the batched planes:
-// role (s, v) lives at flat share index s*n + v, compute phases batch all
-// S*n vertex instances into one EvalBatchInstances pass, transfers reuse the
-// scenario-salted CommunicatePhaseBatched, and a single batched aggregation
-// opens S noised figures. Scenario s's released figure equals
-// Run(initial_states[s]): init-share and transfer randomness cancel out of
-// opened values, and the aggregation noise is drawn from the same
-// (kNoiseRoleTag, m) streams every solo run uses.
-
-void Runtime::InitPhaseEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
-  const int n = graph_.num_vertices();
-  const int k1 = config_.block_size;
-  const int d = program_.degree_bound;
-  const int num_scenarios = static_cast<int>(initial_states.size());
-  const size_t total = static_cast<size_t>(num_scenarios) * n;
-
-  state_shares_.assign(total, std::vector<mpc::BitVector>(k1));
-  inmsg_shares_.assign(
-      total, std::vector<std::vector<mpc::BitVector>>(
-                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
-  outmsg_shares_.assign(
-      total, std::vector<std::vector<mpc::BitVector>>(
-                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
-
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    DSTRESS_CHECK(static_cast<int>(initial_states[s].size()) == n);
-    for (int v = 0; v < n; v++) {
-      DSTRESS_CHECK(static_cast<int>(initial_states[s][v].size()) == program_.state_bits);
-      auto prg = RolePrg(0x11, static_cast<uint64_t>(s) * n + static_cast<uint64_t>(v));
-      auto shares = mpc::ShareBits(initial_states[s][v], k1, prg);
-      for (int m = 0; m < k1; m++) {
-        net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
-                   kInitSession | salt | static_cast<uint64_t>(v));
-      }
-    }
-  }
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    for (int v = 0; v < n; v++) {
-      for (int m = 0; m < k1; m++) {
-        Bytes raw = net_->Recv(setup_.blocks[v][m], v, kInitSession | salt | static_cast<uint64_t>(v));
-        state_shares_[static_cast<size_t>(s) * n + v][m] =
-            UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-      }
-    }
-  }
-}
-
-void Runtime::ComputePhaseEnsemble(int num_scenarios) {
-  const int n = graph_.num_vertices();
-  const int k1 = config_.block_size;
-  const size_t num_and = update_circuit_.stats().num_and;
-
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(num_scenarios) * n * k1);
-  for (int g = 0; g < num_scenarios * n; g++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(g, m);
-    }
-  }
-  RunBatchedPhase(
-      roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
-      [&](int g, int m) {
-        // Triple sources are shared per (vertex, member) across scenarios —
-        // consumed in ascending scenario order at every member, and triple
-        // randomness cancels out of opened results anyway.
-        const int v = g % n;
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-        mpc::BatchInstance item;
-        item.plan = &update_plan_;
-        item.parties = setup_.blocks[v];
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
-        item.input_shares = AssembleUpdateInput(g, m);
-        item.order_key = static_cast<uint64_t>(g);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        ScatterUpdateOutput(roles[i].first, roles[i].second, output);
-      },
-      /*count_rounds=*/true);
 }
 
 std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
@@ -1216,7 +820,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
                                                       std::vector<mpc::BitVector>(k1));
   RunBatchedPhase(
-      roles, [&](int, int m) { return setup_.aggregation_block[m]; },
+      roles,
       [&](int s, int m) {
         const uint64_t salt = static_cast<uint64_t>(s) << 40;
         mpc::BitVector input;
@@ -1233,7 +837,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         for (size_t b = 0; b < noise_bits; b++) {
           input.push_back(prg.NextBit() ? 1 : 0);
         }
-        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m);
         mpc::BatchInstance item;
         item.plan = &agg_plan;
         item.parties = setup_.aggregation_block;
@@ -1290,19 +894,21 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   return results;
 }
 
+int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics) {
+  return RunEnsemble({initial_states}, metrics)[0];
+}
+
 std::vector<int64_t> Runtime::RunEnsemble(
     const std::vector<std::vector<mpc::BitVector>>& initial_states, RunMetrics* metrics) {
   const int num_scenarios = static_cast<int>(initial_states.size());
   DSTRESS_CHECK(num_scenarios > 0);
-  if (num_scenarios == 1) {
-    // Width-1 ensemble == solo run, traffic included.
-    RunMetrics local;
-    RunMetrics* m = metrics != nullptr ? metrics : &local;
-    return {Run(initial_states[0], m)};
+  for (const std::vector<mpc::BitVector>& states : initial_states) {
+    DSTRESS_CHECK(static_cast<int>(states.size()) == graph_.num_vertices());
   }
   // S > 1 aggregates all scenarios through the flat batched aggregation;
-  // the tree variant has no ensemble schedule.
-  DSTRESS_CHECK(config_.aggregation_fanout == 0);
+  // the tree variant has no ensemble schedule. Checkpoints cover solo runs.
+  const bool solo = num_scenarios == 1;
+  DSTRESS_CHECK(solo || config_.aggregation_fanout == 0);
 
   RunMetrics local;
   RunMetrics* m = metrics != nullptr ? metrics : &local;
@@ -1311,7 +917,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
   m->update_and_gates = update_circuit_.stats().num_and;
   m->update_and_depth = update_circuit_.stats().and_depth;
   triples_consumed_.store(0, std::memory_order_relaxed);
-  compute_rounds_.store(0, std::memory_order_relaxed);
+  compute_rounds_ = 0;
 
   Stopwatch total;
   uint64_t bytes_before = net_->TotalBytes();
@@ -1321,43 +927,64 @@ std::vector<int64_t> Runtime::RunEnsemble(
     factory_before = triple_factory_->stats();
   }
 
-  // Offline wave for the first computation step (all S lanes at once);
-  // same prefetch schedule as Run().
+  // Offline wave for the first computation step (all S lanes at once); the
+  // per-iteration enqueues below keep the factory one phase ahead of the
+  // online plane.
   EnqueueComputeWave(num_scenarios);
 
   Stopwatch phase;
-  InitPhaseEnsemble(initial_states);
-  m->init.seconds = phase.ElapsedSeconds();
-  m->init.bytes = net_->TotalBytes() - bytes_before;
+  int start_iteration = 0;
+  if (solo && config_.resume) {
+    // Rejoin at the checkpointed iteration barrier: the share arrays and
+    // dealer tapes replace the init phase (docs/ha.md).
+    start_iteration = RestoreCheckpoint();
+    m->resumed_from_iteration = start_iteration;
+    m->init.seconds = phase.ElapsedSeconds();
+  } else {
+    InitPhase(initial_states);
+    m->init.seconds = phase.ElapsedSeconds();
+    m->init.bytes = net_->TotalBytes() - bytes_before;
+  }
 
   uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = 0; iter < program_.iterations; iter++) {
+  for (int iter = start_iteration; iter < program_.iterations; iter++) {
+    // Prefetch the NEXT computation step's triples (the loop's next
+    // iteration, or the final step after it) while this iteration's online
+    // phases evaluate.
     EnqueueComputeWave(num_scenarios);
 
     phase.Reset();
-    ComputePhaseEnsemble(num_scenarios);
+    ComputePhase(num_scenarios);
     m->compute.seconds += phase.ElapsedSeconds();
     m->compute.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
     for (int s = 0; s < num_scenarios; s++) {
-      CommunicatePhaseBatched(s);
+      CommunicatePhase(s);
     }
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
+
+    if (solo && config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
+      SaveCheckpoint(iter + 1, m);
+    }
   }
+  // Final computation step (§3.6). Its triples were enqueued by the last
+  // loop iteration (or the pre-loop enqueue when iterations == 0); the
+  // aggregation wave overlaps this step.
   EnqueueAggregateWave(num_scenarios);
   phase.Reset();
-  ComputePhaseEnsemble(num_scenarios);
+  ComputePhase(num_scenarios);
   m->compute.seconds += phase.ElapsedSeconds();
   m->compute.bytes += net_->TotalBytes() - phase_bytes;
   phase_bytes = net_->TotalBytes();
 
   phase.Reset();
   last_aggregate_ands_ = 0;
-  std::vector<int64_t> results = AggregateEnsemble(num_scenarios);
+  std::vector<int64_t> results =
+      solo ? std::vector<int64_t>{AggregatePhase()} : AggregateEnsemble(num_scenarios);
   m->aggregate_and_gates = last_aggregate_ands_;
   m->aggregate.seconds = phase.ElapsedSeconds();
   m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
@@ -1365,7 +992,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;
   m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / graph_.num_vertices();
-  m->update_rounds = compute_rounds_.load(std::memory_order_relaxed);
+  m->update_rounds = compute_rounds_;
   m->triples_consumed = triples_consumed_.load(std::memory_order_relaxed);
   m->ha_control_bytes = net_->HaControlBytes();
   m->ha_resumes = net_->HaResumeCount();

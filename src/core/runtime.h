@@ -38,13 +38,15 @@
 //    partials per level (all sums stay shared), and only the root adds
 //    noise and opens.
 //
-// Scheduling: phases process vertices/edges in deterministic global order
-// as (group, subtask) tasks on the worker pool, where a group is one GMW
-// block or one edge transfer. The pool admits whole groups only while every
-// subtask of the admitted set can hold a thread concurrently; sends never
-// block, so every admitted protocol instance eventually progresses — see
-// worker_pool.h for the full invariant. The pool's threads persist across
-// phases and runs, so a run pays thread creation once, not once per batch.
+// Scheduling: a computation step (and each stage of the aggregation tree)
+// is one lockstep batched evaluation of all its roles on the scheduler
+// thread (docs/packed-eval.md). Transfers and the aggregation root run as
+// (group, subtask) tasks on the worker pool, where a group is one edge
+// transfer or the aggregation block. The pool admits whole groups only
+// while every subtask of the admitted set can hold a thread concurrently;
+// sends never block, so every admitted protocol instance eventually
+// progresses — see worker_pool.h for the full invariant. The pool's threads
+// persist across phases and runs, so a run pays thread creation once.
 #ifndef SRC_CORE_RUNTIME_H_
 #define SRC_CORE_RUNTIME_H_
 
@@ -74,29 +76,6 @@ namespace dstress::core {
 
 struct RuntimeConfig {
   int block_size = 8;  // k+1
-  // Batched MPC data plane (the default): every node evaluates all of its
-  // block roles for a phase in one lockstep mpc::EvalBatchInstances call
-  // over bitsliced packed shares, instead of one task + one GmwParty per
-  // (vertex, member) role. Released figures and per-node TrafficStats are
-  // bit-identical either way (asserted in engine_test.cc); false keeps the
-  // seed one-role-per-task schedule for A/B comparison.
-  bool batch_mpc = true;
-  // With batch_mpc and dealer triples: run each batched phase as one
-  // lockstep task per executing node on the worker pool (the schedule OT
-  // triples always use) instead of one whole-phase lockstep call on the
-  // scheduler thread. Per-instance messages are identical — only which
-  // thread drives them changes — so figures and TrafficStats match;
-  // benchmarked as the lockstep-per-node vs hybrid A/B in
-  // bench_fig6_scalability.
-  bool batch_mpc_per_node = false;
-  // Batched transfer data plane (the default): every edge's sender/source/
-  // dest/receiver role work runs as per-edge batched tasks over the
-  // fixed-base/batch-affine crypto engine (src/transfer/batch_engine.h)
-  // instead of one task + one pure-scheme call per role. Wire bytes,
-  // released figures and per-node TrafficStats are bit-identical either way
-  // (asserted in transfer_test.cc/engine_test.cc); false keeps the seed
-  // schedule for A/B comparison. See docs/transfer-crypto.md.
-  bool batch_transfer = true;
   // Transfer-protocol noise and lookup parameters (production-scale alpha
   // needs the paper's 8 GB lookup table; defaults are test-scale).
   double transfer_budget_alpha = 0.9;
@@ -104,20 +83,15 @@ struct RuntimeConfig {
   // the Appendix B lookup-failure probability is negligible per run.
   int64_t dlog_range = 0;
   // false: dealer triples (simulated offline phase, fast). true: IKNP
-  // OT-extension triples (the real protocol; pairwise setup per block).
-  bool use_ot_triples = false;
-  // With use_ot_triples: run the offline phase through the node-pair triple
+  // OT-extension triples (the real protocol) through the node-pair triple
   // factory (src/mpc/triple_factory.h) — one IKNP session pair per node
-  // pair, bulk extends sized to each phase's aggregate demand, and triple
-  // generation for iteration i+1 prefetched while iteration i evaluates.
-  // Released figures and the online phase's per-node TrafficStats are
-  // bit-identical either way (asserted in triple_factory_test.cc); false
-  // keeps the seed per-role OtTripleSource path for A/B comparison.
-  bool ot_batching = true;
-  // With ot_batching: hand waves to the factory's background dispatcher
+  // pair, bulk extends sized to each phase's aggregate demand.
+  bool use_ot_triples = false;
+  // With use_ot_triples: hand waves to the factory's background dispatcher,
+  // so iteration i+1's triples are generated while iteration i evaluates
   // (the offline/online pipeline). False generates each wave synchronously
-  // at enqueue — the A/B knob behind the pipelined == unpipelined fidelity
-  // tests; identical figures, traffic and triple streams either way.
+  // at enqueue; figures, traffic and triple streams are identical either
+  // way (asserted in triple_factory_test.cc).
   bool ot_prefetch = true;
   // 0 = single aggregation block; >0 = aggregation tree with this group
   // size per level (depth grows as log_fanout(N)).
@@ -126,9 +100,9 @@ struct RuntimeConfig {
   // pool grows past this if a single protocol group needs more.
   int max_parallel_tasks = 0;
   // Per-channel queued-byte cap forwarded to the transport
-  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. With
-  // batch_mpc on, a round's openings for every instance two nodes share
-  // coalesce onto one channel — size the cap for that sum, not for a
+  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. The
+  // batched MPC plane coalesces a round's openings for every instance two
+  // nodes share onto one channel — size the cap for that sum, not for a
   // single vertex's burst (see TransportOptions).
   size_t channel_high_watermark_bytes = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
@@ -229,10 +203,9 @@ class Runtime {
   // EvalBatchInstances / per-edge transfer batches — and S noised
   // aggregates are opened. Scenario s's figure is identical to
   // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
-  // masks, aggregation noise) reproduce the solo streams, and S == 1
-  // delegates to Run() outright (bit-identical traffic included). Ensembles
-  // always use the batched planes regardless of batch_mpc/batch_transfer;
-  // S > 1 requires aggregation_fanout == 0 (flat aggregation).
+  // masks, aggregation noise) reproduce the solo streams, and Run is the
+  // S == 1 case (bit-identical traffic included). S > 1 requires
+  // aggregation_fanout == 0 (flat aggregation).
   std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
                                    RunMetrics* metrics);
 
@@ -246,74 +219,45 @@ class Runtime {
   const TrustedSetup& setup() const { return setup_; }
 
  private:
-  void InitPhase(const std::vector<mpc::BitVector>& initial_states);
-  void ComputePhase();
-  // The two computation-step schedules (RuntimeConfig::batch_mpc): one
-  // lockstep batched evaluation per node vs one task per (vertex, member)
-  // role. Identical wire traffic; see docs/packed-eval.md.
-  void ComputePhaseBatched();
-  void ComputePhaseUnbatched();
-  void CommunicatePhase();
-  // The two communication-step schedules (RuntimeConfig::batch_transfer):
-  // four barrier-separated sub-phases of per-edge batched crypto vs one
-  // task per transfer role. Identical wire traffic; docs/transfer-crypto.md.
-  // `scenario` selects the ensemble lane (0 = the solo run: sessions and
-  // PRG instances are then exactly the seed schedule's).
-  void CommunicatePhaseBatched(int scenario);
-  void CommunicatePhaseUnbatched();
+  // The phases of one run over S scenario lanes (S = 1 for Run): share
+  // arrays are sized S*n and role (s, v) lives at flat index s*n + v, so
+  // the Assemble/Scatter helpers work unchanged on flat indices. Lane 0's
+  // PRG instances, session ids and order keys are exactly the solo run's.
+  void InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states);
+  // One lockstep batched evaluation of every (vertex, member) role of every
+  // lane over bitsliced packed shares; see docs/packed-eval.md.
+  void ComputePhase(int num_scenarios);
+  // Four barrier-separated sub-phases of per-edge batched transfer crypto
+  // for lane `scenario`; see docs/transfer-crypto.md.
+  void CommunicatePhase(int scenario);
+  // Solo aggregation (flat or tree) and the flat S-lane aggregation.
   int64_t AggregatePhase();
   int64_t AggregateSingleLevel();
   int64_t AggregateTree();
-
-  // Ensemble phases (RunEnsemble, S > 1): the share arrays are sized S*n
-  // and role (s, v) lives at flat index s*n + v, so the solo
-  // Assemble/Scatter helpers work unchanged on flat indices.
-  void InitPhaseEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states);
-  void ComputePhaseEnsemble(int num_scenarios);
   std::vector<int64_t> AggregateEnsemble(int num_scenarios);
 
   // This party's share of one update-circuit input vector (state + incoming
   // message slots) and the inverse scatter of an output vector.
   mpc::BitVector AssembleUpdateInput(int v, int m) const;
   void ScatterUpdateOutput(int v, int m, const mpc::BitVector& output);
-  void AccumulateBatchStats(const mpc::BatchStats& stats);
 
-  // Shared scheduler for a batched MPC phase over `roles` = (group,
-  // member) pairs. With a non-interactive triple source the whole phase is
-  // one lockstep EvalBatchInstances call on the calling thread (nothing
-  // ever parks: each round's receives are satisfied by sends earlier in
-  // the same round); with OT triples it runs one lockstep task per
-  // executing node so the pairwise triple protocols can interleave.
-  // make_item(g, m) builds the instance (triples prefetched inside, in
+  // A batched MPC phase over `roles` = (group, member) pairs: one lockstep
+  // EvalBatchInstances call on the calling thread. Dealer tapes and
+  // factory views need no communication at draw time, so nothing ever
+  // parks: each round's receives are satisfied by sends earlier in the same
+  // round. make_item(g, m) builds the instance (triples drawn inside, in
   // role order), sink(i, output) stores role i's output shares.
-  //
-  // Scheduling tradeoffs (measured on the 1-core CI container; see the
-  // ROADMAP open item on multi-core policy): the single-scheduler mode
-  // trades the seed schedule's cross-block thread parallelism for maximal
-  // slicing width and zero blocking — the right trade when per-layer
-  // synchronization dominates, unproven on many-core hosts (batch_mpc =
-  // false restores the seed schedule). The OT mode needs every node's
-  // task live at once (the lockstep superstep argument), so the pool
-  // grows to one thread per participating node — fine at the block-level
-  // N the ~100x-slower OT configs are practical at, but not a schedule
-  // for OT at thousands of nodes.
   void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                       const std::function<int(int, int)>& node_of,
                        const std::function<mpc::BatchInstance(int, int)>& make_item,
                        const std::function<void(size_t, const mpc::BitVector&)>& sink,
                        bool count_rounds);
 
-  // Runs fn(group, subtask) for every (group, subtask) pair on the
-  // persistent worker pool, with admission aligned to whole groups so
-  // intra-group blocking receives cannot deadlock (worker_pool.h).
-  void RunGrouped(size_t groups, size_t subtasks,
-                  const std::function<void(size_t, size_t)>& fn);
-
-  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index,
-                                     const std::vector<int>& block);
+  // The triple source of role (tag, member): a factory view with OT
+  // triples, a persistent dealer tape otherwise.
+  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index);
   crypto::ChaCha20Prg RolePrg(uint64_t role_tag, uint64_t instance);
 
-  // Offline-phase demand estimation (config_.ot_batching): registers one
+  // Offline-phase demand estimation (config_.use_ot_triples): registers one
   // factory wave covering every triple the named phase will draw —
   // update-circuit AND count x scenarios per vertex block for a
   // computation step, the aggregation circuits' AND counts for the
@@ -356,22 +300,18 @@ class Runtime {
   // [vertex][out_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> outmsg_shares_;
 
-  // Persistent triple sources keyed by (vertex or agg tag, member index).
-  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::TripleSource>> triple_sources_;
+  // Dealer triple tapes keyed by (vertex or agg tag, member index).
+  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::DealerTripleSource>> triple_sources_;
   std::mutex triple_mu_;
-  // Offline phase (use_ot_triples && ot_batching): the node-pair triple
-  // factory, plus the IKNP session cache the legacy per-role path uses so
-  // regenerated roles reuse their base-OT setup.
+  // Offline phase (use_ot_triples): the node-pair triple factory.
   std::unique_ptr<mpc::TripleFactory> triple_factory_;
-  mpc::IknpSessionCache iknp_cache_;
 
   std::vector<std::pair<int, int>> edges_;
-  int threads_target_ = 0;
   size_t last_aggregate_ands_ = 0;
 
   // Per-run circuit-stat accumulators (RunMetrics surface).
   std::atomic<uint64_t> triples_consumed_{0};
-  std::atomic<size_t> compute_rounds_{0};
+  size_t compute_rounds_ = 0;  // scheduler thread only
 };
 
 }  // namespace dstress::core

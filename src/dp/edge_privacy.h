@@ -50,8 +50,9 @@ double MaxAlphaForFailureBudget(int64_t lookup_entries, double total_transfers);
 // Inverse of FailureProbability in the table dimension: the smallest N_l
 // such that a table of N_l entries keeps the per-transfer failure
 // probability at or below `max_failure_probability` for the given effective
-// alpha. Callers sizing a DlogTable (half-range r, N_l = 2r+1 entries) want
-// r = RequiredLookupEntries(..)/2 plus slack for the un-noised bit sum.
+// alpha. A table of half-range ceil(N_l/2) absorbs one geometric draw;
+// the transfer mask is 2·Geo, so TransferParams::RecommendedDlogRange
+// doubles that and adds slack for the un-noised bit sum.
 int64_t RequiredLookupEntries(double alpha_effective, double max_failure_probability);
 
 // Privacy cost of one DStress iteration against an adversary watching one

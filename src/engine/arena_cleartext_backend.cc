@@ -1,10 +1,8 @@
-// Arena-based kCleartextFast backend: the flat graph plane (src/graphplane)
-// composed with the legacy backend's circuits, noise and aggregation
-// schedule. Selected by RunSpec::cleartext_arena (default); the container-
-// based plane in cleartext_backend.cc remains behind the flag for A/B until
-// the differential harness (tests/graphplane_test.cc) retires it. Both are
-// bit-identical in released figures, per-vertex states and per-node
-// TrafficStats — that contract is the whole point of the split.
+// The kCleartextFast backend: the flat graph plane (src/graphplane) composed
+// with the secure path's circuits, output-noise sampler and aggregation
+// schedule. Its released figures, per-vertex states and per-node
+// TrafficStats are those of the per-vertex container plane it replaced,
+// pinned by the golden digests in tests/graphplane_test.cc.
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -26,8 +24,8 @@ namespace dstress::engine {
 
 namespace {
 
-// Session namespaces and aggregator role, identical to the container plane
-// (cleartext_backend.cc) so the two planes' wire transcripts match.
+// Session namespaces and aggregator role of the cleartext wire format,
+// mirroring the secure runtime's convention of keying streams by phase.
 constexpr net::SessionId kEdgeSession = 1ULL << 60;
 constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
@@ -127,15 +125,15 @@ class ArenaCleartextBackend : public ExecutionBackend {
  private:
   // One wrapping sum per scenario from the plane's final states: packed
   // contribution eval over every lane, then the transpose reduction. Same
-  // circuit as the container plane's per-vertex Eval, so per-lane values
-  // are bit-identical; same vertex-major addition order, so sums are too.
+  // circuit as a per-vertex Eval, so per-lane values are bit-identical;
+  // vertex-major addition order, so sums are too.
   std::vector<uint64_t> PackedContributionSums(const graphplane::GraphPlane& plane) const {
     return plane.ScenarioSums(plane.EvalOverStates(contribution_plan_),
                               program_.aggregate_bits);
   }
 
   // sum + sampled noise, masked and sign-extended at aggregate_bits — the
-  // aggregation circuit's arithmetic, identical to the container plane.
+  // aggregation circuit's arithmetic.
   int64_t Release(uint64_t sum, uint64_t noise) const {
     const int agg_bits = program_.aggregate_bits;
     const uint64_t mask = agg_bits >= 64 ? ~0ULL : (1ULL << agg_bits) - 1;
@@ -175,10 +173,10 @@ class ArenaCleartextBackend : public ExecutionBackend {
       delta[static_cast<size_t>(kAggregatorNode)].messages_received += 1;
     }
     if (!net_->MeterSelfDelivered(delta)) {
-      // Literal fallback: the exact payload bytes the container plane puts
-      // on the wire (bit r*S+s = state bit r of scenario s), so observers
-      // see identical transcripts. Contributions still come from the
-      // arena — the received copies hold the same valid-lane values.
+      // Literal fallback: the exact payload bytes of the cleartext wire
+      // format (bit r*S+s = state bit r of scenario s), so observers see
+      // the transcript the metered delta accounts for. Contributions still
+      // come from the arena — the received copies hold the same values.
       for (int v = 0; v < n; v++) {
         Bytes payload(payload_bytes, 0);
         for (int r = 0; r < sb; r++) {
@@ -203,10 +201,10 @@ class ArenaCleartextBackend : public ExecutionBackend {
   }
 
   // Tree gather (solo only; the ensemble aggregation schedule is flat,
-  // mirroring the secure plane). Bulk-metered mode replays the container
-  // plane's §3.6 tree traffic as one delta; the sum itself is the packed
-  // flat reduction — associative two's-complement addition makes it equal
-  // to the tree's level-by-level partials.
+  // mirroring the secure plane). Bulk-metered mode replays the literal
+  // §3.6 tree traffic (GatherTreeLiteral) as one delta; the sum itself is
+  // the packed flat reduction — associative two's-complement addition
+  // makes it equal to the tree's level-by-level partials.
   uint64_t MeterGatherTree() {
     const int n = graph_.num_vertices();
     const int fanout = config_.aggregation_fanout;
@@ -250,9 +248,11 @@ class ArenaCleartextBackend : public ExecutionBackend {
     return GatherTreeLiteral();
   }
 
-  // Literal tree gather — the container plane's GatherTree verbatim, with
-  // leaf states read out of the arena. Fallback path only (observer or a
-  // real wire), so per-vertex circuit evaluation is fine here.
+  // Literal tree gather: leaf groups of `fanout` vertices reduce at the
+  // group's first vertex, combine levels until at most `fanout` partials
+  // remain, then the root, with leaf states read out of the arena.
+  // Fallback path only (observer or a real wire), so per-vertex circuit
+  // evaluation is fine here.
   uint64_t GatherTreeLiteral() {
     const int n = graph_.num_vertices();
     const int fanout = config_.aggregation_fanout;

@@ -25,7 +25,7 @@ std::unique_ptr<ExecutionBackend> MakeBuiltin(ExecutionMode mode, const BackendC
     case ExecutionMode::kSecure:
       return MakeSecureBackend(context);
     case ExecutionMode::kCleartextFast:
-      return MakeCleartextFastBackend(context);
+      return MakeArenaCleartextBackend(context);
   }
   DSTRESS_CHECK(false);
   return nullptr;

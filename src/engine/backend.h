@@ -64,9 +64,8 @@ class ExecutionBackend {
       const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
       core::RunMetrics* metrics);
 
-  // Final per-vertex states of the last solo Execute, for differential
-  // testing (tests/graphplane_test.cc compares the arena and container
-  // cleartext planes state-for-state). Optional: backends without a
+  // Final per-vertex states of the last solo Execute, for fidelity testing
+  // (tests/graphplane_test.cc digests them). Optional: backends without a
   // cleartext state image return empty, and the result is unspecified
   // before the first Execute or after ExecuteEnsemble.
   virtual std::vector<mpc::BitVector> DebugFinalStates() const { return {}; }

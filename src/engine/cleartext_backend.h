@@ -18,9 +18,8 @@
 //    session) channel discipline — so traffic shapes are observable and any
 //    registered transport (including the TCP multi-process backend, single-
 //    or multi-machine) can back this mode too;
-//  * the *scheduler layer*: compute phases run as (vertex, 1) groups on a
-//    persistent core::WorkerPool, exactly like the secure runtime's phase
-//    batches.
+//  * the *scheduler layer*: compute phases run as word-chunk tasks on a
+//    persistent core::WorkerPool, like the secure runtime's transfer phase.
 //
 // What it does not preserve: byte counts (a cleartext message is the L-bit
 // word, not an encrypted share matrix) and, of course, any privacy.
@@ -33,17 +32,9 @@
 
 namespace dstress::engine {
 
-// The registered kCleartextFast factory: dispatches on
-// RunSpec::cleartext_arena between the two data planes below.
-std::unique_ptr<ExecutionBackend> MakeCleartextFastBackend(const BackendContext& context);
-
-// Flat-arena plane (src/graphplane, docs/graph-plane.md) — the default.
+// The built-in kCleartextFast factory: the flat-arena graph plane
+// (src/graphplane, docs/graph-plane.md) behind the ExecutionBackend seam.
 std::unique_ptr<ExecutionBackend> MakeArenaCleartextBackend(const BackendContext& context);
-
-// The original container-based plane (per-vertex vector state/messages),
-// kept for A/B against the arena plane; tests/graphplane_test.cc pins the
-// two bit-identical.
-std::unique_ptr<ExecutionBackend> MakeContainerCleartextBackend(const BackendContext& context);
 
 }  // namespace dstress::engine
 

@@ -23,14 +23,10 @@ core::RuntimeConfig DeriveRuntimeConfig(const RunSpec& spec) {
   config.transfer_budget_alpha = spec.transfer_budget_alpha;
   config.dlog_range = spec.dlog_range;
   config.use_ot_triples = spec.use_ot_triples;
-  config.ot_batching = spec.ot_batching;
   config.aggregation_fanout = spec.aggregation_fanout;
   config.max_parallel_tasks = spec.max_parallel_tasks;
   config.channel_high_watermark_bytes = spec.channel_high_watermark_bytes;
   config.transport = spec.transport;
-  config.batch_mpc = spec.mpc_batching;
-  config.batch_mpc_per_node = spec.mpc_per_node_schedule;
-  config.batch_transfer = spec.transfer_batching;
   config.seed = spec.seed;
   config.checkpoint_every = spec.ha_checkpoint_every;
   config.checkpoint_path = spec.ha_checkpoint_path;

@@ -149,20 +149,17 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                 "%llu triples consumed\n",
                 report.metrics.update_and_gates, report.metrics.update_and_depth,
                 static_cast<unsigned long long>(report.metrics.triples_consumed));
-  // Plane knobs in effect; OT-triple runs also name the offline-phase mode
-  // (docs/offline-phase.md) so reported walls are attributable. Dealer-run
-  // output is unchanged.
-  std::string planes = std::string("mpc_batching=") + (spec.mpc_batching ? "on" : "off") +
-                       ", transfer_batching=" + (spec.transfer_batching ? "on" : "off");
+  // OT-triple runs name their offline phase (docs/offline-phase.md) so
+  // reported walls are attributable.
   if (spec.use_ot_triples) {
-    planes += std::string(", triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off");
+    transport += ", triples: ot";
   }
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "model:               %s\n"
       "mode:                %s\n"
-      "transport:           %s (%s)\n"
+      "transport:           %s\n"
       "banks:               %d (block size %d, %d iterations)\n"
       "shocked banks:       %zu\n"
       "%s"
@@ -171,8 +168,8 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
       "wall time:           %.2f s\n"
       "traffic per bank:    %.2f MB\n",
       report.model_name.c_str(), ExecutionModeName(report.mode), transport.c_str(),
-      planes.c_str(), num_vertices, spec.block_size,
-      report.iterations, spec.shock.shocked_banks.size(), circuit_line,
+      num_vertices, spec.block_size, report.iterations, spec.shock.shocked_banks.size(),
+      circuit_line,
       static_cast<long long>(report.released), spec.epsilon, spec.leverage,
       static_cast<unsigned long long>(report.reference), report.metrics.total_seconds,
       report.metrics.avg_bytes_per_node / 1e6);

@@ -149,43 +149,14 @@ struct RunSpec {
   int iterations = 0;  // 0 = AutoIterations(N)
   int block_size = 4;  // k+1
   int aggregation_fanout = 0;  // 0 = single aggregation block
+  // IKNP OT-extension triples through the node-pair triple factory
+  // (docs/offline-phase.md) instead of dealer triples.
   bool use_ot_triples = false;
-  // Batched offline phase (core::RuntimeConfig::ot_batching): with OT
-  // triples, run the node-pair triple factory — one IKNP session pair per
-  // node pair, bulk extends per phase, offline generation pipelined ahead
-  // of the online phase. Released figures and the online phase's per-node
-  // TrafficStats are bit-identical either way; false keeps the seed
-  // per-role OtTripleSource path for A/B benchmarking. No effect on dealer
-  // runs.
-  bool ot_batching = true;
-  // Batched MPC data plane (core::RuntimeConfig::batch_mpc): each node
-  // evaluates all its block roles per step in one lockstep bitsliced batch.
-  // Results and per-node TrafficStats are bit-identical either way; false
-  // keeps the seed one-role-per-task schedule for A/B benchmarking.
-  bool mpc_batching = true;
-  // Batched transfer plane (core::RuntimeConfig::batch_transfer): per-edge
-  // role work runs as batched tasks against fixed-base key tables. Wire
-  // bytes, released figures, and per-node TrafficStats are bit-identical
-  // either way; false keeps the seed per-role schedule for A/B benchmarking.
-  bool transfer_batching = true;
-  // Flat-arena cleartext graph plane (src/graphplane, docs/graph-plane.md):
-  // contiguous bitsliced state/message arenas plus an active-vertex
-  // frontier. Released figures, per-vertex states and per-node TrafficStats
-  // are bit-identical either way (pinned by tests/graphplane_test.cc);
-  // false keeps the container-based plane for A/B until the differential
-  // harness retires it.
-  bool cleartext_arena = true;
   // Opt-in early exit for the arena plane: stop iterating once every
   // vertex lane has converged (the remaining iterations are provably
   // figure-identical no-ops). Off by default because it changes the
   // traffic shape — fewer communicate rounds are metered.
   bool cleartext_early_exit = false;
-  // Secure-mode scheduling A/B (core::RuntimeConfig::batch_mpc_per_node):
-  // run the batched compute phase as one lockstep task per node instead of
-  // one whole-phase lockstep call, exercising multi-thread scheduling with
-  // dealer triples. Results and traffic are bit-identical; benchmarked in
-  // bench_fig6_scalability.
-  bool mpc_per_node_schedule = false;
   int max_parallel_tasks = 0;  // 0 = auto
   size_t channel_high_watermark_bytes = 0;  // 0 = unbounded
   double transfer_budget_alpha = 0.9;

@@ -100,13 +100,12 @@ std::string FormatEnsembleReport(const engine::RunSpec& spec, const EnsembleRepo
   std::snprintf(buf, sizeof(buf),
                 "model:               %s\n"
                 "mode:                %s\n"
-                "transport:           %s (mpc_batching=%s, transfer_batching=%s)\n"
+                "transport:           %s%s\n"
                 "banks:               %d (block size %d, %d iterations)\n"
                 "scenarios:           %zu per lockstep pass\n",
                 report.model_name.c_str(), engine::ExecutionModeName(report.mode),
-                spec.transport.backend.c_str(), spec.mpc_batching ? "on" : "off",
-                spec.transfer_batching ? "on" : "off", num_vertices, spec.block_size,
-                report.iterations, k);
+                spec.transport.backend.c_str(), spec.use_ot_triples ? ", triples: ot" : "",
+                num_vertices, spec.block_size, report.iterations, k);
   out += buf;
   if (report.epsilon_budget > 0) {
     std::snprintf(buf, sizeof(buf),

@@ -25,7 +25,8 @@
 //    is *sent*. Every directed edge is metered (or literally sent) every
 //    iteration, so released figures, per-vertex states, per-node
 //    TrafficStats and ensemble per-lane results are bit-identical to the
-//    container plane. Bulk metering needs the transport's cooperation
+//    container plane (golden digests in tests/graphplane_test.cc). Bulk
+//    metering needs the transport's cooperation
 //    (net::Transport::MeterSelfDelivered); when the transport refuses —
 //    attached observer, real wire — the plane falls back to one literal
 //    Send/Recv per edge with the legacy payload bytes.

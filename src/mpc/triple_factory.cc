@@ -77,8 +77,8 @@ void AppendTriples(BitTriples& dst, const PackedBits& a, const PackedBits& b, co
 
 // Blocking cursor over one (tag, member) stream. Local only: Generate never
 // touches the network, so views impose no call-order coordination across
-// nodes — exactly why the online single-scheduler fast path stays legal
-// with the factory on (see Runtime::RunBatchedPhase).
+// nodes — exactly why the runtime's single lockstep online phase stays
+// legal with OT triples (see Runtime::RunBatchedPhase).
 class TripleFactory::View : public TripleSource {
  public:
   View(TripleFactory* factory, Buffer* buf) : factory_(factory), buf_(buf) {}

@@ -1,6 +1,6 @@
 // Node-pair OT triple factory: the batched offline phase.
 //
-// The per-role path (OtTripleSource) gives every (role-group, member)
+// A per-role source (OtTripleSource) gives every (role-group, member)
 // instance its own IKNP sessions, so each role pays a 128-base-OT setup per
 // peer and issues tiny per-batch extends. On one executing node those roles
 // overwhelmingly face the same peer nodes — the factory exploits that:
@@ -32,7 +32,7 @@
 // how generation and consumption interleave, so pipelined and unpipelined
 // runs release bit-identical figures and identical per-node TrafficStats.
 // All factory traffic rides session ids under kOfflineSessionNamespace,
-// which is how tests and bench_fig6 split offline from online traffic.
+// which is how tests split offline from online traffic.
 #ifndef SRC_MPC_TRIPLE_FACTORY_H_
 #define SRC_MPC_TRIPLE_FACTORY_H_
 
@@ -54,8 +54,8 @@
 namespace dstress::mpc {
 
 // Session-id namespace (src/core/runtime.cc owns 1..7) for ALL OT-triple
-// traffic — factory waves and the legacy per-role path alike. Observers
-// classify a message as offline iff (session >> 60) == 8.
+// traffic. Observers classify a message as offline iff
+// (session >> 60) == 8.
 inline constexpr net::SessionId kOfflineSessionNamespace = 8ULL << 60;
 
 // One role group's share of a wave: `parties[i]` hosts member i and will

@@ -86,44 +86,14 @@ BitTriples DealerTripleSource::Generate(size_t count) {
   return mine;
 }
 
-std::unique_ptr<PeerIknp> IknpSessionCache::Take(net::NodeId self, net::NodeId peer,
-                                                 net::SessionId session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find({self, peer, session});
-  if (it == entries_.end()) {
-    return nullptr;
-  }
-  std::unique_ptr<PeerIknp> pair = std::move(it->second);
-  entries_.erase(it);
-  return pair;
-}
-
-void IknpSessionCache::Put(net::NodeId self, net::NodeId peer, net::SessionId session,
-                           std::unique_ptr<PeerIknp> pair) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[{self, peer, session}] = std::move(pair);
-}
-
 OtTripleSource::OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties,
-                               int my_index, crypto::ChaCha20Prg prg, net::SessionId session,
-                               IknpSessionCache* cache)
+                               int my_index, crypto::ChaCha20Prg prg, net::SessionId session)
     : net_(net),
       parties_(std::move(parties)),
       my_index_(my_index),
       prg_(std::move(prg)),
-      session_(session),
-      cache_(cache) {
+      session_(session) {
   DSTRESS_CHECK(my_index_ >= 0 && my_index_ < static_cast<int>(parties_.size()));
-}
-
-OtTripleSource::~OtTripleSource() {
-  if (cache_ == nullptr) {
-    return;
-  }
-  net::NodeId self_node = parties_[my_index_];
-  for (auto& [peer, pair] : sessions_) {
-    cache_->Put(self_node, parties_[peer], session_, std::move(pair));
-  }
 }
 
 int OtTripleSource::RoundCount() const {
@@ -168,24 +138,18 @@ void OtTripleSource::EnsureSetup() {
     }
     net::NodeId self_node = parties_[my_index_];
     net::NodeId peer_node = parties_[peer];
-    std::unique_ptr<PeerIknp> session;
-    if (cache_ != nullptr) {
-      session = cache_->Take(self_node, peer_node, session_);
-    }
-    if (session == nullptr) {
-      session = std::make_unique<PeerIknp>();
-      if (my_index_ < peer) {
-        // Direction lower-as-extension-sender first, then the reverse.
-        session->sender =
-            std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
-        session->receiver =
-            std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
-      } else {
-        session->receiver =
-            std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
-        session->sender =
-            std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
-      }
+    auto session = std::make_unique<PeerIknp>();
+    if (my_index_ < peer) {
+      // Direction lower-as-extension-sender first, then the reverse.
+      session->sender =
+          std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
+      session->receiver =
+          std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
+    } else {
+      session->receiver =
+          std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
+      session->sender =
+          std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
     }
     sessions_.emplace(peer, std::move(session));
   }

@@ -16,14 +16,12 @@
 //    their shares deterministically from a shared dealer seed. This mode
 //    provides NO privacy (any party can recompute the dealer tape) and
 //    exists so that large benchmark sweeps can exercise the online phase at
-//    scale; see DESIGN.md §2.
+//    scale; see docs/offline-phase.md.
 #ifndef SRC_MPC_TRIPLES_H_
 #define SRC_MPC_TRIPLES_H_
 
 #include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "src/crypto/chacha20.h"
@@ -58,26 +56,6 @@ struct PeerIknp {
   std::unique_ptr<ot::IknpReceiver> receiver;
 };
 
-// Shared pool of established IKNP sessions keyed by (self, peer, session).
-// An OtTripleSource constructed with a cache checks pairs out in
-// EnsureSetup and returns them on destruction, so a role that is destroyed
-// and re-created over the same session resumes the peer's OT-extension
-// stream instead of re-running the 128-base-OT setup (both sides must
-// regenerate symmetrically — the extension counters only advance on
-// collective Extend calls, so a cached pair is always stream-consistent
-// with its peer). Thread-safe.
-class IknpSessionCache {
- public:
-  std::unique_ptr<PeerIknp> Take(net::NodeId self, net::NodeId peer, net::SessionId session);
-  void Put(net::NodeId self, net::NodeId peer, net::SessionId session,
-           std::unique_ptr<PeerIknp> pair);
-
- private:
-  std::mutex mu_;
-  std::map<std::tuple<net::NodeId, net::NodeId, net::SessionId>, std::unique_ptr<PeerIknp>>
-      entries_;
-};
-
 // Copies triples [start, start+count) of `src` into a fresh BitTriples.
 // Used to split one bulk Generate across the instances of an EvalBatch.
 BitTriples SliceTriples(const BitTriples& src, size_t start, size_t count);
@@ -110,13 +88,9 @@ class OtTripleSource : public TripleSource {
  public:
   // `parties` are the transport node ids of the group, `my_index` is this
   // party's position in that list. Base-OT setup with every peer happens
-  // lazily on the first Generate call. With a non-null `cache`, established
-  // peer sessions are checked out of / returned to the cache so a
-  // regenerated role reuses its base-OT setup (see IknpSessionCache).
+  // lazily on the first Generate call.
   OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties, int my_index,
-                 crypto::ChaCha20Prg prg, net::SessionId session = 0,
-                 IknpSessionCache* cache = nullptr);
-  ~OtTripleSource() override;
+                 crypto::ChaCha20Prg prg, net::SessionId session = 0);
 
   BitTriples Generate(size_t count) override;
 
@@ -133,7 +107,6 @@ class OtTripleSource : public TripleSource {
   int my_index_;
   crypto::ChaCha20Prg prg_;
   net::SessionId session_;
-  IknpSessionCache* cache_;
   bool setup_done_ = false;
   std::map<int, std::unique_ptr<PeerIknp>> sessions_;  // keyed by peer index
 };

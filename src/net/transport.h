@@ -72,11 +72,10 @@ struct TransportOptions {
   // Size the cap for a full round's burst, not for a drain race: a
   // SendBatch enqueues its whole run before the receiver can dequeue, so a
   // cap must accommodate the largest coalesced burst a round emits. Note
-  // the batched MPC data plane (core::RuntimeConfig::batch_mpc, default
-  // on) coalesces a whole phase's per-instance openings onto one
-  // (from, to) channel per round — the per-channel burst there is the sum
-  // of every shared instance's opening block, not one vertex's, so a cap
-  // tuned for the seed one-session-per-vertex schedule must be re-sized.
+  // the batched MPC data plane (core::Runtime's lockstep compute phase)
+  // coalesces a whole phase's per-instance openings onto one (from, to)
+  // channel per round — the per-channel burst there is the sum of every
+  // shared instance's opening block, not one vertex's.
   size_t channel_high_watermark_bytes = 0;
 };
 

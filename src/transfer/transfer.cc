@@ -33,10 +33,12 @@ double TransferParams::EffectiveAlpha() const {
 }
 
 int64_t TransferParams::RecommendedDlogRange(double max_failure_probability) const {
-  // The table must absorb the even geometric mask (tail bounded by
-  // RequiredLookupEntries) plus the raw bit sum, which lies in
+  // The mask is 2·Y with Y two-sided geometric. RequiredLookupEntries
+  // returns N_l with P(|Y| > ceil(N_l/2)) <= p, so the table must absorb
+  // |2·Y| <= 2·ceil(N_l/2) plus the raw bit sum, which lies in
   // [0, block_size].
-  return dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability) / 2 + block_size;
+  const int64_t entries = dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability);
+  return 2 * ((entries + 1) / 2) + block_size;
 }
 
 BlockKeys TransferSetup(int block_size, int message_bits, crypto::ChaCha20Prg& prg) {

@@ -25,9 +25,6 @@ epsilon 0.5
 leverage 0.2
 shock 0 1 2
 triples ot
-ot_batching off
-transfer_batching off
-graph_plane legacy
 early_exit on
 seed 99
 )",
@@ -47,9 +44,6 @@ seed 99
   EXPECT_DOUBLE_EQ(spec->leverage, 0.2);
   EXPECT_EQ(spec->shock.shocked_banks, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(spec->use_ot_triples);
-  EXPECT_FALSE(spec->ot_batching);
-  EXPECT_FALSE(spec->transfer_batching);
-  EXPECT_FALSE(spec->cleartext_arena);
   EXPECT_TRUE(spec->cleartext_early_exit);
   EXPECT_EQ(spec->seed, 99u);
 }
@@ -65,9 +59,6 @@ TEST(ScenarioParseTest, DefaultsApply) {
   EXPECT_EQ(spec->block_size, 4);
   EXPECT_EQ(spec->aggregation_fanout, 0);
   EXPECT_FALSE(spec->use_ot_triples);
-  EXPECT_TRUE(spec->ot_batching);
-  EXPECT_TRUE(spec->transfer_batching);
-  EXPECT_TRUE(spec->cleartext_arena);
   EXPECT_FALSE(spec->cleartext_early_exit);
 }
 
@@ -119,12 +110,9 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
       {"network scale_free 20 2\nfanout 1\n", "fanout must be 0"},
       {"network scale_free 20 2\ndegree_cap 0\n", "bad integer"},
       {"network scale_free 20 2\nfrobnicate 1\n", "unknown directive"},
-      {"network scale_free 20 2\ntransfer_batching maybe\n", "transfer_batching must be"},
       {"network scale_free 20 2\ntriples maybe\n", "triples must be"},
-      {"network scale_free 20 2\not_batching maybe\n", "ot_batching must be"},
       {"network scale_free 20 2\ntriples ot\nha checkpoint_every 1\n",
        "cannot be combined with HA checkpoint/resume"},
-      {"network scale_free 20 2\ngraph_plane vector\n", "graph_plane must be"},
       {"network scale_free 20 2\nearly_exit maybe\n", "early_exit must be"},
       {"network scale_free 20 2\nepsilon -1\n", "epsilon must be positive"},
       {"network scale_free 20 2\nleverage 0\n", "leverage must be in"},
@@ -142,6 +130,26 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
     EXPECT_FALSE(spec.has_value()) << c.text;
     EXPECT_NE(error.find(c.expected_fragment), std::string::npos)
         << "input: " << c.text << "\nerror: " << error;
+  }
+}
+
+// The plane-selection directives are gone with the planes they selected: a
+// scenario that still names one fails at that line instead of silently
+// running the only plane left.
+TEST(ScenarioParseTest, RemovedPlaneDirectivesFailLoudly) {
+  const struct {
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"transfer_batching on", "line 2: unknown directive 'transfer_batching'"},
+      {"ot_batching on", "line 2: unknown directive 'ot_batching'"},
+      {"graph_plane arena", "line 2: unknown directive 'graph_plane'"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    auto spec = ParseScenario(std::string("network scale_free 20 2\n") + c.line + "\n", &error);
+    EXPECT_FALSE(spec.has_value()) << c.line;
+    EXPECT_EQ(error, c.error);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "src/graph/generators.h"
 #include "src/net/sim_network.h"
 #include "src/programs/private_sum.h"
+#include "tests/fidelity_digest.h"
 
 namespace dstress::engine {
 namespace {
@@ -143,14 +144,24 @@ TEST(EngineSecureModeTest, TcpTransportBitIdenticalToSimNetwork) {
   }
 }
 
-// The packed-share acceptance property: the batched bitsliced MPC data
-// plane (RunSpec::mpc_batching, the default) releases the same figure and
-// produces bit-identical per-node TrafficStats — bytes AND message counts —
-// as the seed one-role-per-task schedule. Combined with
-// TcpTransportBitIdenticalToSimNetwork (which runs the default batched path
-// over both wires), this pins the batched path to the seed path under sim
-// and tcp alike.
-TEST(EngineSecureModeTest, BatchedMpcBitIdenticalToSeedSchedule) {
+// A secure run's observable surface (tests/fidelity_digest.h): released
+// figure, reference, iteration count, triples consumed, GMW rounds, and
+// every node's TrafficStats.
+std::string SecureDigest(const RunSpec& spec) {
+  Engine engine(spec);
+  RunReport report = engine.Run();
+  FidelityDigest digest;
+  return digest.Add(static_cast<uint64_t>(report.released))
+      .Add(report.has_reference)
+      .Add(report.reference)
+      .Add(static_cast<uint64_t>(report.iterations))
+      .Add(report.metrics.triples_consumed)
+      .Add(report.metrics.update_rounds)
+      .AddTraffic(engine.transport())
+      .Hex();
+}
+
+RunSpec SeedScheduleSpec(int fanout) {
   RunSpec spec;
   spec.topology = CorePeripheryTopology(12, 3);
   spec.model = ContagionModel::kEisenbergNoe;
@@ -158,82 +169,40 @@ TEST(EngineSecureModeTest, BatchedMpcBitIdenticalToSeedSchedule) {
   spec.noise_alpha = 0.5;
   spec.iterations = 2;
   spec.block_size = 4;
-  // Tree aggregation so the batched leaf/combine stages are exercised too.
-  spec.aggregation_fanout = 3;
+  spec.aggregation_fanout = fanout;
   spec.seed = 5;
-
-  spec.mpc_batching = false;
-  Engine seed_engine(spec);
-  RunReport seed_report = seed_engine.Run();
-
-  spec.mpc_batching = true;
-  Engine batched_engine(spec);
-  RunReport batched_report = batched_engine.Run();
-
-  EXPECT_EQ(batched_report.released, seed_report.released);
-  EXPECT_EQ(batched_report.metrics.total_bytes, seed_report.metrics.total_bytes);
-  EXPECT_EQ(batched_report.metrics.triples_consumed, seed_report.metrics.triples_consumed);
-  ASSERT_EQ(batched_engine.transport().num_nodes(), seed_engine.transport().num_nodes());
-  for (int v = 0; v < batched_engine.transport().num_nodes(); v++) {
-    net::TrafficStats batched = batched_engine.transport().NodeStats(v);
-    net::TrafficStats seed = seed_engine.transport().NodeStats(v);
-    EXPECT_EQ(batched.bytes_sent, seed.bytes_sent) << "node " << v;
-    EXPECT_EQ(batched.bytes_received, seed.bytes_received) << "node " << v;
-    EXPECT_EQ(batched.messages_sent, seed.messages_sent) << "node " << v;
-    EXPECT_EQ(batched.messages_received, seed.messages_received) << "node " << v;
-  }
+  return spec;
 }
 
-// The transfer-crypto-engine acceptance property: the batched transfer plane
-// (RunSpec::transfer_batching, the default — fixed-base key tables, batched
-// bundle encryption, per-edge batched role tasks) releases the same figure
-// and produces bit-identical per-node TrafficStats as the seed per-role
-// transfer schedule, over the sim wire and the tcp wire alike.
-TEST(EngineSecureModeTest, BatchedTransferBitIdenticalToSeedSchedule) {
-  RunSpec base;
-  base.topology = CorePeripheryTopology(12, 3);
-  base.model = ContagionModel::kEisenbergNoe;
-  base.shock.shocked_banks = {0};
-  base.noise_alpha = 0.5;
-  base.iterations = 2;
-  base.block_size = 4;
-  base.aggregation_fanout = 3;
-  base.seed = 5;
+// Golden digests of the seed schedules — one task + one GmwParty per
+// (vertex, member) role, one task per transfer role — captured before
+// those schedules were retired, and equal there to the batched planes'.
+// Tree aggregation (fanout 3) exercises the batched leaf/combine stages;
+// fanout 0 the flat aggregation block.
+constexpr char kTreeSeedDigest[] =
+    "977fd26bb81f891c4bb6975dc3134b84508144bcb164190141c7f16a09d01374";
+constexpr char kFlatSeedDigest[] =
+    "0750bbe7cf5a26f801ea295657af54afe631e286f53a9261f115d36ff81c742a";
 
-  for (const char* backend : {"sim", "tcp"}) {
-    RunSpec spec = base;
-    spec.transport.backend = backend;
+// The packed-share and transfer-engine acceptance property: the batched
+// bitsliced MPC plane and the batched transfer plane release the same
+// figure over bit-identical per-node TrafficStats — bytes AND message
+// counts — as the seed schedules.
+TEST(EngineSecureModeTest, BatchedPlanesMatchSeedScheduleDigests) {
+  ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(3)), kTreeSeedDigest, "fanout=3 sim");
+  ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(0)), kFlatSeedDigest, "fanout=0 sim");
+}
 
-    spec.transfer_batching = false;
-    Engine seed_engine(spec);
-    RunReport seed_report = seed_engine.Run();
-    std::vector<net::TrafficStats> seed_stats;
-    for (int v = 0; v < seed_engine.transport().num_nodes(); v++) {
-      seed_stats.push_back(seed_engine.transport().NodeStats(v));
-    }
-
-    spec.transfer_batching = true;
-    Engine batched_engine(spec);
-    RunReport batched_report = batched_engine.Run();
-
-    EXPECT_EQ(batched_report.released, seed_report.released) << backend;
-    EXPECT_EQ(batched_report.metrics.total_bytes, seed_report.metrics.total_bytes) << backend;
-    ASSERT_EQ(batched_engine.transport().num_nodes(), static_cast<int>(seed_stats.size()));
-    for (int v = 0; v < batched_engine.transport().num_nodes(); v++) {
-      net::TrafficStats batched = batched_engine.transport().NodeStats(v);
-      const net::TrafficStats& seed = seed_stats[v];
-      EXPECT_EQ(batched.bytes_sent, seed.bytes_sent) << backend << " node " << v;
-      EXPECT_EQ(batched.bytes_received, seed.bytes_received) << backend << " node " << v;
-      EXPECT_EQ(batched.messages_sent, seed.messages_sent) << backend << " node " << v;
-      EXPECT_EQ(batched.messages_received, seed.messages_received) << backend << " node " << v;
-    }
-  }
+// The same contract over the tcp wire: one digest for both transports.
+TEST(EngineSecureModeTest, BatchedPlanesMatchSeedScheduleDigestOverTcp) {
+  RunSpec spec = SeedScheduleSpec(3);
+  spec.transport = net::TcpTransportSpec();
+  ExpectGoldenDigest(SecureDigest(spec), kTreeSeedDigest, "fanout=3 tcp");
 }
 
 // Layer batching is what keeps GMW round count equal to the circuit's AND
 // depth (the paper's linearity argument); the metrics surface both so any
-// regression in the batched exchange schedule fails loudly. Both schedules
-// must report rounds == depth.
+// regression in the batched exchange schedule fails loudly.
 TEST(EngineSecureModeTest, MpcRoundsEqualUpdateCircuitAndDepth) {
   RunSpec spec;
   spec.topology = CorePeripheryTopology(8, 3);
@@ -243,14 +212,10 @@ TEST(EngineSecureModeTest, MpcRoundsEqualUpdateCircuitAndDepth) {
   spec.iterations = 1;
   spec.block_size = 3;
   spec.seed = 2;
-  for (bool batching : {true, false}) {
-    spec.mpc_batching = batching;
-    RunReport report = Engine(spec).Run();
-    EXPECT_GT(report.metrics.update_and_depth, 0u);
-    EXPECT_EQ(report.metrics.update_rounds, report.metrics.update_and_depth)
-        << "batching=" << batching;
-    EXPECT_GT(report.metrics.triples_consumed, 0u);
-  }
+  RunReport report = Engine(spec).Run();
+  EXPECT_GT(report.metrics.update_and_depth, 0u);
+  EXPECT_EQ(report.metrics.update_rounds, report.metrics.update_and_depth);
+  EXPECT_GT(report.metrics.triples_consumed, 0u);
 }
 
 // (b) Cleartext mode evaluates the same circuits the MPC would, so with

@@ -1,16 +1,15 @@
 // Flat-arena cleartext graph plane tests (src/graphplane + the arena
-// backend dispatch in src/engine/cleartext_backend.cc).
+// backend in src/engine/arena_cleartext_backend.cc).
 //
 // Two halves:
 //
-//  1. A randomized differential corpus pinning the arena plane
-//     (RunSpec::cleartext_arena = true, the default) bit-identical to the
-//     retired container plane (false) — released figures, cleartext
-//     references, per-vertex final states and per-node TrafficStats — over
-//     random topologies (N in {1, 7, 64, 1000}), EN / EGJ / custom vertex
-//     programs, flat and tree aggregation, and ensemble widths W in
-//     {1, 3, 64}. This harness is what lets the container plane be deleted
-//     later without a fidelity argument from first principles.
+//  1. A golden-digest corpus (tests/fidelity_digest.h) pinning the arena
+//     plane's released figures, cleartext references, per-vertex final
+//     states and per-node TrafficStats over random topologies (N in
+//     {1, 7, 64, 1000}), EN / EGJ / custom vertex programs, flat and tree
+//     aggregation, and ensemble widths W in {1, 3, 64}. Every digest was
+//     captured from the retired per-vertex container plane and checked
+//     equal to the arena plane's before that plane was deleted.
 //
 //  2. Frontier unit tests driving graphplane::GraphPlane directly: words
 //     deactivate when their inputs stop changing, reactivate when a changed
@@ -36,6 +35,7 @@
 #include "src/net/sim_network.h"
 #include "src/programs/private_sum.h"
 #include "src/programs/reachability.h"
+#include "tests/fidelity_digest.h"
 
 namespace dstress {
 namespace {
@@ -46,48 +46,42 @@ using engine::ExecutionMode;
 using engine::RunReport;
 using engine::RunSpec;
 
-// --- differential corpus ----------------------------------------------------
+// --- golden-digest corpus ---------------------------------------------------
 
-void ExpectSameTraffic(const Engine& a, const Engine& b, const std::string& label) {
-  ASSERT_EQ(a.transport().num_nodes(), b.transport().num_nodes()) << label;
-  for (int v = 0; v < a.transport().num_nodes(); v++) {
-    net::TrafficStats sa = a.transport().NodeStats(v);
-    net::TrafficStats sb = b.transport().NodeStats(v);
-    EXPECT_EQ(sa.bytes_sent, sb.bytes_sent) << label << " node " << v;
-    EXPECT_EQ(sa.bytes_received, sb.bytes_received) << label << " node " << v;
-    EXPECT_EQ(sa.messages_sent, sb.messages_sent) << label << " node " << v;
-    EXPECT_EQ(sa.messages_received, sb.messages_received) << label << " node " << v;
+// One solo run's observable surface: released figure, reference, iteration
+// count, per-vertex final states and per-node traffic.
+std::string SoloDigest(const RunSpec& spec) {
+  Engine engine(spec);
+  RunReport report = engine.Run();
+  FidelityDigest digest;
+  digest.Add(static_cast<uint64_t>(report.released))
+      .Add(report.has_reference)
+      .Add(report.reference)
+      .Add(static_cast<uint64_t>(report.iterations));
+  for (const mpc::BitVector& state : engine.FinalStates()) {
+    digest.AddBits(state);
   }
+  return digest.AddTraffic(engine.transport()).Hex();
 }
 
-// Runs `spec` once per plane and asserts the full observable surface is
-// bit-identical: released figure, reference, final states, traffic.
-void ExpectArenaMatchesLegacy(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  RunReport a = arena.Run();
-  Engine legacy(legacy_spec);
-  RunReport l = legacy.Run();
-
-  EXPECT_EQ(a.released, l.released) << label;
-  ASSERT_EQ(a.has_reference, l.has_reference) << label;
-  if (a.has_reference) {
-    EXPECT_EQ(a.reference, l.reference) << label;
+// An ensemble's per-lane figures and references plus per-node traffic.
+std::string EnsembleDigest(const RunSpec& spec) {
+  Engine engine(spec);
+  ensemble::EnsembleReport report = engine.RunEnsemble();
+  FidelityDigest digest;
+  digest.Add(report.scenarios.size()).Add(static_cast<uint64_t>(report.iterations));
+  for (const ensemble::ScenarioResult& lane : report.scenarios) {
+    digest.Add(static_cast<uint64_t>(lane.released)).Add(lane.has_reference).Add(lane.reference);
   }
-  EXPECT_EQ(a.iterations, l.iterations) << label;
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
+  return digest.AddTraffic(engine.transport()).Hex();
+}
 
-  std::vector<mpc::BitVector> sa = arena.FinalStates();
-  std::vector<mpc::BitVector> sl = legacy.FinalStates();
-  ASSERT_EQ(sa.size(), sl.size()) << label;
-  for (size_t v = 0; v < sa.size(); v++) {
-    EXPECT_EQ(sa[v], sl[v]) << label << " vertex " << v;
-  }
-  ExpectSameTraffic(arena, legacy, label);
+void ExpectSoloGolden(const RunSpec& spec, const char* golden, const std::string& label) {
+  ExpectGoldenDigest(SoloDigest(spec), golden, label);
+}
+
+void ExpectEnsembleGolden(const RunSpec& spec, const char* golden, const std::string& label) {
+  ExpectGoldenDigest(EnsembleDigest(spec), golden, label);
 }
 
 RunSpec FinanceSpec(ContagionModel model, int n, uint64_t seed) {
@@ -106,43 +100,91 @@ RunSpec FinanceSpec(ContagionModel model, int n, uint64_t seed) {
   return spec;
 }
 
-TEST(GraphPlaneDifferentialTest, FinanceModelsAcrossSizesAndSeeds) {
-  for (ContagionModel model :
-       {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
-    for (int n : {1, 7, 64}) {
-      for (uint64_t seed : {1u, 23u, 777u}) {
-        RunSpec spec = FinanceSpec(model, n, seed);
-        ExpectArenaMatchesLegacy(
-            spec, std::string(model == ContagionModel::kEisenbergNoe ? "en" : "egj") + " n=" +
-                      std::to_string(n) + " seed=" + std::to_string(seed));
-      }
-    }
+std::string FinanceLabel(ContagionModel model, int n, uint64_t seed) {
+  return std::string(model == ContagionModel::kEisenbergNoe ? "en" : "egj") +
+         " n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+}
+
+struct FinanceCase {
+  ContagionModel model;
+  int n;
+  uint64_t seed;
+  const char* golden;
+};
+
+constexpr ContagionModel kEn = ContagionModel::kEisenbergNoe;
+constexpr ContagionModel kEgj = ContagionModel::kElliottGolubJackson;
+
+TEST(GraphPlaneDigestTest, FinanceModelsAcrossSizesAndSeeds) {
+  const FinanceCase cases[] = {
+      {kEn, 1, 1, "d955bbd71cffbc2793c493b62bcf5267aa088b9b71c06019a84017659ec098b4"},
+      {kEn, 1, 23, "a9bafc21cdcff3f6fe2f23178a9ae96a200bb1d256f5859734b9313e1606e151"},
+      {kEn, 1, 777, "5c89dd7d23b2a26c3eb0dd919bce2ba4a7965d902ae0b58d933382d6135d3ce2"},
+      {kEn, 7, 1, "552d7df880c332f7f6bd107e34da7077f3e5c4f6d762ae9b12a60dd97d898eba"},
+      {kEn, 7, 23, "4549b3216ccf14a94cfc16743ed606f4f101483734337c3cffa9270822ba6bfb"},
+      {kEn, 7, 777, "f3f479523be0f09490208b9e74594f399add76315f0fb2dd1e62fd778788e4cd"},
+      {kEn, 64, 1, "41e18fe254441c6f16f4fe508e34d7aae8d8b713bc0b7ebecfef1c7e786f65b6"},
+      {kEn, 64, 23, "5bbebe9b6d44c59a49775c10ff79e02e5b57fa8ac40ad72654265de761f33134"},
+      {kEn, 64, 777, "1a86e5954c26aa6763ebbdc8f0497623035385d3b7f280925285dee8ab683923"},
+      {kEgj, 1, 1, "2ac6d5449ddde007dfc81de90e4f9e0c255714d48ad6a0ad838c2e908a9add1e"},
+      {kEgj, 1, 23, "0b5889337251035cc38262329e0167bc60259d2183da53ccd5e2fb2e51ec4b4c"},
+      {kEgj, 1, 777, "6536d1afdfededfaa155d1c44568ef7f28bfb3263efb3a0880f2691ba308cf1f"},
+      {kEgj, 7, 1, "46f4214bc778177050a98bf547884d09afab59e5d4528d5a7e8cd4e0ffd45d53"},
+      {kEgj, 7, 23, "0dfa13b2212a1ac5adb6bfebc8f375aee3a090dff3133641aec4af3060ca103b"},
+      {kEgj, 7, 777, "cc8fa78aefc1d77a4879218ef3b19608501579e7e731a81e4464b14915a5a504"},
+      {kEgj, 64, 1, "bcad226625073a15331f4a0ca861b84917ce9f0c13f90cfb4e97874f6874610a"},
+      {kEgj, 64, 23, "c6b9ebfe3611e6c6e91ce022c0f2824f88ba81d696b76b7c0e95b81f5a981480"},
+      {kEgj, 64, 777, "ef73293bb21341d07e82184ef22cb6ba36b18d96e4bf48a36825407b0c9d6ab2"},
+  };
+  for (const FinanceCase& c : cases) {
+    ExpectSoloGolden(FinanceSpec(c.model, c.n, c.seed), c.golden,
+                     FinanceLabel(c.model, c.n, c.seed));
   }
 }
 
-TEST(GraphPlaneDifferentialTest, ThousandVertexSweepMatches) {
-  for (ContagionModel model :
-       {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
-    RunSpec spec = FinanceSpec(model, 1000, 4);
-    ExpectArenaMatchesLegacy(spec, "n=1000");
-  }
+TEST(GraphPlaneDigestTest, ThousandVertexSweep) {
+  ExpectSoloGolden(FinanceSpec(kEn, 1000, 4),
+                   "9683404807783f63624626d33015552e2d67c558bfdc6ef7a1185efc06c067ed", "en n=1000");
+  ExpectSoloGolden(FinanceSpec(kEgj, 1000, 4),
+                   "689faa658d789f4178b7377b9e01c417cc4b28c77767f7c0b70cd30edf12fd86",
+                   "egj n=1000");
 }
 
-// Tree aggregation (aggregation_fanout > 1) exercises the arena backend's
-// gather-tree traffic simulation against the legacy literal tree.
-TEST(GraphPlaneDifferentialTest, TreeAggregationMatchesFlat) {
-  for (int fanout : {2, 4, 8}) {
-    RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 64, 9);
-    spec.aggregation_fanout = fanout;
-    ExpectArenaMatchesLegacy(spec, "fanout=" + std::to_string(fanout));
+// Tree aggregation (aggregation_fanout > 1) pins the arena backend's
+// gather-tree traffic simulation.
+TEST(GraphPlaneDigestTest, TreeAggregation) {
+  const struct {
+    int fanout;
+    const char* golden;
+  } cases[] = {
+      {2, "3a4d34553e29c24d565cf0b83ba2d268419f80ca3a94282b84b2d88c5aafb62c"},
+      {4, "47e3418dd6b3a348344fdc3e02ed690f3e234575da745b719127f6b9d09366ac"},
+      {8, "6aacac2d341cdf8be698b20b1106fcc79af14c7dc4da4423009d2075f1522195"},
+  };
+  for (const auto& c : cases) {
+    RunSpec spec = FinanceSpec(kEn, 64, 9);
+    spec.aggregation_fanout = c.fanout;
+    ExpectSoloGolden(spec, c.golden, "fanout=" + std::to_string(c.fanout));
   }
-  RunSpec odd = FinanceSpec(ContagionModel::kElliottGolubJackson, 7, 5);
+  RunSpec odd = FinanceSpec(kEgj, 7, 5);
   odd.aggregation_fanout = 3;
-  ExpectArenaMatchesLegacy(odd, "egj fanout=3");
+  ExpectSoloGolden(odd, "ab8ee73277fd6fde902c1a690b50425f64132993c68e257f1ffa30b587147343",
+                   "egj fanout=3");
 }
 
-TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
-  for (int n : {7, 64}) {
+TEST(GraphPlaneDigestTest, CustomPrograms) {
+  const struct {
+    int n;
+    const char* sum_golden;
+    const char* reach_golden;
+  } cases[] = {
+      {7, "8a2d70638214c85357e8ff4f643369d4a9ec6563b3ee28bd3e90b20c89aa7ce7",
+       "cf6b4b6838674a0a6c100ca7451e128956bfb9b51ca94f6d749b06dbb7d8a771"},
+      {64, "299e9c692830580346fe94e729b38b5264d08bf99067898358703c56fb7f4807",
+       "8068a7375f5f7f9f4296841af565cad08f8768c01f3942977d040d373eb891b1"},
+  };
+  for (const auto& c : cases) {
+    const int n = c.n;
     Rng rng(static_cast<uint64_t>(n) * 31);
     graph::Graph g = graph::GenerateScaleFree(n, 2, rng);
 
@@ -162,7 +204,7 @@ TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
     spec.custom_program = programs::BuildPrivateSumProgram(sum_params);
     spec.custom_states = programs::MakePrivateSumStates(values, sum_params.value_bits);
     spec.seed = static_cast<uint64_t>(n);
-    ExpectArenaMatchesLegacy(spec, "private_sum n=" + std::to_string(n));
+    ExpectSoloGolden(spec, c.sum_golden, "private_sum n=" + std::to_string(n));
 
     programs::ReachabilityParams reach_params;
     reach_params.degree_bound = std::max(1, g.MaxDegree());
@@ -177,49 +219,32 @@ TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
     reach.custom_program = programs::BuildReachabilityProgram(reach_params);
     reach.custom_states = programs::MakeReachabilityStates(n, {0});
     reach.seed = static_cast<uint64_t>(n) + 1;
-    ExpectArenaMatchesLegacy(reach, "reachability n=" + std::to_string(n));
+    ExpectSoloGolden(reach, c.reach_golden, "reachability n=" + std::to_string(n));
   }
 }
 
-// Ensemble lanes: per-scenario figures and per-node traffic must match the
-// container ensemble plane lane for lane.
-void ExpectEnsembleMatches(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  ensemble::EnsembleReport a = arena.RunEnsemble();
-  Engine legacy(legacy_spec);
-  ensemble::EnsembleReport l = legacy.RunEnsemble();
-
-  ASSERT_EQ(a.scenarios.size(), l.scenarios.size()) << label;
-  for (size_t s = 0; s < a.scenarios.size(); s++) {
-    EXPECT_EQ(a.scenarios[s].released, l.scenarios[s].released) << label << " lane " << s;
-    ASSERT_EQ(a.scenarios[s].has_reference, l.scenarios[s].has_reference) << label;
-    if (a.scenarios[s].has_reference) {
-      EXPECT_EQ(a.scenarios[s].reference, l.scenarios[s].reference) << label << " lane " << s;
-    }
-  }
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
-  ExpectSameTraffic(arena, legacy, label);
-}
-
-TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
+// Ensemble lanes: per-scenario figures and per-node traffic.
+TEST(GraphPlaneDigestTest, EnsembleWidths) {
   // W = 1 (degenerate lane plane) and W = 3 (explicit scenarios).
-  for (int width : {1, 3}) {
-    RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
+  const struct {
+    int width;
+    const char* golden;
+  } cases[] = {
+      {1, "11ae899932e0f710376eb4e8e21dbaf0a33d7f756df9fafe7a57459c0ebcc525"},
+      {3, "8665b242ee319aedfa24ed658f715d4a8a3c4f3e1fa607248f09b222dc057864"},
+  };
+  for (const auto& c : cases) {
+    RunSpec spec = FinanceSpec(kEn, 40, 11);
     spec.ensemble.emplace();
-    for (int s = 0; s < width; s++) {
+    for (int s = 0; s < c.width; s++) {
       ensemble::Scenario sc;
       sc.shock.shocked_banks = {s};
       spec.ensemble->scenarios.push_back(sc);
     }
-    ExpectEnsembleMatches(spec, "ensemble W=" + std::to_string(width));
+    ExpectEnsembleGolden(spec, c.golden, "ensemble W=" + std::to_string(c.width));
   }
   // W = 64: a full word of Monte Carlo lanes.
-  RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
+  RunSpec spec = FinanceSpec(kEn, 40, 11);
   spec.ensemble.emplace();
   spec.ensemble->shock_draws = 64;
   spec.ensemble->draw_seed = 9;
@@ -227,7 +252,8 @@ TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
   spec.ensemble->has_magnitude_range = true;
   spec.ensemble->magnitude_lo = 0.0;
   spec.ensemble->magnitude_hi = 0.6;
-  ExpectEnsembleMatches(spec, "ensemble W=64");
+  ExpectEnsembleGolden(spec, "17e375de2870266c165a755d9e723a53613a9a7e1ab60714e758b3c5a6c18d7c",
+                       "ensemble W=64");
 }
 
 // --- frontier semantics -----------------------------------------------------

@@ -325,5 +325,29 @@ TEST(TransferTest, EffectiveAlphaFormula) {
   EXPECT_NEAR(params.EffectiveAlpha(), std::pow(0.9, 2.0 / 20), 1e-12);
 }
 
+// The auto-sized discrete-log table must absorb the whole mask: the value
+// looked up is (bit sum in [0, k+1]) + 2·Y with Y two-sided geometric at
+// the effective alpha a, and P(|Y| > t) = 2·a^(t+1)/(1+a) for integer
+// t >= 0. So a half-range r misses with P(|2·Y| > r - (k+1)) =
+// 2·a^(floor((r - (k+1))/2) + 1)/(1+a), which must stay within the budget.
+TEST(TransferTest, RecommendedDlogRangeCoversTheDoubledMask) {
+  for (double alpha : {0.5, 0.9, 0.99, 0.999}) {
+    for (int block_size : {2, 3, 4, 8, 20}) {
+      for (double p : {1e-3, 1e-6, 1.74e-10, 1e-12}) {
+        TransferParams params;
+        params.block_size = block_size;
+        params.budget_alpha = alpha;
+        const double a = params.EffectiveAlpha();
+        const int64_t r = params.RecommendedDlogRange(p);
+        const int64_t t = (r - block_size) / 2;
+        ASSERT_GE(t, 0);
+        const double miss = 2.0 * std::pow(a, static_cast<double>(t + 1)) / (1.0 + a);
+        EXPECT_LE(miss, p * (1 + 1e-9))
+            << "alpha=" << alpha << " k+1=" << block_size << " p=" << p << " r=" << r;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dstress::transfer

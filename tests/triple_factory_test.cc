@@ -2,8 +2,8 @@
 // share-relation correctness over randomized demand corpora, disjoint
 // deterministic view slices, deadlock-freedom under the tournament order
 // with mixed batch sizes, the O(roles x peers) -> O(node pairs) base-OT
-// dedup, and the fidelity contract — pipelined == unpipelined runs and
-// ot_batching on == off online traffic, bit for bit.
+// dedup, and the fidelity contract — pipelined == unpipelined runs bit for
+// bit, and online traffic pinned to the retired per-role path's digest.
 #include "src/mpc/triple_factory.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "src/graph/graph.h"
 #include "src/net/transport_spec.h"
 #include "src/ot/base_ot.h"
+#include "tests/fidelity_digest.h"
 
 namespace dstress::mpc {
 namespace {
@@ -214,59 +215,47 @@ std::vector<mpc::BitVector> RingStates(int n) {
   return states;
 }
 
-core::RuntimeConfig OtConfig(bool ot_batching, bool ot_prefetch) {
+core::RuntimeConfig OtConfig(bool ot_prefetch) {
   core::RuntimeConfig config;
   config.block_size = 3;
   config.seed = 11;
   config.use_ot_triples = true;
-  config.ot_batching = ot_batching;
   config.ot_prefetch = ot_prefetch;
   return config;
 }
 
-// Per-node traffic meter that splits offline (session namespace 8, all
-// OT-triple generation) from online (everything else) bytes and messages.
+// Per-node TrafficStats of the online phase: every session outside the
+// offline namespace 8, which carries all OT-triple generation.
 class OnlineTrafficMeter : public net::NetworkObserver {
  public:
-  struct PerNode {
-    uint64_t online_sent = 0, online_received = 0;
-    uint64_t online_msgs_sent = 0, online_msgs_received = 0;
-    uint64_t offline_sent = 0;
-    bool operator==(const PerNode& o) const {
-      return online_sent == o.online_sent && online_received == o.online_received &&
-             online_msgs_sent == o.online_msgs_sent &&
-             online_msgs_received == o.online_msgs_received;
-    }
-  };
-
   void OnSend(net::NodeId from, net::NodeId, net::SessionId session,
               const Bytes& payload) override {
-    std::lock_guard<std::mutex> lock(mu_);
     if ((session >> 60) == 8) {
-      nodes_[from].offline_sent += payload.size();
       return;
     }
-    nodes_[from].online_sent += payload.size();
-    nodes_[from].online_msgs_sent += 1;
+    std::lock_guard<std::mutex> lock(mu_);
+    nodes_[from].bytes_sent += payload.size();
+    nodes_[from].messages_sent += 1;
   }
   void OnRecv(net::NodeId to, net::NodeId, net::SessionId session,
               const Bytes& payload) override {
-    std::lock_guard<std::mutex> lock(mu_);
     if ((session >> 60) == 8) {
       return;
     }
-    nodes_[to].online_received += payload.size();
-    nodes_[to].online_msgs_received += 1;
+    std::lock_guard<std::mutex> lock(mu_);
+    nodes_[to].bytes_received += payload.size();
+    nodes_[to].messages_received += 1;
   }
 
-  std::map<net::NodeId, PerNode> nodes() const {
+  net::TrafficStats Node(net::NodeId node) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return nodes_;
+    auto it = nodes_.find(node);
+    return it == nodes_.end() ? net::TrafficStats{} : it->second;
   }
 
  private:
   mutable std::mutex mu_;
-  std::map<net::NodeId, PerNode> nodes_;
+  std::map<net::NodeId, net::TrafficStats> nodes_;
 };
 
 TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
@@ -278,8 +267,8 @@ TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime pipelined(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/true), g, program);
-  core::Runtime unpipelined(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/false), g, program);
+  core::Runtime pipelined(OtConfig(/*ot_prefetch=*/true), g, program);
+  core::Runtime unpipelined(OtConfig(/*ot_prefetch=*/false), g, program);
   core::RunMetrics mp, mu;
   int64_t released_p = pipelined.Run(RingStates(kN), &mp);
   int64_t released_u = unpipelined.Run(RingStates(kN), &mu);
@@ -297,52 +286,57 @@ TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
   }
 }
 
-TEST(TripleFactoryTest, FactoryMatchesPerRoleBaselineAndDedupsBaseOts) {
-  // ot_batching on vs off over the same workload: identical released
-  // figure, bit-identical per-node ONLINE traffic, and the factory's
-  // base-OT executions drop from O(roles x peers) to O(node pairs) —
-  // asserted structurally against the trusted setup's blocks.
+// The run surface both OT digests share: released figure, iteration count,
+// triples consumed and GMW rounds.
+FidelityDigest RunDigest(int64_t released, const core::RunMetrics& m) {
+  FidelityDigest digest;
+  digest.Add(static_cast<uint64_t>(released))
+      .Add(static_cast<uint64_t>(m.iterations))
+      .Add(m.triples_consumed)
+      .Add(m.update_rounds);
+  return digest;
+}
+
+// Golden digests for the ring below. The online one was captured from the
+// retired per-role OtTripleSource path and equalled the factory's there;
+// the per-role path's offline traffic never matched the factory's, so the
+// full-traffic one was captured from the factory itself.
+constexpr char kOnlineDigest[] =
+    "f6f36a0d877274618cbd5d19bb74f282d705ea7127bac92086996b2afdcc06c9";
+constexpr char kFactoryDigest[] =
+    "7bdefcd917d46db34721eeac14bdabcd960f63c25b3d95388be883e905b99c20";
+
+TEST(TripleFactoryTest, FactoryMatchesPerRoleDigestAndDedupsBaseOts) {
   constexpr int kN = 5;
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime baseline(OtConfig(/*ot_batching=*/false, /*ot_prefetch=*/true), g, program);
-  core::Runtime factory(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/true), g, program);
-  OnlineTrafficMeter baseline_meter, factory_meter;
-  baseline.AttachObserver(&baseline_meter);
-  factory.AttachObserver(&factory_meter);
+  core::Runtime factory(OtConfig(/*ot_prefetch=*/true), g, program);
+  OnlineTrafficMeter meter;
+  factory.AttachObserver(&meter);
+  core::RunMetrics m;
+  int64_t released = factory.Run(RingStates(kN), &m);
 
-  core::RunMetrics mb, mf;
-  int64_t released_b = baseline.Run(RingStates(kN), &mb);
-  int64_t released_f = factory.Run(RingStates(kN), &mf);
-  EXPECT_EQ(released_b, released_f);
-  EXPECT_EQ(mb.triples_consumed, mf.triples_consumed);
-
-  // Online-phase traffic identical per node, in bytes and message counts.
-  auto online_b = baseline_meter.nodes();
-  auto online_f = factory_meter.nodes();
-  ASSERT_EQ(online_b.size(), online_f.size());
-  uint64_t offline_bytes_f = 0;
-  for (const auto& [node, stats] : online_f) {
-    ASSERT_TRUE(online_b.count(node)) << "node " << node;
-    EXPECT_TRUE(stats == online_b[node]) << "node " << node;
-    offline_bytes_f += stats.offline_sent;
+  // Online phase: released figure and per-node traffic outside the offline
+  // namespace, bit-identical to the per-role baseline.
+  FidelityDigest online = RunDigest(released, m);
+  online.Add(kN);
+  for (int node = 0; node < kN; node++) {
+    online.AddStats(meter.Node(node));
   }
-  EXPECT_GT(offline_bytes_f, 0u);  // the OT protocol really ran
+  ExpectGoldenDigest(online.Hex(), kOnlineDigest, "online");
+  // The whole run, factory traffic included.
+  ExpectGoldenDigest(RunDigest(released, m).AddTraffic(factory.network()).Hex(), kFactoryDigest,
+                     "factory full");
 
-  // Base-OT dedup. Baseline: every role group (one per vertex, plus the
-  // flat aggregation block) pays C(k+1, 2) pairwise setups of 4 executions
-  // each. Factory: 4 executions per distinct node pair co-occurring in any
-  // block.
-  const int k1 = 3;
-  uint64_t groups = static_cast<uint64_t>(kN) + 1;
-  EXPECT_EQ(mb.base_ot_executions, 4 * (k1 * (k1 - 1) / 2) * groups);
+  // Base OTs: 4 executions (two IKNP directions x two endpoints) per
+  // distinct node pair co-occurring in any block, where the per-role path
+  // paid C(k+1, 2) pairwise setups per role group.
   std::set<std::pair<int, int>> node_pairs;
   auto add_block = [&](const std::vector<int>& block) {
     for (size_t i = 0; i < block.size(); i++) {
       for (size_t j = i + 1; j < block.size(); j++) {
-        node_pairs.insert(
-            {std::min(block[i], block[j]), std::max(block[i], block[j])});
+        node_pairs.insert({std::min(block[i], block[j]), std::max(block[i], block[j])});
       }
     }
   };
@@ -350,11 +344,10 @@ TEST(TripleFactoryTest, FactoryMatchesPerRoleBaselineAndDedupsBaseOts) {
     add_block(factory.setup().blocks[v]);
   }
   add_block(factory.setup().aggregation_block);
-  EXPECT_EQ(mf.base_ot_executions, 4 * node_pairs.size());
-  EXPECT_LT(mf.base_ot_executions, mb.base_ot_executions);
+  EXPECT_EQ(m.base_ot_executions, 4 * node_pairs.size());
   // The factory overlaps offline generation with the online phase; its
   // metrics must surface that work.
-  EXPECT_GT(mf.offline_seconds, 0.0);
+  EXPECT_GT(m.offline_seconds, 0.0);
 }
 
 }  // namespace

@@ -12,12 +12,6 @@ With --ensemble-min-speedup the gate additionally pins the scenario-ensemble
 amortization: every `cleartext-ensemble` row (wall_ms vs wall_ms_baseline =
 K independent solo runs) must be at or above that floor.
 
-With --ot-min-speedup the gate additionally pins the batched offline phase
-(docs/offline-phase.md): every `secure-ot` row (wall_ms = node-pair triple
-factory run, wall_ms_baseline = per-role IKNP baseline in the same run) must
-be at or above that floor. The rows' base_ot_count / base_ot_count_baseline
-and offline/overlap walls are printed as informational columns.
-
 With --cleartext-max-wall-ms the gate additionally pins the flat-arena graph
 plane's headline (ROADMAP item 3): every `cleartext` row with N >= 1,000,000
 must finish within that absolute wall-clock budget. When the run produced no
@@ -36,7 +30,6 @@ heartbeat/control traffic, checkpoint wall time — and are never gated.
 Usage: tools/check_bench.py BENCH_fig6.json [--min-speedup 5.0]
                                             [--mode secure-projected]
                                             [--ensemble-min-speedup 10.0]
-                                            [--ot-min-speedup 3.0]
                                             [--cleartext-max-wall-ms 10000]
 Exit status 0 = every gated row at or above its floor; nonzero prints each
 offending row. Stdlib only.
@@ -93,9 +86,6 @@ def main() -> int:
     parser.add_argument("--ensemble-min-speedup", type=float, default=None,
                         help="when set, also gate 'cleartext-ensemble' rows "
                              "(wall vs K solo runs) at this amortization floor")
-    parser.add_argument("--ot-min-speedup", type=float, default=None,
-                        help="when set, also gate 'secure-ot' rows (triple "
-                             "factory vs per-role IKNP baseline) at this floor")
     parser.add_argument("--cleartext-max-wall-ms", type=float, default=None,
                         help="when set, every 'cleartext' row with N >= 1e6 "
                              "must finish within this wall-clock budget (ms)")
@@ -145,29 +135,6 @@ def main() -> int:
                 skips.append(f"ensemble: {len(ensemble_rows)} rows, worst "
                              f"{speedup:.2f}x amortization at N={e.get('N')} "
                              f"K={e.get('scenarios')} scenarios")
-
-    if args.ot_min_speedup is not None:
-        ot_rows = [e for e in entries if e.get("mode") == "secure-ot"]
-        if not ot_rows:
-            failures.append(f"FAIL: no 'secure-ot' entries in "
-                            f"{args.bench_json} (OT gate requested)")
-        else:
-            ot_failures, ot_skips, ot_worst = gate_rows(
-                ot_rows, "secure-ot", args.ot_min_speedup)
-            failures += ot_failures
-            skips += ot_skips
-            for e in ot_rows:
-                if is_number(e.get("base_ot_count")):
-                    print(f"ot: N={e.get('N')} base OTs "
-                          f"{e['base_ot_count']:.0f} (factory) vs "
-                          f"{e.get('base_ot_count_baseline', 0):.0f} (per-role), "
-                          f"offline {e.get('offline_ms', 0):.0f} ms, "
-                          f"{e.get('overlap_ms', 0):.0f} ms overlapped with the "
-                          "online phase (informational, not gated)")
-            if ot_worst is not None:
-                e, speedup = ot_worst
-                skips.append(f"ot: {len(ot_rows)} rows, worst {speedup:.2f}x "
-                             f"factory speedup at N={e.get('N')}")
 
     # Absolute wall-clock budget for the arena graph plane's large-N sweep
     # point (ROADMAP item 3: N=1M in single-digit seconds).
