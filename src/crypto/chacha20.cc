@@ -9,23 +9,6 @@ namespace dstress::crypto {
 
 namespace {
 
-uint32_t Rotl32(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
-
-void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
-  a += b;
-  d ^= a;
-  d = Rotl32(d, 16);
-  c += d;
-  b ^= c;
-  b = Rotl32(b, 12);
-  a += b;
-  d ^= a;
-  d = Rotl32(d, 8);
-  c += d;
-  b ^= c;
-  b = Rotl32(b, 7);
-}
-
 uint32_t LoadLe32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
@@ -37,10 +20,9 @@ uint32_t LoadLe32(const uint8_t* p) {
 void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
                    uint8_t out[64]) {
   uint32_t state[16];
-  state[0] = 0x61707865;
-  state[1] = 0x3320646e;
-  state[2] = 0x79622d32;
-  state[3] = 0x6b206574;
+  for (int i = 0; i < 4; i++) {
+    state[i] = kChaChaSigma[i];
+  }
   for (int i = 0; i < 8; i++) {
     state[4 + i] = LoadLe32(key + 4 * i);
   }
@@ -51,16 +33,7 @@ void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t coun
 
   uint32_t x[16];
   std::memcpy(x, state, sizeof(x));
-  for (int round = 0; round < 10; round++) {
-    QuarterRound(x[0], x[4], x[8], x[12]);
-    QuarterRound(x[1], x[5], x[9], x[13]);
-    QuarterRound(x[2], x[6], x[10], x[14]);
-    QuarterRound(x[3], x[7], x[11], x[15]);
-    QuarterRound(x[0], x[5], x[10], x[15]);
-    QuarterRound(x[1], x[6], x[11], x[12]);
-    QuarterRound(x[2], x[7], x[8], x[13]);
-    QuarterRound(x[3], x[4], x[9], x[14]);
-  }
+  ChaChaRounds(x);
   for (int i = 0; i < 16; i++) {
     uint32_t v = x[i] + state[i];
     std::memcpy(out + 4 * i, &v, 4);

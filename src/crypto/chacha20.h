@@ -18,6 +18,41 @@ namespace dstress::crypto {
 void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
                    uint8_t out[64]);
 
+// ChaCha's "expand 32-byte k" constants: words 0-3 of every block's state.
+inline constexpr uint32_t kChaChaSigma[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+
+// The 20-round ChaCha permutation of a 16-word state, in place and without
+// the feed-forward. Generic over the word type so that lane-parallel
+// callers (ot::CrHashRows, over a vector of 32-bit lanes) share the round
+// function with ChaCha20Block.
+template <typename Word>
+void ChaChaRounds(Word x[16]) {
+  auto quarter_round = [](Word& a, Word& b, Word& c, Word& d) {
+    a += b;
+    d ^= a;
+    d = (d << 16) | (d >> 16);
+    c += d;
+    b ^= c;
+    b = (b << 12) | (b >> 20);
+    a += b;
+    d ^= a;
+    d = (d << 8) | (d >> 24);
+    c += d;
+    b ^= c;
+    b = (b << 7) | (b >> 25);
+  };
+  for (int round = 0; round < 10; round++) {
+    quarter_round(x[0], x[4], x[8], x[12]);
+    quarter_round(x[1], x[5], x[9], x[13]);
+    quarter_round(x[2], x[6], x[10], x[14]);
+    quarter_round(x[3], x[7], x[11], x[15]);
+    quarter_round(x[0], x[5], x[10], x[15]);
+    quarter_round(x[1], x[6], x[11], x[12]);
+    quarter_round(x[2], x[7], x[8], x[13]);
+    quarter_round(x[3], x[4], x[9], x[14]);
+  }
+}
+
 class ChaCha20Prg {
  public:
   // Deterministic PRG from a 32-byte key. The 12-byte nonce defaults to a

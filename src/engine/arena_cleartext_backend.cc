@@ -10,6 +10,7 @@
 
 #include "src/circuit/builder.h"
 #include "src/circuit/eval_plan.h"
+#include "src/common/bits.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/core/worker_pool.h"
@@ -482,7 +483,7 @@ std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
           }
           block[s] = word;
         }
-        mpc::TransposeBits64x64(block);
+        TransposeBits64x64(block);
         for (int r = 0; r < sb; r++) {
           in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
                               num_scenarios, block[r]);

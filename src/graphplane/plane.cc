@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/bits.h"
 #include "src/common/check.h"
 
 namespace dstress::graphplane {
@@ -415,7 +416,7 @@ std::vector<uint64_t> GraphPlane::ScenarioSums(const mpc::PackedShareMatrix& con
     for (int b = 0; b < 64; b++) {
       block[b] = b < agg_bits ? contrib.row(static_cast<size_t>(b))[w] : 0;
     }
-    mpc::TransposeBits64x64(block);
+    TransposeBits64x64(block);
     uint64_t valid = valid_mask_[w];
     while (valid != 0) {
       const int bit = __builtin_ctzll(valid);

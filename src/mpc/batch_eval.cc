@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 
+#include "src/common/bits.h"
 #include "src/common/bytes.h"
 #include "src/common/check.h"
 
@@ -14,8 +15,6 @@ namespace {
 using circuit::Gate;
 using circuit::GateOp;
 using circuit::Wire;
-using ot::PackedBits;
-using ot::PackedWords;
 
 // Instances sharing an evaluation plan, bitsliced into one share matrix:
 // column c of every row is the c-th member instance's share of that wire.
@@ -126,7 +125,7 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
         for (size_t c = 0; c < w_count; c++) {
           const PackedBits& bits = instances[sorted[g.members[c]]].triples.*tape;
           for (size_t t = 0; t < num_and; t++) {
-            dst.Set(t, c, ot::GetBit(bits, t));
+            dst.Set(t, c, GetBit(bits, t));
           }
         }
         return;

@@ -1,10 +1,9 @@
 #include "src/mpc/gmw.h"
 
+#include "src/common/bits.h"
 #include "src/common/check.h"
 
 namespace dstress::mpc {
-
-using ot::PackedWords;
 
 net::Channel GmwParty::MakeChannel(net::Transport* net, std::vector<net::NodeId> parties,
                                    int my_index, net::SessionId session) {

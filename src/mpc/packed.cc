@@ -4,20 +4,6 @@
 
 namespace dstress::mpc {
 
-void TransposeBits64x64(uint64_t x[64]) {
-  // Butterfly formulated for LSB-first bit order (bit c of word r is
-  // element (r, c)): each stage swaps the (row-low, col-high) quadrant
-  // with the (row-high, col-low) quadrant at its scale.
-  uint64_t mask = 0x00000000FFFFFFFFULL;
-  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      uint64_t t = ((x[k] >> j) ^ x[k + j]) & mask;
-      x[k] ^= t << j;
-      x[k + j] ^= t;
-    }
-  }
-}
-
 BitVector PackedShareMatrix::Instance(size_t j) const {
   DSTRESS_CHECK(j < instances_);
   BitVector out(rows_);

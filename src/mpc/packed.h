@@ -23,12 +23,6 @@
 
 namespace dstress::mpc {
 
-// In-place 64x64 bit-matrix transpose (the Hacker's Delight butterfly):
-// afterwards, bit r of word c equals what bit c of word r was. This is the
-// workhorse that moves data between the wire-major share rows and the
-// per-instance wire format without touching individual bits.
-void TransposeBits64x64(uint64_t x[64]);
-
 class PackedShareMatrix {
  public:
   PackedShareMatrix() = default;

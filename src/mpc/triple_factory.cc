@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/bits.h"
 #include "src/common/bytes.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
@@ -9,10 +10,6 @@
 namespace dstress::mpc {
 
 namespace {
-
-using ot::GetBit;
-using ot::PackedWords;
-using ot::SetBit;
 
 // Same mixing idiom as the runtime's RolePrgSeed: one multiplicative spread
 // of the run seed plus a role selector. 0xba5e splits the pair-session
@@ -55,9 +52,9 @@ int TournamentPeer(int n, int me, int round) {
   return -1;
 }
 
-// Appends `count` bits of (a, b, c) to the end of `dst` (bit-granular; the
+// Appends `count` bits of (a, b, c) to the end of `dst` (bit-granular: the
 // destination's tail is rarely word-aligned once draws of mixed sizes have
-// passed through).
+// passed through, so CopyBits does the shifting).
 void AppendTriples(BitTriples& dst, const PackedBits& a, const PackedBits& b, const PackedBits& c,
                    size_t count) {
   size_t base = dst.count;
@@ -65,11 +62,9 @@ void AppendTriples(BitTriples& dst, const PackedBits& a, const PackedBits& b, co
   dst.a.resize(words, 0);
   dst.b.resize(words, 0);
   dst.c.resize(words, 0);
-  for (size_t i = 0; i < count; i++) {
-    SetBit(dst.a, base + i, GetBit(a, i));
-    SetBit(dst.b, base + i, GetBit(b, i));
-    SetBit(dst.c, base + i, GetBit(c, i));
-  }
+  CopyBits(dst.a.data(), base, a.data(), 0, count);
+  CopyBits(dst.b.data(), base, b.data(), 0, count);
+  CopyBits(dst.c.data(), base, c.data(), 0, count);
   dst.count = base + count;
 }
 
@@ -338,9 +333,7 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
         for (size_t d : segs) {
           int m = member_of[d].at(p);
           const PackedBits& src = use_a ? shares[d].a[m] : shares[d].b[m];
-          for (size_t i = 0; i < demands[d].count; i++) {
-            SetBit(cat, off + i, GetBit(src, i));
-          }
+          CopyBits(cat.data(), off, src.data(), 0, demands[d].count);
           off += demands[d].count;
         }
         return cat;
@@ -350,10 +343,7 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
         size_t off = 0;
         for (size_t d : segs) {
           int m = member_of[d].at(p);
-          PackedBits& c = shares[d].c[m];
-          for (size_t i = 0; i < demands[d].count; i++) {
-            SetBit(c, i, GetBit(c, i) ^ GetBit(delta, off + i));
-          }
+          XorBits(shares[d].c[m].data(), 0, delta.data(), off, demands[d].count);
           off += demands[d].count;
         }
       };

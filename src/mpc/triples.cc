@@ -1,13 +1,11 @@
 #include "src/mpc/triples.h"
 
+#include "src/common/bits.h"
 #include "src/common/check.h"
 
 namespace dstress::mpc {
 
 namespace {
-
-using ot::GetBit;
-using ot::PackedWords;
 
 PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words) {
   PackedBits out(words);
@@ -25,12 +23,10 @@ BitTriples SliceTriples(const BitTriples& src, size_t start, size_t count) {
   out.a.assign(words, 0);
   out.b.assign(words, 0);
   out.c.assign(words, 0);
-  for (size_t i = 0; i < count; i++) {
-    ot::SetBit(out.a, i, GetBit(src.a, start + i));
-    ot::SetBit(out.b, i, GetBit(src.b, start + i));
-    if (!src.c.empty()) {
-      ot::SetBit(out.c, i, GetBit(src.c, start + i));
-    }
+  CopyBits(out.a.data(), 0, src.a.data(), start, count);
+  CopyBits(out.b.data(), 0, src.b.data(), start, count);
+  if (!src.c.empty()) {
+    CopyBits(out.c.data(), 0, src.c.data(), start, count);
   }
   return out;
 }

@@ -24,13 +24,12 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/bits.h"
 #include "src/crypto/chacha20.h"
 #include "src/net/transport.h"
 #include "src/ot/iknp.h"
 
 namespace dstress::mpc {
-
-using ot::PackedBits;
 
 struct BitTriples {
   PackedBits a;

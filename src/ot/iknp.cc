@@ -1,5 +1,6 @@
 #include "src/ot/iknp.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -17,29 +18,12 @@ crypto::ChaCha20Prg PrgFromKey(const OtKey& key, uint64_t stream_id) {
   return crypto::ChaCha20Prg(full, stream_id);
 }
 
-// Correlation-robust hash H(index, row) -> 1 bit. SHA-256 keeps the
-// random-oracle modelling conservative; one hash per extended OT.
-bool HashRowBit(uint64_t index, const uint64_t row[2]) {
-  uint8_t buf[24];
-  std::memcpy(buf, &index, 8);
-  std::memcpy(buf + 8, row, 16);
-  auto digest = crypto::Sha256::Hash(buf, sizeof(buf));
-  return (digest[0] & 1) != 0;
-}
+// Four OTs' copies of one ChaCha20 state word, a 32-bit lane each. These
+// are GCC vector extensions: plain SSE2 on x86-64 and NEON on arm64, with
+// no intrinsics and no target flags.
+typedef uint32_t U32x4 __attribute__((vector_size(16)));
 
-// Transposes a kappa-column bit matrix (each column `words` uint64s of
-// packed bits) into per-row 128-bit vectors. rows must have 2*count u64s.
-void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_t* rows) {
-  std::memset(rows, 0, count * 2 * sizeof(uint64_t));
-  for (int i = 0; i < kIknpKappa; i++) {
-    const PackedBits& col = cols[i];
-    for (size_t j = 0; j < count; j++) {
-      if ((col[j / 64] >> (j % 64)) & 1) {
-        rows[2 * j + i / 64] |= 1ULL << (i % 64);
-      }
-    }
-  }
-}
+U32x4 Splat(uint32_t v) { return U32x4{v, v, v, v}; }
 
 PackedBits PrgBits(crypto::ChaCha20Prg& prg, size_t words) {
   PackedBits out(words);
@@ -48,6 +32,61 @@ PackedBits PrgBits(crypto::ChaCha20Prg& prg, size_t words) {
 }
 
 }  // namespace
+
+void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_t* rows) {
+  // Block b holds OTs [64b, 64b + 64); half h holds columns [64h, 64h + 64).
+  // Word r of a block is column 64h + r; after the transpose, word c is the
+  // h-th half of OT 64b + c's row.
+  uint64_t block[64];
+  for (size_t b = 0; b < PackedWords(count); b++) {
+    const size_t ots = std::min<size_t>(64, count - 64 * b);
+    for (int h = 0; h < kIknpKappa / 64; h++) {
+      for (int r = 0; r < 64; r++) {
+        block[r] = cols[64 * h + r][b];
+      }
+      TransposeBits64x64(block);
+      for (size_t c = 0; c < ots; c++) {
+        rows[2 * (64 * b + c) + h] = block[c];
+      }
+    }
+  }
+}
+
+void CrHashRows(const uint64_t* rows, size_t count, uint64_t first_index, const uint64_t mask[2],
+                uint64_t* out) {
+  std::fill_n(out, PackedWords(count), 0);
+  for (size_t j = 0; j < count; j += 4) {
+    // Lane k hashes OT j + k. Lanes past `count` hash a zero row and are
+    // dropped, so no row past the end is read.
+    const size_t lanes = std::min<size_t>(4, count - j);
+    U32x4 x[16] = {Splat(crypto::kChaChaSigma[0]), Splat(crypto::kChaChaSigma[1]),
+                   Splat(crypto::kChaChaSigma[2]), Splat(crypto::kChaChaSigma[3])};
+    for (size_t k = 0; k < 4; k++) {
+      if (k < lanes) {
+        const uint64_t lo = rows[2 * (j + k)] ^ mask[0];
+        const uint64_t hi = rows[2 * (j + k) + 1] ^ mask[1];
+        x[4][k] = static_cast<uint32_t>(lo);
+        x[5][k] = static_cast<uint32_t>(lo >> 32);
+        x[6][k] = static_cast<uint32_t>(hi);
+        x[7][k] = static_cast<uint32_t>(hi >> 32);
+      }
+      const uint64_t index = first_index + j + k;
+      x[8][k] = static_cast<uint32_t>(index);
+      x[9][k] = static_cast<uint32_t>(index >> 32);
+    }
+    x[10] = Splat(static_cast<uint32_t>(kCrHashTag));
+    x[11] = Splat(static_cast<uint32_t>(kCrHashTag >> 32));
+    // Words 12-15 (block counter and nonce) stay zero.
+    crypto::ChaChaRounds(x);
+    // The feed-forward, on the one output word the hash keeps.
+    const U32x4 word0 = x[0] + Splat(crypto::kChaChaSigma[0]);
+    uint64_t bits = 0;
+    for (int k = 0; k < 4; k++) {
+      bits |= static_cast<uint64_t>(word0[k] & 1) << k;
+    }
+    out[j / 64] |= (bits & ((1ULL << lanes) - 1)) << (j % 64);
+  }
+}
 
 IknpSender::IknpSender(net::Transport* net, net::NodeId self, net::NodeId peer,
                        crypto::ChaCha20Prg& prg, net::SessionId session)
@@ -91,14 +130,11 @@ RandomOtPairs IknpSender::Extend(size_t count) {
 
   RandomOtPairs out;
   out.count = count;
-  out.r0.assign(words, 0);
-  out.r1.assign(words, 0);
-  for (size_t j = 0; j < count; j++) {
-    uint64_t row[2] = {rows[2 * j], rows[2 * j + 1]};
-    uint64_t row_xor_s[2] = {row[0] ^ s_bits_[0], row[1] ^ s_bits_[1]};
-    SetBit(out.r0, j, HashRowBit(ot_counter_ + j, row));
-    SetBit(out.r1, j, HashRowBit(ot_counter_ + j, row_xor_s));
-  }
+  out.r0.resize(words);
+  out.r1.resize(words);
+  const uint64_t no_mask[2] = {0, 0};
+  CrHashRows(rows.data(), count, ot_counter_, no_mask, out.r0.data());
+  CrHashRows(rows.data(), count, ot_counter_, s_bits_.data(), out.r1.data());
   ot_counter_ += count;
   return out;
 }
@@ -137,11 +173,9 @@ RandomOtChosen IknpReceiver::Extend(const PackedBits& choices, size_t count) {
 
   RandomOtChosen out;
   out.count = count;
-  out.r.assign(words, 0);
-  for (size_t j = 0; j < count; j++) {
-    uint64_t row[2] = {rows[2 * j], rows[2 * j + 1]};
-    SetBit(out.r, j, HashRowBit(ot_counter_ + j, row));
-  }
+  out.r.resize(words);
+  const uint64_t no_mask[2] = {0, 0};
+  CrHashRows(rows.data(), count, ot_counter_, no_mask, out.r.data());
   ot_counter_ += count;
   return out;
 }

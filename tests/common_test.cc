@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/common/bits.h"
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
@@ -163,6 +164,84 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_GE(sw.ElapsedSeconds(), first);
   sw.Reset();
   EXPECT_LE(sw.ElapsedSeconds(), first + 1.0);
+}
+
+TEST(PackedBitsTest, SetGetRoundTrip) {
+  PackedBits bits(3, 0);
+  SetBit(bits, 0, true);
+  SetBit(bits, 63, true);
+  SetBit(bits, 64, true);
+  SetBit(bits, 130, true);
+  EXPECT_TRUE(GetBit(bits, 0));
+  EXPECT_TRUE(GetBit(bits, 63));
+  EXPECT_TRUE(GetBit(bits, 64));
+  EXPECT_TRUE(GetBit(bits, 130));
+  EXPECT_FALSE(GetBit(bits, 1));
+  SetBit(bits, 63, false);
+  EXPECT_FALSE(GetBit(bits, 63));
+  EXPECT_EQ(PackedWords(0), 0u);
+  EXPECT_EQ(PackedWords(1), 1u);
+  EXPECT_EQ(PackedWords(64), 1u);
+  EXPECT_EQ(PackedWords(65), 2u);
+}
+
+TEST(PackedBitsTest, TransposeBits64x64MatchesPerBitReference) {
+  Rng rng(9);
+  uint64_t x[64];
+  uint64_t original[64];
+  for (int r = 0; r < 64; r++) {
+    x[r] = original[r] = rng.Next();
+  }
+  TransposeBits64x64(x);
+  for (int r = 0; r < 64; r++) {
+    for (int c = 0; c < 64; c++) {
+      ASSERT_EQ((x[c] >> r) & 1, (original[r] >> c) & 1) << r << "," << c;
+    }
+  }
+}
+
+PackedBits RandomBits(Rng& rng, size_t bits) {
+  PackedBits out(PackedWords(bits));
+  for (uint64_t& w : out) {
+    w = rng.Next();
+  }
+  return out;
+}
+
+// CopyBits / XorBits against a per-bit loop over every combination of
+// aligned and unaligned offsets, with lengths covering n = 0, every tail of
+// 1-63 bits and multi-word spans. Both arrays are sized to exactly the
+// words their range covers, so a read or write past the range is out of
+// bounds (and fails under AddressSanitizer).
+TEST(PackedBitsTest, CopyAndXorBitsMatchPerBitReference) {
+  Rng rng(10);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 130; n++) {
+    lengths.push_back(n);
+  }
+  for (size_t n : {191, 192, 193, 255, 256, 257, 1000}) {
+    lengths.push_back(n);
+  }
+  for (size_t dst_off : {0, 1, 5, 63, 64, 67, 127}) {
+    for (size_t src_off : {0, 1, 31, 63, 64, 100}) {
+      for (size_t n : lengths) {
+        const PackedBits src = RandomBits(rng, src_off + n);
+        const PackedBits dst = RandomBits(rng, dst_off + n);
+        PackedBits copied = dst;
+        PackedBits xored = dst;
+        PackedBits want_copy = dst;
+        PackedBits want_xor = dst;
+        for (size_t i = 0; i < n; i++) {
+          SetBit(want_copy, dst_off + i, GetBit(src, src_off + i));
+          SetBit(want_xor, dst_off + i, GetBit(dst, dst_off + i) ^ GetBit(src, src_off + i));
+        }
+        CopyBits(copied.data(), dst_off, src.data(), src_off, n);
+        XorBits(xored.data(), dst_off, src.data(), src_off, n);
+        ASSERT_EQ(copied, want_copy) << dst_off << " " << src_off << " " << n;
+        ASSERT_EQ(xored, want_xor) << dst_off << " " << src_off << " " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -52,9 +52,9 @@ void CheckTriples(const std::vector<BitTriples>& shares, size_t count) {
   for (size_t t = 0; t < count; t++) {
     int a = 0, b = 0, c = 0;
     for (const auto& share : shares) {
-      a ^= ot::GetBit(share.a, t) ? 1 : 0;
-      b ^= ot::GetBit(share.b, t) ? 1 : 0;
-      c ^= ot::GetBit(share.c, t) ? 1 : 0;
+      a ^= GetBit(share.a, t) ? 1 : 0;
+      b ^= GetBit(share.b, t) ? 1 : 0;
+      c ^= GetBit(share.c, t) ? 1 : 0;
     }
     ASSERT_EQ(c, a & b) << "triple " << t;
   }
@@ -117,10 +117,10 @@ TEST_P(DealerTripleTest, InterleavedBatchSizesStayAligned) {
       acc.b.resize((acc.count + 63) / 64, 0);
       acc.c.resize((acc.count + 63) / 64, 0);
       for (size_t t = 0; t < batch; t++) {
-        ot::SetBit(acc.a, old + t, ot::GetBit(shares[p].a, t));
-        ot::SetBit(acc.b, old + t, ot::GetBit(shares[p].b, t));
+        SetBit(acc.a, old + t, GetBit(shares[p].a, t));
+        SetBit(acc.b, old + t, GetBit(shares[p].b, t));
         if (!shares[p].c.empty()) {
-          ot::SetBit(acc.c, old + t, ot::GetBit(shares[p].c, t));
+          SetBit(acc.c, old + t, GetBit(shares[p].c, t));
         }
       }
     }

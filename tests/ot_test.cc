@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <thread>
 
 #include "src/net/sim_network.h"
 #include "src/ot/base_ot.h"
 #include "src/ot/iknp.h"
+#include "tests/fidelity_digest.h"
 
 namespace dstress::ot {
 namespace {
@@ -136,23 +138,124 @@ TEST(IknpTest, RepeatedExtendsStayConsistent) {
   EXPECT_NE(all_pairs[0].r0, all_pairs[1].r0);
 }
 
-TEST(PackedBitsTest, SetGetRoundTrip) {
-  PackedBits bits(3, 0);
-  SetBit(bits, 0, true);
-  SetBit(bits, 63, true);
-  SetBit(bits, 64, true);
-  SetBit(bits, 130, true);
-  EXPECT_TRUE(GetBit(bits, 0));
-  EXPECT_TRUE(GetBit(bits, 63));
-  EXPECT_TRUE(GetBit(bits, 64));
-  EXPECT_TRUE(GetBit(bits, 130));
-  EXPECT_FALSE(GetBit(bits, 1));
-  SetBit(bits, 63, false);
-  EXPECT_FALSE(GetBit(bits, 63));
-  EXPECT_EQ(PackedWords(0), 0u);
-  EXPECT_EQ(PackedWords(1), 1u);
-  EXPECT_EQ(PackedWords(64), 1u);
-  EXPECT_EQ(PackedWords(65), 2u);
+// The Extend corpus shared by the transpose test and the golden transcript:
+// partial, exact and multi-block counts.
+constexpr size_t kExtendCounts[] = {1, 63, 64, 65, 130, 4096};
+
+PackedBits RandomWords(size_t words, uint64_t seed, uint64_t stream) {
+  PackedBits out(words);
+  auto prg = crypto::ChaCha20Prg::FromSeed(seed, stream);
+  prg.Fill(reinterpret_cast<uint8_t*>(out.data()), words * 8);
+  return out;
+}
+
+// The per-bit transpose the block version replaced.
+std::vector<uint64_t> ReferenceTranspose(const std::vector<PackedBits>& cols, size_t count) {
+  std::vector<uint64_t> rows(2 * count, 0);
+  for (int i = 0; i < kIknpKappa; i++) {
+    for (size_t j = 0; j < count; j++) {
+      if (GetBit(cols[i], j)) {
+        rows[2 * j + i / 64] |= 1ULL << (i % 64);
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(IknpKernelTest, BlockTransposeMatchesPerBitReference) {
+  for (size_t count : kExtendCounts) {
+    // Random columns, including the garbage bits past `count` in the last
+    // word that the PRG leaves there in a real Extend.
+    std::vector<PackedBits> cols;
+    for (int i = 0; i < kIknpKappa; i++) {
+      cols.push_back(RandomWords(PackedWords(count), 70, static_cast<uint64_t>(i)));
+    }
+    std::vector<uint64_t> rows(2 * count);
+    TransposeColumns(cols, count, rows.data());
+    EXPECT_EQ(rows, ReferenceTranspose(cols, count)) << "count " << count;
+  }
+}
+
+// The hash's scalar definition, straight from crypto::ChaCha20Block.
+bool ReferenceCrHash(uint64_t index, uint64_t lo, uint64_t hi) {
+  uint8_t key[32];
+  const uint64_t words[4] = {lo, hi, index, kCrHashTag};
+  for (int w = 0; w < 4; w++) {
+    for (int b = 0; b < 8; b++) {
+      key[8 * w + b] = static_cast<uint8_t>(words[w] >> (8 * b));
+    }
+  }
+  const uint8_t nonce[12] = {};
+  uint8_t block[64];
+  crypto::ChaCha20Block(key, nonce, 0, block);
+  return (block[0] & 1) != 0;
+}
+
+TEST(IknpKernelTest, LaneKernelMatchesScalarChaChaDefinition) {
+  const PackedBits s = RandomWords(2, 71, 0);
+  const uint64_t zero[2] = {0, 0};
+  // The second start index makes the OT indices cross 2^32 mid-array.
+  for (uint64_t first : {uint64_t{0}, (uint64_t{1} << 32) - 2}) {
+    for (size_t count : {1, 3, 4, 5, 63, 64, 65, 4097}) {
+      const PackedBits rows = RandomWords(2 * count, 72, count);
+      for (const uint64_t* mask : {zero, s.data()}) {
+        // One spare word past the output, poisoned, to catch overruns.
+        PackedBits out(PackedWords(count) + 1, ~0ULL);
+        CrHashRows(rows.data(), count, first, mask, out.data());
+        for (size_t j = 0; j < count; j++) {
+          const bool expect =
+              ReferenceCrHash(first + j, rows[2 * j] ^ mask[0], rows[2 * j + 1] ^ mask[1]);
+          ASSERT_EQ(GetBit(out, j), expect)
+              << "count " << count << " first " << first << " ot " << j;
+        }
+        for (size_t j = count; j < 64 * PackedWords(count); j++) {
+          ASSERT_FALSE(GetBit(out, j)) << "bit past count " << j;
+        }
+        EXPECT_EQ(out.back(), ~0ULL) << "wrote past the output, count " << count;
+      }
+    }
+  }
+}
+
+// Golden digest of a fixed-seed Extend transcript: one session pair runs
+// the corpus as consecutive Extends (so later calls hash at nonzero OT
+// indices), and every r0, r1 and r word is digested. A change to the hash,
+// the transpose or the PRG column order moves it, so any such change has to
+// be deliberate; paste the printed digest back only for one.
+TEST(IknpKernelTest, ExtendTranscriptMatchesGoldenDigest) {
+  net::SimNetwork net(2);
+  std::vector<PackedBits> choices;
+  for (size_t i = 0; i < std::size(kExtendCounts); i++) {
+    choices.push_back(RandomWords(PackedWords(kExtendCounts[i]), 60, i));
+  }
+  std::vector<RandomOtPairs> pairs;
+  std::vector<RandomOtChosen> chosen;
+  std::thread sender([&] {
+    auto prg = crypto::ChaCha20Prg::FromSeed(21);
+    IknpSender s(&net, 0, 1, prg);
+    for (size_t count : kExtendCounts) {
+      pairs.push_back(s.Extend(count));
+    }
+  });
+  std::thread receiver([&] {
+    auto prg = crypto::ChaCha20Prg::FromSeed(22);
+    IknpReceiver r(&net, 1, 0, prg);
+    for (size_t i = 0; i < std::size(kExtendCounts); i++) {
+      chosen.push_back(r.Extend(choices[i], kExtendCounts[i]));
+    }
+  });
+  sender.join();
+  receiver.join();
+
+  FidelityDigest digest;
+  for (size_t i = 0; i < std::size(kExtendCounts); i++) {
+    digest.Add(kExtendCounts[i]);
+    for (size_t w = 0; w < PackedWords(kExtendCounts[i]); w++) {
+      digest.Add(pairs[i].r0[w]).Add(pairs[i].r1[w]).Add(chosen[i].r[w]);
+    }
+  }
+  ExpectGoldenDigest(digest.Hex(), "2e23a85972a9c94ec8241e1dd65e7367541f538266b24efd474b928c15e7b62b",
+                     "IKNP Extend transcript");
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ namespace {
 void ExpectTripleRelation(const std::vector<BitTriples>& member_shares) {
   ASSERT_FALSE(member_shares.empty());
   const size_t count = member_shares[0].count;
-  const size_t words = ot::PackedWords(count);
+  const size_t words = PackedWords(count);
   PackedBits a(words, 0), b(words, 0), c(words, 0);
   for (const BitTriples& t : member_shares) {
     ASSERT_EQ(t.count, count);
@@ -38,16 +38,16 @@ void ExpectTripleRelation(const std::vector<BitTriples>& member_shares) {
     }
   }
   for (size_t i = 0; i < count; i++) {
-    ASSERT_EQ(ot::GetBit(c, i), ot::GetBit(a, i) && ot::GetBit(b, i)) << "triple " << i;
+    ASSERT_EQ(GetBit(c, i), GetBit(a, i) && GetBit(b, i)) << "triple " << i;
   }
 }
 
 void ExpectSameTriples(const BitTriples& x, const BitTriples& y) {
   ASSERT_EQ(x.count, y.count);
   for (size_t i = 0; i < x.count; i++) {
-    ASSERT_EQ(ot::GetBit(x.a, i), ot::GetBit(y.a, i)) << "a bit " << i;
-    ASSERT_EQ(ot::GetBit(x.b, i), ot::GetBit(y.b, i)) << "b bit " << i;
-    ASSERT_EQ(ot::GetBit(x.c, i), ot::GetBit(y.c, i)) << "c bit " << i;
+    ASSERT_EQ(GetBit(x.a, i), GetBit(y.a, i)) << "a bit " << i;
+    ASSERT_EQ(GetBit(x.b, i), GetBit(y.b, i)) << "b bit " << i;
+    ASSERT_EQ(GetBit(x.c, i), GetBit(y.c, i)) << "c bit " << i;
   }
 }
 
@@ -108,14 +108,14 @@ TEST(TripleFactoryTest, ViewsAreDisjointDeterministicSlices) {
   auto whole = make_run({100});
   for (int m = 0; m < 3; m++) {
     BitTriples rejoined = split[m][0];
-    size_t words = ot::PackedWords(100);
+    size_t words = PackedWords(100);
     rejoined.a.resize(words, 0);
     rejoined.b.resize(words, 0);
     rejoined.c.resize(words, 0);
     for (size_t i = 0; i < 70; i++) {
-      ot::SetBit(rejoined.a, 30 + i, ot::GetBit(split[m][1].a, i));
-      ot::SetBit(rejoined.b, 30 + i, ot::GetBit(split[m][1].b, i));
-      ot::SetBit(rejoined.c, 30 + i, ot::GetBit(split[m][1].c, i));
+      SetBit(rejoined.a, 30 + i, GetBit(split[m][1].a, i));
+      SetBit(rejoined.b, 30 + i, GetBit(split[m][1].b, i));
+      SetBit(rejoined.c, 30 + i, GetBit(split[m][1].c, i));
     }
     rejoined.count = 100;
     ExpectSameTriples(rejoined, whole[m][0]);
