@@ -619,10 +619,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         }
       }
     }
-    if (es.Width() > 1 && spec.aggregation_fanout > 0) {
-      *error = "an ensemble wider than 1 requires flat aggregation (fanout 0)";
-      return std::nullopt;
-    }
   }
   if (!node_endpoints.empty()) {
     // `node` directives describe a multi-machine deployment: the driver

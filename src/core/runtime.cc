@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "src/common/bits.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/ha/checkpoint.h"
@@ -22,11 +23,13 @@ constexpr net::SessionId kTransferSession = 3ULL << 60;
 constexpr net::SessionId kAggGatherSession = 4ULL << 60;
 constexpr net::SessionId kAggEvalSession = 5ULL << 60;
 constexpr net::SessionId kAggCombineSession = 6ULL << 60;
-// All lockstep batched GMW exchanges share one session: phases are
-// separated by scheduler barriers (every message of a phase is consumed
-// before the next phase sends), so the per-(from, to, session) FIFO order
-// inside a phase is the only order that matters — and batch_eval.h fixes it
-// by instance order_key.
+// Lockstep batched GMW exchanges share one session per kind of phase:
+// kBatchSession for computation steps, kAggEvalSession for every
+// aggregation stage and the final opening. Phases and stages are separated
+// by scheduler barriers (every message of one is consumed before the next
+// sends), so the per-(from, to, session) FIFO order inside a phase is the
+// only order that matters — and batch_eval.h fixes it by instance
+// order_key.
 constexpr net::SessionId kBatchSession = 7ULL << 60;
 
 // Triple-source tags outside the vertex-id space.
@@ -39,6 +42,13 @@ Bytes PackBits(const mpc::BitVector& bits) {
       out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
     }
   }
+  return out;
+}
+
+// GmwParty::Open's wire format: PackBits zero-padded to whole 8-byte words.
+Bytes PackWords(const mpc::BitVector& bits) {
+  Bytes out = PackBits(bits);
+  out.resize(PackedWords(bits.size()) * 8, 0);
   return out;
 }
 
@@ -94,6 +104,21 @@ uint64_t RolePrgSeed(uint64_t run_seed, uint64_t role_tag) {
   return run_seed * 0x9e3779b97f4a7c15ULL + role_tag;
 }
 
+std::vector<AggregationStage> AggregationShape(int num_vertices, int fanout) {
+  // fanout 1 would make the tree's reduction never shrink.
+  DSTRESS_CHECK(fanout == 0 || fanout >= 2);
+  std::vector<AggregationStage> stages;
+  int inputs = num_vertices;
+  if (fanout > 0) {
+    do {
+      stages.push_back({inputs, fanout});
+      inputs = stages.back().groups();
+    } while (inputs > fanout);
+  }
+  stages.push_back({inputs, inputs});
+  return stages;
+}
+
 Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
                  const VertexProgram& program)
     : config_(config),
@@ -102,8 +127,6 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
       update_circuit_(BuildUpdateCircuit(program)),
       update_plan_(update_circuit_) {
   DSTRESS_CHECK(graph.MaxDegree() <= program.degree_bound);
-  // fanout 1 would make the aggregation-tree reduction never shrink.
-  DSTRESS_CHECK(config.aggregation_fanout != 1);
   if (config.checkpoint_every > 0 || config.resume) {
     // Checkpoints only rewind dealer triple tapes (src/ha/checkpoint.h);
     // OT sessions hold cross-process key state that cannot be restored.
@@ -146,6 +169,35 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
     factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
     factory_options.pipeline = config_.ot_prefetch;
     triple_factory_ = std::make_unique<mpc::TripleFactory>(net_.get(), factory_options);
+  }
+
+  // The aggregation plan: the shared shape, with extra blocks for the
+  // tree's leaf and combine groups drawn from the RolePrg(0x55, 0) stream.
+  // Stage 0 sums vertex states with the aggregate circuit, later stages
+  // sum partials with the combine circuit, and only the root's circuit adds
+  // the output noise.
+  if (config.aggregation_fanout > 0) {
+    agg_noise_tag_ = 0x66;
+  }
+  const std::vector<AggregationStage> shape =
+      AggregationShape(graph.num_vertices(), config.aggregation_fanout);
+  auto block_prg = RolePrg(0x55, 0);
+  for (uint64_t k = 0; k < shape.size(); k++) {
+    const bool root = k + 1 == shape.size();
+    AggStage stage;
+    stage.shape = shape[k];
+    stage.input_session = k == 0 ? kAggGatherSession : kAggCombineSession | (k << 32);
+    stage.tag_base = root ? kAggTripleTag : kAggTripleTag + 1 + (k << 20);
+    for (int g = 0; g < stage.shape.groups(); g++) {
+      stage.blocks.push_back(root ? setup_.aggregation_block : setup_.MakeExtraBlock(block_prg));
+      const int size = stage.shape.GroupSize(g);
+      if (stage.plans.count(size) == 0) {
+        stage.plans.emplace(size, k == 0 ? BuildAggregateCircuit(program_, size, root)
+                                         : BuildCombineCircuit(program_, size, root));
+      }
+      agg_and_gates_ += stage.PlanFor(g).stats().num_and;
+    }
+    agg_stages_.push_back(std::move(stage));
   }
 }
 
@@ -200,75 +252,22 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
   if (triple_factory_ == nullptr) {
     return;
   }
-  const int n = graph_.num_vertices();
+  // Every lane draws each group's AND count from the group's shared
+  // (tag, member) source (Aggregate), so one demand per group covers all.
   std::vector<mpc::TripleDemand> demands;
-  if (config_.aggregation_fanout == 0) {
-    const size_t num_and =
-        BuildAggregateCircuit(program_, n, /*with_noise=*/true).stats().num_and;
-    if (num_and > 0) {
+  for (const AggStage& stage : agg_stages_) {
+    for (int g = 0; g < stage.shape.groups(); g++) {
+      const size_t num_and = stage.PlanFor(g).stats().num_and;
+      if (num_and == 0) {
+        continue;
+      }
       mpc::TripleDemand d;
-      d.tag = kAggTripleTag;
-      d.parties = setup_.aggregation_block;
+      d.tag = stage.tag_base + static_cast<uint64_t>(g);
+      d.parties = stage.blocks[g];
       d.count = num_and * static_cast<size_t>(num_scenarios);
       demands.push_back(std::move(d));
     }
-    triple_factory_->Enqueue(std::move(demands));
-    return;
   }
-  // Tree aggregation (solo runs only — ensembles require fanout 0).
-  // Re-derive the level structure exactly as AggregateTree will: same
-  // RolePrg(0x55, 0) block stream, same per-size circuits, so the demand
-  // tags and counts line up with what each tree role draws.
-  DSTRESS_CHECK(num_scenarios == 1);
-  const int fanout = config_.aggregation_fanout;
-  auto block_prg = RolePrg(0x55, 0);
-  auto add_demand = [&](uint64_t tag, std::vector<int> parties, size_t count) {
-    if (count == 0) {
-      return;
-    }
-    mpc::TripleDemand d;
-    d.tag = tag;
-    d.parties = std::move(parties);
-    d.count = count;
-    demands.push_back(std::move(d));
-  };
-  int num_groups = (n + fanout - 1) / fanout;
-  std::map<int, size_t> leaf_ands;
-  for (int g = 0; g < num_groups; g++) {
-    std::vector<int> block = setup_.MakeExtraBlock(block_prg);
-    int size = std::min(n, g * fanout + fanout) - g * fanout;
-    auto it = leaf_ands.find(size);
-    if (it == leaf_ands.end()) {
-      it = leaf_ands
-               .emplace(size,
-                        BuildAggregateCircuit(program_, size, /*with_noise=*/false).stats().num_and)
-               .first;
-    }
-    add_demand(kAggTripleTag + 1 + static_cast<uint64_t>(g), std::move(block), it->second);
-  }
-  uint64_t level = 1;
-  int p = num_groups;
-  while (p > fanout) {
-    int next_groups = (p + fanout - 1) / fanout;
-    std::map<int, size_t> combine_ands;
-    for (int g = 0; g < next_groups; g++) {
-      std::vector<int> block = setup_.MakeExtraBlock(block_prg);
-      int size = std::min(p, g * fanout + fanout) - g * fanout;
-      auto it = combine_ands.find(size);
-      if (it == combine_ands.end()) {
-        it = combine_ands
-                 .emplace(size,
-                          BuildCombineCircuit(program_, size, /*with_noise=*/false).stats().num_and)
-                 .first;
-      }
-      add_demand(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), std::move(block),
-                 it->second);
-    }
-    p = next_groups;
-    level++;
-  }
-  add_demand(kAggTripleTag, setup_.aggregation_block,
-             BuildCombineCircuit(program_, p, /*with_noise=*/true).stats().num_and);
   triple_factory_->Enqueue(std::move(demands));
 }
 
@@ -349,12 +348,13 @@ int Runtime::RestoreCheckpoint() {
 // Scenario lanes. Run is RunEnsemble with one scenario: S scenarios advance
 // in lockstep as extra lanes of the batched planes, role (s, v) living at
 // flat share index s*n + v. Compute phases batch all S*n vertex instances
-// into one EvalBatchInstances pass and transfers run the scenario-salted
-// CommunicatePhase; lane 0's PRG instances, session ids and order keys are
-// the solo run's. Scenario s's released figure equals Run(initial_states[s]):
-// init-share and transfer randomness cancel out of opened values, and the
-// aggregation noise is drawn from the same (kNoiseRoleTag, m) streams every
-// solo run uses.
+// into one EvalBatchInstances pass, transfers run the scenario-salted
+// CommunicatePhase, and each aggregation stage batches every lane's groups;
+// lane 0's PRG instances, session ids and order keys are the solo run's.
+// Scenario s's released figure equals Run(initial_states[s]): init-share and
+// transfer randomness cancel out of opened values, and the aggregation
+// noise is drawn from the same (agg_noise_tag_, m) streams every solo run
+// uses.
 
 void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
   const int n = graph_.num_vertices();
@@ -408,8 +408,8 @@ void Runtime::ComputePhase(int num_scenarios) {
       roles.emplace_back(g, m);
     }
   }
-  RunBatchedPhase(
-      roles,
+  const size_t rounds = RunBatchedPhase(
+      kBatchSession, roles,
       [&](int g, int m) {
         // Triple sources are shared per (vertex, member) across scenarios —
         // consumed in ascending scenario order at every member, and triple
@@ -429,8 +429,8 @@ void Runtime::ComputePhase(int num_scenarios) {
       },
       [&](size_t i, const mpc::BitVector& output) {
         ScatterUpdateOutput(roles[i].first, roles[i].second, output);
-      },
-      /*count_rounds=*/true);
+      });
+  compute_rounds_ = std::max(compute_rounds_, rounds);
 }
 
 mpc::BitVector Runtime::AssembleUpdateInput(int v, int m) const {
@@ -458,10 +458,10 @@ void Runtime::ScatterUpdateOutput(int v, int m, const mpc::BitVector& output) {
 // Nothing ever parks: dealer tapes and factory views need no communication
 // at draw time (the OT traffic already ran in the offline wave), and each
 // round's receives are satisfied by sends earlier in the same round.
-void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                              const std::function<mpc::BatchInstance(int, int)>& make_item,
-                              const std::function<void(size_t, const mpc::BitVector&)>& sink,
-                              bool count_rounds) {
+size_t Runtime::RunBatchedPhase(net::SessionId session,
+                                const std::vector<std::pair<int, int>>& roles,
+                                const std::function<mpc::BatchInstance(int, int)>& make_item,
+                                const std::function<void(size_t, const mpc::BitVector&)>& sink) {
   std::vector<mpc::BatchInstance> items;
   items.reserve(roles.size());
   for (auto [g, m] : roles) {
@@ -469,15 +469,12 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
   }
   mpc::BatchStats stats;
   std::vector<mpc::BitVector> outputs =
-      mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
+      mpc::EvalBatchInstances(net_.get(), session, std::move(items), &stats);
   triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
-  if (count_rounds) {
-    // Exchange rounds are only meaningful for the update circuit.
-    compute_rounds_ = std::max(compute_rounds_, stats.rounds);
-  }
   for (size_t i = 0; i < roles.size(); i++) {
     sink(i, outputs[i]);
   }
+  return stats.rounds;
 }
 
 // A communication step: the per-edge role work runs through the wire-level
@@ -581,309 +578,115 @@ void Runtime::CommunicatePhase(int scenario) {
   });
 }
 
-int64_t Runtime::AggregateSingleLevel() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  circuit::Circuit agg_circuit = BuildAggregateCircuit(program_, n, /*with_noise=*/true);
-  last_aggregate_ands_ = agg_circuit.stats().num_and;
-
-  // Gather: member m of every B_v forwards its state share to member m of
-  // the aggregation block (index-aligned so collusion resistance carries
-  // over).
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                 PackBits(state_shares_[v][m]), kAggGatherSession | static_cast<uint64_t>(v));
-    }
-  }
-
-  std::vector<int64_t> results(k1, 0);
-  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
-    int m = static_cast<int>(m_flat);
-    int agg_node = setup_.aggregation_block[m];
-    mpc::BitVector input;
-    input.reserve(agg_circuit.num_inputs());
-    for (int v = 0; v < n; v++) {
-      Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
-                             kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::BitVector share = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-      mpc::AppendBits(&input, share);
-    }
-    // Noise randomness: each member feeds its own uniform bits as its input
-    // shares; the shared value is the XOR of all members' bits.
-    auto prg = RolePrg(kNoiseRoleTag, m_flat);
-    size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-    for (size_t b = 0; b < noise_bits; b++) {
-      input.push_back(prg.NextBit() ? 1 : 0);
-    }
-
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
-    mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
-    mpc::BitVector out_shares = party.Eval(agg_circuit, input);
-    triples_consumed_.fetch_add(agg_circuit.stats().num_and, std::memory_order_relaxed);
-    mpc::BitVector opened = party.Open(out_shares);
-    results[m] = mpc::BitsToSignedWord(opened, 0, program_.aggregate_bits);
-  });
-  return results[0];
-}
-
-int64_t Runtime::AggregateTree() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  int fanout = config_.aggregation_fanout;
-  int num_groups = (n + fanout - 1) / fanout;
-
-  // Deterministic extra blocks for the tree leaves.
-  auto block_prg = RolePrg(0x55, 0);
-  std::vector<std::vector<int>> blocks;
-  blocks.reserve(num_groups);
-  for (int g = 0; g < num_groups; g++) {
-    blocks.push_back(setup_.MakeExtraBlock(block_prg));
-  }
-
-  // Gather shares to the leaf blocks.
-  for (int v = 0; v < n; v++) {
-    int g = v / fanout;
-    for (int m = 0; m < k1; m++) {
-      net_->Send(setup_.blocks[v][m], blocks[g][m], PackBits(state_shares_[v][m]),
-                 kAggGatherSession | static_cast<uint64_t>(v));
-    }
-  }
-
-  // Every stage below the root runs all its roles in lockstep (see
-  // ComputePhase): group g of a stage sums up to `fanout` of its `inputs`
-  // shared words into one shared partial on stage_blocks[g], drawing
-  // triples under tag_base + g. Each distinct group size needs its own
-  // circuit (the last group may be short), compiled once per run.
-  std::map<std::pair<bool, int>, std::pair<circuit::Circuit, circuit::EvalPlan>> plans;
-  auto plan_for = [&](bool leaf, int size) -> const circuit::EvalPlan& {
-    auto it = plans.find({leaf, size});
-    if (it == plans.end()) {
-      circuit::Circuit c = leaf ? BuildAggregateCircuit(program_, size, /*with_noise=*/false)
-                                : BuildCombineCircuit(program_, size, /*with_noise=*/false);
-      circuit::EvalPlan plan(c);
-      it = plans.emplace(std::make_pair(leaf, size), std::make_pair(std::move(c), std::move(plan)))
-               .first;
-    }
-    return it->second.second;
-  };
-  auto run_stage = [&](bool leaf, int inputs, const std::vector<std::vector<int>>& stage_blocks,
-                       uint64_t tag_base, const std::function<mpc::BitVector(int, int)>& input_of) {
-    std::vector<std::pair<int, int>> roles;
-    roles.reserve(stage_blocks.size() * k1);
-    for (int g = 0; g < static_cast<int>(stage_blocks.size()); g++) {
-      for (int m = 0; m < k1; m++) {
-        roles.emplace_back(g, m);
+// The aggregation of S lanes along the plan. At every stage, member m of
+// each input's block forwards its share to member m of its group's block
+// (index-aligned, so collusion resistance carries over), and every (lane,
+// group, member) role then evaluates its sum circuit in one lockstep batch;
+// the root's members also feed their noise bits. Lane s uses sessions
+// salted with s << 40 and the noise stream of its solo run, so lane 0's
+// messages are the solo run's and every lane releases its solo figure.
+std::vector<int64_t> Runtime::Aggregate(int num_scenarios) {
+  const int k1 = config_.block_size;
+  // Input i of lane s at the current stage: member m's share is
+  // (*inputs)[s * num_inputs + i][m], held by member m of (*holders)[i].
+  const std::vector<std::vector<mpc::BitVector>>* inputs = &state_shares_;
+  const std::vector<std::vector<int>>* holders = &setup_.blocks;
+  size_t input_bits = static_cast<size_t>(program_.state_bits);
+  std::vector<std::vector<mpc::BitVector>> partials;
+  for (const AggStage& stage : agg_stages_) {
+    const bool root = &stage == &agg_stages_.back();
+    const int num_inputs = stage.shape.inputs;
+    const int width = stage.shape.width;
+    const int groups = stage.shape.groups();
+    for (int s = 0; s < num_scenarios; s++) {
+      const uint64_t salt = static_cast<uint64_t>(s) << 40;
+      for (int i = 0; i < num_inputs; i++) {
+        for (int m = 0; m < k1; m++) {
+          net_->Send((*holders)[i][m], stage.blocks[i / width][m],
+                     PackBits((*inputs)[static_cast<size_t>(s) * num_inputs + i][m]),
+                     stage.input_session | salt | static_cast<uint64_t>(i));
+        }
       }
     }
-    std::vector<std::vector<mpc::BitVector>> out(stage_blocks.size(),
-                                                 std::vector<mpc::BitVector>(k1));
+
+    std::vector<std::pair<int, int>> roles;  // (lane * groups + group, member)
+    roles.reserve(static_cast<size_t>(num_scenarios) * groups * k1);
+    for (int r = 0; r < num_scenarios * groups; r++) {
+      for (int m = 0; m < k1; m++) {
+        roles.emplace_back(r, m);
+      }
+    }
+    std::vector<std::vector<mpc::BitVector>> outputs(static_cast<size_t>(num_scenarios) * groups,
+                                                     std::vector<mpc::BitVector>(k1));
     RunBatchedPhase(
-        roles,
-        [&](int g, int m) {
-          const circuit::EvalPlan& plan =
-              plan_for(leaf, std::min(inputs, g * fanout + fanout) - g * fanout);
-          mpc::TripleSource* source = TripleSourceFor(tag_base + static_cast<uint64_t>(g), m);
+        kAggEvalSession, roles,
+        [&](int r, int m) {
+          const int g = r % groups;
+          const uint64_t salt = static_cast<uint64_t>(r / groups) << 40;
+          const circuit::EvalPlan& plan = stage.PlanFor(g);
           mpc::BatchInstance item;
           item.plan = &plan;
-          item.parties = stage_blocks[g];
+          item.parties = stage.blocks[g];
           item.my_index = m;
-          if (plan.stats().num_and > 0) {
-            item.triples = source->Generate(plan.stats().num_and);
+          for (int i = g * width; i < g * width + stage.shape.GroupSize(g); i++) {
+            Bytes raw = net_->Recv(stage.blocks[g][m], (*holders)[i][m],
+                                   stage.input_session | salt | static_cast<uint64_t>(i));
+            mpc::AppendBits(&item.input_shares, UnpackBits(raw, input_bits));
           }
-          item.input_shares = input_of(g, m);
-          item.order_key = static_cast<uint64_t>(g);
+          if (root) {
+            // Noise randomness: each member feeds its own uniform bits as
+            // its input shares; the shared value is the XOR of all
+            // members' bits.
+            auto prg = RolePrg(agg_noise_tag_, static_cast<uint64_t>(m));
+            const size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
+            for (size_t b = 0; b < noise_bits; b++) {
+              item.input_shares.push_back(prg.NextBit() ? 1 : 0);
+            }
+          }
+          if (plan.stats().num_and > 0) {
+            item.triples = TripleSourceFor(stage.tag_base + static_cast<uint64_t>(g), m)
+                               ->Generate(plan.stats().num_and);
+          }
+          item.order_key = static_cast<uint64_t>(r);
           return item;
         },
         [&](size_t i, const mpc::BitVector& output) {
-          out[roles[i].first][roles[i].second] = output;
-        },
-        /*count_rounds=*/false);
-    return out;
-  };
-
-  // Leaf level: partial sums of up to `fanout` vertex states stay shared.
-  std::vector<std::vector<mpc::BitVector>> shares =
-      run_stage(/*leaf=*/true, n, blocks, kAggTripleTag + 1, [&](int g, int m) {
-        mpc::BitVector input;
-        for (int v = g * fanout; v < std::min(n, g * fanout + fanout); v++) {
-          Bytes raw = net_->Recv(blocks[g][m], setup_.blocks[v][m],
-                                 kAggGatherSession | static_cast<uint64_t>(v));
-          mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-        }
-        return input;
-      });
-
-  // Intermediate combine levels (without noise) until one root group of at
-  // most `fanout` partials remains — the general tree of §3.6. For the
-  // N=1750, fanout=100 deployment this loop never executes (depth 2); it
-  // matters when fanout is small relative to N.
-  uint64_t level = 1;
-  while (static_cast<int>(shares.size()) > fanout) {
-    int p = static_cast<int>(shares.size());
-    int next_groups = (p + fanout - 1) / fanout;
-    std::vector<std::vector<int>> next_blocks;
-    next_blocks.reserve(next_groups);
-    for (int g = 0; g < next_groups; g++) {
-      next_blocks.push_back(setup_.MakeExtraBlock(block_prg));
-    }
-    for (int g = 0; g < p; g++) {
-      for (int m = 0; m < k1; m++) {
-        net_->Send(blocks[g][m], next_blocks[g / fanout][m], PackBits(shares[g][m]),
-                   kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      }
-    }
-    shares = run_stage(
-        /*leaf=*/false, p, next_blocks, kAggTripleTag + 1 + (level << 20), [&](int g, int m) {
-          mpc::BitVector input;
-          for (int child = g * fanout; child < std::min(p, g * fanout + fanout); child++) {
-            Bytes raw =
-                net_->Recv(next_blocks[g][m], blocks[child][m],
-                           kAggCombineSession | (level << 32) | static_cast<uint64_t>(child));
-            mpc::AppendBits(&input,
-                            UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
-          }
-          return input;
+          outputs[roles[i].first][roles[i].second] = output;
         });
-    blocks = std::move(next_blocks);
-    level++;
+    partials = std::move(outputs);
+    inputs = &partials;
+    holders = &stage.blocks;
+    input_bits = static_cast<size_t>(program_.aggregate_bits);
   }
 
-  // Root: combine the remaining partials and add the output noise.
-  int p = static_cast<int>(shares.size());
-  for (int g = 0; g < p; g++) {
-    for (int m = 0; m < k1; m++) {
-      net_->Send(blocks[g][m], setup_.aggregation_block[m], PackBits(shares[g][m]),
-                 kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    }
-  }
-  circuit::Circuit combine_circuit = BuildCombineCircuit(program_, p, /*with_noise=*/true);
-  last_aggregate_ands_ += combine_circuit.stats().num_and;
-  std::vector<int64_t> results(k1, 0);
-  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
-    int m = static_cast<int>(m_flat);
-    int root_node = setup_.aggregation_block[m];
-    mpc::BitVector input;
-    for (int g = 0; g < p; g++) {
-      Bytes raw = net_->Recv(root_node, blocks[g][m],
-                             kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
-    }
-    auto prg = RolePrg(0x66, m_flat);
-    size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-    for (size_t b = 0; b < noise_bits; b++) {
-      input.push_back(prg.NextBit() ? 1 : 0);
-    }
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
-    mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
-    mpc::BitVector out_shares = party.Eval(combine_circuit, input);
-    triples_consumed_.fetch_add(combine_circuit.stats().num_and, std::memory_order_relaxed);
-    mpc::BitVector opened = party.Open(out_shares);
-    results[m] = mpc::BitsToSignedWord(opened, 0, program_.aggregate_bits);
-  });
-  return results[0];
-}
-
-int64_t Runtime::AggregatePhase() {
-  if (config_.aggregation_fanout > 0) {
-    return AggregateTree();
-  }
-  return AggregateSingleLevel();
-}
-
-std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
-  const int n = graph_.num_vertices();
-  const int k1 = config_.block_size;
-  circuit::Circuit agg_circuit = BuildAggregateCircuit(program_, n, /*with_noise=*/true);
-  circuit::EvalPlan agg_plan(agg_circuit);
-  const size_t num_and = agg_circuit.stats().num_and;
-  last_aggregate_ands_ = num_and * static_cast<size_t>(num_scenarios);
-
+  // Open every lane's noised total: each member of the aggregation block
+  // sends its output shares to every other member in GmwParty::Open's wire
+  // format, and the XOR of all members' shares is the release.
+  const std::vector<int>& agg = setup_.aggregation_block;
   for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    for (int v = 0; v < n; v++) {
-      for (int m = 0; m < k1; m++) {
-        net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                   PackBits(state_shares_[static_cast<size_t>(s) * n + v][m]),
-                   kAggGatherSession | salt | static_cast<uint64_t>(v));
-      }
-    }
-  }
-
-  std::vector<std::pair<int, int>> roles;  // (scenario, member)
-  roles.reserve(static_cast<size_t>(num_scenarios) * k1);
-  for (int s = 0; s < num_scenarios; s++) {
+    const net::SessionId session = kAggEvalSession | (static_cast<uint64_t>(s) << 40);
     for (int m = 0; m < k1; m++) {
-      roles.emplace_back(s, m);
-    }
-  }
-  std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
-                                                      std::vector<mpc::BitVector>(k1));
-  RunBatchedPhase(
-      roles,
-      [&](int s, int m) {
-        const uint64_t salt = static_cast<uint64_t>(s) << 40;
-        mpc::BitVector input;
-        input.reserve(agg_circuit.num_inputs());
-        for (int v = 0; v < n; v++) {
-          Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.blocks[v][m],
-                                 kAggGatherSession | salt | static_cast<uint64_t>(v));
-          mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-        }
-        // Fresh (kNoiseRoleTag, m) stream per scenario: every lane gets the
-        // exact noise its solo run would draw.
-        auto prg = RolePrg(kNoiseRoleTag, static_cast<uint64_t>(m));
-        size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-        for (size_t b = 0; b < noise_bits; b++) {
-          input.push_back(prg.NextBit() ? 1 : 0);
-        }
-        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m);
-        mpc::BatchInstance item;
-        item.plan = &agg_plan;
-        item.parties = setup_.aggregation_block;
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
-        item.input_shares = std::move(input);
-        item.order_key = static_cast<uint64_t>(s);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        out_shares[roles[i].first][roles[i].second] = output;
-      },
-      /*count_rounds=*/false);
-
-  // Open every scenario's noised aggregate: a full share exchange among the
-  // aggregation block (every member both sends and receives, so no session
-  // queue is left behind).
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    for (int m = 0; m < k1; m++) {
+      const Bytes block = PackWords(partials[s][m]);
       for (int m2 = 0; m2 < k1; m2++) {
-        if (m2 == m) {
-          continue;
+        if (m2 != m) {
+          net_->Send(agg[m], agg[m2], block, session);
         }
-        net_->Send(setup_.aggregation_block[m], setup_.aggregation_block[m2],
-                   PackBits(out_shares[s][m]),
-                   kAggCombineSession | salt | static_cast<uint64_t>(m));
       }
     }
   }
   std::vector<int64_t> results(num_scenarios, 0);
   for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
+    const net::SessionId session = kAggEvalSession | (static_cast<uint64_t>(s) << 40);
     for (int m = 0; m < k1; m++) {
-      mpc::BitVector opened = out_shares[s][m];
+      mpc::BitVector opened = partials[s][m];
       for (int m2 = 0; m2 < k1; m2++) {
         if (m2 == m) {
           continue;
         }
-        Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.aggregation_block[m2],
-                               kAggCombineSession | salt | static_cast<uint64_t>(m2));
-        mpc::BitVector other = UnpackBits(raw, opened.size());
+        Bytes raw = net_->Recv(agg[m], agg[m2], session);
+        DSTRESS_CHECK(raw.size() == PackedWords(opened.size()) * 8);
         for (size_t b = 0; b < opened.size(); b++) {
-          opened[b] ^= other[b];
+          opened[b] ^= (raw[b / 8] >> (b % 8)) & 1;
         }
       }
       if (m == 0) {
@@ -905,10 +708,8 @@ std::vector<int64_t> Runtime::RunEnsemble(
   for (const std::vector<mpc::BitVector>& states : initial_states) {
     DSTRESS_CHECK(static_cast<int>(states.size()) == graph_.num_vertices());
   }
-  // S > 1 aggregates all scenarios through the flat batched aggregation;
-  // the tree variant has no ensemble schedule. Checkpoints cover solo runs.
+  // Checkpoints cover solo runs.
   const bool solo = num_scenarios == 1;
-  DSTRESS_CHECK(solo || config_.aggregation_fanout == 0);
 
   RunMetrics local;
   RunMetrics* m = metrics != nullptr ? metrics : &local;
@@ -982,10 +783,8 @@ std::vector<int64_t> Runtime::RunEnsemble(
   phase_bytes = net_->TotalBytes();
 
   phase.Reset();
-  last_aggregate_ands_ = 0;
-  std::vector<int64_t> results =
-      solo ? std::vector<int64_t>{AggregatePhase()} : AggregateEnsemble(num_scenarios);
-  m->aggregate_and_gates = last_aggregate_ands_;
+  std::vector<int64_t> results = Aggregate(num_scenarios);
+  m->aggregate_and_gates = agg_and_gates_ * static_cast<size_t>(num_scenarios);
   m->aggregate.seconds = phase.ElapsedSeconds();
   m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
 

@@ -38,18 +38,19 @@
 //    partials per level (all sums stay shared), and only the root adds
 //    noise and opens.
 //
-// Scheduling: a computation step (and each stage of the aggregation tree)
-// is one lockstep batched evaluation of all its roles on the scheduler
-// thread (docs/packed-eval.md). Transfers and the aggregation root run as
+// Scheduling: a computation step and each stage of the aggregation (leaf,
+// combine levels and root alike) is one lockstep batched evaluation of all
+// its roles on the scheduler thread (docs/packed-eval.md). Transfers run as
 // (group, subtask) tasks on the worker pool, where a group is one edge
-// transfer or the aggregation block. The pool admits whole groups only
-// while every subtask of the admitted set can hold a thread concurrently;
-// sends never block, so every admitted protocol instance eventually
-// progresses — see worker_pool.h for the full invariant. The pool's threads
-// persist across phases and runs, so a run pays thread creation once.
+// transfer. The pool admits whole groups only while every subtask of the
+// admitted set can hold a thread concurrently; sends never block, so every
+// admitted protocol instance eventually progresses — see worker_pool.h for
+// the full invariant. The pool's threads persist across phases and runs, so
+// a run pays thread creation once.
 #ifndef SRC_CORE_RUNTIME_H_
 #define SRC_CORE_RUNTIME_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -94,7 +95,8 @@ struct RuntimeConfig {
   // way (asserted in triple_factory_test.cc).
   bool ot_prefetch = true;
   // 0 = single aggregation block; >0 = aggregation tree with this group
-  // size per level (depth grows as log_fanout(N)).
+  // size per level (depth grows as log_fanout(N)). Either shape serves solo
+  // runs and ensembles of any width alike.
   int aggregation_fanout = 0;
   // Target number of concurrently live role threads (0 = auto). The worker
   // pool grows past this if a single protocol group needs more.
@@ -136,6 +138,23 @@ struct RuntimeConfig {
 constexpr uint64_t kNoiseRoleTag = 0x44;
 uint64_t RolePrgSeed(uint64_t run_seed, uint64_t role_tag);
 
+// One stage of the §3.6 aggregation: `inputs` values summed in groups of
+// `width` (the last group may be short); the stage's groups are the next
+// stage's inputs.
+struct AggregationStage {
+  int inputs = 0;
+  int width = 0;
+  int groups() const { return (inputs + width - 1) / width; }
+  int GroupSize(int g) const { return std::min(inputs, g * width + width) - g * width; }
+};
+
+// The aggregation's shape over n vertex states, shared with the engine's
+// cleartext backend so both planes gather along the same tree. The last
+// stage is the root, a single group. fanout 0 is the flat aggregation, the
+// root alone; fanout >= 2 puts leaf groups of `fanout` states and combine
+// levels, until at most `fanout` partials remain, before the root.
+std::vector<AggregationStage> AggregationShape(int num_vertices, int fanout);
+
 struct PhaseMetrics {
   double seconds = 0;
   uint64_t bytes = 0;
@@ -150,6 +169,7 @@ struct RunMetrics {
   uint64_t total_bytes = 0;
   double avg_bytes_per_node = 0;
   size_t update_and_gates = 0;
+  // Every aggregation stage's groups (leaf, combine and root), x lanes.
   size_t aggregate_and_gates = 0;
   // Circuit-stats surface (run_spec.h FormatReport): the update circuit's
   // AND depth is the number of GMW communication rounds one computation
@@ -204,8 +224,9 @@ class Runtime {
   // aggregates are opened. Scenario s's figure is identical to
   // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
   // masks, aggregation noise) reproduce the solo streams, and Run is the
-  // S == 1 case (bit-identical traffic included). S > 1 requires
-  // aggregation_fanout == 0 (flat aggregation).
+  // S == 1 case (bit-identical traffic included). Every instance sends its
+  // solo messages, so in dealer mode each node's TrafficStats are the sum
+  // of its S solo runs', under flat and tree aggregation alike.
   std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
                                    RunMetrics* metrics);
 
@@ -230,11 +251,11 @@ class Runtime {
   // Four barrier-separated sub-phases of per-edge batched transfer crypto
   // for lane `scenario`; see docs/transfer-crypto.md.
   void CommunicatePhase(int scenario);
-  // Solo aggregation (flat or tree) and the flat S-lane aggregation.
-  int64_t AggregatePhase();
-  int64_t AggregateSingleLevel();
-  int64_t AggregateTree();
-  std::vector<int64_t> AggregateEnsemble(int num_scenarios);
+  // The §3.6 aggregation of every lane along agg_stages_: each stage is one
+  // lockstep batched evaluation over lanes x groups x members, and each
+  // lane's noised total is then opened on the aggregation block. Returns
+  // the S released figures.
+  std::vector<int64_t> Aggregate(int num_scenarios);
 
   // This party's share of one update-circuit input vector (state + incoming
   // message slots) and the inverse scatter of an output vector.
@@ -242,15 +263,15 @@ class Runtime {
   void ScatterUpdateOutput(int v, int m, const mpc::BitVector& output);
 
   // A batched MPC phase over `roles` = (group, member) pairs: one lockstep
-  // EvalBatchInstances call on the calling thread. Dealer tapes and
-  // factory views need no communication at draw time, so nothing ever
-  // parks: each round's receives are satisfied by sends earlier in the same
-  // round. make_item(g, m) builds the instance (triples drawn inside, in
-  // role order), sink(i, output) stores role i's output shares.
-  void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                       const std::function<mpc::BatchInstance(int, int)>& make_item,
-                       const std::function<void(size_t, const mpc::BitVector&)>& sink,
-                       bool count_rounds);
+  // EvalBatchInstances call on the calling thread, exchanging on `session`.
+  // Dealer tapes and factory views need no communication at draw time, so
+  // nothing ever parks: each round's receives are satisfied by sends
+  // earlier in the same round. make_item(g, m) builds the instance (triples
+  // drawn inside, in role order), sink(i, output) stores role i's output
+  // shares. Returns the exchange rounds the phase took.
+  size_t RunBatchedPhase(net::SessionId session, const std::vector<std::pair<int, int>>& roles,
+                         const std::function<mpc::BatchInstance(int, int)>& make_item,
+                         const std::function<void(size_t, const mpc::BitVector&)>& sink);
 
   // The triple source of role (tag, member): a factory view with OT
   // triples, a persistent dealer tape otherwise.
@@ -260,8 +281,8 @@ class Runtime {
   // Offline-phase demand estimation (config_.use_ot_triples): registers one
   // factory wave covering every triple the named phase will draw —
   // update-circuit AND count x scenarios per vertex block for a
-  // computation step, the aggregation circuits' AND counts for the
-  // aggregation step (flat or tree). No-ops when the factory is off.
+  // computation step; for the aggregation step, each group's AND count x
+  // scenarios, read from agg_stages_. No-ops when the factory is off.
   void EnqueueComputeWave(int num_scenarios);
   void EnqueueAggregateWave(int num_scenarios);
 
@@ -275,6 +296,24 @@ class Runtime {
   void SaveCheckpoint(int next_iteration, RunMetrics* m);
   int RestoreCheckpoint();
 
+  // One stage of the aggregation plan, group g evaluated on blocks[g]. The
+  // first stage's inputs are the vertex states; a later stage's are the
+  // previous stage's shared partials, input i held by that stage's
+  // blocks[i]. The root's single group runs on the aggregation block and
+  // also adds the output noise.
+  struct AggStage {
+    AggregationStage shape;
+    std::vector<std::vector<int>> blocks;
+    // Input i of lane s arrives on input_session | (s << 40) | i.
+    net::SessionId input_session = 0;
+    // Group g draws its triples under tag_base + g.
+    uint64_t tag_base = 0;
+    // One plan per distinct group size.
+    std::map<int, circuit::EvalPlan> plans;
+
+    const circuit::EvalPlan& PlanFor(int g) const { return plans.at(shape.GroupSize(g)); }
+  };
+
   RuntimeConfig config_;
   const graph::Graph& graph_;
   VertexProgram program_;
@@ -284,6 +323,13 @@ class Runtime {
   circuit::EvalPlan update_plan_;
   transfer::TransferParams transfer_params_;
   TrustedSetup setup_;
+  // The aggregation plan, built once per runtime and shared by every run,
+  // lane and offline wave; the root draws its noise from role
+  // agg_noise_tag_ (kNoiseRoleTag flat, 0x66 under a tree).
+  std::vector<AggStage> agg_stages_;
+  uint64_t agg_noise_tag_ = kNoiseRoleTag;
+  // AND gates one lane's aggregation evaluates, over every stage's groups.
+  size_t agg_and_gates_ = 0;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<crypto::DlogTable> dlog_table_;
   // Noise points for the batched aggregation step, sized to the dlog table
@@ -307,7 +353,6 @@ class Runtime {
   std::unique_ptr<mpc::TripleFactory> triple_factory_;
 
   std::vector<std::pair<int, int>> edges_;
-  size_t last_aggregate_ands_ = 0;
 
   // Per-run circuit-stat accumulators (RunMetrics surface).
   std::atomic<uint64_t> triples_consumed_{0};

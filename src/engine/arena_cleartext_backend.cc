@@ -25,31 +25,11 @@ namespace dstress::engine {
 
 namespace {
 
-// Session namespaces and aggregator role of the cleartext wire format,
-// mirroring the secure runtime's convention of keying streams by phase.
+// Session namespaces of the cleartext wire format, mirroring the secure
+// runtime's convention of keying streams by phase.
 constexpr net::SessionId kEdgeSession = 1ULL << 60;
 constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
-constexpr net::NodeId kAggregatorNode = 0;
-
-Bytes PackBits(const mpc::BitVector& bits) {
-  Bytes out((bits.size() + 7) / 8, 0);
-  for (size_t i = 0; i < bits.size(); i++) {
-    if (bits[i] & 1) {
-      out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    }
-  }
-  return out;
-}
-
-mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
-  DSTRESS_CHECK(raw.size() == (bits + 7) / 8);
-  mpc::BitVector out(bits);
-  for (size_t i = 0; i < bits; i++) {
-    out[i] = (raw[i / 8] >> (i % 8)) & 1;
-  }
-  return out;
-}
 
 uint64_t BitsToWord(const std::vector<uint8_t>& bits) {
   uint64_t value = 0;
@@ -57,14 +37,6 @@ uint64_t BitsToWord(const std::vector<uint8_t>& bits) {
     value |= static_cast<uint64_t>(bits[i] & 1) << i;
   }
   return value;
-}
-
-mpc::BitVector WordToBits(uint64_t value, int bits) {
-  mpc::BitVector out(static_cast<size_t>(bits));
-  for (int i = 0; i < bits; i++) {
-    out[i] = (value >> i) & 1;
-  }
-  return out;
 }
 
 class ArenaCleartextBackend : public ExecutionBackend {
@@ -77,12 +49,27 @@ class ArenaCleartextBackend : public ExecutionBackend {
         update_circuit_(core::BuildUpdateCircuit(program_)),
         contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)) {
     DSTRESS_CHECK(graph_.MaxDegree() <= program_.degree_bound);
-    DSTRESS_CHECK(config_.aggregation_fanout != 1);
 
     circuit::Builder noise_builder;
     noise_builder.OutputWord(dp::BuildGeometricNoise(noise_builder, program_.output_noise,
                                                      program_.aggregate_bits));
     noise_circuit_ = std::make_unique<circuit::Circuit>(noise_builder.Build());
+
+    std::vector<int> holders(static_cast<size_t>(graph_.num_vertices()));
+    for (size_t v = 0; v < holders.size(); v++) {
+      holders[v] = static_cast<int>(v);
+    }
+    const std::vector<core::AggregationStage> shape =
+        core::AggregationShape(graph_.num_vertices(), config_.aggregation_fanout);
+    for (uint64_t k = 0; k < shape.size(); k++) {
+      GatherStage stage{shape[k], holders, {},
+                        k == 0 ? kGatherSession : kCombineSession | (k << 32)};
+      for (int g = 0; g < shape[k].groups(); g++) {
+        stage.owners.push_back(holders[static_cast<size_t>(g * shape[k].width)]);
+      }
+      holders = stage.owners;
+      gather_stages_.push_back(std::move(stage));
+    }
 
     net_ = net::MakeTransport(
         config_.transport.WithChannelHighWatermark(config_.channel_high_watermark_bytes),
@@ -155,43 +142,47 @@ class ArenaCleartextBackend : public ExecutionBackend {
     return BitsToWord(noise_circuit_->Eval(noise_input));
   }
 
-  // Flat gather for a plane of S scenario lanes (the solo S=1 case
-  // included): every vertex's state payload crosses to node 0 — as one
+  // One level of the aggregation hop schedule (core::AggregationShape):
+  // input i travels from holders[i] to its group's owner,
+  // owners[i / shape.width], on session | i. Stage 0 carries vertex states,
+  // later stages partial sums. A group is owned by its first input's
+  // holder, so group 0 of every stage — the root included — is owned by
+  // node 0, the aggregator.
+  struct GatherStage {
+    core::AggregationStage shape;
+    std::vector<int> holders;
+    std::vector<int> owners;
+    net::SessionId session = 0;
+  };
+
+  // Payload bytes of one hop of stage `stage` at S lanes.
+  size_t PayloadBytes(size_t stage, int num_scenarios) const {
+    const int bits = stage == 0 ? program_.state_bits : program_.aggregate_bits;
+    return (static_cast<size_t>(bits) * num_scenarios + 7) / 8;
+  }
+
+  // Aggregation of a plane of S scenario lanes (the solo S=1 case
+  // included): every hop of the schedule crosses the transport — as one
   // bulk-metered TrafficStats delta when the transport accepts, literally
   // otherwise — then the packed contribution reduction releases per-lane
-  // figures.
-  void AggregateFlat(const graphplane::GraphPlane& plane, int num_scenarios, int64_t* results) {
-    const int n = graph_.num_vertices();
-    const int sb = program_.state_bits;
-    const size_t payload_bits = static_cast<size_t>(sb) * num_scenarios;
-    const size_t payload_bytes = (payload_bits + 7) / 8;
-
-    std::vector<net::TrafficStats> delta(static_cast<size_t>(n));
-    for (int v = 0; v < n; v++) {
-      delta[static_cast<size_t>(v)].bytes_sent += payload_bytes;
-      delta[static_cast<size_t>(v)].messages_sent += 1;
-      delta[static_cast<size_t>(kAggregatorNode)].bytes_received += payload_bytes;
-      delta[static_cast<size_t>(kAggregatorNode)].messages_received += 1;
+  // figures. Associative two's-complement addition makes that flat
+  // reduction equal to the tree's level-by-level partials.
+  void Aggregate(const graphplane::GraphPlane& plane, int num_scenarios, int64_t* results) {
+    std::vector<net::TrafficStats> delta(static_cast<size_t>(graph_.num_vertices()));
+    for (size_t st = 0; st < gather_stages_.size(); st++) {
+      const GatherStage& stage = gather_stages_[st];
+      const size_t bytes = PayloadBytes(st, num_scenarios);
+      for (size_t i = 0; i < stage.holders.size(); i++) {
+        net::TrafficStats& from = delta[static_cast<size_t>(stage.holders[i])];
+        net::TrafficStats& to = delta[static_cast<size_t>(stage.owners[i / stage.shape.width])];
+        from.bytes_sent += bytes;
+        from.messages_sent += 1;
+        to.bytes_received += bytes;
+        to.messages_received += 1;
+      }
     }
     if (!net_->MeterSelfDelivered(delta)) {
-      // Literal fallback: the exact payload bytes of the cleartext wire
-      // format (bit r*S+s = state bit r of scenario s), so observers see
-      // the transcript the metered delta accounts for. Contributions still
-      // come from the arena — the received copies hold the same values.
-      for (int v = 0; v < n; v++) {
-        Bytes payload(payload_bytes, 0);
-        for (int r = 0; r < sb; r++) {
-          graphplane::InsertBits(&payload, static_cast<size_t>(r) * num_scenarios,
-                                 plane.StateLaneGroup(static_cast<size_t>(r), v, num_scenarios),
-                                 num_scenarios);
-        }
-        net_->Send(v, kAggregatorNode, std::move(payload),
-                   kGatherSession | static_cast<uint64_t>(v));
-      }
-      for (int v = 0; v < n; v++) {
-        Bytes raw = net_->Recv(kAggregatorNode, v, kGatherSession | static_cast<uint64_t>(v));
-        DSTRESS_CHECK(raw.size() == payload_bytes);
-      }
+      SendGatherLiterally(plane, num_scenarios);
     }
 
     const std::vector<uint64_t> sums = PackedContributionSums(plane);
@@ -201,129 +192,56 @@ class ArenaCleartextBackend : public ExecutionBackend {
     }
   }
 
-  // Tree gather (solo only; the ensemble aggregation schedule is flat,
-  // mirroring the secure plane). Bulk-metered mode replays the literal
-  // §3.6 tree traffic (GatherTreeLiteral) as one delta; the sum itself is
-  // the packed flat reduction — associative two's-complement addition
-  // makes it equal to the tree's level-by-level partials.
-  uint64_t MeterGatherTree() {
+  // The schedule's literal Send/Recv, stage by stage, for an attached
+  // observer or a real wire. Payload bit r*S + s is bit r of lane s: the
+  // vertex states out of the arena, then each group's partial sum of its
+  // inputs' contributions.
+  void SendGatherLiterally(const graphplane::GraphPlane& plane, int num_scenarios) {
     const int n = graph_.num_vertices();
-    const int fanout = config_.aggregation_fanout;
-    const uint64_t state_bytes = (static_cast<uint64_t>(program_.state_bits) + 7) / 8;
-    const uint64_t agg_bytes = (static_cast<uint64_t>(program_.aggregate_bits) + 7) / 8;
-
-    std::vector<net::TrafficStats> delta(static_cast<size_t>(n));
-    auto meter = [&](int from, int to, uint64_t bytes) {
-      delta[static_cast<size_t>(from)].bytes_sent += bytes;
-      delta[static_cast<size_t>(from)].messages_sent += 1;
-      delta[static_cast<size_t>(to)].bytes_received += bytes;
-      delta[static_cast<size_t>(to)].messages_received += 1;
-    };
+    // values[i][s]: lane s's contribution sum carried by input i.
+    std::vector<std::vector<uint64_t>> values(static_cast<size_t>(n),
+                                              std::vector<uint64_t>(num_scenarios));
     for (int v = 0; v < n; v++) {
-      meter(v, (v / fanout) * fanout, state_bytes);
-    }
-    const int num_groups = (n + fanout - 1) / fanout;
-    std::vector<int> owners(static_cast<size_t>(num_groups));
-    for (int g = 0; g < num_groups; g++) {
-      owners[static_cast<size_t>(g)] = g * fanout;
-    }
-    while (static_cast<int>(owners.size()) > fanout) {
-      const int p = static_cast<int>(owners.size());
-      for (int g = 0; g < p; g++) {
-        meter(owners[static_cast<size_t>(g)], owners[static_cast<size_t>((g / fanout) * fanout)],
-              agg_bytes);
+      for (int s = 0; s < num_scenarios; s++) {
+        values[static_cast<size_t>(v)][static_cast<size_t>(s)] =
+            BitsToWord(contribution_circuit_.Eval(plane.VertexState(v, s)));
       }
-      const int next_groups = (p + fanout - 1) / fanout;
-      std::vector<int> next(static_cast<size_t>(next_groups));
-      for (int g = 0; g < next_groups; g++) {
-        next[static_cast<size_t>(g)] = owners[static_cast<size_t>(g * fanout)];
-      }
-      owners = std::move(next);
     }
-    for (int g = 0; g < static_cast<int>(owners.size()); g++) {
-      meter(owners[static_cast<size_t>(g)], kAggregatorNode, agg_bytes);
-    }
-    if (net_->MeterSelfDelivered(delta)) {
-      return PackedContributionSums(*solo_plane_)[0];
-    }
-    return GatherTreeLiteral();
-  }
-
-  // Literal tree gather: leaf groups of `fanout` vertices reduce at the
-  // group's first vertex, combine levels until at most `fanout` partials
-  // remain, then the root, with leaf states read out of the arena.
-  // Fallback path only (observer or a real wire), so per-vertex circuit
-  // evaluation is fine here.
-  uint64_t GatherTreeLiteral() {
-    const int n = graph_.num_vertices();
-    const int fanout = config_.aggregation_fanout;
-    const int num_groups = (n + fanout - 1) / fanout;
-    const size_t agg_bits = static_cast<size_t>(program_.aggregate_bits);
-
-    for (int v = 0; v < n; v++) {
-      net_->Send(v, (v / fanout) * fanout, PackBits(solo_plane_->VertexState(v, 0)),
-                 kGatherSession | static_cast<uint64_t>(v));
-    }
-    std::vector<uint64_t> partials(static_cast<size_t>(num_groups), 0);
-    std::vector<int> owners(static_cast<size_t>(num_groups), 0);
-    pool_->RunGrouped(static_cast<size_t>(num_groups), 1, [&](size_t gg, size_t) {
-      int g = static_cast<int>(gg);
-      int lo = g * fanout;
-      int hi = std::min(n, lo + fanout);
-      uint64_t sum = 0;
-      for (int v = lo; v < hi; v++) {
-        Bytes raw = net_->Recv(lo, v, kGatherSession | static_cast<uint64_t>(v));
-        mpc::BitVector state = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-        sum += BitsToWord(contribution_circuit_.Eval(state));
-      }
-      partials[gg] = sum;
-      owners[gg] = lo;
-    });
-
-    uint64_t level = 1;
-    while (static_cast<int>(partials.size()) > fanout) {
-      int p = static_cast<int>(partials.size());
-      int next_groups = (p + fanout - 1) / fanout;
-      for (int g = 0; g < p; g++) {
-        net_->Send(owners[static_cast<size_t>(g)],
-                   owners[static_cast<size_t>((g / fanout) * fanout)],
-                   PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
-                   kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      }
-      std::vector<uint64_t> next_partials(static_cast<size_t>(next_groups), 0);
-      std::vector<int> next_owners(static_cast<size_t>(next_groups), 0);
-      pool_->RunGrouped(static_cast<size_t>(next_groups), 1, [&](size_t gg, size_t) {
-        int g = static_cast<int>(gg);
-        int lo = g * fanout;
-        int hi = std::min(p, lo + fanout);
-        uint64_t sum = 0;
-        for (int child = lo; child < hi; child++) {
-          Bytes raw = net_->Recv(owners[static_cast<size_t>(lo)],
-                                 owners[static_cast<size_t>(child)],
-                                 kCombineSession | (level << 32) | static_cast<uint64_t>(child));
-          sum += BitsToWord(UnpackBits(raw, agg_bits));
+    for (size_t st = 0; st < gather_stages_.size(); st++) {
+      const GatherStage& stage = gather_stages_[st];
+      const int bits = st == 0 ? program_.state_bits : program_.aggregate_bits;
+      const size_t bytes = PayloadBytes(st, num_scenarios);
+      for (size_t i = 0; i < stage.holders.size(); i++) {
+        Bytes payload(bytes, 0);
+        for (int r = 0; r < bits; r++) {
+          uint64_t lanes = 0;
+          if (st == 0) {
+            lanes = plane.StateLaneGroup(static_cast<size_t>(r), static_cast<int>(i),
+                                         num_scenarios);
+          } else {
+            for (int s = 0; s < num_scenarios; s++) {
+              lanes |= ((values[i][static_cast<size_t>(s)] >> r) & 1) << s;
+            }
+          }
+          graphplane::InsertBits(&payload, static_cast<size_t>(r) * num_scenarios, lanes,
+                                 num_scenarios);
         }
-        next_partials[gg] = sum;
-        next_owners[gg] = owners[static_cast<size_t>(lo)];
-      });
-      partials = std::move(next_partials);
-      owners = std::move(next_owners);
-      level++;
+        net_->Send(stage.holders[i], stage.owners[i / stage.shape.width], std::move(payload),
+                   stage.session | i);
+      }
+      std::vector<std::vector<uint64_t>> partials(stage.owners.size(),
+                                                  std::vector<uint64_t>(num_scenarios, 0));
+      for (size_t i = 0; i < stage.holders.size(); i++) {
+        Bytes raw =
+            net_->Recv(stage.owners[i / stage.shape.width], stage.holders[i], stage.session | i);
+        DSTRESS_CHECK(raw.size() == bytes);
+        for (int s = 0; s < num_scenarios; s++) {
+          partials[i / stage.shape.width][static_cast<size_t>(s)] +=
+              values[i][static_cast<size_t>(s)];
+        }
+      }
+      values = std::move(partials);
     }
-
-    int p = static_cast<int>(partials.size());
-    for (int g = 0; g < p; g++) {
-      net_->Send(owners[static_cast<size_t>(g)], kAggregatorNode,
-                 PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
-                 kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    }
-    uint64_t sum = 0;
-    for (int g = 0; g < p; g++) {
-      Bytes raw = net_->Recv(kAggregatorNode, owners[static_cast<size_t>(g)],
-                             kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      sum += BitsToWord(UnpackBits(raw, agg_bits));
-    }
-    return sum;
   }
 
   const graph::Graph& graph_;
@@ -335,6 +253,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
   circuit::Circuit contribution_circuit_;
   circuit::EvalPlan contribution_plan_{contribution_circuit_};
   std::unique_ptr<circuit::Circuit> noise_circuit_;
+  std::vector<GatherStage> gather_stages_;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<core::WorkerPool> pool_;
   // The solo (S = stride = 1) plane, allocated once and Reset per run; also
@@ -402,11 +321,7 @@ int64_t ArenaCleartextBackend::Execute(const std::vector<mpc::BitVector>& initia
 
   phase.Reset();
   int64_t result;
-  if (config_.aggregation_fanout > 0) {
-    result = Release(MeterGatherTree(), SampleNoise());
-  } else {
-    AggregateFlat(*solo_plane_, /*num_scenarios=*/1, &result);
-  }
+  Aggregate(*solo_plane_, /*num_scenarios=*/1, &result);
   m->aggregate.seconds = phase.ElapsedSeconds();
   m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
 
@@ -427,7 +342,6 @@ std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
     core::RunMetrics* m = metrics != nullptr ? metrics : &local;
     return {Execute(per_scenario_states[0], m)};
   }
-  DSTRESS_CHECK(config_.aggregation_fanout == 0);
 
   const int n = graph_.num_vertices();
   const int sb = program_.state_bits;
@@ -533,7 +447,7 @@ std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    AggregateFlat(plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
+    Aggregate(plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
     m->aggregate_and_gates +=
         contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
         noise_circuit_->stats().num_and;

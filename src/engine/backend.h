@@ -57,12 +57,11 @@ class ExecutionBackend {
   // s's state for vertex v at per_scenario_states[s][v]), returning one
   // released aggregate per scenario. The built-in backends pack scenarios
   // into the lanes of the batched data planes so the whole ensemble costs
-  // one lockstep pass; the default implementation is the semantic fallback
-  // (independent Execute per scenario) so registered override backends keep
-  // working. Scenario s's figure must equal a solo Execute of its states.
+  // one lockstep pass. Scenario s's figure must equal a solo Execute of its
+  // states.
   virtual std::vector<int64_t> ExecuteEnsemble(
       const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics);
+      core::RunMetrics* metrics) = 0;
 
   // Final per-vertex states of the last solo Execute, for fidelity testing
   // (tests/graphplane_test.cc digests them). Optional: backends without a

@@ -310,6 +310,22 @@ TEST(ScenarioParseTest, EnsembleExplicitScenarios) {
   EXPECT_EQ(spec->ensemble->scenarios[1].shock.shocked_banks, (std::vector<int>{1, 2}));
 }
 
+// Both planes aggregate any ensemble width under any fanout, so a tree
+// and several scenarios parse together.
+TEST(ScenarioParseTest, EnsembleUnderAggregationTree) {
+  std::string error;
+  auto spec = ParseScenario(
+      "network core_periphery 10 3\n"
+      "fanout 2\n"
+      "ensemble scenario 0\n"
+      "ensemble scenario 1\n",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->aggregation_fanout, 2);
+  ASSERT_TRUE(spec->ensemble.has_value());
+  EXPECT_EQ(spec->ensemble->Width(), 2);
+}
+
 TEST(ScenarioParseTest, EnsembleValidationErrors) {
   struct Case {
     const char* text;
@@ -326,8 +342,6 @@ TEST(ScenarioParseTest, EnsembleValidationErrors) {
        "ensemble banks_per_draw 2\n",
        "'ensemble shock_draws'"},
       {"network core_periphery 10 3\nensemble scenario 12\n", "out of range"},
-      {"network core_periphery 10 3\nfanout 2\nensemble scenario 0\nensemble scenario 1\n",
-       "requires flat aggregation (fanout 0)"},
   };
   for (const Case& c : cases) {
     std::string error;

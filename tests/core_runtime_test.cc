@@ -165,6 +165,39 @@ TEST(RuntimeTest, DeepAggregationTreeMatchesSingleLevel) {
   EXPECT_EQ(a.Run(states, nullptr), b.Run(states, nullptr));
 }
 
+// Every AND gate an instance evaluates draws one triple per party, so in
+// dealer mode a run consumes block_size x (S*n*(I+1) update circuits plus
+// the aggregation's gates): aggregate_and_gates must count every stage of
+// the tree, for every lane.
+TEST(RuntimeTest, TriplesConsumedMatchAndGateCounts) {
+  constexpr int kN = 9;
+  constexpr int kIterations = 2;
+  graph::Graph g = Ring(kN);
+  VertexProgram program = MakeSumProgram(1, kIterations, 1e-12);
+  std::vector<std::vector<mpc::BitVector>> lanes(3);
+  for (int s = 0; s < 3; s++) {
+    for (int v = 0; v < kN; v++) {
+      lanes[s].push_back(mpc::WordToBits(5 + s + v, 16));
+    }
+  }
+  for (int fanout : {0, 2, 3}) {
+    RuntimeConfig config;
+    config.block_size = 3;
+    config.seed = 7;
+    config.aggregation_fanout = fanout;
+    config.ensemble_width = 3;
+    Runtime runtime(config, g, program);
+    for (size_t width : {1, 3}) {
+      RunMetrics m;
+      runtime.RunEnsemble({lanes.begin(), lanes.begin() + width}, &m);
+      EXPECT_EQ(m.triples_consumed,
+                config.block_size * (width * kN * (kIterations + 1) * m.update_and_gates +
+                                     m.aggregate_and_gates))
+          << "fanout " << fanout << ", S=" << width;
+    }
+  }
+}
+
 TEST(RuntimeTest, OtTriplesMatchDealerTriples) {
   constexpr int kN = 4;
   graph::Graph g = Ring(kN);

@@ -394,6 +394,10 @@ class StubBackend : public ExecutionBackend {
     }
     return 424242;
   }
+  std::vector<int64_t> ExecuteEnsemble(const std::vector<std::vector<mpc::BitVector>>&,
+                                       core::RunMetrics*) override {
+    return {};
+  }
   void AttachObserver(net::NetworkObserver*) override {}
   const net::Transport& transport() const override { return net_; }
 

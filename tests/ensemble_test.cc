@@ -7,7 +7,8 @@
 // execution modes — the lanes share one lockstep pass but must be
 // observationally independent. Width-1 ensembles must additionally be
 // traffic-identical to a plain run (same per-node TrafficStats), which pins
-// the W-identical case to the seed schedule.
+// the W-identical case to the seed schedule, and a wider secure ensemble's
+// traffic is the sum of its solo runs', flat or tree-aggregated.
 
 #include "src/ensemble/ensemble.h"
 
@@ -70,6 +71,16 @@ void ExpectLanesMatchSolo(const RunSpec& base) {
     ASSERT_TRUE(report.scenarios[s].has_reference);
     EXPECT_EQ(report.scenarios[s].reference, solo_report.reference)
         << "lane " << s << " (" << scenarios[s].label << ")";
+  }
+}
+
+// Adds `width` explicit scenarios, lane s shocking bank s alone.
+void AddExplicitScenarios(RunSpec* spec, int width) {
+  spec->ensemble.emplace();
+  for (int s = 0; s < width; s++) {
+    Scenario sc;
+    sc.shock.shocked_banks = {s};
+    spec->ensemble->scenarios.push_back(sc);
   }
 }
 
@@ -184,27 +195,35 @@ TEST(EnsembleCleartextTest, SingleScenarioMatchesSolo) {
   ExpectLanesMatchSolo(spec);
 }
 
+// Under an aggregation tree every hop carries S-lane payloads along the
+// solo schedule.
 TEST(EnsembleCleartextTest, ThreeExplicitScenariosMatchSolo) {
-  RunSpec spec = CleartextBase(40);
-  spec.ensemble.emplace();
-  for (std::vector<int> banks : {std::vector<int>{0}, {1, 2}, {5, 7, 9}}) {
-    Scenario sc;
-    sc.shock.shocked_banks = std::move(banks);
-    spec.ensemble->scenarios.push_back(sc);
+  for (int fanout : {0, 2, 4}) {
+    RunSpec spec = CleartextBase(40);
+    spec.aggregation_fanout = fanout;
+    spec.ensemble.emplace();
+    for (std::vector<int> banks : {std::vector<int>{0}, {1, 2}, {5, 7, 9}}) {
+      Scenario sc;
+      sc.shock.shocked_banks = std::move(banks);
+      spec.ensemble->scenarios.push_back(sc);
+    }
+    ExpectLanesMatchSolo(spec);
   }
-  ExpectLanesMatchSolo(spec);
 }
 
 TEST(EnsembleCleartextTest, SixtyFourDrawsMatchSolo) {
-  RunSpec spec = CleartextBase(40);
-  spec.ensemble.emplace();
-  spec.ensemble->shock_draws = 64;
-  spec.ensemble->draw_seed = 9;
-  spec.ensemble->banks_per_draw = 2;
-  spec.ensemble->has_magnitude_range = true;
-  spec.ensemble->magnitude_lo = 0.0;
-  spec.ensemble->magnitude_hi = 0.6;
-  ExpectLanesMatchSolo(spec);
+  for (int fanout : {0, 2, 4}) {
+    RunSpec spec = CleartextBase(40);
+    spec.aggregation_fanout = fanout;
+    spec.ensemble.emplace();
+    spec.ensemble->shock_draws = 64;
+    spec.ensemble->draw_seed = 9;
+    spec.ensemble->banks_per_draw = 2;
+    spec.ensemble->has_magnitude_range = true;
+    spec.ensemble->magnitude_lo = 0.0;
+    spec.ensemble->magnitude_hi = 0.6;
+    ExpectLanesMatchSolo(spec);
+  }
 }
 
 TEST(EnsembleCleartextTest, PerturbedWorkloadLanesMatchSolo) {
@@ -281,15 +300,20 @@ TEST(EnsembleSecureTest, SingleScenarioTrafficIdenticalToSolo) {
   }
 }
 
+// N=8 under fanout 2 aggregates through 4 leaves, a combine level of 2 and
+// the root, every stage carrying all three lanes.
 TEST(EnsembleSecureTest, ThreeExplicitScenariosMatchSolo) {
-  RunSpec spec = SecureBase(8, 2);
-  spec.ensemble.emplace();
-  for (std::vector<int> banks : {std::vector<int>{0}, {1, 2}, {3}}) {
-    Scenario sc;
-    sc.shock.shocked_banks = std::move(banks);
-    spec.ensemble->scenarios.push_back(sc);
+  for (int fanout : {0, 2}) {
+    RunSpec spec = SecureBase(8, 2);
+    spec.aggregation_fanout = fanout;
+    spec.ensemble.emplace();
+    for (std::vector<int> banks : {std::vector<int>{0}, {1, 2}, {3}}) {
+      Scenario sc;
+      sc.shock.shocked_banks = std::move(banks);
+      spec.ensemble->scenarios.push_back(sc);
+    }
+    ExpectLanesMatchSolo(spec);
   }
-  ExpectLanesMatchSolo(spec);
 }
 
 TEST(EnsembleSecureTest, SixtyFourDrawsMatchSolo) {
@@ -301,6 +325,57 @@ TEST(EnsembleSecureTest, SixtyFourDrawsMatchSolo) {
   spec.ensemble->magnitude_lo = 0.0;
   spec.ensemble->magnitude_hi = 0.8;
   ExpectLanesMatchSolo(spec);
+}
+
+// OT triples: the aggregation wave covers every tree group for both lanes,
+// and the ensemble sets up exactly the node pairs its solo run does.
+TEST(EnsembleSecureTest, OtTreeAggregatedLanesMatchSolo) {
+  RunSpec spec = SecureBase(6, 1);
+  spec.use_ot_triples = true;
+  spec.aggregation_fanout = 2;
+  AddExplicitScenarios(&spec, 2);
+  EnsembleReport report = Engine(spec).RunEnsemble();
+  ASSERT_EQ(report.scenarios.size(), 2u);
+  for (size_t s = 0; s < 2; s++) {
+    engine::RunReport solo = Engine(SoloSpecFor(spec, spec.ensemble->scenarios[s])).Run();
+    EXPECT_EQ(report.scenarios[s].released, solo.released) << "lane " << s;
+    EXPECT_GT(solo.metrics.base_ot_executions, 0u);
+    EXPECT_EQ(report.metrics.base_ot_executions, solo.metrics.base_ot_executions) << "lane " << s;
+  }
+}
+
+// Every lane sends exactly its solo run's messages, so an ensemble's
+// per-node traffic is the sum of its solos', under flat and tree
+// aggregation alike.
+TEST(EnsembleSecureTest, TrafficIsSumOfSoloTraffic) {
+  for (int fanout : {0, 2}) {
+    RunSpec spec = SecureBase(8, 2);
+    spec.aggregation_fanout = fanout;
+    AddExplicitScenarios(&spec, 3);
+    Engine ens(spec);
+    ens.RunEnsemble();
+
+    std::vector<net::TrafficStats> sum(static_cast<size_t>(ens.transport().num_nodes()));
+    for (const Scenario& sc : spec.ensemble->scenarios) {
+      Engine solo(SoloSpecFor(spec, sc));
+      solo.Run();
+      for (size_t v = 0; v < sum.size(); v++) {
+        net::TrafficStats t = solo.transport().NodeStats(static_cast<int>(v));
+        sum[v].bytes_sent += t.bytes_sent;
+        sum[v].bytes_received += t.bytes_received;
+        sum[v].messages_sent += t.messages_sent;
+        sum[v].messages_received += t.messages_received;
+      }
+    }
+    for (size_t v = 0; v < sum.size(); v++) {
+      net::TrafficStats t = ens.transport().NodeStats(static_cast<int>(v));
+      EXPECT_EQ(t.bytes_sent, sum[v].bytes_sent) << "fanout " << fanout << " node " << v;
+      EXPECT_EQ(t.bytes_received, sum[v].bytes_received) << "fanout " << fanout << " node " << v;
+      EXPECT_EQ(t.messages_sent, sum[v].messages_sent) << "fanout " << fanout << " node " << v;
+      EXPECT_EQ(t.messages_received, sum[v].messages_received)
+          << "fanout " << fanout << " node " << v;
+    }
+  }
 }
 
 // --- privacy gate ----------------------------------------------------------

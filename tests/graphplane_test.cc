@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -170,6 +171,69 @@ TEST(GraphPlaneDigestTest, TreeAggregation) {
   odd.aggregation_fanout = 3;
   ExpectSoloGolden(odd, "ab8ee73277fd6fde902c1a690b50425f64132993c68e257f1ffa30b587147343",
                    "egj fanout=3");
+}
+
+// Counts every message the transport carries literally. Attaching it makes
+// the transport refuse bulk metering, so the run takes the literal-send
+// fallback of every phase.
+class MessageCounter : public net::NetworkObserver {
+ public:
+  void OnSend(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override { sends_++; }
+  void OnRecv(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override {}
+  uint64_t sends() const { return sends_; }
+
+ private:
+  std::atomic<uint64_t> sends_{0};
+};
+
+uint64_t MessagesSent(const net::Transport& net) {
+  uint64_t total = 0;
+  for (int v = 0; v < net.num_nodes(); v++) {
+    total += net.NodeStats(v).messages_sent;
+  }
+  return total;
+}
+
+// The literal tree gather (observer attached, or a real wire) releases the
+// bulk-metered run's figures over the same per-node traffic, solo and at
+// three lanes.
+TEST(GraphPlaneLiteralTest, TreeGatherMatchesBulkMetering) {
+  for (int width : {1, 3}) {
+    RunSpec spec = FinanceSpec(kEn, 40, 11);
+    spec.aggregation_fanout = 3;
+    if (width > 1) {
+      spec.ensemble.emplace();
+      for (int s = 0; s < width; s++) {
+        ensemble::Scenario sc;
+        sc.shock.shocked_banks = {s};
+        spec.ensemble->scenarios.push_back(sc);
+      }
+    }
+    auto run = [&](Engine& engine) {
+      if (width == 1) {
+        return std::vector<int64_t>{engine.Run().released};
+      }
+      std::vector<int64_t> figures;
+      for (const ensemble::ScenarioResult& lane : engine.RunEnsemble().scenarios) {
+        figures.push_back(lane.released);
+      }
+      return figures;
+    };
+    Engine metered(spec);
+    Engine literal(spec);
+    MessageCounter counter;
+    literal.AttachObserver(&counter);
+    EXPECT_EQ(run(literal), run(metered)) << "W=" << width;
+    EXPECT_EQ(counter.sends(), MessagesSent(literal.transport())) << "W=" << width;
+    for (int v = 0; v < spec.topology.num_vertices; v++) {
+      net::TrafficStats a = literal.transport().NodeStats(v);
+      net::TrafficStats b = metered.transport().NodeStats(v);
+      EXPECT_EQ(a.bytes_sent, b.bytes_sent) << "W=" << width << " node " << v;
+      EXPECT_EQ(a.bytes_received, b.bytes_received) << "W=" << width << " node " << v;
+      EXPECT_EQ(a.messages_sent, b.messages_sent) << "W=" << width << " node " << v;
+      EXPECT_EQ(a.messages_received, b.messages_received) << "W=" << width << " node " << v;
+    }
+  }
 }
 
 TEST(GraphPlaneDigestTest, CustomPrograms) {
