@@ -2,30 +2,45 @@
 
 #include <atomic>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/crypto/ec.h"
+#include "src/crypto/fixed_base.h"
 #include "src/crypto/sha256.h"
 
 namespace dstress::ot {
 
 namespace {
 
+using crypto::AffinePoint;
 using crypto::EcPoint;
 
 std::atomic<uint64_t> g_base_ot_executions{0};
 
-OtKey DeriveKey(uint32_t index, const EcPoint& point) {
+// H(i, P) over P's 33-byte compressed encoding.
+OtKey DeriveKey(uint32_t index, const uint8_t* encoded) {
   crypto::Sha256 h;
   uint8_t idx[4];
   std::memcpy(idx, &index, 4);
   h.Update(idx, 4);
-  auto compressed = point.Compress();
-  h.Update(compressed.data(), compressed.size());
+  h.Update(encoded, EcPoint::kCompressedSize);
   auto digest = h.Finish();
   OtKey key;
   std::memcpy(key.data(), digest.data(), key.size());
   return key;
+}
+
+// Serializes an affine point in the compressed wire format without the
+// per-point inversion EcPoint::Compress() pays for Jacobian inputs.
+void WriteAffine(const AffinePoint& p, uint8_t* out33) {
+  if (p.infinity) {
+    std::memset(out33, 0, EcPoint::kCompressedSize);
+    return;
+  }
+  out33[0] = p.y.IsOdd() ? 0x03 : 0x02;
+  p.x.raw().ToBytesBe(out33 + 1);
 }
 
 }  // namespace
@@ -37,6 +52,7 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
   using crypto::CurveOrder;
   using crypto::MulBase;
   g_base_ot_executions.fetch_add(1, std::memory_order_relaxed);
+  const size_t n = static_cast<size_t>(count);
 
   crypto::U256 a = prg.NextScalar(CurveOrder());
   EcPoint big_a = MulBase(a);
@@ -46,20 +62,32 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
   announce.Raw(a_compressed.data(), a_compressed.size());
   net->Send(self, peer, announce.Take(), session);
 
+  // a*(B_i - A) = a*B_i - a*A, so a*A is the only multiplication that does
+  // not depend on the reply; it runs while the receiver works.
+  const EcPoint neg_a_big_a = big_a.Mul(a).Neg();
+
   Bytes reply = net->Recv(self, peer, session);
-  DSTRESS_CHECK(reply.size() == static_cast<size_t>(count) * EcPoint::kCompressedSize);
+  DSTRESS_CHECK(reply.size() == n * EcPoint::kCompressedSize);
+  std::vector<EcPoint> b_points(n);
+  DSTRESS_CHECK(EcPoint::DecompressBatch(reply.data(), n, b_points.data()));
+
+  // points[2i] = a*B_i and points[2i+1] = a*B_i - a*A, serialized with one
+  // shared inversion.
+  std::vector<EcPoint> points(2 * n);
+  for (size_t i = 0; i < n; i++) {
+    points[2 * i] = b_points[i].Mul(a);
+    points[2 * i + 1] = points[2 * i].Add(neg_a_big_a);
+  }
+  Bytes encoded(2 * n * EcPoint::kCompressedSize);
+  EcPoint::CompressBatch(points.data(), points.size(), encoded.data());
 
   BaseOtSenderOutput out;
-  out.keys0.reserve(count);
-  out.keys1.reserve(count);
-  EcPoint neg_a = big_a.Neg();
-  for (int i = 0; i < count; i++) {
-    auto b_point = EcPoint::Decompress(reply.data() + static_cast<size_t>(i) * 33);
-    DSTRESS_CHECK(b_point.has_value());
-    EcPoint p0 = b_point->Mul(a);
-    EcPoint p1 = b_point->Add(neg_a).Mul(a);
-    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), p0));
-    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), p1));
+  out.keys0.reserve(n);
+  out.keys1.reserve(n);
+  for (size_t i = 0; i < n; i++) {
+    const uint8_t* pair = encoded.data() + 2 * i * EcPoint::kCompressedSize;
+    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), pair));
+    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), pair + EcPoint::kCompressedSize));
   }
   return out;
 }
@@ -70,31 +98,45 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
   using crypto::CurveOrder;
   using crypto::MulBase;
   g_base_ot_executions.fetch_add(1, std::memory_order_relaxed);
+  const size_t n = choices.size();
 
   Bytes announce = net->Recv(self, peer, session);
   DSTRESS_CHECK(announce.size() == EcPoint::kCompressedSize);
   auto big_a = EcPoint::Decompress(announce.data());
   DSTRESS_CHECK(big_a.has_value());
 
-  ByteWriter reply;
-  std::vector<crypto::U256> secrets;
-  secrets.reserve(choices.size());
-  for (bool choice : choices) {
-    crypto::U256 b = prg.NextScalar(CurveOrder());
-    secrets.push_back(b);
-    EcPoint point = MulBase(b);
-    if (choice) {
-      point = point.Add(*big_a);
+  std::vector<crypto::U256> secrets(n);
+  std::vector<EcPoint> points(n);
+  for (size_t i = 0; i < n; i++) {
+    secrets[i] = prg.NextScalar(CurveOrder());
+    points[i] = MulBase(secrets[i]);
+    if (choices[i]) {
+      points[i] = points[i].Add(*big_a);
     }
-    auto compressed = point.Compress();
-    reply.Raw(compressed.data(), compressed.size());
   }
-  net->Send(self, peer, reply.Take(), session);
+  Bytes reply(n * EcPoint::kCompressedSize);
+  EcPoint::CompressBatch(points.data(), n, reply.data());
+  net->Send(self, peer, std::move(reply), session);
+
+  // Every b_i multiplies the same point A: one table for A, and all the
+  // products advance in lockstep with one shared inversion per window level.
+  // The results are affine, so they encode without a further inversion.
+  const crypto::FixedBaseTable table(*big_a);
+  std::vector<crypto::FixedBaseTable::Recoding> recodings(n);
+  std::vector<crypto::MulTask> tasks(n);
+  for (size_t i = 0; i < n; i++) {
+    recodings[i] = crypto::FixedBaseTable::Recode(secrets[i]);
+    tasks[i] = {&table, &recodings[i]};
+  }
+  std::vector<AffinePoint> products(n);
+  crypto::MulBatch(tasks.data(), n, products.data());
 
   BaseOtReceiverOutput out;
-  out.keys.reserve(choices.size());
-  for (size_t i = 0; i < choices.size(); i++) {
-    out.keys.push_back(DeriveKey(static_cast<uint32_t>(i), big_a->Mul(secrets[i])));
+  out.keys.reserve(n);
+  uint8_t encoded[EcPoint::kCompressedSize];
+  for (size_t i = 0; i < n; i++) {
+    WriteAffine(products[i], encoded);
+    out.keys.push_back(DeriveKey(static_cast<uint32_t>(i), encoded));
   }
   return out;
 }

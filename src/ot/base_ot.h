@@ -4,9 +4,23 @@
 // The sender publishes A = a*G; for the i-th transfer the receiver replies
 // with B_i = b_i*G (choice 0) or A + b_i*G (choice 1). The sender derives
 //   k_i^0 = H(i, a*B_i)        k_i^1 = H(i, a*(B_i - A))
-// and the receiver derives k_i^{c_i} = H(i, b_i*A). These 128-bit keys seed
-// the IKNP OT extension (iknp.h); DStress's HbC threat model (paper §3.2)
-// matches the HbC security of this construction.
+// and the receiver derives k_i^{c_i} = H(i, b_i*A), where H is SHA-256 over
+// the index and the point's 33-byte compressed encoding. These 128-bit keys
+// seed the IKNP OT extension (iknp.h); DStress's HbC threat model (paper
+// §3.2) matches the HbC security of this construction.
+//
+// Each half runs its `count` transfers as one batch (docs/offline-phase.md,
+// "Cost of base-OT setup"):
+//  * The sender computes a*A once while the reply is in flight, decodes the
+//    reply with one DecompressBatch, and does one variable-base
+//    multiplication per transfer: the second point is a*B_i - a*A, which
+//    equals a*(B_i - A). All 2*count points serialize with one inversion.
+//  * The receiver serializes its reply with one inversion and sends it
+//    before any key work. It then evaluates every b_i*A in one lockstep
+//    crypto::MulBatch against a crypto::FixedBaseTable for A, whose affine
+//    results encode with no inversion.
+// The messages, the PRG draws and the keys equal those of the per-transfer
+// formulas above; ot_test pins them with a golden transcript digest.
 #ifndef SRC_OT_BASE_OT_H_
 #define SRC_OT_BASE_OT_H_
 
@@ -40,11 +54,13 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
 
 // Process-wide count of base-OT protocol executions (one per BaseOtSend or
 // BaseOtRecv call, i.e. one per batch of `count` transfers — the unit the
-// EC-multiplication setup cost is paid in). Base OTs dominate OT-mode wall
-// time, so tests and bench_fig6 assert on deltas of this counter to pin the
-// triple factory's O(roles x peers) -> O(node pairs) setup dedup. Both
-// endpoints of an in-process (sim transport) pairing increment it, so one
-// IKNP sender/receiver setup between two nodes counts 2.
+// EC setup cost is paid in: count + 1 variable-base multiplications on the
+// sender, one table build plus a count-lane MulBatch on the receiver). Base
+// OTs are most of a fresh OT engine's first run, so tests and bench_fig6
+// assert on deltas of this counter to pin the triple factory's
+// O(roles x peers) -> O(node pairs) setup dedup. Both endpoints of an
+// in-process (sim transport) pairing increment it, so one IKNP
+// sender/receiver setup between two nodes counts 2.
 uint64_t BaseOtExecutionCount();
 
 }  // namespace dstress::ot

@@ -36,12 +36,14 @@ class FidelityDigest {
     return *this;
   }
 
-  // Length-prefixed, so adjacent vectors cannot alias each other.
-  FidelityDigest& AddBits(const mpc::BitVector& bits) {
-    Add(bits.size());
-    hash_.Update(bits.data(), bits.size());
+  // Length-prefixed, so adjacent byte strings cannot alias each other.
+  FidelityDigest& AddBytes(const uint8_t* data, size_t size) {
+    Add(size);
+    hash_.Update(data, size);
     return *this;
   }
+
+  FidelityDigest& AddBits(const mpc::BitVector& bits) { return AddBytes(bits.data(), bits.size()); }
 
   FidelityDigest& AddStats(const net::TrafficStats& stats) {
     return Add(stats.bytes_sent)

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <thread>
 
+#include "src/crypto/ec.h"
+#include "src/crypto/sha256.h"
 #include "src/net/sim_network.h"
 #include "src/ot/base_ot.h"
 #include "src/ot/iknp.h"
@@ -11,53 +17,240 @@
 namespace dstress::ot {
 namespace {
 
-TEST(BaseOtTest, ReceiverLearnsChosenKeyOnly) {
+using crypto::EcPoint;
+using Encoding = std::array<uint8_t, EcPoint::kCompressedSize>;
+
+// The key derivation's definition: the first 16 bytes of
+// SHA-256(le32(index) || compressed point).
+OtKey ReferenceKey(uint32_t index, const Encoding& point) {
+  crypto::Sha256 h;
+  uint8_t idx[4];
+  std::memcpy(idx, &index, 4);
+  h.Update(idx, 4);
+  h.Update(point.data(), point.size());
+  auto digest = h.Finish();
+  OtKey key;
+  std::memcpy(key.data(), digest.data(), key.size());
+  return key;
+}
+
+Encoding EncodingAt(const Bytes& packed, size_t i) {
+  Encoding out;
+  std::memcpy(out.data(), packed.data() + i * out.size(), out.size());
+  return out;
+}
+
+// Records every payload by sending node; a base-OT pair sends one message
+// each way.
+class PayloadRecorder : public net::NetworkObserver {
+ public:
+  void OnSend(net::NodeId from, net::NodeId, net::SessionId, const Bytes& payload) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    sent_[from].push_back(payload);
+  }
+  void OnRecv(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override {}
+
+  // Read only after the protocol threads have joined.
+  const std::vector<Bytes>& SentBy(net::NodeId from) { return sent_[from]; }
+
+ private:
+  std::mutex mu_;
+  std::map<net::NodeId, std::vector<Bytes>> sent_;
+};
+
+struct BaseOtTranscript {
+  Bytes announce;
+  Bytes reply;
+  BaseOtSenderOutput sender;
+  BaseOtReceiverOutput receiver;
+};
+
+// One base-OT pair over SimNetwork, sender node 0 and receiver node 1, with
+// the two wire messages captured.
+BaseOtTranscript RunBaseOtPair(const std::vector<bool>& choices, uint64_t sender_seed,
+                               uint64_t receiver_seed) {
+  PayloadRecorder recorder;
   net::SimNetwork net(2);
+  net.SetObserver(&recorder);
+  BaseOtTranscript t;
+  std::thread sender([&] {
+    auto prg = crypto::ChaCha20Prg::FromSeed(sender_seed);
+    t.sender = BaseOtSend(&net, 0, 1, static_cast<int>(choices.size()), prg);
+  });
+  std::thread receiver([&] {
+    auto prg = crypto::ChaCha20Prg::FromSeed(receiver_seed);
+    t.receiver = BaseOtRecv(&net, 1, 0, choices, prg);
+  });
+  sender.join();
+  receiver.join();
+  EXPECT_EQ(recorder.SentBy(0).size(), 1u);
+  EXPECT_EQ(recorder.SentBy(1).size(), 1u);
+  t.announce = recorder.SentBy(0).at(0);
+  t.reply = recorder.SentBy(1).at(0);
+  return t;
+}
+
+TEST(BaseOtTest, ReceiverLearnsChosenKeyOnly) {
   constexpr int kCount = 32;
   std::vector<bool> choices(kCount);
   for (int i = 0; i < kCount; i++) {
     choices[i] = (i % 3) == 0;
   }
-  BaseOtSenderOutput sender_out;
-  BaseOtReceiverOutput receiver_out;
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(1);
-    sender_out = BaseOtSend(&net, 0, 1, kCount, prg);
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(2);
-    receiver_out = BaseOtRecv(&net, 1, 0, choices, prg);
-  });
-  sender.join();
-  receiver.join();
-  ASSERT_EQ(sender_out.keys0.size(), static_cast<size_t>(kCount));
-  ASSERT_EQ(receiver_out.keys.size(), static_cast<size_t>(kCount));
+  BaseOtTranscript t = RunBaseOtPair(choices, 1, 2);
+  ASSERT_EQ(t.sender.keys0.size(), static_cast<size_t>(kCount));
+  ASSERT_EQ(t.receiver.keys.size(), static_cast<size_t>(kCount));
   for (int i = 0; i < kCount; i++) {
-    const OtKey& chosen = choices[i] ? sender_out.keys1[i] : sender_out.keys0[i];
-    const OtKey& other = choices[i] ? sender_out.keys0[i] : sender_out.keys1[i];
-    EXPECT_EQ(receiver_out.keys[i], chosen) << i;
-    EXPECT_NE(receiver_out.keys[i], other) << i;
+    const OtKey& chosen = choices[i] ? t.sender.keys1[i] : t.sender.keys0[i];
+    const OtKey& other = choices[i] ? t.sender.keys0[i] : t.sender.keys1[i];
+    EXPECT_EQ(t.receiver.keys[i], chosen) << i;
+    EXPECT_NE(t.receiver.keys[i], other) << i;
   }
 }
 
 TEST(BaseOtTest, KeysAreDistinctAcrossTransfers) {
-  net::SimNetwork net(2);
-  BaseOtSenderOutput sender_out;
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(3);
-    sender_out = BaseOtSend(&net, 0, 1, 8, prg);
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(4);
-    BaseOtRecv(&net, 1, 0, std::vector<bool>(8, false), prg);
-  });
-  sender.join();
-  receiver.join();
+  const BaseOtSenderOutput sender_out = RunBaseOtPair(std::vector<bool>(8, false), 3, 4).sender;
   for (int i = 0; i < 8; i++) {
     for (int j = i + 1; j < 8; j++) {
       EXPECT_NE(sender_out.keys0[i], sender_out.keys0[j]);
     }
     EXPECT_NE(sender_out.keys0[i], sender_out.keys1[i]);
+  }
+}
+
+// Golden digest of fixed-seed base-OT pairs: counts 1, 3, 128 and 129, each
+// under all-zero, all-one and PRG-drawn choices. The announce and reply
+// bytes and all three key vectors are digested, so the wire encoding, the
+// order of PRG draws and the key derivation are pinned together. Paste the
+// printed digest back only for a deliberate protocol change.
+TEST(BaseOtTest, TranscriptMatchesGoldenDigest) {
+  FidelityDigest digest;
+  uint64_t seed = 40;
+  for (int count : {1, 3, 128, 129}) {
+    auto choice_prg = crypto::ChaCha20Prg::FromSeed(39, static_cast<uint64_t>(count));
+    std::vector<bool> drawn(count);
+    for (int i = 0; i < count; i++) {
+      drawn[i] = choice_prg.NextBit();
+    }
+    for (const auto& choices :
+         {std::vector<bool>(count, false), std::vector<bool>(count, true), drawn}) {
+      BaseOtTranscript t = RunBaseOtPair(choices, seed, seed + 1);
+      seed += 2;
+      digest.Add(static_cast<uint64_t>(count));
+      digest.AddBytes(t.announce.data(), t.announce.size());
+      digest.AddBytes(t.reply.data(), t.reply.size());
+      ASSERT_EQ(t.receiver.keys.size(), static_cast<size_t>(count));
+      for (int i = 0; i < count; i++) {
+        EXPECT_EQ(t.receiver.keys[i], choices[i] ? t.sender.keys1[i] : t.sender.keys0[i]);
+        digest.AddBytes(t.sender.keys0[i].data(), t.sender.keys0[i].size());
+        digest.AddBytes(t.sender.keys1[i].data(), t.sender.keys1[i].size());
+        digest.AddBytes(t.receiver.keys[i].data(), t.receiver.keys[i].size());
+      }
+    }
+  }
+  ExpectGoldenDigest(digest.Hex(), "285383465c1f3c71e40bffe85b355b503ac7c828a483061372c857b47fb26b5b",
+                     "base-OT transcript");
+}
+
+// A sender announcing A = infinity (33 zero bytes) is accepted: every
+// b_i * A is infinity, so each key is H(i, 0^33), and adding A to the choice-1
+// replies is the identity, so every reply point is plain b_i * G.
+TEST(BaseOtTest, InfinityAnnounceGivesKeysOfTheZeroEncoding) {
+  constexpr int kCount = 6;
+  constexpr uint64_t kSeed = 61;
+  std::vector<bool> choices = {false, true, true, false, true, false};
+  net::SimNetwork net(2);
+  Bytes reply;
+  std::thread peer([&] {
+    net.Send(0, 1, Bytes(EcPoint::kCompressedSize, 0));
+    reply = net.Recv(0, 1);
+  });
+  auto prg = crypto::ChaCha20Prg::FromSeed(kSeed);
+  BaseOtReceiverOutput out = BaseOtRecv(&net, 1, 0, choices, prg);
+  peer.join();
+
+  auto ref_prg = crypto::ChaCha20Prg::FromSeed(kSeed);
+  ASSERT_EQ(reply.size(), kCount * EcPoint::kCompressedSize);
+  ASSERT_EQ(out.keys.size(), static_cast<size_t>(kCount));
+  for (int i = 0; i < kCount; i++) {
+    EcPoint b_point = crypto::MulBase(ref_prg.NextScalar(crypto::CurveOrder()));
+    EXPECT_EQ(EncodingAt(reply, i), b_point.Compress()) << i;
+    EXPECT_EQ(out.keys[i], ReferenceKey(static_cast<uint32_t>(i), Encoding{})) << i;
+  }
+}
+
+// BaseOtSend (node 0) against a scripted receiver thread (node 1) that
+// answers the announce with make_reply(announce).
+BaseOtSenderOutput SendAgainstScriptedReceiver(
+    int count, uint64_t seed, const std::function<Bytes(const Bytes&)>& make_reply) {
+  net::SimNetwork net(2);
+  std::thread peer([&] { net.Send(1, 0, make_reply(net.Recv(1, 0))); });
+  auto prg = crypto::ChaCha20Prg::FromSeed(seed);
+  BaseOtSenderOutput out = BaseOtSend(&net, 0, 1, count, prg);
+  peer.join();
+  return out;
+}
+
+// A reply whose transfers include infinity, A and -A among random points
+// drives the sender through the infinity, cancellation (A - A) and doubling
+// (-A - A) cases of a*(B_i - A). The keys must match the per-transfer
+// definition H(i, a*B_i), H(i, a*(B_i - A)) with a re-derived from the seed.
+TEST(BaseOtTest, DegenerateReplyMatchesPerTransferReference) {
+  constexpr uint64_t kSeed = 62;
+  auto point_prg = crypto::ChaCha20Prg::FromSeed(64);
+  auto random_point = [&] { return crypto::MulBase(point_prg.NextScalar(crypto::CurveOrder())); };
+  std::vector<EcPoint> points;
+  BaseOtSenderOutput out = SendAgainstScriptedReceiver(10, kSeed, [&](const Bytes& announce) {
+    EcPoint big_a = *EcPoint::Decompress(announce.data());
+    points = {random_point(), EcPoint::Infinity(), big_a,          big_a.Neg(),
+              random_point(), big_a,               random_point(), big_a.Neg(),
+              EcPoint::Infinity(), random_point()};
+    Bytes reply;
+    for (const EcPoint& p : points) {
+      auto enc = p.Compress();
+      reply.insert(reply.end(), enc.begin(), enc.end());
+    }
+    return reply;
+  });
+
+  auto ref_prg = crypto::ChaCha20Prg::FromSeed(kSeed);
+  crypto::U256 a = ref_prg.NextScalar(crypto::CurveOrder());
+  EcPoint neg_a = crypto::MulBase(a).Neg();
+  ASSERT_EQ(out.keys0.size(), points.size());
+  for (size_t i = 0; i < points.size(); i++) {
+    const uint32_t index = static_cast<uint32_t>(i);
+    EXPECT_EQ(out.keys0[i], ReferenceKey(index, points[i].Mul(a).Compress())) << i;
+    EXPECT_EQ(out.keys1[i], ReferenceKey(index, points[i].Add(neg_a).Mul(a).Compress())) << i;
+  }
+}
+
+// Malformed replies abort the sender: an uncompressed-point prefix, an x
+// coordinate >= p, and a reply one byte short.
+TEST(BaseOtDeathTest, MalformedReplyAborts) {
+  // Re-executes the binary for each death instead of forking it, which stays
+  // safe when a sanitizer runs a thread of its own.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr int kCount = 3;
+  auto valid_reply = [] {
+    Bytes reply;
+    for (int i = 1; i <= kCount; i++) {
+      auto enc = crypto::MulBase(crypto::U256(static_cast<uint64_t>(i))).Compress();
+      reply.insert(reply.end(), enc.begin(), enc.end());
+    }
+    return reply;
+  };
+  // The unmutated reply is accepted, so each abort below is the mutation's.
+  EXPECT_EQ(SendAgainstScriptedReceiver(kCount, 65, [&](const Bytes&) { return valid_reply(); })
+                .keys0.size(),
+            static_cast<size_t>(kCount));
+  Bytes uncompressed_prefix = valid_reply();
+  uncompressed_prefix[EcPoint::kCompressedSize] = 0x04;
+  Bytes x_too_large = valid_reply();
+  crypto::Fp::P().ToBytesBe(x_too_large.data() + 2 * EcPoint::kCompressedSize + 1);
+  Bytes short_reply = valid_reply();
+  short_reply.pop_back();
+  for (const Bytes& bad : {uncompressed_prefix, x_too_large, short_reply}) {
+    EXPECT_DEATH(SendAgainstScriptedReceiver(kCount, 65, [&](const Bytes&) { return bad; }),
+                 "CHECK failed");
   }
 }
 
