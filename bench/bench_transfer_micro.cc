@@ -1,28 +1,35 @@
-// §5.2 "Message transfers" microbenchmarks, extended for the batched
-// transfer crypto engine (docs/transfer-crypto.md).
+// §5.2 / §5.3 "Message transfers" microbenchmarks of the transfer crypto
+// engine the runtime runs (docs/transfer-crypto.md).
 //
-// Three sections:
+// Four sections:
 //  1. EC primitives (per-operation µs): variable-base EcPoint::Mul,
 //     fixed-base table-backed FixedBaseTable::Mul, the generator comb
 //     MulBase, and batch compression/decompression — the operations whose
-//     ratio explains every role-level speedup below.
-//  2. Per-transfer role walls with same-run baselines: each of the four
-//     transfer roles (bundle encryption, source aggregation, destination
-//     adjustment, column recovery) timed through the seed pure-scheme
-//     functions AND the batched wire-level engine, on identical inputs.
-//     The wire bytes are bit-identical (transfer_test pins this); only the
-//     CPU time differs, so the speedup column is apples-to-apples.
+//     costs explain the role walls below.
+//  2. Per-transfer role walls: each of the four batched wire-level role
+//     kernels (bundle encryption, source aggregation, destination
+//     adjustment, column recovery) on one edge's burst.
 //  3. The paper's §5.2 curve: end-to-end time to transfer a single 12-bit
 //     message between two blocks as a function of block size (285 ms at
 //     block 8 to 610 ms at block 20 in the paper; linear in k with a
-//     milder quadratic component at the source endpoint).
+//     milder quadratic component at the source endpoint). Each transfer
+//     runs the four edge-transfer steps (SendBundles, AggregateAtSource,
+//     AdjustAtDest, RecoverAtMembers) in order on one thread over a sim
+//     transport — the schedule CommunicatePhase runs per edge.
+//  4. The §5.3 bytes handled per role during those same transfers. Paper
+//     numbers (secp384r1 points): node i receives the (k+1)^2 encrypted
+//     subshares — 97 kB (8-node blocks) to 595 kB (20-node blocks); members
+//     of B_i and node j send k+1 encrypted columns each (linear in k,
+//     <= 29 kB); members of B_j receive one constant-size column (~1.4 kB).
+//     With our 33-byte compressed secp256k1 points the absolute numbers are
+//     ~40% smaller; the quadratic/linear/constant split per role is
+//     identical.
 //
 // Everything is written to BENCH_transfer.json in the working directory
 // (CI runs from the repo root and uploads it next to BENCH_fig6.json).
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,8 +43,7 @@ namespace {
 
 struct RoleRow {
   std::string role;
-  double us = 0;           // batched engine, per transfer
-  double baseline_us = 0;  // seed scheme functions, per transfer
+  double us = 0;  // per transfer
 };
 
 struct PrimitiveRow {
@@ -45,8 +51,19 @@ struct PrimitiveRow {
   double us = 0;
 };
 
+// One §5.2/§5.3 single-message transfer: its wall and the bytes each role
+// handled.
+struct TransferRow {
+  int block_size = 0;
+  double ms = 0;
+  uint64_t i_recv_bytes = 0;
+  uint64_t member_bi_sent_bytes = 0;
+  uint64_t j_sent_bytes = 0;
+  uint64_t member_bj_recv_bytes = 0;
+};
+
 void WriteJson(int block_size, const std::vector<PrimitiveRow>& primitives,
-               const std::vector<RoleRow>& roles) {
+               const std::vector<RoleRow>& roles, const std::vector<TransferRow>& transfers) {
   std::FILE* f = std::fopen("BENCH_transfer.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "BENCH_transfer.json: cannot open for writing, skipping\n");
@@ -63,17 +80,27 @@ void WriteJson(int block_size, const std::vector<PrimitiveRow>& primitives,
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"roles\": [\n");
   for (size_t i = 0; i < roles.size(); i++) {
-    const RoleRow& r = roles[i];
+    std::fprintf(f, "    {\"role\": \"%s\", \"us\": %.1f}%s\n", roles[i].role.c_str(),
+                 roles[i].us, i + 1 < roles.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"transfers\": [\n");
+  for (size_t i = 0; i < transfers.size(); i++) {
+    const TransferRow& t = transfers[i];
     std::fprintf(f,
-                 "    {\"role\": \"%s\", \"us\": %.1f, \"baseline_us\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.role.c_str(), r.us, r.baseline_us, r.baseline_us / r.us,
-                 i + 1 < roles.size() ? "," : "");
+                 "    {\"block_size\": %d, \"ms\": %.1f, \"i_recv_bytes\": %llu, "
+                 "\"member_bi_sent_bytes\": %llu, \"j_sent_bytes\": %llu, "
+                 "\"member_bj_recv_bytes\": %llu}%s\n",
+                 t.block_size, t.ms, static_cast<unsigned long long>(t.i_recv_bytes),
+                 static_cast<unsigned long long>(t.member_bi_sent_bytes),
+                 static_cast<unsigned long long>(t.j_sent_bytes),
+                 static_cast<unsigned long long>(t.member_bj_recv_bytes),
+                 i + 1 < transfers.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("# wrote BENCH_transfer.json (%zu primitives, %zu roles)\n", primitives.size(),
-              roles.size());
+  std::printf("# wrote BENCH_transfer.json (%zu primitives, %zu roles, %zu transfers)\n",
+              primitives.size(), roles.size(), transfers.size());
 }
 
 std::vector<PrimitiveRow> BenchPrimitives() {
@@ -128,10 +155,9 @@ std::vector<PrimitiveRow> BenchPrimitives() {
   return rows;
 }
 
-// The four transfer roles on identical inputs, seed scheme functions vs the
-// batched wire engine. Per-transfer wall: encrypt and recover are per
-// member-bundle/member-column (the per-edge cost a node pays as a block
-// member), aggregate and adjust are per edge.
+// The four batched role kernels on one edge's burst. Per-transfer wall:
+// encrypt and recover are per member-bundle/member-column (the per-edge
+// cost a node pays as a block member), aggregate and adjust are per edge.
 std::vector<RoleRow> BenchRoles(int block_size) {
   constexpr int kBits = 12;
   auto prg = crypto::ChaCha20Prg::FromSeed(77);
@@ -163,26 +189,6 @@ std::vector<RoleRow> BenchRoles(int block_size) {
   std::vector<mpc::BitVector> member_shares(block_size, share);
 
   std::vector<RoleRow> rows;
-
-  // Every seed baseline below is wire-to-wire, mirroring the Run*-task
-  // bodies: deserialize incoming bytes, run the scheme function, serialize
-  // outgoing bytes. The codec (an inversion per point written, a sqrt per
-  // point read) is real per-role CPU on both paths.
-
-  // --- Encrypt.
-  std::vector<Bytes> seed_bundle_wires;
-  double seed_encrypt_us;
-  {
-    std::vector<crypto::ChaCha20Prg> prgs;
-    for (int x = 0; x < block_size; x++) {
-      prgs.push_back(crypto::ChaCha20Prg::FromSeed(100 + x));
-    }
-    Stopwatch timer;
-    for (int x = 0; x < block_size; x++) {
-      seed_bundle_wires.push_back(transfer::EncryptSubshares(share, cert, prgs[x]).Serialize());
-    }
-    seed_encrypt_us = timer.ElapsedSeconds() * 1e6 / block_size;
-  }
   std::vector<Bytes> bundles;
   {
     std::vector<crypto::ChaCha20Prg> prgs;
@@ -191,62 +197,20 @@ std::vector<RoleRow> BenchRoles(int block_size) {
     }
     Stopwatch timer;
     bundles = transfer::EncryptSubsharesWire(member_shares, cert, prgs);
-    rows.push_back({"encrypt", timer.ElapsedSeconds() * 1e6 / block_size, seed_encrypt_us});
-  }
-
-  // --- Aggregate.
-  Bytes seed_agg_wire;
-  double seed_aggregate_us;
-  {
-    auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
-    Stopwatch timer;
-    std::vector<transfer::SubshareBundle> seed_bundles;
-    for (const Bytes& raw : seed_bundle_wires) {
-      seed_bundles.push_back(transfer::SubshareBundle::Deserialize(raw, block_size, kBits));
-    }
-    seed_agg_wire = transfer::AggregateSubshares(seed_bundles, params, mask_prg).Serialize();
-    seed_aggregate_us = timer.ElapsedSeconds() * 1e6;
+    rows.push_back({"encrypt", timer.ElapsedSeconds() * 1e6 / block_size});
   }
   Bytes agg;
   {
     auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
     Stopwatch timer;
     agg = transfer::AggregateSubsharesWire(bundles, params, mask_prg, noise);
-    rows.push_back({"aggregate", timer.ElapsedSeconds() * 1e6, seed_aggregate_us});
-  }
-
-  // --- Adjust (+ the fan-out split both role bodies perform).
-  std::vector<Bytes> seed_column_wires;
-  double seed_adjust_us;
-  {
-    Stopwatch timer;
-    transfer::AggregatedColumns agg_cols =
-        transfer::AggregatedColumns::Deserialize(seed_agg_wire, block_size, kBits);
-    transfer::AggregatedColumns adjusted = transfer::AdjustAggregated(agg_cols, neighbor_key);
-    for (int y = 0; y < block_size; y++) {
-      transfer::MemberColumn column{adjusted.c1, adjusted.c2[y]};
-      seed_column_wires.push_back(column.Serialize());
-    }
-    seed_adjust_us = timer.ElapsedSeconds() * 1e6;
+    rows.push_back({"aggregate", timer.ElapsedSeconds() * 1e6});
   }
   std::vector<Bytes> columns;
   {
     Stopwatch timer;
     columns = transfer::AdjustAndSplitWire(agg, neighbor_key, params);
-    rows.push_back({"adjust", timer.ElapsedSeconds() * 1e6, seed_adjust_us});
-  }
-
-  // --- Recover.
-  double seed_recover_us;
-  {
-    Stopwatch timer;
-    for (int y = 0; y < block_size; y++) {
-      transfer::MemberColumn column =
-          transfer::MemberColumn::Deserialize(seed_column_wires[y], kBits);
-      mpc::BitVector recovered;
-      DSTRESS_CHECK(transfer::RecoverShare(column, dest_keys.members[y], table, &recovered));
-    }
-    seed_recover_us = timer.ElapsedSeconds() * 1e6 / block_size;
+    rows.push_back({"adjust", timer.ElapsedSeconds() * 1e6});
   }
   {
     std::vector<const transfer::MemberKeys*> member_keys;
@@ -256,14 +220,17 @@ std::vector<RoleRow> BenchRoles(int block_size) {
     std::vector<mpc::BitVector> recovered;
     Stopwatch timer;
     DSTRESS_CHECK(transfer::RecoverSharesWire(columns, member_keys, table, params, &recovered));
-    rows.push_back({"recover", timer.ElapsedSeconds() * 1e6 / block_size, seed_recover_us});
+    rows.push_back({"recover", timer.ElapsedSeconds() * 1e6 / block_size});
   }
   return rows;
 }
 
-// §5.2 end-to-end single-message transfer through the real role tasks and a
-// sim transport, per block size (the paper's 285 ms .. 610 ms curve).
-double SingleTransferMs(int block_size) {
+// §5.2 end-to-end single-message transfer: the four edge-transfer steps in
+// order on one thread over a sim transport, with the per-role bytes §5.3
+// reports read from the same transport. Steady state: the certificate's
+// tables, the lookup table and the noise cache are built before the timer,
+// as the runtime builds them once per run.
+TransferRow SingleTransfer(int block_size) {
   constexpr int kBits = 12;
   auto prg = crypto::ChaCha20Prg::FromSeed(77);
   transfer::TransferParams params;
@@ -276,7 +243,9 @@ double SingleTransferMs(int block_size) {
   crypto::U256 neighbor_key = prg.NextScalar(crypto::CurveOrder());
   transfer::BlockCertificate cert =
       transfer::MakeBlockCertificate(transfer::PublicKeysOf(dest_keys), neighbor_key);
+  cert.Tables();
   crypto::DlogTable table(params.dlog_range);
+  transfer::EvenNoiseCache noise(table.range());
 
   mpc::BitVector message(kBits, 1);
   auto shares = mpc::ShareBits(message, block_size, prg);
@@ -284,39 +253,34 @@ double SingleTransferMs(int block_size) {
   // Nodes: 0 = i, 1 = j, 2.. = block members (distinct for clean per-role
   // accounting).
   std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(2 + 2 * block_size);
-  net::Transport& net = *net_owner;
+  net::Transport* net = net_owner.get();
   std::vector<net::NodeId> members_i, members_j;
+  std::vector<const transfer::MemberKeys*> member_keys;
+  std::vector<crypto::ChaCha20Prg> prgs;
   for (int m = 0; m < block_size; m++) {
     members_i.push_back(2 + m);
     members_j.push_back(2 + block_size + m);
+    member_keys.push_back(&dest_keys.members[m]);
+    prgs.push_back(crypto::ChaCha20Prg::FromSeed(100 + m));
   }
+  auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
+  constexpr net::SessionId kSession = 1;
+
   Stopwatch timer;
-  std::vector<std::thread> threads;
-  for (int x = 0; x < block_size; x++) {
-    threads.emplace_back([&, x] {
-      auto role_prg = crypto::ChaCha20Prg::FromSeed(100 + x);
-      transfer::RunSenderMember(&net, members_i[x], 0, 1, shares[x], cert, role_prg);
-    });
-  }
-  threads.emplace_back([&] {
-    auto role_prg = crypto::ChaCha20Prg::FromSeed(200);
-    transfer::RunSourceEndpoint(&net, 0, members_i, 1, 1, params, role_prg);
-  });
-  threads.emplace_back(
-      [&] { transfer::RunDestEndpoint(&net, 1, 0, members_j, 1, neighbor_key, params); });
-  std::vector<mpc::BitVector> received(block_size);
-  for (int y = 0; y < block_size; y++) {
-    threads.emplace_back([&, y] {
-      received[y] = transfer::RunReceiverMember(&net, members_j[y], 1, 1, dest_keys.members[y],
-                                                table, params);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  double ms = timer.ElapsedSeconds() * 1e3;
+  transfer::SendBundles(net, members_i, 0, kSession, shares, cert, prgs);
+  transfer::AggregateAtSource(net, 0, members_i, 1, kSession, params, mask_prg, noise);
+  transfer::AdjustAtDest(net, 1, 0, members_j, kSession, neighbor_key, params);
+  std::vector<mpc::BitVector> received =
+      transfer::RecoverAtMembers(net, members_j, 1, kSession, member_keys, table, params);
+  TransferRow row;
+  row.block_size = block_size;
+  row.ms = timer.ElapsedSeconds() * 1e3;
   DSTRESS_CHECK(mpc::ReconstructBits(received) == message);
-  return ms;
+  row.i_recv_bytes = net->NodeStats(0).bytes_received;
+  row.member_bi_sent_bytes = net->NodeStats(members_i[0]).bytes_sent;
+  row.j_sent_bytes = net->NodeStats(1).bytes_sent;
+  row.member_bj_recv_bytes = net->NodeStats(members_j[0]).bytes_received;
+  return row;
 }
 
 void Run() {
@@ -329,25 +293,38 @@ void Run() {
   }
 
   int block_size = FullScale() ? 20 : 8;
-  std::printf("\n# transfer roles, block size %d: batched wire engine vs seed scheme\n",
-              block_size);
-  std::printf("%12s %12s %14s %10s\n", "role", "us", "baseline-us", "speedup");
+  std::printf("\n# transfer roles, block size %d: batched wire-level kernels\n", block_size);
+  std::printf("%12s %12s\n", "role", "us");
   std::vector<RoleRow> roles = BenchRoles(block_size);
   for (const RoleRow& r : roles) {
-    std::printf("%12s %12.1f %14.1f %9.1fx\n", r.role.c_str(), r.us, r.baseline_us,
-                r.baseline_us / r.us);
+    std::printf("%12s %12.1f\n", r.role.c_str(), r.us);
   }
 
-  std::printf("\n# §5.2 single 12-bit message transfer, seed role tasks over sim transport\n");
-  std::printf("# (paper: 285 ms at block 8 .. 610 ms at block 20)\n");
+  std::vector<TransferRow> transfers;
+  for (int b : {8, 12, 16, 20}) {
+    transfers.push_back(SingleTransfer(b));
+  }
+  std::printf("\n# §5.2 single 12-bit message transfer: the four edge-transfer steps over\n"
+              "# a sim transport (paper: 285 ms at block 8 .. 610 ms at block 20)\n");
   std::printf("%12s %12s\n", "block", "ms");
-  std::vector<int> block_sizes =
-      FullScale() ? std::vector<int>{8, 12, 16, 20} : std::vector<int>{8, 12};
-  for (int b : block_sizes) {
-    std::printf("%12d %12.1f\n", b, SingleTransferMs(b));
+  for (const TransferRow& t : transfers) {
+    std::printf("%12d %12.1f\n", t.block_size, t.ms);
   }
 
-  WriteJson(block_size, primitives, roles);
+  std::printf("\n# §5.3 bytes per role during the same transfers, L = 12-bit messages, "
+              "33-byte points\n");
+  std::printf("%-10s %14s %16s %14s %16s\n", "block", "i_recv_bytes", "member_Bi_sent",
+              "j_sent_bytes", "member_Bj_recv");
+  for (const TransferRow& t : transfers) {
+    std::printf("%-10d %14llu %16llu %14llu %16llu\n", t.block_size,
+                static_cast<unsigned long long>(t.i_recv_bytes),
+                static_cast<unsigned long long>(t.member_bi_sent_bytes),
+                static_cast<unsigned long long>(t.j_sent_bytes),
+                static_cast<unsigned long long>(t.member_bj_recv_bytes));
+  }
+  std::printf("# shape check: i_recv quadratic in k, member/j linear, Bj-member constant\n");
+
+  WriteJson(block_size, primitives, roles, transfers);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/ha/checkpoint.h"
-#include "src/net/channel.h"
 #include "src/ot/base_ot.h"
 #include "src/transfer/batch_engine.h"
 
@@ -477,13 +476,11 @@ size_t Runtime::RunBatchedPhase(net::SessionId session,
   return stats.rounds;
 }
 
-// A communication step: the per-edge role work runs through the wire-level
-// batch engine (transfer/batch_engine.h) in four barrier-separated
-// sub-phases — senders, source endpoints, dest endpoints, receivers — so
-// every Recv is satisfied by a Send from an earlier sub-phase and no task
-// ever parks on a peer. Messages, sessions and byte counts are those of
-// the per-role transfer functions (transfer.h), pinned by the engine_test
-// fidelity digests.
+// A communication step: every edge's transfer runs the four steps of the
+// edge-transfer engine (transfer/batch_engine.h) as four barrier-separated
+// sub-phases — senders, source endpoints, dest endpoints, receivers — with
+// one task per edge, so every Recv is satisfied by a Send from an earlier
+// sub-phase and no task ever parks on a peer.
 void Runtime::CommunicatePhase(int scenario) {
   int k1 = config_.block_size;
   const int n = graph_.num_vertices();
@@ -497,12 +494,10 @@ void Runtime::CommunicatePhase(int scenario) {
   if (noise_cache_ == nullptr) {
     noise_cache_ = std::make_unique<transfer::EvenNoiseCache>(dlog_table_->range());
   }
+  auto session_of = [&](size_t e) { return kTransferSession | session_salt | e; };
 
-  // Sub-phase 1: all sender members of every edge, one batched encrypt per
-  // edge sharing the certificate's fixed-base tables.
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | session_salt | e;
     int out_slot = SlotOf(graph_.OutNeighbors(i), j);
     std::vector<mpc::BitVector> shares;
     std::vector<crypto::ChaCha20Prg> prgs;
@@ -512,66 +507,35 @@ void Runtime::CommunicatePhase(int scenario) {
       shares.push_back(outmsg_shares_[vertex_offset + i][out_slot][x]);
       prgs.push_back(RolePrg(0x22, ((prg_base + e) << 8) | static_cast<uint64_t>(x)));
     }
-    std::vector<Bytes> bundles =
-        transfer::EncryptSubsharesWire(shares, setup_.edge_certificates.at({i, j}), prgs);
-    for (int x = 0; x < k1; x++) {
-      net_->Send(setup_.blocks[i][x], i, std::move(bundles[x]),
-                 transfer::TransferSubSession(session, 0));
-    }
+    transfer::SendBundles(net_.get(), setup_.blocks[i], i, session_of(e), shares,
+                          setup_.edge_certificates.at({i, j}), prgs);
   });
 
-  // Sub-phase 2: node i aggregates + masks every edge's bundles.
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | session_salt | e;
-    std::vector<Bytes> bundles;
-    bundles.reserve(k1);
-    for (int member : setup_.blocks[i]) {
-      bundles.push_back(net_->Recv(i, member, transfer::TransferSubSession(session, 0)));
-    }
     auto prg = RolePrg(0x33, prg_base + e);
-    Bytes agg = transfer::AggregateSubsharesWire(bundles, transfer_params_, prg, *noise_cache_);
-    net_->Send(i, j, std::move(agg), transfer::TransferSubSession(session, 1));
+    transfer::AggregateAtSource(net_.get(), i, setup_.blocks[i], j, session_of(e),
+                                transfer_params_, prg, *noise_cache_);
   });
 
-  // Sub-phase 3: node j adjusts and fans the columns out (same Channel
-  // burst as RunDestEndpoint, so per-node traffic accounting matches).
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | session_salt | e;
     int in_slot = SlotOf(graph_.InNeighbors(j), i);
-    Bytes agg = net_->Recv(j, i, transfer::TransferSubSession(session, 1));
-    std::vector<Bytes> columns =
-        transfer::AdjustAndSplitWire(agg, setup_.neighbor_keys[j][in_slot], transfer_params_);
-    std::vector<net::NodeId> members(setup_.blocks[j].begin(), setup_.blocks[j].end());
-    net::Channel fanout(net_.get(), j, members, transfer::TransferSubSession(session, 2));
-    for (size_t y = 0; y < members.size(); y++) {
-      fanout.Send(members[y], std::move(columns[y]));
-    }
-    fanout.Flush();
+    transfer::AdjustAtDest(net_.get(), j, i, setup_.blocks[j], session_of(e),
+                           setup_.neighbor_keys[j][in_slot], transfer_params_);
   });
 
-  // Sub-phase 4: all receiver members of every edge, one batched recovery
-  // per edge sharing the c1 fixed-base table.
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | session_salt | e;
     int in_slot = SlotOf(graph_.InNeighbors(j), i);
-    std::vector<Bytes> columns;
     std::vector<const transfer::MemberKeys*> keys;
-    columns.reserve(k1);
     keys.reserve(k1);
-    for (int y = 0; y < k1; y++) {
-      int member_node = setup_.blocks[j][y];
-      columns.push_back(
-          net_->Recv(member_node, j, transfer::TransferSubSession(session, 2)));
+    for (int member_node : setup_.blocks[j]) {
       keys.push_back(&setup_.node_keys[member_node]);
     }
-    std::vector<mpc::BitVector> shares;
-    bool ok = transfer::RecoverSharesWire(columns, keys, *dlog_table_, transfer_params_, &shares);
-    // Same contract as RunReceiverMember: a lookup miss is the Appendix B
-    // P_fail event, negligible by parameter choice and fatal if it fires.
-    DSTRESS_CHECK(ok);
+    std::vector<mpc::BitVector> shares =
+        transfer::RecoverAtMembers(net_.get(), setup_.blocks[j], j, session_of(e), keys,
+                                   *dlog_table_, transfer_params_);
     for (int y = 0; y < k1; y++) {
       inmsg_shares_[vertex_offset + j][in_slot][y] = std::move(shares[y]);
     }

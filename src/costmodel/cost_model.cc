@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "src/circuit/builder.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/crypto/elgamal.h"
-#include "src/mpc/gmw.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
@@ -42,7 +41,7 @@ std::string Projection::ToString() const {
 
 namespace {
 
-// The multiplier-heavy circuit both calibrations evaluate.
+// The multiplier-heavy circuit the MPC calibration evaluates.
 circuit::Circuit CalibrationCircuit() {
   circuit::Builder b;
   circuit::Word x = b.InputWord(32);
@@ -57,137 +56,11 @@ circuit::Circuit CalibrationCircuit() {
 
 }  // namespace
 
-MicroCosts Calibrate(int block_size, int message_bits) {
+MicroCosts CalibrateBatched(int block_size, int message_bits, int batch_width) {
+  DSTRESS_CHECK(block_size > 0 && message_bits > 0 && batch_width > 0);
   MicroCosts costs;
   costs.calibrated_block_size = block_size;
   costs.calibrated_message_bits = message_bits;
-
-  // --- GMW per-AND cost: evaluate a multiplier-heavy circuit in one block.
-  {
-    circuit::Circuit circuit = CalibrationCircuit();
-
-    std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(block_size);
-    net::Transport& net = *net_owner;
-    auto prg = crypto::ChaCha20Prg::FromSeed(11);
-    mpc::BitVector inputs(circuit.num_inputs(), 0);
-    for (auto& bit : inputs) {
-      bit = prg.NextBit() ? 1 : 0;
-    }
-    auto shares = mpc::ShareBits(inputs, block_size, prg);
-
-    // Best of a few repetitions: one block evaluation is only ~10 ms, so
-    // a single shot is at the mercy of scheduler noise.
-    constexpr int kGmwReps = 3;
-    double seconds = 0;
-    for (int rep = 0; rep < kGmwReps; rep++) {
-      Stopwatch timer;
-      std::vector<std::thread> threads;
-      for (int p = 0; p < block_size; p++) {
-        threads.emplace_back([&, p, rep] {
-          std::vector<net::NodeId> ids(block_size);
-          for (int i = 0; i < block_size; i++) {
-            ids[i] = i;
-          }
-          mpc::DealerTripleSource triples(p, block_size, 77 + rep);
-          mpc::GmwParty party(&net, ids, p, &triples);
-          party.Eval(circuit, shares[p]);
-        });
-      }
-      for (auto& t : threads) {
-        t.join();
-      }
-      double rep_seconds = timer.ElapsedSeconds();
-      seconds = rep == 0 ? rep_seconds : std::min(seconds, rep_seconds);
-    }
-    costs.seconds_per_and = seconds / static_cast<double>(circuit.stats().num_and);
-    costs.bytes_per_and = static_cast<double>(net.TotalBytes()) /
-                          (static_cast<double>(kGmwReps) * block_size * circuit.stats().num_and);
-  }
-
-  // --- Transfer protocol per-role costs, wire-to-wire: each role is timed
-  // exactly as its Run*-task body executes it — deserialize incoming wire
-  // bytes, run the scheme function, serialize outgoing wire bytes — without
-  // the network itself. The codec is real per-role CPU (a field inversion
-  // per compressed point written, a square root per point read), so leaving
-  // it out would understate every role and overstate nothing.
-  {
-    auto prg = crypto::ChaCha20Prg::FromSeed(21);
-    transfer::TransferParams params;
-    params.block_size = block_size;
-    params.message_bits = message_bits;
-    params.budget_alpha = 0.9;
-    // Sized for the masking noise at this block size; the fixed 512 the
-    // seed used overflows for the paper's block size 20 and aborts the
-    // full-scale calibration.
-    params.dlog_range = params.RecommendedDlogRange(1e-9);
-
-    transfer::BlockKeys dest_keys = transfer::TransferSetup(block_size, message_bits, prg);
-    crypto::U256 neighbor_key = prg.NextScalar(crypto::CurveOrder());
-    transfer::BlockCertificate cert =
-        transfer::MakeBlockCertificate(transfer::PublicKeysOf(dest_keys), neighbor_key);
-    crypto::DlogTable table(params.dlog_range);
-
-    mpc::BitVector share(message_bits, 0);
-    for (auto& bit : share) {
-      bit = prg.NextBit() ? 1 : 0;
-    }
-
-    constexpr int kReps = 3;
-    Stopwatch timer;
-    std::vector<Bytes> bundle_wires;  // RunSenderMember: encrypt + serialize
-    for (int member = 0; member < block_size; member++) {
-      bundle_wires.push_back(transfer::EncryptSubshares(share, cert, prg).Serialize());
-    }
-    costs.seconds_bundle_encrypt = timer.ElapsedSeconds() / block_size;
-
-    timer.Reset();
-    Bytes agg_wire;  // RunSourceEndpoint: deserialize all + aggregate + serialize
-    for (int rep = 0; rep < kReps; rep++) {
-      std::vector<transfer::SubshareBundle> bundles;
-      bundles.reserve(block_size);
-      for (const Bytes& raw : bundle_wires) {
-        bundles.push_back(transfer::SubshareBundle::Deserialize(raw, block_size, message_bits));
-      }
-      agg_wire = transfer::AggregateSubshares(bundles, params, prg).Serialize();
-    }
-    costs.seconds_source_endpoint = timer.ElapsedSeconds() / kReps;
-
-    timer.Reset();
-    std::vector<Bytes> column_wires;  // RunDestEndpoint: deser + adjust + fan out
-    for (int rep = 0; rep < kReps; rep++) {
-      transfer::AggregatedColumns agg =
-          transfer::AggregatedColumns::Deserialize(agg_wire, block_size, message_bits);
-      transfer::AggregatedColumns adjusted = transfer::AdjustAggregated(agg, neighbor_key);
-      column_wires.clear();
-      for (int member = 0; member < block_size; member++) {
-        transfer::MemberColumn column{adjusted.c1, adjusted.c2[member]};
-        column_wires.push_back(column.Serialize());
-      }
-    }
-    costs.seconds_dest_adjust = timer.ElapsedSeconds() / kReps;
-
-    timer.Reset();
-    for (int member = 0; member < block_size; member++) {
-      // RunReceiverMember: deserialize + recover.
-      transfer::MemberColumn column =
-          transfer::MemberColumn::Deserialize(column_wires[member], message_bits);
-      mpc::BitVector recovered;
-      bool ok = transfer::RecoverShare(column, dest_keys.members[member], table, &recovered);
-      DSTRESS_CHECK(ok);
-    }
-    costs.seconds_column_decrypt = timer.ElapsedSeconds() / block_size;
-  }
-  return costs;
-}
-
-MicroCosts CalibrateBatched(const MicroCosts& seed_costs, int message_bits, int batch_width) {
-  DSTRESS_CHECK(batch_width > 0);
-  // The per-AND wire bytes are copied from the seed measurement (batching
-  // does not change the wire); the per-AND time and all four transfer role
-  // times are re-measured through the batched engines below.
-  const int block_size = seed_costs.calibrated_block_size;
-  DSTRESS_CHECK(block_size > 0 && seed_costs.calibrated_message_bits == message_bits);
-  MicroCosts costs = seed_costs;
 
   circuit::Circuit circuit = CalibrationCircuit();
   circuit::EvalPlan plan(circuit);
@@ -216,9 +89,10 @@ MicroCosts CalibrateBatched(const MicroCosts& seed_costs, int message_bits, int 
   }
 
   // All roles of all instances advance in one lockstep call on this thread
-  // — the runtime's single-scheduler mode. Triple prefetch is inside the
-  // timed section, mirroring Calibrate() where Eval draws its own triples;
-  // best of a few repetitions, like the seed measurement.
+  // — the runtime's single-scheduler mode. Triple draws are inside the
+  // timed section, as in the runtime's compute phase. Best of a few
+  // repetitions: one lockstep evaluation is only milliseconds, so a single
+  // shot is at the mercy of scheduler noise.
   constexpr int kGmwReps = 3;
   double seconds = 0;
   for (int rep = 0; rep < kGmwReps; rep++) {
@@ -242,10 +116,13 @@ MicroCosts CalibrateBatched(const MicroCosts& seed_costs, int message_bits, int 
     seconds = rep == 0 ? rep_seconds : std::min(seconds, rep_seconds);
   }
   costs.seconds_per_and = seconds / (static_cast<double>(num_and) * batch_width);
+  // GMW online traffic per AND per member, from the transport's meter: every
+  // repetition sent each instance's d,e openings from every member.
+  costs.bytes_per_and = static_cast<double>(net_owner->TotalBytes()) /
+                        (static_cast<double>(kGmwReps) * block_size * batch_width * num_and);
 
-  // --- Transfer role costs through the batched wire-level engine. Mirrors
-  // Calibrate()'s setup; the wire bytes the two paths produce are
-  // bit-identical (transfer_test pins this), only the CPU time differs.
+  // --- Transfer role costs through the batched wire-level engine, timed
+  // kernel by kernel (wire bytes in, wire bytes out) without the transport.
   {
     auto prg = crypto::ChaCha20Prg::FromSeed(21);
     transfer::TransferParams params;
@@ -353,16 +230,10 @@ Projection Project(const MicroCosts& costs, const ProjectionParams& p) {
   out.communicate_seconds =
       iters * (k1 * d * costs.seconds_bundle_encrypt + d * costs.seconds_source_endpoint +
                d * costs.seconds_dest_adjust + k1 * d * costs.seconds_column_decrypt);
-  // Batched engine only (zero for seed costs): each node builds fixed-base
-  // key tables for every (block membership, out-edge certificate) pair once
-  // per run, reused across all iterations' encryptions.
+  // Each node builds fixed-base key tables for every (block membership,
+  // out-edge certificate) pair once per run, reused across all iterations'
+  // encryptions.
   out.communicate_seconds += k1 * d * costs.seconds_cert_table_build;
-  // Transfer-plane overlap (see ProjectionParams::transfer_workers): the
-  // node's k1*d per-edge tasks are independent, so with W workers the CPU
-  // time divides by min(W, task count). At the paper's scale (k1*d >= 200)
-  // the min never binds; it guards toy parameter sets.
-  double workers = std::min(static_cast<double>(std::max(p.transfer_workers, 1)), k1 * d);
-  out.communicate_seconds /= workers;
   double bundle_bytes = (1.0 + k1 * p.message_bits) * point;
   double column_bytes = (1.0 + p.message_bits) * point;
   double communicate_traffic =

@@ -4,13 +4,13 @@
 // from microbenchmark measurements under conservative assumptions (degree
 // bound D = 100, block size 20, no overlap between a node's block
 // computations, two-level aggregation tree of fan-in 100). This module
-// reproduces that methodology: Calibrate() measures per-operation costs of
-// this build's actual protocol implementations (per-AND GMW cost, per-
+// reproduces that methodology: CalibrateBatched() measures per-operation
+// costs of the code the runtime runs (per-AND GMW cost and traffic, per-
 // bundle encryption cost, endpoint aggregation cost, per-column decryption
 // cost), and Project() combines them with exact circuit AND-counts and
 // exact wire formats into per-node time and traffic as functions of N
-// and D. Validation against real end-to-end runs is done by the Figure 6
-// bench.
+// and D. The Figure 6 bench validates the projection against real
+// end-to-end runs and records its model error.
 #ifndef SRC_COSTMODEL_COST_MODEL_H_
 #define SRC_COSTMODEL_COST_MODEL_H_
 
@@ -32,11 +32,10 @@ struct MicroCosts {
   double seconds_source_endpoint = 0;
   double seconds_dest_adjust = 0;
   double seconds_column_decrypt = 0;
-  // Batched engine only (zero under the seed schedule): building one edge
-  // certificate's fixed-base key tables (k+1 members x L bits). Paid once
-  // per run per (member, out-edge certificate) and amortized over all
-  // iterations' bundle encryptions; Project() charges it separately from
-  // the per-iteration terms.
+  // Building one edge certificate's fixed-base key tables (k+1 members x
+  // L bits). Paid once per run per (member, out-edge certificate) and
+  // amortized over all iterations' bundle encryptions; Project() charges it
+  // separately from the per-iteration terms.
   double seconds_cert_table_build = 0;
   int calibrated_block_size = 0;
   int calibrated_message_bits = 0;
@@ -44,22 +43,16 @@ struct MicroCosts {
   std::string ToString() const;
 };
 
-// Measures the micro costs at the given block size on this machine, with
-// the seed (one GmwParty per role, one thread per member) MPC schedule.
-MicroCosts Calibrate(int block_size, int message_bits);
-
-// Same measurements, but with the batched data planes the runtime uses by
-// default: the MPC term via the bitsliced packed-share engine
-// (docs/packed-eval.md — `batch_width` independent instances advance
-// through the AND layers in one lockstep mpc::EvalBatchInstances call),
-// and the transfer terms via the batched wire-level crypto engine
-// (docs/transfer-crypto.md — fixed-base key tables, batch-affine bundle
-// encryption, cached noise points, lockstep column decryption).
-// `seed_costs` must come from Calibrate() with the same block size; the
-// per-AND wire bytes (which batching does not change) are copied from it.
-// The result additionally carries seconds_cert_table_build, the batched
-// engine's once-per-run table cost that Project() charges separately.
-MicroCosts CalibrateBatched(const MicroCosts& seed_costs, int message_bits, int batch_width);
+// Measures the micro costs on this machine through the data planes the
+// runtime runs: the MPC terms via the bitsliced packed-share engine
+// (docs/packed-eval.md — `batch_width` independent instances of a
+// multiplier-heavy circuit advance through the AND layers in one lockstep
+// mpc::EvalBatchInstances call over a sim transport, whose metered bytes
+// give bytes_per_and), and the transfer terms via the batched wire-level
+// crypto engine (docs/transfer-crypto.md — fixed-base key tables,
+// batch-affine bundle encryption, cached noise points, lockstep column
+// decryption), plus the once-per-run certificate table build.
+MicroCosts CalibrateBatched(int block_size, int message_bits, int batch_width);
 
 struct ProjectionParams {
   int num_nodes = 1750;
@@ -79,18 +72,6 @@ struct ProjectionParams {
   size_t update_and_depth = 0;
   size_t aggregate_and_depth = 0;
   size_t combine_and_depth = 0;
-  // Worker threads a deployment node's transfer plane overlaps its per-edge
-  // work across. 1 reproduces the paper's §5.5 conservative serialization
-  // ("a node's block computations do not overlap") and is the seed-schedule
-  // baseline. The batched plane (core::Runtime::CommunicatePhaseBatched)
-  // runs every edge's role work as an independent task on the persistent
-  // worker pool — no blocking receives inside a sub-phase, shared state
-  // read-only, scratch thread-local — so its projection divides the per-node
-  // transfer CPU terms (bundle encrypts, endpoint aggregation/adjustment,
-  // column decrypts, certificate table builds) by this worker count.
-  // Traffic, the GMW terms, and the WAN latency model are never divided.
-  // See docs/transfer-crypto.md for the deployment assumption.
-  int transfer_workers = 1;
 };
 
 struct Projection {

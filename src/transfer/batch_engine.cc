@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/dp/samplers.h"
+#include "src/net/channel.h"
 
 namespace dstress::transfer {
 
@@ -25,6 +26,12 @@ void WriteAffine(const AffinePoint& p, uint8_t* out33) {
   }
   out33[0] = p.y.IsOdd() ? 0x03 : 0x02;
   p.x.raw().ToBytesBe(out33 + 1);
+}
+
+// Sub-session of step `step` (0: bundles, 1: aggregate, 2: columns) of the
+// edge transfer on `base`.
+net::SessionId TransferSubSession(net::SessionId base, int step) {
+  return base | (static_cast<net::SessionId>(step + 1) << 56);
 }
 
 const AffinePoint& GeneratorAffine() {
@@ -273,6 +280,62 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
     }
   }
   return true;
+}
+
+void SendBundles(net::Transport* net, const std::vector<net::NodeId>& members_i,
+                 net::NodeId node_i, net::SessionId session,
+                 const std::vector<mpc::BitVector>& member_share_bits,
+                 const BlockCertificate& cert, std::vector<crypto::ChaCha20Prg>& prgs) {
+  DSTRESS_CHECK(members_i.size() == member_share_bits.size());
+  std::vector<Bytes> bundles = EncryptSubsharesWire(member_share_bits, cert, prgs);
+  for (size_t x = 0; x < members_i.size(); x++) {
+    net->Send(members_i[x], node_i, std::move(bundles[x]), TransferSubSession(session, 0));
+  }
+}
+
+void AggregateAtSource(net::Transport* net, net::NodeId node_i,
+                       const std::vector<net::NodeId>& members_i, net::NodeId node_j,
+                       net::SessionId session, const TransferParams& params,
+                       crypto::ChaCha20Prg& prg, const EvenNoiseCache& noise) {
+  std::vector<Bytes> bundles;
+  bundles.reserve(members_i.size());
+  for (net::NodeId member : members_i) {
+    bundles.push_back(net->Recv(node_i, member, TransferSubSession(session, 0)));
+  }
+  net->Send(node_i, node_j, AggregateSubsharesWire(bundles, params, prg, noise),
+            TransferSubSession(session, 1));
+}
+
+void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
+                  const std::vector<net::NodeId>& members_j, net::SessionId session,
+                  const crypto::U256& neighbor_key, const TransferParams& params) {
+  Bytes agg = net->Recv(node_j, node_i, TransferSubSession(session, 1));
+  std::vector<Bytes> columns = AdjustAndSplitWire(agg, neighbor_key, params);
+  DSTRESS_CHECK(columns.size() == members_j.size());
+  // Every column is ready before the first delivery; the Channel flushes
+  // the whole fan-out as one burst.
+  net::Channel fanout(net, node_j, members_j, TransferSubSession(session, 2));
+  for (size_t y = 0; y < members_j.size(); y++) {
+    fanout.Send(members_j[y], std::move(columns[y]));
+  }
+  fanout.Flush();
+}
+
+std::vector<mpc::BitVector> RecoverAtMembers(net::Transport* net,
+                                             const std::vector<net::NodeId>& members_j,
+                                             net::NodeId node_j, net::SessionId session,
+                                             const std::vector<const MemberKeys*>& member_keys,
+                                             const crypto::DlogTable& table,
+                                             const TransferParams& params) {
+  std::vector<Bytes> columns;
+  columns.reserve(members_j.size());
+  for (net::NodeId member : members_j) {
+    columns.push_back(net->Recv(member, node_j, TransferSubSession(session, 2)));
+  }
+  std::vector<mpc::BitVector> shares;
+  bool ok = RecoverSharesWire(columns, member_keys, table, params, &shares);
+  DSTRESS_CHECK(ok);  // the Appendix B P_fail event
+  return shares;
 }
 
 }  // namespace dstress::transfer

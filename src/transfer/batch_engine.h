@@ -1,7 +1,8 @@
-// Batched, wire-level implementations of the four transfer roles — the
-// tentpole of the transfer-phase crypto engine (docs/transfer-crypto.md).
+// The edge-transfer engine (docs/transfer-crypto.md): the four networked
+// steps of one edge transfer, which are the only schedule the runtime runs,
+// and the batched wire-level role kernels they call.
 //
-// Each function performs the same cryptographic work as its pure-scheme
+// Each *Wire kernel performs the same cryptographic work as its pure-scheme
 // counterpart in transfer.h but for a whole per-edge burst at once, keeping
 // points in batch-affine form end to end:
 //
@@ -17,15 +18,17 @@
 //    evaluates all (member, bit) secrets against it in lockstep.
 //
 // Bit-fidelity contract: given the same PRG streams, every Bytes value
-// produced here is byte-identical to what the seed schedule sends
-// (transfer_test pins this). Compressed encodings are unique per group
-// element, so equality of group values implies equality of wire bytes; the
-// draw order of every PRG consumer matches the seed path exactly.
+// produced here is byte-identical to the serialized output of the pure
+// scheme functions (transfer_test pins this). Compressed encodings are
+// unique per group element, so equality of group values implies equality
+// of wire bytes; the draw order of every PRG consumer matches the pure
+// functions exactly.
 #ifndef SRC_TRANSFER_BATCH_ENGINE_H_
 #define SRC_TRANSFER_BATCH_ENGINE_H_
 
 #include <vector>
 
+#include "src/net/transport.h"
 #include "src/transfer/transfer.h"
 
 namespace dstress::transfer {
@@ -79,6 +82,49 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
                        const std::vector<const MemberKeys*>& member_keys,
                        const crypto::DlogTable& table, const TransferParams& params,
                        std::vector<mpc::BitVector>* shares_out);
+
+// --- the edge-transfer wire schedule ---------------------------------------
+//
+// One transfer along edge (i, j) is four steps, each on its own sub-session
+// of the caller's `session`: one physical node can be a sender member of B_i
+// and a receiver member of B_j for the same edge, and without the split the
+// bundle and the column would share a FIFO channel with two consumers. Each
+// step only receives what an earlier step sent, and Send never blocks, so
+// the runtime runs every edge's step s as one barrier-separated sub-phase,
+// and a single transfer runs by calling the four steps in order on one
+// thread. Messages, sessions and byte counts are pinned by the engine_test
+// fidelity digests.
+
+// Step 1: all k+1 members of B_i encrypt their subshares in one
+// EncryptSubsharesWire pass (member x's share is member_share_bits[x], its
+// role PRG prgs[x]); each sends its bundle to node i.
+void SendBundles(net::Transport* net, const std::vector<net::NodeId>& members_i,
+                 net::NodeId node_i, net::SessionId session,
+                 const std::vector<mpc::BitVector>& member_share_bits,
+                 const BlockCertificate& cert, std::vector<crypto::ChaCha20Prg>& prgs);
+
+// Step 2: node i receives the k+1 bundles, aggregates and masks them (mask
+// draws from `prg`), and sends the aggregate to node j.
+void AggregateAtSource(net::Transport* net, net::NodeId node_i,
+                       const std::vector<net::NodeId>& members_i, net::NodeId node_j,
+                       net::SessionId session, const TransferParams& params,
+                       crypto::ChaCha20Prg& prg, const EvenNoiseCache& noise);
+
+// Step 3: node j receives the aggregate, adjusts it with the edge's neighbor
+// key, and fans one column out to each member of B_j in one Channel burst.
+void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
+                  const std::vector<net::NodeId>& members_j, net::SessionId session,
+                  const crypto::U256& neighbor_key, const TransferParams& params);
+
+// Step 4: every member of B_j receives its column; one RecoverSharesWire
+// pass returns member y's fresh share at index y. A lookup-table miss is the
+// Appendix B P_fail event, negligible by parameter choice, and aborts.
+std::vector<mpc::BitVector> RecoverAtMembers(net::Transport* net,
+                                             const std::vector<net::NodeId>& members_j,
+                                             net::NodeId node_j, net::SessionId session,
+                                             const std::vector<const MemberKeys*>& member_keys,
+                                             const crypto::DlogTable& table,
+                                             const TransferParams& params);
 
 }  // namespace dstress::transfer
 

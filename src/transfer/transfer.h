@@ -25,11 +25,13 @@
 //     noise) equals the XOR of the subshare bits, so the members end up
 //     with a fresh XOR-sharing of m (Theorem 1).
 //
-// Two APIs are provided: pure scheme functions mirroring Appendix A's
-// Setup / RandomizeKey / Encrypt / Aggregate / Adjust / Decrypt / Recover
-// (used directly by the correctness tests), and networked role functions
-// used by the runtime, which exchange the serialized forms over the transport
-// so traffic is metered per role exactly as §5.3 measures it.
+// This header holds the scheme's key material, wire messages and the pure
+// functions mirroring Appendix A's Setup / RandomizeKey / Encrypt /
+// Aggregate / Adjust / Decrypt / Recover. The pure functions are the oracle
+// the correctness tests pin the batched engine against; the runtime moves
+// the serialized forms over the transport through the edge-transfer steps
+// in batch_engine.h, so traffic is metered per role exactly as §5.3
+// measures it.
 #ifndef SRC_TRANSFER_TRANSFER_H_
 #define SRC_TRANSFER_TRANSFER_H_
 
@@ -39,7 +41,6 @@
 #include "src/crypto/elgamal.h"
 #include "src/crypto/fixed_base.h"
 #include "src/mpc/sharing.h"
-#include "src/net/transport.h"
 
 namespace dstress::transfer {
 
@@ -167,34 +168,6 @@ AggregatedColumns AdjustAggregated(const AggregatedColumns& agg, const crypto::U
 // failure event).
 bool RecoverShare(const MemberColumn& column, const MemberKeys& my_keys,
                   const crypto::DlogTable& table, mpc::BitVector* share_out);
-
-// --- networked roles (used by the runtime) ----------------------------------
-
-// The three wire steps of one edge transfer run on distinct sub-sessions of
-// the caller's session id, because one physical node can simultaneously be
-// a sender member of B_i and a receiver member of B_j for the same edge —
-// without the split, the bundle and the column would share a FIFO channel
-// with two concurrent consumers.
-inline net::SessionId TransferSubSession(net::SessionId base, int step) {
-  return base | (static_cast<net::SessionId>(step + 1) << 56);
-}
-
-void RunSenderMember(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     net::SessionId session, const mpc::BitVector& share_bits,
-                     const BlockCertificate& cert, crypto::ChaCha20Prg& prg);
-
-void RunSourceEndpoint(net::Transport* net, net::NodeId self,
-                       const std::vector<net::NodeId>& members, net::NodeId node_j,
-                       net::SessionId session, const TransferParams& params,
-                       crypto::ChaCha20Prg& prg);
-
-void RunDestEndpoint(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     const std::vector<net::NodeId>& members, net::SessionId session,
-                     const crypto::U256& neighbor_key, const TransferParams& params);
-
-mpc::BitVector RunReceiverMember(net::Transport* net, net::NodeId self, net::NodeId node_j,
-                                 net::SessionId session, const MemberKeys& my_keys,
-                                 const crypto::DlogTable& table, const TransferParams& params);
 
 }  // namespace dstress::transfer
 

@@ -36,19 +36,23 @@ ProjectionParams BaseParams() {
 }
 
 TEST(CostModelTest, CalibrationProducesPositiveCosts) {
-  MicroCosts costs = Calibrate(/*block_size=*/3, /*message_bits=*/6);
+  MicroCosts costs = CalibrateBatched(/*block_size=*/3, /*message_bits=*/6, /*batch_width=*/4);
   EXPECT_GT(costs.seconds_per_and, 0.0);
   EXPECT_GT(costs.bytes_per_and, 0.0);
   EXPECT_GT(costs.seconds_bundle_encrypt, 0.0);
   EXPECT_GT(costs.seconds_source_endpoint, 0.0);
   EXPECT_GT(costs.seconds_dest_adjust, 0.0);
   EXPECT_GT(costs.seconds_column_decrypt, 0.0);
+  EXPECT_GT(costs.seconds_cert_table_build, 0.0);
   EXPECT_FALSE(costs.ToString().empty());
   // GMW per-AND traffic per member: 2 bits to each of k peers = 2(k+1-1)/8
   // bytes plus framing; must be within an order of magnitude of that.
   double analytic = 2.0 * (3 - 1) / 8.0;
   EXPECT_GT(costs.bytes_per_and, 0.3 * analytic);
   EXPECT_LT(costs.bytes_per_and, 30 * analytic);
+  // The metered wire bytes are deterministic: every packed instance sends
+  // exactly a solo GMW evaluation's messages.
+  EXPECT_DOUBLE_EQ(costs.bytes_per_and, 0.60768234786361675);
 }
 
 TEST(CostModelTest, ProjectionMonotoneInDegree) {

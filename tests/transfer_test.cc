@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
 #include "src/net/sim_network.h"
 #include "src/transfer/batch_engine.h"
@@ -180,7 +179,8 @@ TEST(TransferTest, WireSizesMatchAnalyticFormulas) {
 
 TEST(TransferTest, NetworkedRolesEndToEnd) {
   // Full networked execution: 2 blocks of 3 members + the two endpoints,
-  // nodes 0..7 on a SimNetwork, with overlapping role assignments.
+  // nodes 0..7 on a SimNetwork, with overlapping role assignments. The four
+  // edge-transfer steps run in order on this thread (Send never blocks).
   constexpr int kBlock = 3;
   constexpr int kBits = 6;
   auto prg = crypto::ChaCha20Prg::FromSeed(6);
@@ -200,34 +200,24 @@ TEST(TransferTest, NetworkedRolesEndToEnd) {
   crypto::U256 neighbor_key = prg.NextScalar(crypto::CurveOrder());
   BlockCertificate cert = MakeBlockCertificate(PublicKeysOf(keys_j), neighbor_key);
   crypto::DlogTable table(params.dlog_range);
+  EvenNoiseCache noise(params.dlog_range);
 
   mpc::BitVector message = {1, 0, 1, 1, 0, 1};
   auto src_shares = mpc::ShareBits(message, kBlock, prg);
 
   constexpr net::SessionId kSession = 42;
-  std::vector<mpc::BitVector> dest_shares(kBlock);
-  std::vector<std::thread> threads;
+  std::vector<crypto::ChaCha20Prg> role_prgs;
+  std::vector<const MemberKeys*> member_keys;
   for (int x = 0; x < kBlock; x++) {
-    threads.emplace_back([&, x] {
-      auto role_prg = crypto::ChaCha20Prg::FromSeed(900 + x);
-      RunSenderMember(&net, block_i[x], 0, kSession, src_shares[x], cert, role_prg);
-    });
+    role_prgs.push_back(crypto::ChaCha20Prg::FromSeed(900 + x));
+    member_keys.push_back(&keys_j.members[x]);
   }
-  threads.emplace_back([&] {
-    auto role_prg = crypto::ChaCha20Prg::FromSeed(800);
-    RunSourceEndpoint(&net, 0, block_i, 1, kSession, params, role_prg);
-  });
-  threads.emplace_back(
-      [&] { RunDestEndpoint(&net, 1, 0, block_j, kSession, neighbor_key, params); });
-  for (int y = 0; y < kBlock; y++) {
-    threads.emplace_back([&, y] {
-      dest_shares[y] =
-          RunReceiverMember(&net, block_j[y], 1, kSession, keys_j.members[y], table, params);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  auto mask_prg = crypto::ChaCha20Prg::FromSeed(800);
+  SendBundles(&net, block_i, 0, kSession, src_shares, cert, role_prgs);
+  AggregateAtSource(&net, 0, block_i, 1, kSession, params, mask_prg, noise);
+  AdjustAtDest(&net, 1, 0, block_j, kSession, neighbor_key, params);
+  std::vector<mpc::BitVector> dest_shares =
+      RecoverAtMembers(&net, block_j, 1, kSession, member_keys, table, params);
   EXPECT_EQ(mpc::ReconstructBits(dest_shares), message);
 
   // Traffic sanity: node 0 (source endpoint) received the k+1 bundles.

@@ -1,179 +1,223 @@
 #!/usr/bin/env python3
-"""Regression gate over BENCH_fig6.json (ROADMAP item 1's acceptance hook).
+"""Regression gate over BENCH_fig6.json: measured rows against committed history.
 
-Every bench_fig6 run records, for each `secure-projected` row, both the
-batched-engine projection and its seed-schedule baseline measured in the
-SAME run on the SAME machine, so the recorded speedup column is immune to
-host speed and only moves when the engine/baseline ratio moves. This gate
-fails the run if any row's speedup falls below the floor — i.e. if the
-transfer crypto engine's win over the seed schedule regresses.
+Usage: tools/check_bench.py BENCH_fig6.json REFERENCE.json
 
-With --ensemble-min-speedup the gate additionally pins the scenario-ensemble
-amortization: every `cleartext-ensemble` row (wall_ms vs wall_ms_baseline =
-K independent solo runs) must be at or above that floor.
+BENCH_fig6.json is the run to check; REFERENCE.json is the committed
+BENCH_fig6.json, copied aside before the bench overwrites it. Every gate
+reads wall-clock rows. The cost-model rows (`secure-projected`) are never
+gated; the validation row's model error is printed as information.
 
-With --cleartext-max-wall-ms the gate additionally pins the flat-arena graph
-plane's headline (ROADMAP item 3): every `cleartext` row with N >= 1,000,000
-must finish within that absolute wall-clock budget. When the run produced no
-such row (e.g. a reduced grid), the gate prints a named SKIP instead of
-passing silently.
+Normalized gate. bench_fig6_scalability records kernel_ms, the best-of-5
+time of a fixed integer kernel that calls no library code, and times every
+row of the GATED_MODES best of 3. Each such row's wall_ms / kernel_ms is
+compared with the same row's in the reference, and the row FAILS when it
+exceeds the reference's by more than the factor TOLERANCE. Rows match on
+mode, N, D, block_size, workers and scenarios. A row with no counterpart in
+the reference is a named SKIP, and so is every row when the run's
+hardware_concurrency differs from the reference's: the worker rows measure
+parallel overlap, which another core count changes.
 
-Row hygiene: a row whose wall_ms_baseline is 0 is SKIPPED by name (a zero
-baseline means "no baseline measured this run", and dividing by it would
-crash the gate); a row with missing or non-numeric wall_ms / wall_ms_baseline
-is a FAILURE naming the offending row's N, D, and mode.
+Absolute gates, checked on every run:
+  * every `cleartext-ensemble` row's amortization, wall_ms_baseline (K solo
+    runs) / wall_ms (one lockstep pass), is at least ENSEMBLE_FLOOR;
+  * every `cleartext` row with N >= 1,000,000 finishes within
+    CLEARTEXT_1M_BUDGET_MS; a run without such a row prints a named SKIP.
 
-`secure-ha` rows (docs/ha.md) carry ha_control_bytes / ha_checkpoint_ms;
-those are printed as informational columns — HA overhead vs the plain run,
-heartbeat/control traffic, checkpoint wall time — and are never gated.
+Failures besides a slow row: a missing, non-numeric or non-positive wall_ms
+or kernel_ms (in either file) names the row or file; a run with no row of
+the GATED_MODES fails, and so does a run whose gated rows all lack a
+counterpart while the core counts match (nothing was compared).
 
-Usage: tools/check_bench.py BENCH_fig6.json [--min-speedup 5.0]
-                                            [--mode secure-projected]
-                                            [--ensemble-min-speedup 10.0]
-                                            [--cleartext-max-wall-ms 10000]
-Exit status 0 = every gated row at or above its floor; nonzero prints each
-offending row. Stdlib only.
+`secure-ha` rows (docs/ha.md) print their HA overhead, heartbeat traffic and
+checkpoint time as information; `secure-ensemble` rows print their ratio to
+the solo runs. Neither is gated.
+
+Exit status 0 = every gate passed; 1 prints every failing row. Stdlib only.
 """
 
 import argparse
 import json
 import sys
 
+# Modes whose rows are wall-clock runs timed best of 3 by the bench.
+GATED_MODES = ("secure", "secure-ot", "cleartext", "cleartext-ensemble")
+
+# Largest allowed ratio of a row's normalized time to the reference's.
+# Eleven Release runs of the default bench on a shared 4-vCPU VM spread the
+# gated rows' wall_ms / kernel_ms by at most 1.56x (max/min, the K=64
+# cleartext-ensemble row); the 1-worker secure row spread 1.30x and read
+# 1.8-1.9x its median with every transfer kernel run twice.
+TOLERANCE = 1.6
+
+# Lockstep ensemble vs K solo runs (src/ensemble).
+ENSEMBLE_FLOOR = 1.3
+
+# The arena graph plane's N=1M sweep point (docs/graph-plane.md).
+CLEARTEXT_1M_BUDGET_MS = 10000.0
+
+KEY_FIELDS = ("mode", "N", "D", "block_size", "workers", "scenarios")
+
 
 def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def row_name(entry, mode) -> str:
-    return f"N={entry.get('N')} D={entry.get('D')} mode={entry.get('mode', mode)}"
+def row_key(entry):
+    return tuple(entry.get(field) for field in KEY_FIELDS)
 
 
-def gate_rows(rows, mode, floor):
-    """Returns (failure_lines, skip_lines, worst) for one mode's rows."""
-    failures = []
-    skips = []
-    worst = None
+def row_name(entry) -> str:
+    parts = [f"mode={entry.get('mode')}", f"N={entry.get('N')}", f"D={entry.get('D')}"]
+    for field in ("block_size", "workers", "scenarios"):
+        if field in entry:
+            parts.append(f"{field}={entry[field]}")
+    return " ".join(parts)
+
+
+def kernel_ms(bench, path, failures):
+    value = bench.get("kernel_ms")
+    if not is_number(value) or value <= 0:
+        failures.append(f"FAIL: {path}: malformed kernel_ms {value!r}")
+        return None
+    return value
+
+
+def gate_normalized(run, ref, run_path, ref_path, failures, skips, notes):
+    """The wall_ms / kernel_ms comparison of every gated row."""
+    rows = [e for e in run.get("entries", []) if e.get("mode") in GATED_MODES]
+    if not rows:
+        failures.append(f"FAIL: no row of modes {', '.join(GATED_MODES)} in {run_path}; "
+                        "nothing gated")
+        return
+    run_kernel = kernel_ms(run, run_path, failures)
+    ref_kernel = kernel_ms(ref, ref_path, failures)
+    if run_kernel is None or ref_kernel is None:
+        return
+
+    run_cores = run.get("hardware_concurrency")
+    ref_cores = ref.get("hardware_concurrency")
+    reference = {row_key(e): e for e in ref.get("entries", [])}
+    compared = 0
     for e in rows:
-        baseline = e.get("wall_ms_baseline")
         wall = e.get("wall_ms")
         if not is_number(wall) or wall <= 0:
-            failures.append(f"FAIL: {row_name(e, mode)}: malformed wall_ms {wall!r}")
+            failures.append(f"FAIL: {row_name(e)}: malformed wall_ms {wall!r}")
             continue
-        if not is_number(baseline):
-            failures.append(
-                f"FAIL: {row_name(e, mode)}: malformed wall_ms_baseline {baseline!r}")
+        if run_cores != ref_cores:
+            skips.append(f"SKIP: {row_name(e)}: hardware_concurrency {run_cores!r} != "
+                         f"reference {ref_cores!r}; row not gated")
             continue
-        if baseline == 0:
-            skips.append(f"SKIP: {row_name(e, mode)}: wall_ms_baseline == 0 "
-                         "(no baseline measured); row not gated")
+        base = reference.get(row_key(e))
+        if base is None:
+            skips.append(f"SKIP: {row_name(e)}: no counterpart in {ref_path}; row not gated")
             continue
-        speedup = baseline / wall
-        if worst is None or speedup < worst[1]:
-            worst = (e, speedup)
-        if speedup < floor:
-            failures.append(f"FAIL: {row_name(e, mode)}: {speedup:.2f}x "
-                            f"< {floor:.2f}x floor")
-    return failures, skips, worst
+        base_wall = base.get("wall_ms")
+        if not is_number(base_wall) or base_wall <= 0:
+            failures.append(f"FAIL: {row_name(e)}: malformed reference wall_ms {base_wall!r}")
+            continue
+        compared += 1
+        norm = wall / run_kernel
+        base_norm = base_wall / ref_kernel
+        ratio = norm / base_norm
+        line = (f"{row_name(e)}: {norm:.2f} kernel units vs {base_norm:.2f} "
+                f"reference ({ratio:.2f}x)")
+        if ratio > TOLERANCE:
+            failures.append(f"FAIL: {line} > {TOLERANCE:.2f}x tolerance")
+        else:
+            notes.append(f"ok: {line}")
+    if compared == 0 and run_cores == ref_cores:
+        failures.append(f"FAIL: no gated row of {run_path} was compared with {ref_path}")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench_json", help="path to BENCH_fig6.json")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="floor for every row's same-run speedup")
-    parser.add_argument("--mode", default="secure-projected",
-                        help="entry mode the gate applies to")
-    parser.add_argument("--ensemble-min-speedup", type=float, default=None,
-                        help="when set, also gate 'cleartext-ensemble' rows "
-                             "(wall vs K solo runs) at this amortization floor")
-    parser.add_argument("--cleartext-max-wall-ms", type=float, default=None,
-                        help="when set, every 'cleartext' row with N >= 1e6 "
-                             "must finish within this wall-clock budget (ms)")
-    args = parser.parse_args()
-
-    with open(args.bench_json) as f:
-        bench = json.load(f)
-    entries = bench.get("entries", [])
-
-    rows = [e for e in entries if e.get("mode") == args.mode]
-    if not rows:
-        print(f"FAIL: no '{args.mode}' entries in {args.bench_json}")
-        return 1
-    failures, skips, worst = gate_rows(rows, args.mode, args.min_speedup)
-
-    # HA overhead rows (mode "secure-ha", docs/ha.md): purely informational
-    # — heartbeat traffic scales with wall time, not protocol work, so these
-    # columns are printed but never gated.
+def gate_ensemble_floor(entries, failures, notes):
     for e in entries:
-        if not is_number(e.get("ha_control_bytes")):
+        if e.get("mode") != "cleartext-ensemble":
             continue
         wall = e.get("wall_ms")
-        plain = e.get("wall_ms_baseline")
-        if is_number(wall) and is_number(plain) and plain > 0:
-            overhead = f"{(wall / plain - 1.0) * 100.0:+.1f}% wall overhead vs plain"
+        baseline = e.get("wall_ms_baseline")
+        if not is_number(wall) or wall <= 0 or not is_number(baseline) or baseline <= 0:
+            failures.append(f"FAIL: {row_name(e)}: malformed wall_ms {wall!r} or "
+                            f"wall_ms_baseline {baseline!r}")
+            continue
+        amortization = baseline / wall
+        line = f"{row_name(e)}: {amortization:.2f}x amortization"
+        if amortization < ENSEMBLE_FLOOR:
+            failures.append(f"FAIL: {line} < {ENSEMBLE_FLOOR:.2f}x floor")
         else:
-            overhead = "no plain-run baseline"
-        ckpt_ms = e.get("ha_checkpoint_ms")
-        ckpt = f"{ckpt_ms / 1e3:.3f}" if is_number(ckpt_ms) else "?"
-        print(f"ha: N={e.get('N')} D={e.get('D')}: {overhead}, "
-              f"{e['ha_control_bytes'] / 1e6:.2f} MB heartbeat/control traffic, "
-              f"{ckpt} s checkpointing (informational, not gated)")
+            notes.append(f"ok: {line} (floor {ENSEMBLE_FLOOR:.2f}x)")
 
-    ensemble_rows = []
-    if args.ensemble_min_speedup is not None:
-        ensemble_rows = [e for e in entries if e.get("mode") == "cleartext-ensemble"]
-        if not ensemble_rows:
-            failures.append(f"FAIL: no 'cleartext-ensemble' entries in "
-                            f"{args.bench_json} (ensemble gate requested)")
+
+def gate_million_budget(entries, path, failures, skips, notes):
+    million_rows = [e for e in entries
+                    if e.get("mode") == "cleartext"
+                    and is_number(e.get("N")) and e.get("N") >= 1_000_000]
+    if not million_rows:
+        skips.append(f"SKIP: no 'cleartext' row with N >= 1,000,000 in {path}; "
+                     "wall-clock budget not applied")
+    for e in million_rows:
+        wall = e.get("wall_ms")
+        if not is_number(wall) or wall <= 0:
+            failures.append(f"FAIL: {row_name(e)}: malformed wall_ms {wall!r}")
+        elif wall > CLEARTEXT_1M_BUDGET_MS:
+            failures.append(f"FAIL: {row_name(e)}: {wall:.0f} ms > "
+                            f"{CLEARTEXT_1M_BUDGET_MS:.0f} ms budget")
         else:
-            ens_failures, ens_skips, ens_worst = gate_rows(
-                ensemble_rows, "cleartext-ensemble", args.ensemble_min_speedup)
-            failures += ens_failures
-            skips += ens_skips
-            if ens_worst is not None:
-                e, speedup = ens_worst
-                skips.append(f"ensemble: {len(ensemble_rows)} rows, worst "
-                             f"{speedup:.2f}x amortization at N={e.get('N')} "
-                             f"K={e.get('scenarios')} scenarios")
+            notes.append(f"ok: {row_name(e)}: {wall:.0f} ms "
+                         f"(budget {CLEARTEXT_1M_BUDGET_MS:.0f} ms)")
 
-    # Absolute wall-clock budget for the arena graph plane's large-N sweep
-    # point (ROADMAP item 3: N=1M in single-digit seconds).
-    if args.cleartext_max_wall_ms is not None:
-        million_rows = [e for e in entries
-                        if e.get("mode") == "cleartext"
-                        and is_number(e.get("N")) and e.get("N") >= 1_000_000]
-        if not million_rows:
-            skips.append("SKIP: no 'cleartext' row with N >= 1,000,000 in "
-                         f"{args.bench_json}; wall-clock gate not applied "
-                         "(reduced sweep grid?)")
-        for e in million_rows:
+
+def informational(entries):
+    lines = []
+    for e in entries:
+        if "model_error" in e and is_number(e.get("model_error")):
+            lines.append(f"info: {row_name(e)}: projection {e.get('projected_ms')} ms vs "
+                         f"measured {e.get('wall_ms')} ms, model error "
+                         f"{e['model_error'] * 100:+.0f}%")
+        if e.get("mode") == "secure-ensemble":
+            lines.append(f"info: {row_name(e)}: {e.get('wall_ms')} ms vs "
+                         f"{e.get('wall_ms_baseline')} ms for the solos (not gated)")
+        if is_number(e.get("ha_control_bytes")):
             wall = e.get("wall_ms")
-            if not is_number(wall) or wall <= 0:
-                failures.append(f"FAIL: {row_name(e, 'cleartext')}: "
-                                f"malformed wall_ms {wall!r}")
-            elif wall > args.cleartext_max_wall_ms:
-                failures.append(f"FAIL: {row_name(e, 'cleartext')}: "
-                                f"{wall:.0f} ms > "
-                                f"{args.cleartext_max_wall_ms:.0f} ms budget")
+            plain = e.get("wall_ms_baseline")
+            if is_number(wall) and is_number(plain) and plain > 0:
+                overhead = f"{(wall / plain - 1.0) * 100.0:+.1f}% wall overhead vs plain"
             else:
-                print(f"cleartext: N={e.get('N')} in {wall:.0f} ms "
-                      f"(budget {args.cleartext_max_wall_ms:.0f} ms)")
+                overhead = "no plain-run baseline"
+            ckpt_ms = e.get("ha_checkpoint_ms")
+            ckpt = f"{ckpt_ms / 1e3:.3f}" if is_number(ckpt_ms) else "?"
+            lines.append(f"info: {row_name(e)}: {overhead}, "
+                         f"{e['ha_control_bytes'] / 1e6:.2f} MB heartbeat/control traffic, "
+                         f"{ckpt} s checkpointing (not gated)")
+    return lines
 
-    for line in skips:
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("bench_json", help="the run's BENCH_fig6.json")
+    parser.add_argument("reference_json", help="the committed BENCH_fig6.json")
+    args = parser.parse_args(argv)
+
+    with open(args.bench_json) as f:
+        run = json.load(f)
+    with open(args.reference_json) as f:
+        ref = json.load(f)
+    entries = run.get("entries", [])
+
+    failures, skips, notes = [], [], []
+    gate_normalized(run, ref, args.bench_json, args.reference_json, failures, skips, notes)
+    gate_ensemble_floor(entries, failures, notes)
+    gate_million_budget(entries, args.bench_json, failures, skips, notes)
+
+    for line in informational(entries) + notes + skips:
         print(line)
     if failures:
         for line in failures:
             print(line)
         return 1
-
-    if worst is None:
-        print(f"FAIL: every '{args.mode}' row was skipped; nothing gated")
-        return 1
-    e, speedup = worst
-    print(f"OK: {len(rows)} '{args.mode}' rows >= {args.min_speedup:.2f}x "
-          f"(worst {speedup:.2f}x at N={e.get('N')} D={e.get('D')}, "
-          f"block_size={bench.get('block_size')}, "
-          f"transfer_workers={bench.get('transfer_workers')})")
+    print(f"OK: every gate passed (tolerance {TOLERANCE:.2f}x, kernel {run.get('kernel_ms')} ms "
+          f"vs reference {ref.get('kernel_ms')} ms)")
     return 0
 
 
