@@ -19,13 +19,14 @@
 // (the transfer plane's measured overlap), a secure scenario ensemble
 // against its solo runs, the HA overhead over real sockets, the OT triple
 // factory's offline phase, the cleartext sweep up to N=1M, and the
-// cleartext ensemble. The rows tools/check_bench.py gates (modes secure,
-// secure-ot, cleartext and cleartext-ensemble) are timed best of 3, and
-// the run records kernel_ms, the best-of-5 time of a fixed integer kernel,
-// so the gate compares each row's wall_ms / kernel_ms with the committed
-// BENCH_fig6.json. Everything is written to BENCH_fig6.json in the working
-// directory (CI runs from the repo root and uploads it), one entry per
-// row.
+// cleartext ensemble. The rows tools/check_bench.py can compare with the
+// committed default-scale BENCH_fig6.json (modes secure, secure-ot,
+// cleartext and cleartext-ensemble; not DSTRESS_FULL's block-20 secure
+// rows) are timed best of 3, and the run records kernel_ms, the best-of-5
+// time of a fixed integer kernel, so the gate compares each row's
+// wall_ms / kernel_ms with the reference's. Everything is written to
+// BENCH_fig6.json in the working directory (CI runs from the repo root and
+// uploads it), one entry per row.
 
 #include <algorithm>
 #include <atomic>
@@ -76,7 +77,8 @@ namespace {
 
 int IterationsFor(int n) { return static_cast<int>(std::ceil(std::log2(n))); }
 
-// Repetitions of every row check_bench.py gates; the row records the
+// Repetitions of every row check_bench.py can gate (a row with a
+// counterpart in the default-scale reference); the row records the
 // fastest, which filters out the upward spikes of a shared host.
 constexpr int kGatedReps = 3;
 
@@ -101,25 +103,22 @@ double KernelMs() {
   return best;
 }
 
-double WallSeconds(double seconds) { return seconds; }
-double WallSeconds(const core::RunMetrics& metrics) { return metrics.total_seconds; }
-double WallSeconds(const engine::RunReport& report) { return report.metrics.total_seconds; }
-double WallSeconds(const ensemble::EnsembleReport& report) {
-  return report.metrics.total_seconds;
-}
-
-// The fastest of kGatedReps calls of `run`.
-template <typename Run>
-auto BestOf(const Run& run) {
+// The result of the fastest of `reps` calls of `run`, timed by
+// `seconds(result)`.
+template <typename Run, typename Seconds>
+auto BestOf(int reps, const Run& run, const Seconds& seconds) {
   auto best = run();
-  for (int rep = 1; rep < kGatedReps; rep++) {
+  for (int rep = 1; rep < reps; rep++) {
     auto next = run();
-    if (WallSeconds(next) < WallSeconds(best)) {
+    if (seconds(next) < seconds(best)) {
       best = std::move(next);
     }
   }
   return best;
 }
+
+// BestOf's `seconds` for engine::RunReport and ensemble::EnsembleReport.
+constexpr auto kReportSeconds = [](const auto& report) { return report.metrics.total_seconds; };
 
 // A duration in the largest of s, min and h that keeps it >= 1, so the
 // projection reads at block size 8 (seconds) and at 20 (hours) alike.
@@ -159,40 +158,50 @@ costmodel::ProjectionParams ParamsFor(int n, int degree, int block_size) {
   return p;
 }
 
-// One BENCH_fig6.json entry. Negative or empty optional fields are omitted
-// from the JSON.
+// One BENCH_fig6.json entry. Empty optional fields are omitted from the
+// JSON.
 struct JsonEntry {
+  // The default-budget secure validation row: the projection at the same
+  // point and its error, projected / measured - 1.
+  struct ModelCheck {
+    double projected_ms = 0;
+    double model_error = 0;
+  };
+  // secure-ha rows (docs/ha.md): heartbeat/control traffic and checkpoint
+  // wall time. check_bench.py prints these as information, never gated.
+  struct Ha {
+    double control_bytes = 0;
+    double checkpoint_ms = 0;
+  };
+  // secure-ot rows (docs/offline-phase.md): base-OT protocol executions,
+  // the triple factory's offline generation / online-wait wall, and how
+  // much of the offline work overlapped the online phase.
+  struct Offline {
+    double base_ot_count = 0;
+    double offline_ms = 0;
+    double offline_wait_ms = 0;
+    double overlap_ms = 0;
+  };
+
   int n = 0;
   int degree = 0;
   std::string mode;
   double wall_ms = 0;
-  double wall_ms_baseline = -1;  // rows compared against a baseline run
+  // Rows compared against a baseline run.
+  std::optional<double> wall_ms_baseline = std::nullopt;
   double bytes_per_node = 0;
   // Secure validation and ensemble rows: the run's block size, and the
   // worker-pool thread budget (0 = the default budget).
-  int block_size = 0;
+  std::optional<int> block_size = std::nullopt;
   std::optional<int> workers = std::nullopt;
-  // Scenario-ensemble rows only: lane count K (baseline = K solo runs).
-  int scenarios = 0;
+  // Scenario-ensemble rows: lane count K (baseline = K solo runs).
+  std::optional<int> scenarios = std::nullopt;
   // secure-projected rows: the projection's MPC share (compute +
   // aggregation).
-  double mpc_ms = -1;
-  // The default-budget secure validation row: the projection at the same
-  // point and its error, projected / measured - 1.
-  double projected_ms = -1;
-  std::optional<double> model_error = std::nullopt;
-  // secure-ha rows only (docs/ha.md): heartbeat/control traffic and
-  // checkpoint wall time. check_bench.py prints these as informational
-  // columns, never gated.
-  double ha_control_bytes = -1;
-  double ha_checkpoint_ms = -1;
-  // secure-ot rows only (docs/offline-phase.md): base-OT protocol
-  // executions, the triple factory's offline generation / online-wait
-  // wall, and how much of the offline work overlapped the online phase.
-  double base_ot_count = -1;
-  double offline_ms = -1;
-  double offline_wait_ms = -1;
-  double overlap_ms = -1;
+  std::optional<double> mpc_ms = std::nullopt;
+  std::optional<ModelCheck> model_check = std::nullopt;
+  std::optional<Ha> ha = std::nullopt;
+  std::optional<Offline> offline = std::nullopt;
 };
 
 void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double kernel_ms,
@@ -212,36 +221,37 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double ker
   for (size_t i = 0; i < entries.size(); i++) {
     const JsonEntry& e = entries[i];
     std::fprintf(f, "    {\"N\": %d, \"D\": %d, \"mode\": \"%s\"", e.n, e.degree, e.mode.c_str());
-    if (e.block_size > 0) {
-      std::fprintf(f, ", \"block_size\": %d", e.block_size);
+    if (e.block_size) {
+      std::fprintf(f, ", \"block_size\": %d", *e.block_size);
     }
-    if (e.workers.has_value()) {
+    if (e.workers) {
       std::fprintf(f, ", \"workers\": %d", *e.workers);
     }
-    if (e.scenarios > 0) {
-      std::fprintf(f, ", \"scenarios\": %d", e.scenarios);
+    if (e.scenarios) {
+      std::fprintf(f, ", \"scenarios\": %d", *e.scenarios);
     }
     std::fprintf(f, ", \"wall_ms\": %.2f", e.wall_ms);
-    if (e.mpc_ms >= 0) {
-      std::fprintf(f, ", \"mpc_ms\": %.2f", e.mpc_ms);
+    if (e.mpc_ms) {
+      std::fprintf(f, ", \"mpc_ms\": %.2f", *e.mpc_ms);
     }
-    if (e.wall_ms_baseline >= 0) {
-      std::fprintf(f, ", \"wall_ms_baseline\": %.2f, \"speedup\": %.2f", e.wall_ms_baseline,
-                   e.wall_ms > 0 ? e.wall_ms_baseline / e.wall_ms : 0.0);
+    if (e.wall_ms_baseline) {
+      std::fprintf(f, ", \"wall_ms_baseline\": %.2f, \"speedup\": %.2f", *e.wall_ms_baseline,
+                   e.wall_ms > 0 ? *e.wall_ms_baseline / e.wall_ms : 0.0);
     }
-    if (e.model_error.has_value()) {
-      std::fprintf(f, ", \"projected_ms\": %.2f, \"model_error\": %.4f", e.projected_ms,
-                   *e.model_error);
+    if (e.model_check) {
+      std::fprintf(f, ", \"projected_ms\": %.2f, \"model_error\": %.4f",
+                   e.model_check->projected_ms, e.model_check->model_error);
     }
-    if (e.ha_control_bytes >= 0) {
+    if (e.ha) {
       std::fprintf(f, ", \"ha_control_bytes\": %.0f, \"ha_checkpoint_ms\": %.2f",
-                   e.ha_control_bytes, e.ha_checkpoint_ms);
+                   e.ha->control_bytes, e.ha->checkpoint_ms);
     }
-    if (e.base_ot_count >= 0) {
+    if (e.offline) {
       std::fprintf(f,
                    ", \"base_ot_count\": %.0f, \"offline_ms\": %.2f, \"offline_wait_ms\": %.2f"
                    ", \"overlap_ms\": %.2f",
-                   e.base_ot_count, e.offline_ms, e.offline_wait_ms, e.overlap_ms);
+                   e.offline->base_ot_count, e.offline->offline_ms, e.offline->offline_wait_ms,
+                   e.offline->overlap_ms);
     }
     std::fprintf(f, ", \"bytes_per_node\": %.0f}%s\n", e.bytes_per_node,
                  i + 1 < entries.size() ? "," : "");
@@ -434,10 +444,14 @@ void Run() {
   std::printf("\n# validation runs (D and N reduced to keep the default bench fast)\n");
   std::vector<int> validation_ns = FullScale() ? std::vector<int>{20, 100}
                                                : std::vector<int>{20};
+  // The block-20 rows of DSTRESS_FULL=1 have no counterpart in the
+  // default-scale reference, so they run once and skip the worker rows.
+  const int secure_reps = FullScale() ? 1 : kGatedReps;
   for (int n : validation_ns) {
     int degree = FullScale() ? 10 : 6;
     engine::RunSpec spec = ValidationSpec(n, degree, block_size);
-    engine::RunReport report = BestOf([&] { return engine::Engine(spec).Run(); });
+    engine::RunReport report =
+        BestOf(secure_reps, [&] { return engine::Engine(spec).Run(); }, kReportSeconds);
 
     costmodel::Projection proj = Project(costs, ParamsFor(n, degree, block_size));
     double model_error = proj.total_seconds / report.metrics.total_seconds - 1.0;
@@ -447,8 +461,7 @@ void Run() {
         n, degree, report.metrics.total_seconds, report.metrics.compute.seconds,
         report.metrics.avg_bytes_per_node / 1e6, proj.total_seconds, model_error * 100);
     JsonEntry secure = SecureRow(n, degree, block_size, /*workers=*/0, report);
-    secure.projected_ms = proj.total_seconds * 1e3;
-    secure.model_error = model_error;
+    secure.model_check = JsonEntry::ModelCheck{proj.total_seconds * 1e3, model_error};
     json.push_back(secure);
     JsonEntry secure_mpc{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3};
     secure_mpc.bytes_per_node = report.metrics.avg_bytes_per_node;
@@ -457,20 +470,22 @@ void Run() {
       continue;
     }
 
-    std::printf("%13s %12s %16s\n", "workers", "wall(s)", "communicate(s)");
-    std::printf("%13s %12.2f %16.2f\n", "default", report.metrics.total_seconds,
-                report.metrics.communicate.seconds);
-    for (int workers : {1, 2, 4}) {
-      engine::RunSpec worker_spec = spec;
-      worker_spec.max_parallel_tasks = workers;
-      engine::RunReport worker_report =
-          BestOf([&] { return engine::Engine(worker_spec).Run(); });
-      DSTRESS_CHECK(worker_report.released == report.released);
-      DSTRESS_CHECK(worker_report.metrics.avg_bytes_per_node ==
-                    report.metrics.avg_bytes_per_node);
-      std::printf("%13d %12.2f %16.2f\n", workers, worker_report.metrics.total_seconds,
-                  worker_report.metrics.communicate.seconds);
-      json.push_back(SecureRow(n, degree, block_size, workers, worker_report));
+    if (!FullScale()) {
+      std::printf("%13s %12s %16s\n", "workers", "wall(s)", "communicate(s)");
+      std::printf("%13s %12.2f %16.2f\n", "default", report.metrics.total_seconds,
+                  report.metrics.communicate.seconds);
+      for (int workers : {1, 2, 4}) {
+        engine::RunSpec worker_spec = spec;
+        worker_spec.max_parallel_tasks = workers;
+        engine::RunReport worker_report = BestOf(
+            kGatedReps, [&] { return engine::Engine(worker_spec).Run(); }, kReportSeconds);
+        DSTRESS_CHECK(worker_report.released == report.released);
+        DSTRESS_CHECK(worker_report.metrics.avg_bytes_per_node ==
+                      report.metrics.avg_bytes_per_node);
+        std::printf("%13d %12.2f %16.2f\n", workers, worker_report.metrics.total_seconds,
+                    worker_report.metrics.communicate.seconds);
+        json.push_back(SecureRow(n, degree, block_size, workers, worker_report));
+      }
     }
 
     json.push_back(SecureEnsembleRow(spec, n, degree, block_size, /*draws=*/4));
@@ -506,8 +521,8 @@ void Run() {
         tcp_ha.metrics.ha_control_bytes / 1e6, tcp_ha.metrics.ha_checkpoint_seconds);
     JsonEntry ha_row{n, degree, "secure-ha", tcp_ha.metrics.total_seconds * 1e3,
                      tcp_plain.metrics.total_seconds * 1e3, tcp_ha.metrics.avg_bytes_per_node};
-    ha_row.ha_control_bytes = static_cast<double>(tcp_ha.metrics.ha_control_bytes);
-    ha_row.ha_checkpoint_ms = tcp_ha.metrics.ha_checkpoint_seconds * 1e3;
+    ha_row.ha = JsonEntry::Ha{static_cast<double>(tcp_ha.metrics.ha_control_bytes),
+                              tcp_ha.metrics.ha_checkpoint_seconds * 1e3};
     json.push_back(ha_row);
   }
   std::printf("# note: measured end-to-end time is dominated by the EC transfer crypto;\n"
@@ -525,18 +540,18 @@ void Run() {
   for (int n : {10, 20}) {
     const int ot_degree = 3;
     const int ot_fanout = n == 20 ? 4 : 0;
-    core::RunMetrics m =
-        BestOf([&] { return RunSecureOt(n, ot_degree, ot_block_size, ot_fanout); });
+    core::RunMetrics m = BestOf(
+        kGatedReps, [&] { return RunSecureOt(n, ot_degree, ot_block_size, ot_fanout); },
+        [](const core::RunMetrics& metrics) { return metrics.total_seconds; });
     double overlap_ms = std::max(0.0, (m.offline_seconds - m.offline_wait_seconds) * 1e3);
     std::printf("%6d %6d %12.2f %10llu %12.2f %12.0f\n", n, ot_block_size, m.total_seconds,
                 static_cast<unsigned long long>(m.base_ot_executions), m.offline_seconds,
                 overlap_ms);
     JsonEntry ot_row{n, ot_degree, "secure-ot", m.total_seconds * 1e3};
     ot_row.bytes_per_node = m.avg_bytes_per_node;
-    ot_row.base_ot_count = static_cast<double>(m.base_ot_executions);
-    ot_row.offline_ms = m.offline_seconds * 1e3;
-    ot_row.offline_wait_ms = m.offline_wait_seconds * 1e3;
-    ot_row.overlap_ms = overlap_ms;
+    ot_row.offline = JsonEntry::Offline{static_cast<double>(m.base_ot_executions),
+                                        m.offline_seconds * 1e3, m.offline_wait_seconds * 1e3,
+                                        overlap_ms};
     json.push_back(ot_row);
   }
 
@@ -567,7 +582,7 @@ void Run() {
     // One engine serves all repetitions: building the N=1M graph costs
     // ~10x its run, and the first run is one of the three timed.
     engine::Engine eng(spec);
-    engine::RunReport report = BestOf([&] { return eng.Run(); });
+    engine::RunReport report = BestOf(kGatedReps, [&] { return eng.Run(); }, kReportSeconds);
     if (n == 100000) {
       // Steady-state allocation assertion: the timed runs warmed every
       // grow-only buffer (arena, frontier, EvalPacked scratch, sender
@@ -624,19 +639,22 @@ void Run() {
     spec.ensemble->magnitude_hi = 0.5;
 
     ensemble::EnsembleReport report =
-        BestOf([&] { return engine::Engine(spec).RunEnsemble(); });
+        BestOf(kGatedReps, [&] { return engine::Engine(spec).RunEnsemble(); }, kReportSeconds);
     std::vector<ensemble::Scenario> scenarios =
         ensemble::MaterializeScenarios(*spec.ensemble, spec.shock, 1000);
-    double solo_seconds = BestOf([&] {
-      double seconds = 0;
-      for (int s = 0; s < k_scenarios; s++) {
-        engine::RunReport solo =
-            engine::Engine(ensemble::SoloSpecFor(spec, scenarios[s])).Run();
-        DSTRESS_CHECK(solo.released == report.scenarios[s].released);
-        seconds += solo.metrics.total_seconds;
-      }
-      return seconds;
-    });
+    double solo_seconds = BestOf(
+        kGatedReps,
+        [&] {
+          double seconds = 0;
+          for (int s = 0; s < k_scenarios; s++) {
+            engine::RunReport solo =
+                engine::Engine(ensemble::SoloSpecFor(spec, scenarios[s])).Run();
+            DSTRESS_CHECK(solo.released == report.scenarios[s].released);
+            seconds += solo.metrics.total_seconds;
+          }
+          return seconds;
+        },
+        [](double seconds) { return seconds; });
     std::printf("%6d %14.2f %14.2f %13.1fx\n", k_scenarios, report.metrics.total_seconds,
                 solo_seconds, solo_seconds / report.metrics.total_seconds);
     JsonEntry row{1000, 8, "cleartext-ensemble", report.metrics.total_seconds * 1e3,

@@ -35,6 +35,7 @@ def bench(kernel_ms=25.0, cores=4):
              "wall_ms_baseline": 11000.0, "speedup": 0.73, "ha_control_bytes": 320000,
              "ha_checkpoint_ms": 2.0, "bytes_per_node": 2720474},
             {"N": 10, "D": 3, "mode": "secure-ot", "wall_ms": 900.0, "bytes_per_node": 3389418},
+            {"N": 2000, "D": 8, "mode": "cleartext", "wall_ms": 2.0, "bytes_per_node": 90},
             {"N": 1000000, "D": 8, "mode": "cleartext", "wall_ms": 1300.0,
              "bytes_per_node": 139},
             {"N": 1000, "D": 8, "mode": "cleartext-ensemble", "scenarios": 64,
@@ -56,9 +57,11 @@ class CheckBenchTest(unittest.TestCase):
         self.tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self.tmp.cleanup)
 
-    def gate(self, run, ref):
+    def gate(self, run, ref=None):
         paths = []
         for name, data in (("run.json", run), ("ref.json", ref)):
+            if data is None:
+                continue
             path = os.path.join(self.tmp.name, name)
             with open(path, "w") as f:
                 json.dump(data, f)
@@ -72,8 +75,19 @@ class CheckBenchTest(unittest.TestCase):
         status, out = self.gate(bench(), bench())
         self.assertEqual(status, 0, out)
         self.assertIn("OK: every gate passed", out)
-        self.assertNotIn("SKIP: mode=", out)
+        self.assertIn("ok: mode=secure N=20 D=6 block_size=8 workers=1", out)
         self.assertIn("model error -13%", out)
+
+    def test_short_row_is_a_named_skip(self):
+        run = bench()
+        row(run, "cleartext", N=2000)["wall_ms"] *= 3
+        row(run, "cleartext-ensemble")["wall_ms"] *= 1.5
+        status, out = self.gate(run, bench())
+        self.assertEqual(status, 0, out)
+        self.assertIn("SKIP: mode=cleartext N=2000 D=8: reference 0.08 kernel units < 10, "
+                      "too short to gate", out)
+        self.assertIn("SKIP: mode=cleartext-ensemble N=1000 D=8 scenarios=64: reference 1.20 "
+                      "kernel units < 10, too short to gate", out)
 
     def test_slower_machine_passes_after_normalization(self):
         run = bench(kernel_ms=50.0)
@@ -107,15 +121,17 @@ class CheckBenchTest(unittest.TestCase):
         self.assertIn("SKIP: mode=secure N=100 D=10 block_size=20 workers=0: "
                       "no counterpart", out)
 
-    def test_concurrency_mismatch_skips_every_row(self):
+    def test_concurrency_mismatch_skips_every_row_and_fails(self):
         status, out = self.gate(bench(cores=2), bench(cores=4))
-        self.assertEqual(status, 0, out)
+        self.assertEqual(status, 1, out)
         for name in ("mode=secure N=20 D=6 block_size=8 workers=0",
                      "mode=secure N=20 D=6 block_size=8 workers=1",
                      "mode=secure-ot N=10 D=3", "mode=cleartext N=1000000 D=8",
                      "mode=cleartext-ensemble N=1000 D=8 scenarios=64"):
             self.assertIn(f"SKIP: {name}: hardware_concurrency 2 != reference 4", out)
-        self.assertNotIn("kernel units", out)
+        self.assertNotIn("kernel units vs", out)
+        self.assertIn("measured on 4 hardware threads", out)
+        self.assertIn("Regenerate the reference on a machine with the run's core count", out)
 
     def test_malformed_wall_ms_fails(self):
         for bad in (None, "fast", 0, -3.0, True):
@@ -146,9 +162,21 @@ class CheckBenchTest(unittest.TestCase):
         self.assertIn("FAIL: mode=cleartext-ensemble N=1000 D=8 scenarios=64: 1.20x "
                       "amortization < 1.30x floor", out)
 
+    def test_without_reference_only_same_run_gates_run(self):
+        run = bench()
+        row(run, "secure", workers=1)["wall_ms"] *= 10
+        status, out = self.gate(run)
+        self.assertEqual(status, 0, out)
+        self.assertIn("SKIP: no reference given; measured rows not compared", out)
+        self.assertIn("OK: every same-run gate passed", out)
+        row(run, "cleartext-ensemble")["wall_ms_baseline"] = 30.0 * 1.2
+        status, out = self.gate(run)
+        self.assertEqual(status, 1, out)
+        self.assertIn("amortization < 1.30x floor", out)
+
     def test_million_budget_fires(self):
         run = bench()
-        row(run, "cleartext")["wall_ms"] = 10500.0
+        row(run, "cleartext", N=1000000)["wall_ms"] = 10500.0
         status, out = self.gate(run, copy.deepcopy(run))
         self.assertEqual(status, 1, out)
         self.assertIn("FAIL: mode=cleartext N=1000000 D=8: 10500 ms > 10000 ms budget", out)
