@@ -590,6 +590,12 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
              " (OT sessions hold unrewindable key state)";
     return std::nullopt;
   }
+  if (spec.mode != engine::ExecutionMode::kSecure &&
+      (spec.ha_checkpoint_every > 0 || !spec.ha_checkpoint_path.empty())) {
+    *error = "'ha checkpoint_every' and 'ha checkpoint_path' require 'mode secure'"
+             " (checkpoints snapshot the secure runtime's share arrays)";
+    return std::nullopt;
+  }
   if (spec.ensemble.has_value()) {
     const ensemble::EnsembleSpec& es = *spec.ensemble;
     if (es.scenarios.empty() && es.shock_draws == 0) {

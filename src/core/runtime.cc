@@ -155,9 +155,7 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   setup_config.seed = config.seed;
   setup_ = RunTrustedSetup(setup_config, graph);
 
-  net_ = net::MakeTransport(
-      config.transport.WithChannelHighWatermark(config.channel_high_watermark_bytes),
-      graph.num_vertices());
+  net_ = net::MakeTransport(config.transport, graph.num_vertices());
   dlog_table_ = std::make_unique<crypto::DlogTable>(transfer_params_.dlog_range);
   edges_ = graph.Edges();
 
@@ -312,7 +310,7 @@ void Runtime::SaveCheckpoint(int next_iteration, RunMetrics* m) {
   m->ha_checkpoint_seconds += sw.ElapsedSeconds();
 }
 
-int Runtime::RestoreCheckpoint() {
+int Runtime::RestoreCheckpoint(int num_scenarios) {
   ha::RuntimeSnapshot snapshot;
   std::string error;
   if (!ha::LoadSnapshot(config_.checkpoint_path, &snapshot, &error)) {
@@ -324,10 +322,20 @@ int Runtime::RestoreCheckpoint() {
                  config_.checkpoint_path.c_str());
     DSTRESS_CHECK(false);
   }
+  // The fingerprint does not cover the lane count, so a checkpoint of a
+  // run with another number of lanes is caught here.
+  const size_t expected = static_cast<size_t>(num_scenarios) * graph_.num_vertices();
+  if (snapshot.state_shares.size() != expected) {
+    std::fprintf(stderr,
+                 "resume: checkpoint %s holds %zu vertex entries, this run needs %zu"
+                 " (%d lanes x %d vertices)\n",
+                 config_.checkpoint_path.c_str(), snapshot.state_shares.size(), expected,
+                 num_scenarios, graph_.num_vertices());
+    DSTRESS_CHECK(false);
+  }
   state_shares_ = std::move(snapshot.state_shares);
   inmsg_shares_ = std::move(snapshot.inmsg_shares);
   outmsg_shares_ = std::move(snapshot.outmsg_shares);
-  DSTRESS_CHECK(static_cast<int>(state_shares_.size()) == graph_.num_vertices());
   {
     // Fresh dealer sources fast-forwarded to the saved tape positions; any
     // source the snapshot does not name starts at zero calls, exactly as
@@ -672,9 +680,6 @@ std::vector<int64_t> Runtime::RunEnsemble(
   for (const std::vector<mpc::BitVector>& states : initial_states) {
     DSTRESS_CHECK(static_cast<int>(states.size()) == graph_.num_vertices());
   }
-  // Checkpoints cover solo runs.
-  const bool solo = num_scenarios == 1;
-
   RunMetrics local;
   RunMetrics* m = metrics != nullptr ? metrics : &local;
   *m = RunMetrics{};
@@ -699,10 +704,10 @@ std::vector<int64_t> Runtime::RunEnsemble(
 
   Stopwatch phase;
   int start_iteration = 0;
-  if (solo && config_.resume) {
-    // Rejoin at the checkpointed iteration barrier: the share arrays and
-    // dealer tapes replace the init phase (docs/ha.md).
-    start_iteration = RestoreCheckpoint();
+  if (config_.resume) {
+    // Rejoin at the checkpointed iteration barrier: the share arrays of
+    // every lane and the dealer tapes replace the init phase (docs/ha.md).
+    start_iteration = RestoreCheckpoint(num_scenarios);
     m->resumed_from_iteration = start_iteration;
     m->init.seconds = phase.ElapsedSeconds();
   } else {
@@ -732,7 +737,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
-    if (solo && config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
+    if (config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
       SaveCheckpoint(iter + 1, m);
     }
   }

@@ -101,14 +101,12 @@ struct RuntimeConfig {
   // Target number of concurrently live role threads (0 = auto). The worker
   // pool grows past this if a single protocol group needs more.
   int max_parallel_tasks = 0;
-  // Per-channel queued-byte cap forwarded to the transport
-  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. The
-  // batched MPC plane coalesces a round's openings for every instance two
-  // nodes share onto one channel — size the cap for that sum, not for a
-  // single vertex's burst (see TransportOptions).
-  size_t channel_high_watermark_bytes = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
+  // Its TransportOptions hold the per-channel queued-byte cap; the batched
+  // MPC plane coalesces a round's openings for every instance two nodes
+  // share onto one channel, so size the cap for that sum, not for a single
+  // vertex's burst.
   net::TransportSpec transport;
   // Largest scenario count Runtime::RunEnsemble will be called with (1 =
   // solo runs only). Only scales the auto-sized dlog-table failure budget:
@@ -116,17 +114,19 @@ struct RuntimeConfig {
   int ensemble_width = 1;
   uint64_t seed = 1;
   // --- HA checkpointing (src/ha/checkpoint.h, docs/ha.md) -----------------
-  // >0: Run() snapshots its phase state to checkpoint_path after every
-  // `checkpoint_every`-th communication step (an iteration barrier).
+  // >0: a run snapshots its phase state — the share arrays of every lane —
+  // to checkpoint_path after every `checkpoint_every`-th communication step
+  // (an iteration barrier). Covers every lane count, solo runs included.
   // Requires use_ot_triples == false (OT sessions hold unrewindable
-  // cross-process state) and applies to solo Run() only, not RunEnsemble.
+  // cross-process state).
   int checkpoint_every = 0;
   std::string checkpoint_path;
-  // Resume Run() from checkpoint_path instead of starting at iteration 0:
+  // Resume a run from checkpoint_path instead of starting at iteration 0:
   // restores the share arrays and dealer-triple tape positions and skips
-  // the init phase. The released figure is bit-identical to an
-  // uninterrupted run (the config fingerprint guards against resuming a
-  // different run shape).
+  // the init phase. The released figures are bit-identical to an
+  // uninterrupted run. The config fingerprint guards against resuming a
+  // different run shape, and the restore checks that the snapshot holds
+  // one entry per (lane, vertex).
   bool resume = false;
 };
 
@@ -291,10 +291,11 @@ class Runtime {
   // triple tapes, so a checkpoint can never be replayed into a different
   // run. SaveCheckpoint snapshots after the iteration barrier;
   // RestoreCheckpoint returns the iteration to resume at (aborts when the
-  // file is unreadable or from another run).
+  // file is unreadable, from another run, or from a run with another lane
+  // count).
   uint64_t ConfigFingerprint() const;
   void SaveCheckpoint(int next_iteration, RunMetrics* m);
-  int RestoreCheckpoint();
+  int RestoreCheckpoint(int num_scenarios);
 
   // One stage of the aggregation plan, group g evaluated on blocks[g]. The
   // first stage's inputs are the vertex states; a later stage's are the

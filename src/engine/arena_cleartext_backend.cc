@@ -10,7 +10,6 @@
 
 #include "src/circuit/builder.h"
 #include "src/circuit/eval_plan.h"
-#include "src/common/bits.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/core/worker_pool.h"
@@ -49,6 +48,10 @@ class ArenaCleartextBackend : public ExecutionBackend {
         update_circuit_(core::BuildUpdateCircuit(program_)),
         contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)) {
     DSTRESS_CHECK(graph_.MaxDegree() <= program_.degree_bound);
+    // Checkpoints snapshot the secure runtime's share arrays; this plane
+    // has none, so a checkpointed or resumed cleartext run would silently
+    // do neither. The scenario parser rejects the combination by name.
+    DSTRESS_CHECK(config_.checkpoint_every == 0 && !config_.resume);
 
     circuit::Builder noise_builder;
     noise_builder.OutputWord(dp::BuildGeometricNoise(noise_builder, program_.output_noise,
@@ -71,37 +74,24 @@ class ArenaCleartextBackend : public ExecutionBackend {
       gather_stages_.push_back(std::move(stage));
     }
 
-    net_ = net::MakeTransport(
-        config_.transport.WithChannelHighWatermark(config_.channel_high_watermark_bytes),
-        graph_.num_vertices());
+    net_ = net::MakeTransport(config_.transport, graph_.num_vertices());
     pool_ = std::make_unique<core::WorkerPool>(
         core::ResolveThreadBudget(config_.max_parallel_tasks));
-
-    graphplane::GraphPlane::Options options;
-    options.num_scenarios = 1;
-    options.stride = 1;
-    options.edge_session_base = kEdgeSession;
-    solo_plane_ = std::make_unique<graphplane::GraphPlane>(graph_, program_, update_plan_,
-                                                           pool_.get(), net_.get(), options);
   }
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }
 
-  int64_t Execute(const std::vector<mpc::BitVector>& initial_states,
-                  core::RunMetrics* metrics) override;
-
-  std::vector<int64_t> ExecuteEnsemble(
-      const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics) override;
+  std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                               core::RunMetrics* metrics) override;
 
   std::vector<mpc::BitVector> DebugFinalStates() const override {
-    if (!solo_ran_) {
+    if (!last_run_one_lane_) {
       return {};
     }
     std::vector<mpc::BitVector> states;
     states.reserve(static_cast<size_t>(graph_.num_vertices()));
     for (int v = 0; v < graph_.num_vertices(); v++) {
-      states.push_back(solo_plane_->VertexState(v, 0));
+      states.push_back(plane_->VertexState(v, 0));
     }
     return states;
   }
@@ -161,12 +151,12 @@ class ArenaCleartextBackend : public ExecutionBackend {
     return (static_cast<size_t>(bits) * num_scenarios + 7) / 8;
   }
 
-  // Aggregation of a plane of S scenario lanes (the solo S=1 case
-  // included): every hop of the schedule crosses the transport — as one
-  // bulk-metered TrafficStats delta when the transport accepts, literally
-  // otherwise — then the packed contribution reduction releases per-lane
-  // figures. Associative two's-complement addition makes that flat
-  // reduction equal to the tree's level-by-level partials.
+  // Aggregation of a plane of S scenario lanes: every hop of the schedule
+  // crosses the transport — as one bulk-metered TrafficStats delta when the
+  // transport accepts, literally otherwise — then the packed contribution
+  // reduction releases per-lane figures. Associative two's-complement
+  // addition makes that flat reduction equal to the tree's level-by-level
+  // partials.
   void Aggregate(const graphplane::GraphPlane& plane, int num_scenarios, int64_t* results) {
     std::vector<net::TrafficStats> delta(static_cast<size_t>(graph_.num_vertices()));
     for (size_t st = 0; st < gather_stages_.size(); st++) {
@@ -256,100 +246,23 @@ class ArenaCleartextBackend : public ExecutionBackend {
   std::vector<GatherStage> gather_stages_;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<core::WorkerPool> pool_;
-  // The solo (S = stride = 1) plane, allocated once and Reset per run; also
-  // the source of DebugFinalStates. Ensemble chunks build their own planes
-  // (stride varies with the chunk width).
-  std::unique_ptr<graphplane::GraphPlane> solo_plane_;
-  bool solo_ran_ = false;
+  // The plane of the last chunk, built on the first run and rebuilt only
+  // when a chunk's lane count differs from its own (the stride follows the
+  // lane count); Reset before every chunk. A solo engine so allocates its
+  // arena once. Also the source of DebugFinalStates.
+  std::unique_ptr<graphplane::GraphPlane> plane_;
+  bool last_run_one_lane_ = false;
 };
 
-int64_t ArenaCleartextBackend::Execute(const std::vector<mpc::BitVector>& initial_states,
-                                       core::RunMetrics* metrics) {
+std::vector<int64_t> ArenaCleartextBackend::Execute(
+    const std::vector<std::vector<mpc::BitVector>>& lanes, core::RunMetrics* metrics) {
+  const int total_lanes = static_cast<int>(lanes.size());
+  DSTRESS_CHECK(total_lanes > 0);
   const int n = graph_.num_vertices();
-  DSTRESS_CHECK(static_cast<int>(initial_states.size()) == n);
-  for (const mpc::BitVector& state : initial_states) {
-    DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
-  }
 
   core::RunMetrics local;
   core::RunMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::RunMetrics{};
-  m->iterations = program_.iterations;
-  m->update_and_gates = update_circuit_.stats().num_and;
-  m->update_and_depth = update_circuit_.stats().and_depth;
-  m->aggregate_and_gates =
-      contribution_circuit_.stats().num_and * static_cast<size_t>(n) +
-      noise_circuit_->stats().num_and;
-
-  Stopwatch total;
-  uint64_t bytes_before = net_->TotalBytes();
-
-  Stopwatch phase;
-  solo_plane_->Reset();
-  graphplane::PackSoloStates(initial_states, &solo_plane_->input_matrix());
-  solo_ran_ = true;
-  m->init.seconds = phase.ElapsedSeconds();
-  m->init.bytes = net_->TotalBytes() - bytes_before;
-
-  uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = 0; iter < program_.iterations; iter++) {
-    phase.Reset();
-    solo_plane_->ComputeStep();
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    solo_plane_->CommunicateStep();
-    m->communicate.seconds += phase.ElapsedSeconds();
-    m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    if (early_exit_ && solo_plane_->AllConverged()) {
-      // Every remaining (compute, communicate) round is a figure-identical
-      // no-op; only the traffic shape changes, which is what the opt-in
-      // acknowledges.
-      break;
-    }
-  }
-  // Final computation step, as in the secure schedule (§3.6).
-  phase.Reset();
-  solo_plane_->ComputeStep();
-  m->compute.seconds += phase.ElapsedSeconds();
-  m->compute.bytes += net_->TotalBytes() - phase_bytes;
-  phase_bytes = net_->TotalBytes();
-
-  phase.Reset();
-  int64_t result;
-  Aggregate(*solo_plane_, /*num_scenarios=*/1, &result);
-  m->aggregate.seconds = phase.ElapsedSeconds();
-  m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
-
-  m->iterations = static_cast<int>(solo_plane_->stats().iterations);
-  m->total_seconds = total.ElapsedSeconds();
-  m->total_bytes = net_->TotalBytes() - bytes_before;
-  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;
-  return result;
-}
-
-std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
-    const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-    core::RunMetrics* metrics) {
-  const int total_scenarios = static_cast<int>(per_scenario_states.size());
-  DSTRESS_CHECK(total_scenarios > 0);
-  if (total_scenarios == 1) {
-    core::RunMetrics local;
-    core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-    return {Execute(per_scenario_states[0], m)};
-  }
-
-  const int n = graph_.num_vertices();
-  const int sb = program_.state_bits;
-
-  core::RunMetrics local;
-  core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-  *m = core::RunMetrics{};
-  m->iterations = program_.iterations;
   m->update_and_gates = update_circuit_.stats().num_and;
   m->update_and_depth = update_circuit_.stats().and_depth;
 
@@ -357,104 +270,69 @@ std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
   uint64_t bytes_before = net_->TotalBytes();
 
   int iterations_run = 0;
-  std::vector<int64_t> results(static_cast<size_t>(total_scenarios), 0);
-  for (int chunk_lo = 0; chunk_lo < total_scenarios; chunk_lo += 64) {
-    const int num_scenarios = std::min(64, total_scenarios - chunk_lo);
-    int stride = 1;
-    while (stride < num_scenarios) {
-      stride <<= 1;
-    }
+  std::vector<int64_t> results(static_cast<size_t>(total_lanes), 0);
+  // Chunks of up to 64 lanes, one plane pass each.
+  for (int first = 0; first < total_lanes; first += 64) {
+    const int num_scenarios = std::min(64, total_lanes - first);
 
     Stopwatch phase;
     uint64_t phase_bytes = net_->TotalBytes();
-    graphplane::GraphPlane::Options options;
-    options.num_scenarios = num_scenarios;
-    options.stride = stride;
-    options.edge_session_base = kEdgeSession;
-    graphplane::GraphPlane plane(graph_, program_, update_plan_, pool_.get(), net_.get(),
-                                 options);
-    mpc::PackedShareMatrix& in_mat = plane.input_matrix();
-    for (int s = 0; s < num_scenarios; s++) {
-      const auto& states = per_scenario_states[static_cast<size_t>(chunk_lo + s)];
-      DSTRESS_CHECK(static_cast<int>(states.size()) == n);
-      for (int v = 0; v < n; v++) {
-        DSTRESS_CHECK(static_cast<int>(states[static_cast<size_t>(v)].size()) == sb);
+    if (plane_ == nullptr || plane_->num_scenarios() != num_scenarios) {
+      int stride = 1;
+      while (stride < num_scenarios) {
+        stride <<= 1;
       }
+      graphplane::GraphPlane::Options options;
+      options.num_scenarios = num_scenarios;
+      options.stride = stride;
+      options.edge_session_base = kEdgeSession;
+      plane_.reset();  // release the old arena before allocating the new one
+      plane_ = std::make_unique<graphplane::GraphPlane>(graph_, program_, update_plan_,
+                                                        pool_.get(), net_.get(), options);
     }
-    if (sb <= 64) {
-      // Per vertex: word-pack each scenario's state, transpose the S x sb
-      // block, and the rows come out as ready-made lane groups.
-      uint64_t block[64];
-      for (int v = 0; v < n; v++) {
-        for (int s = 0; s < 64; s++) {
-          uint64_t word = 0;
-          if (s < num_scenarios) {
-            const mpc::BitVector& state =
-                per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)];
-            for (int r = 0; r < sb; r++) {
-              word |= static_cast<uint64_t>(state[static_cast<size_t>(r)] & 1) << r;
-            }
-          }
-          block[s] = word;
-        }
-        TransposeBits64x64(block);
-        for (int r = 0; r < sb; r++) {
-          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                              num_scenarios, block[r]);
-        }
-      }
-    } else {
-      for (int v = 0; v < n; v++) {
-        for (int r = 0; r < sb; r++) {
-          uint64_t bits = 0;
-          for (int s = 0; s < num_scenarios; s++) {
-            if (per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)]
-                                   [static_cast<size_t>(r)] &
-                1) {
-              bits |= 1ULL << s;
-            }
-          }
-          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                              num_scenarios, bits);
-        }
-      }
-    }
+    plane_->Reset();
+    plane_->PackStates(lanes, static_cast<size_t>(first));
     m->init.seconds += phase.ElapsedSeconds();
     m->init.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     for (int iter = 0; iter < program_.iterations; iter++) {
       phase.Reset();
-      plane.ComputeStep();
+      plane_->ComputeStep();
       m->compute.seconds += phase.ElapsedSeconds();
       m->compute.bytes += net_->TotalBytes() - phase_bytes;
       phase_bytes = net_->TotalBytes();
 
       phase.Reset();
-      plane.CommunicateStep();
+      plane_->CommunicateStep();
       m->communicate.seconds += phase.ElapsedSeconds();
       m->communicate.bytes += net_->TotalBytes() - phase_bytes;
       phase_bytes = net_->TotalBytes();
 
-      if (early_exit_ && plane.AllConverged()) {
+      if (early_exit_ && plane_->AllConverged()) {
+        // Every remaining (compute, communicate) round is a figure-identical
+        // no-op; only the traffic shape changes, which is what the opt-in
+        // acknowledges.
         break;
       }
     }
+    // Final computation step, as in the secure schedule (§3.6).
     phase.Reset();
-    plane.ComputeStep();
+    plane_->ComputeStep();
     m->compute.seconds += phase.ElapsedSeconds();
     m->compute.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    Aggregate(plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
+    Aggregate(*plane_, num_scenarios, &results[static_cast<size_t>(first)]);
     m->aggregate_and_gates +=
         contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
         noise_circuit_->stats().num_and;
     m->aggregate.seconds += phase.ElapsedSeconds();
     m->aggregate.bytes += net_->TotalBytes() - phase_bytes;
-    iterations_run = std::max(iterations_run, static_cast<int>(plane.stats().iterations));
+    iterations_run = std::max(iterations_run, static_cast<int>(plane_->stats().iterations));
   }
+  last_run_one_lane_ = total_lanes == 1;
 
   m->iterations = iterations_run;
   m->total_seconds = total.ElapsedSeconds();

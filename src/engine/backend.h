@@ -2,25 +2,22 @@
 // machinery that actually runs a stress test.
 //
 // The engine compiles a RunSpec down to (graph, vertex program, runtime
-// config, initial states) and hands the first three to a backend factory
-// looked up by ExecutionMode in a process-wide registry. Two backends are
-// built in:
+// config, initial states) and hands the first three to the backend that
+// MakeExecutionBackend builds for its ExecutionMode. Two backends exist:
 //
 //   kSecure        — secure_backend.h: wraps core::Runtime, i.e. the full
 //                    GMW + OT + §3.5-transfer protocol stack.
 //   kCleartextFast — cleartext_backend.h: same circuits, same transport and
 //                    scheduler layers, no cryptography.
 //
-// RegisterExecutionMode lets deployments override a mode's factory (e.g. a
-// test double) without any caller changing: every entry point goes through
-// engine::Engine, and the engine goes through this registry. The wire a
-// mode runs over is chosen separately by RunSpec::transport through the
-// parallel transport registry (src/net/transport_spec.h) — both built-in
-// backends resolve their transport from the spec, never by type name.
+// Every entry point goes through engine::Engine, and the engine goes
+// through this seam. The wire a mode runs over is chosen separately by
+// RunSpec::transport through the transport registry
+// (src/net/transport_spec.h) — both backends resolve their transport from
+// the spec, never by type name.
 #ifndef SRC_ENGINE_BACKEND_H_
 #define SRC_ENGINE_BACKEND_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,26 +44,19 @@ class ExecutionBackend {
 
   virtual const char* name() const = 0;
 
-  // Runs the program once on `initial_states` (one state per vertex) and
-  // returns the released aggregate. Reusable: each call is an independent
-  // run. `metrics` may be nullptr.
-  virtual int64_t Execute(const std::vector<mpc::BitVector>& initial_states,
-                          core::RunMetrics* metrics) = 0;
+  // Runs the program once per lane (lane s's state for vertex v at
+  // lanes[s][v]) and returns one released aggregate per lane. A solo run is
+  // the one-lane list. Both backends pack the lanes into the batched data
+  // planes, so a list costs one lockstep pass; lane s's figure equals a
+  // one-lane run of lanes[s]. Reusable: each call is an independent run.
+  // `metrics` may be nullptr.
+  virtual std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                                       core::RunMetrics* metrics) = 0;
 
-  // Ensemble plane: one run per element of `per_scenario_states` (scenario
-  // s's state for vertex v at per_scenario_states[s][v]), returning one
-  // released aggregate per scenario. The built-in backends pack scenarios
-  // into the lanes of the batched data planes so the whole ensemble costs
-  // one lockstep pass. Scenario s's figure must equal a solo Execute of its
-  // states.
-  virtual std::vector<int64_t> ExecuteEnsemble(
-      const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics) = 0;
-
-  // Final per-vertex states of the last solo Execute, for fidelity testing
-  // (tests/graphplane_test.cc digests them). Optional: backends without a
-  // cleartext state image return empty, and the result is unspecified
-  // before the first Execute or after ExecuteEnsemble.
+  // Final per-vertex states of the last one-lane Execute, for fidelity
+  // testing (tests/graphplane_test.cc digests them). Optional: backends
+  // without a cleartext state image return empty, and so does any backend
+  // whose last Execute had more than one lane.
   virtual std::vector<mpc::BitVector> DebugFinalStates() const { return {}; }
 
   // Attaches a transport observer (audit layer); must happen before the
@@ -77,16 +67,7 @@ class ExecutionBackend {
   virtual const net::Transport& transport() const = 0;
 };
 
-using ExecutionBackendFactory =
-    std::function<std::unique_ptr<ExecutionBackend>(const BackendContext& context)>;
-
-// Replaces the factory for `mode` process-wide. Thread-safe.
-void RegisterExecutionMode(ExecutionMode mode, ExecutionBackendFactory factory);
-
-// Restores the built-in factory for `mode`.
-void ResetExecutionMode(ExecutionMode mode);
-
-// Instantiates the backend currently registered for `mode`.
+// Builds the backend for `mode`.
 std::unique_ptr<ExecutionBackend> MakeExecutionBackend(ExecutionMode mode,
                                                        const BackendContext& context);
 

@@ -32,8 +32,10 @@
 
 namespace dstress::engine {
 
-// The built-in kCleartextFast factory: the flat-arena graph plane
-// (src/graphplane, docs/graph-plane.md) behind the ExecutionBackend seam.
+// The kCleartextFast backend: the flat-arena graph plane (src/graphplane,
+// docs/graph-plane.md) behind the ExecutionBackend seam. Every run, solo or
+// ensemble, goes through one chunk loop over one plane. Checkpointing is a
+// secure-mode feature: a config that asks for it aborts.
 std::unique_ptr<ExecutionBackend> MakeArenaCleartextBackend(const BackendContext& context);
 
 }  // namespace dstress::engine

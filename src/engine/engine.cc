@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "src/common/check.h"
@@ -25,7 +26,6 @@ core::RuntimeConfig DeriveRuntimeConfig(const RunSpec& spec) {
   config.use_ot_triples = spec.use_ot_triples;
   config.aggregation_fanout = spec.aggregation_fanout;
   config.max_parallel_tasks = spec.max_parallel_tasks;
-  config.channel_high_watermark_bytes = spec.channel_high_watermark_bytes;
   config.transport = spec.transport;
   config.seed = spec.seed;
   config.checkpoint_every = spec.ha_checkpoint_every;
@@ -47,6 +47,93 @@ double DeriveNoiseAlpha(const RunSpec& spec) {
   return finance::NoiseAlphaForRelease(sensitivity, spec.epsilon, /*unit_dollars=*/1.0);
 }
 
+// What a finance model contributes to compilation: its entry points. The
+// compile body (CompileLanes) is shared by both models.
+template <typename Instance, typename Params>
+struct FinanceModel {
+  const char* name;
+  core::VertexProgram (*make_program)(const Params&);
+  Instance (*make_workload)(const graph::Graph&, const finance::WorkloadParams&,
+                            const finance::ShockParams&);
+  void (*apply_shock)(Instance&, const finance::ShockParams&);
+  std::vector<mpc::BitVector> (*initial_states)(const Instance&, const Params&);
+  // The fixed-point solve: the unnoised TDS, and one word per bank that
+  // `defaulted` reads.
+  uint64_t (*solve)(const Instance&, const Params&, std::vector<uint64_t>*);
+  bool (*defaulted)(const Instance&, const finance::FixedPointFormat&,
+                    const std::vector<uint64_t>& solved, int bank);
+};
+
+const FinanceModel<finance::EnInstance, finance::EnProgramParams> kEisenbergNoe = {
+    "Eisenberg-Noe", finance::MakeEnProgram, finance::MakeEnWorkload, finance::ApplyEnShock,
+    finance::MakeEnInitialStates, finance::EnSolveFixed,
+    // A bank defaults when it pays less than its full debt.
+    [](const finance::EnInstance&, const finance::FixedPointFormat& format,
+       const std::vector<uint64_t>& prorate, int bank) {
+      return prorate[static_cast<size_t>(bank)] < format.One();
+    }};
+
+const FinanceModel<finance::EgjInstance, finance::EgjProgramParams> kElliottGolubJackson = {
+    "Elliott-Golub-Jackson", finance::MakeEgjProgram, finance::MakeEgjWorkload,
+    finance::ApplyEgjShock, finance::MakeEgjInitialStates, finance::EgjSolveFixed,
+    // A bank fails when its valuation ends below its failure threshold.
+    [](const finance::EgjInstance& instance, const finance::FixedPointFormat&,
+       const std::vector<uint64_t>& values, int bank) {
+      const size_t v = static_cast<size_t>(bank);
+      return values[v] < instance.threshold[v];
+    }};
+
+// A compiled finance model: its vertex program and, per lane, the initial
+// states, the cleartext reference and the per-bank default indicators.
+struct CompiledLanes {
+  const char* model_name = nullptr;
+  core::VertexProgram program;
+  std::vector<std::vector<mpc::BitVector>> states;
+  std::vector<uint64_t> references;
+  std::vector<std::vector<uint8_t>> defaults;
+};
+
+template <typename Instance, typename Params>
+CompiledLanes CompileLanes(const FinanceModel<Instance, Params>& model, const RunSpec& spec,
+                           const graph::Graph& graph, int degree_bound, int iterations,
+                           const std::vector<ensemble::Scenario>& lanes) {
+  Params params;
+  params.format = spec.format;
+  params.degree_bound = degree_bound;
+  params.iterations = iterations;
+  params.aggregate_bits = spec.aggregate_bits;
+  params.noise_alpha = DeriveNoiseAlpha(spec);
+  CompiledLanes out;
+  out.model_name = model.name;
+  out.program = model.make_program(params);
+  const int n = graph.num_vertices();
+  const finance::WorkloadParams workload = DeriveWorkloadParams(spec);
+  // One unshocked base workload; every lane stamps its shock onto a copy
+  // (all RNG draws precede the shock, so this equals regenerating). A lane
+  // that perturbs the balance sheets regenerates them under its own seed.
+  const Instance base = model.make_workload(graph, workload, finance::ShockParams{});
+  for (const ensemble::Scenario& lane : lanes) {
+    Instance instance;
+    if (lane.workload_seed.has_value()) {
+      finance::WorkloadParams reseeded = workload;
+      reseeded.seed = *lane.workload_seed;
+      instance = model.make_workload(graph, reseeded, finance::ShockParams{});
+    } else {
+      instance = base;
+    }
+    model.apply_shock(instance, lane.shock);
+    out.states.push_back(model.initial_states(instance, params));
+    std::vector<uint64_t> solved;
+    out.references.push_back(model.solve(instance, params, &solved));
+    std::vector<uint8_t> defaults(static_cast<size_t>(n));
+    for (int v = 0; v < n; v++) {
+      defaults[static_cast<size_t>(v)] = model.defaulted(instance, spec.format, solved, v) ? 1 : 0;
+    }
+    out.defaults.push_back(std::move(defaults));
+  }
+  return out;
+}
+
 }  // namespace
 
 Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
@@ -65,61 +152,46 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   const int degree_bound =
       spec_.degree_bound > 0 ? spec_.degree_bound : std::max(1, graph_->MaxDegree());
 
-  switch (spec_.model) {
-    case ContagionModel::kEisenbergNoe: {
-      model_name_ = "Eisenberg-Noe";
-      iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
-      finance::EnProgramParams params;
-      params.format = spec_.format;
-      params.degree_bound = degree_bound;
-      params.iterations = iterations_;
-      params.aggregate_bits = spec_.aggregate_bits;
-      params.noise_alpha = DeriveNoiseAlpha(spec_);
-      finance::EnInstance instance =
-          finance::MakeEnWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
-      program_ = finance::MakeEnProgram(params);
-      initial_states_ = finance::MakeEnInitialStates(instance, params);
-      reference_ = finance::EnSolveFixed(instance, params);
-      has_reference_ = true;
-      break;
-    }
-    case ContagionModel::kElliottGolubJackson: {
-      model_name_ = "Elliott-Golub-Jackson";
-      iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
-      finance::EgjProgramParams params;
-      params.format = spec_.format;
-      params.degree_bound = degree_bound;
-      params.iterations = iterations_;
-      params.aggregate_bits = spec_.aggregate_bits;
-      params.noise_alpha = DeriveNoiseAlpha(spec_);
-      finance::EgjInstance instance =
-          finance::MakeEgjWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
-      program_ = finance::MakeEgjProgram(params);
-      initial_states_ = finance::MakeEgjInitialStates(instance, params);
-      reference_ = finance::EgjSolveFixed(instance, params);
-      has_reference_ = true;
-      break;
-    }
-    case ContagionModel::kCustom: {
-      model_name_ = "custom";
-      DSTRESS_CHECK(spec_.custom_program.build_update != nullptr);
-      DSTRESS_CHECK(spec_.custom_program.build_contribution != nullptr);
-      program_ = spec_.custom_program;
-      if (spec_.iterations > 0) {
-        program_.iterations = spec_.iterations;
-      }
-      iterations_ = program_.iterations;
-      DSTRESS_CHECK(static_cast<int>(spec_.custom_states.size()) == n);
-      initial_states_ = spec_.custom_states;
-      break;
-    }
-  }
-
-  if (spec_.ensemble.has_value()) {
+  if (spec_.model == ContagionModel::kCustom) {
     // An ensemble varies shocks and balance sheets; a custom program has
     // neither channel to vary.
-    DSTRESS_CHECK(spec_.model != ContagionModel::kCustom);
-    CompileEnsemble(degree_bound);
+    DSTRESS_CHECK(!spec_.ensemble.has_value());
+    model_name_ = "custom";
+    DSTRESS_CHECK(spec_.custom_program.build_update != nullptr);
+    DSTRESS_CHECK(spec_.custom_program.build_contribution != nullptr);
+    program_ = spec_.custom_program;
+    if (spec_.iterations > 0) {
+      program_.iterations = spec_.iterations;
+    }
+    iterations_ = program_.iterations;
+    DSTRESS_CHECK(static_cast<int>(spec_.custom_states.size()) == n);
+    base_lane_.push_back(spec_.custom_states);
+  } else {
+    iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
+    if (spec_.ensemble.has_value()) {
+      scenarios_ = ensemble::MaterializeScenarios(*spec_.ensemble, spec_.shock, n);
+      DSTRESS_CHECK(!scenarios_.empty());
+    }
+    // Lane 0 is the base run (the spec's own shock); the ensemble's
+    // scenarios follow it.
+    std::vector<ensemble::Scenario> lanes(1);
+    lanes[0].shock = spec_.shock;
+    lanes.insert(lanes.end(), scenarios_.begin(), scenarios_.end());
+    CompiledLanes compiled =
+        spec_.model == ContagionModel::kEisenbergNoe
+            ? CompileLanes(kEisenbergNoe, spec_, *graph_, degree_bound, iterations_, lanes)
+            : CompileLanes(kElliottGolubJackson, spec_, *graph_, degree_bound, iterations_,
+                           lanes);
+    model_name_ = compiled.model_name;
+    program_ = std::move(compiled.program);
+    has_reference_ = true;
+    reference_ = compiled.references[0];
+    base_lane_.push_back(std::move(compiled.states[0]));
+    ensemble_lanes_.assign(std::make_move_iterator(compiled.states.begin() + 1),
+                           std::make_move_iterator(compiled.states.end()));
+    ensemble_refs_.assign(compiled.references.begin() + 1, compiled.references.end());
+    ensemble_defaults_.assign(std::make_move_iterator(compiled.defaults.begin() + 1),
+                              std::make_move_iterator(compiled.defaults.end()));
   }
 
   BackendContext context;
@@ -128,76 +200,6 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   context.program = &program_;
   context.runtime_config = DeriveRuntimeConfig(spec_);
   backend_ = MakeExecutionBackend(spec_.mode, context);
-}
-
-void Engine::CompileEnsemble(int degree_bound) {
-  const ensemble::EnsembleSpec& es = *spec_.ensemble;
-  scenarios_ = ensemble::MaterializeScenarios(es, spec_.shock, graph_->num_vertices());
-  DSTRESS_CHECK(!scenarios_.empty());
-  const finance::WorkloadParams base_workload = DeriveWorkloadParams(spec_);
-  ensemble_states_.reserve(scenarios_.size());
-  ensemble_refs_.reserve(scenarios_.size());
-  ensemble_defaults_.reserve(scenarios_.size());
-  const int n = graph_->num_vertices();
-  if (spec_.model == ContagionModel::kEisenbergNoe) {
-    finance::EnProgramParams params;
-    params.format = spec_.format;
-    params.degree_bound = degree_bound;
-    params.iterations = iterations_;
-    params.aggregate_bits = spec_.aggregate_bits;
-    params.noise_alpha = DeriveNoiseAlpha(spec_);
-    // One base workload per distinct seed; per-scenario shocks stamp onto a
-    // copy (all RNG draws precede the shock, so this equals regenerating).
-    const finance::EnInstance base =
-        finance::MakeEnWorkload(*graph_, base_workload, finance::ShockParams{});
-    for (const ensemble::Scenario& sc : scenarios_) {
-      finance::EnInstance instance;
-      if (sc.workload_seed.has_value()) {
-        finance::WorkloadParams workload = base_workload;
-        workload.seed = *sc.workload_seed;
-        instance = finance::MakeEnWorkload(*graph_, workload, sc.shock);
-      } else {
-        instance = base;
-        finance::ApplyEnShock(instance, sc.shock);
-      }
-      ensemble_states_.push_back(finance::MakeEnInitialStates(instance, params));
-      std::vector<uint64_t> prorate;
-      ensemble_refs_.push_back(finance::EnSolveFixed(instance, params, &prorate));
-      std::vector<uint8_t> defaults(n);
-      for (int v = 0; v < n; v++) {
-        defaults[v] = prorate[v] < spec_.format.One() ? 1 : 0;
-      }
-      ensemble_defaults_.push_back(std::move(defaults));
-    }
-  } else {
-    finance::EgjProgramParams params;
-    params.format = spec_.format;
-    params.degree_bound = degree_bound;
-    params.iterations = iterations_;
-    params.aggregate_bits = spec_.aggregate_bits;
-    params.noise_alpha = DeriveNoiseAlpha(spec_);
-    const finance::EgjInstance base =
-        finance::MakeEgjWorkload(*graph_, base_workload, finance::ShockParams{});
-    for (const ensemble::Scenario& sc : scenarios_) {
-      finance::EgjInstance instance;
-      if (sc.workload_seed.has_value()) {
-        finance::WorkloadParams workload = base_workload;
-        workload.seed = *sc.workload_seed;
-        instance = finance::MakeEgjWorkload(*graph_, workload, sc.shock);
-      } else {
-        instance = base;
-        finance::ApplyEgjShock(instance, sc.shock);
-      }
-      ensemble_states_.push_back(finance::MakeEgjInitialStates(instance, params));
-      std::vector<uint64_t> values;
-      ensemble_refs_.push_back(finance::EgjSolveFixed(instance, params, &values));
-      std::vector<uint8_t> defaults(n);
-      for (int v = 0; v < n; v++) {
-        defaults[v] = values[v] < instance.threshold[v] ? 1 : 0;
-      }
-      ensemble_defaults_.push_back(std::move(defaults));
-    }
-  }
 }
 
 Engine::~Engine() = default;
@@ -209,7 +211,7 @@ RunReport Engine::Run() {
   report.mode = spec_.mode;
   report.has_reference = has_reference_;
   report.reference = reference_;
-  report.released = backend_->Execute(initial_states_, &report.metrics);
+  report.released = backend_->Execute(base_lane_, &report.metrics)[0];
   return report;
 }
 
@@ -235,7 +237,7 @@ ensemble::EnsembleReport Engine::RunEnsemble() {
   report.epsilon_each = spec_.epsilon;
   report.epsilon_total = static_cast<double>(k) * spec_.epsilon;
   report.epsilon_budget = es.epsilon_budget;
-  std::vector<int64_t> released = backend_->ExecuteEnsemble(ensemble_states_, &report.metrics);
+  std::vector<int64_t> released = backend_->Execute(ensemble_lanes_, &report.metrics);
   DSTRESS_CHECK(released.size() == scenarios_.size());
   report.scenarios.reserve(scenarios_.size());
   for (size_t s = 0; s < scenarios_.size(); s++) {

@@ -9,11 +9,13 @@
 //
 // Construction compiles the spec: the network is materialized (topology
 // spec or prebuilt graph), the contagion model is lowered to a vertex
-// program with privacy-calibrated output noise, initial states and the
-// cleartext reference are derived from the synthetic workload, and the
-// ExecutionMode registry supplies the backend (secure MPC or the cleartext
-// fast path). Run() then executes and returns the released figure plus
-// metrics.
+// program with privacy-calibrated output noise, and the base run and every
+// ensemble scenario are compiled as lanes of one loop — initial states and
+// cleartext reference from the synthetic workload. MakeExecutionBackend
+// supplies the backend (secure MPC or the cleartext fast path), which runs
+// lists of lanes: Run() hands it the base run as a one-lane list and
+// returns the released figure plus metrics; RunEnsemble() hands it the
+// ensemble's lanes.
 //
 //   engine::RunSpec spec;
 //   spec.topology = engine::CorePeripheryTopology(50, 10);
@@ -61,8 +63,9 @@ class Engine {
   // detaches). Must be called before the first Run().
   void AttachObserver(net::NetworkObserver* observer);
 
-  // Final per-vertex states of the last Run(), when the backend exposes
-  // them (ExecutionBackend::DebugFinalStates; the cleartext backends do).
+  // Final per-vertex states of the last run when it had one lane (Run(),
+  // or a one-scenario RunEnsemble()) and the backend exposes them
+  // (ExecutionBackend::DebugFinalStates; the cleartext backend does).
   // Empty otherwise. Differential-testing hook, not part of the release
   // surface.
   std::vector<mpc::BitVector> FinalStates() const;
@@ -84,19 +87,19 @@ class Engine {
   std::optional<graph::Graph> built_graph_;
   const graph::Graph* graph_ = nullptr;
   core::VertexProgram program_;
-  std::vector<mpc::BitVector> initial_states_;
-  bool has_reference_ = false;
-  uint64_t reference_ = 0;
   std::string model_name_;
   int iterations_ = 0;
   std::unique_ptr<ExecutionBackend> backend_;
 
-  // Ensemble compilation (spec_.ensemble): the materialized scenarios, one
-  // initial-state vector per scenario, and the cleartext reference channel
-  // (per-scenario reference TDS + per-bank default indicators).
-  void CompileEnsemble(int degree_bound);
+  // The base run as a one-lane list (Run) and its cleartext reference.
+  std::vector<std::vector<mpc::BitVector>> base_lane_;
+  bool has_reference_ = false;
+  uint64_t reference_ = 0;
+  // The ensemble (spec_.ensemble, RunEnsemble): the materialized scenarios,
+  // one lane of initial states per scenario, and the cleartext reference
+  // channel (per-scenario reference TDS + per-bank default indicators).
   std::vector<ensemble::Scenario> scenarios_;
-  std::vector<std::vector<mpc::BitVector>> ensemble_states_;
+  std::vector<std::vector<mpc::BitVector>> ensemble_lanes_;
   std::vector<uint64_t> ensemble_refs_;
   std::vector<std::vector<uint8_t>> ensemble_defaults_;
 };

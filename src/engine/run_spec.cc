@@ -173,22 +173,25 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
       static_cast<long long>(report.released), spec.epsilon, spec.leverage,
       static_cast<unsigned long long>(report.reference), report.metrics.total_seconds,
       report.metrics.avg_bytes_per_node / 1e6);
-  std::string out = buf;
-  // HA overhead line, only when the fault-tolerance layer was on (docs/
-  // ha.md) — HA control traffic is metered apart from the payload figures
-  // above, which stay bit-identical to a fault-free run.
-  if (spec.transport.ha.enabled || report.metrics.resumed_from_iteration >= 0) {
-    char ha_line[192];
-    std::snprintf(ha_line, sizeof(ha_line),
-                  "ha overhead:         %.2f MB control traffic, %d session resume(s), "
-                  "%.2f s checkpointing\n",
-                  report.metrics.ha_control_bytes / 1e6, report.metrics.ha_resumes,
-                  report.metrics.ha_checkpoint_seconds);
-    out += ha_line;
-    if (report.metrics.resumed_from_iteration >= 0) {
-      out += "resumed:             from iteration " +
-             std::to_string(report.metrics.resumed_from_iteration) + "\n";
-    }
+  return buf + FormatHaLines(spec, report.metrics);
+}
+
+std::string FormatHaLines(const RunSpec& spec, const core::RunMetrics& metrics) {
+  // HA control traffic is metered apart from the payload figures, which
+  // stay bit-identical to a fault-free run.
+  if (!spec.transport.ha.enabled && metrics.resumed_from_iteration < 0) {
+    return "";
+  }
+  char ha_line[192];
+  std::snprintf(ha_line, sizeof(ha_line),
+                "ha overhead:         %.2f MB control traffic, %d session resume(s), "
+                "%.2f s checkpointing\n",
+                metrics.ha_control_bytes / 1e6, metrics.ha_resumes,
+                metrics.ha_checkpoint_seconds);
+  std::string out = ha_line;
+  if (metrics.resumed_from_iteration >= 0) {
+    out += "resumed:             from iteration " +
+           std::to_string(metrics.resumed_from_iteration) + "\n";
   }
   return out;
 }

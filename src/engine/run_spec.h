@@ -41,9 +41,9 @@
 
 namespace dstress::engine {
 
-// Execution backends. The registry (backend.h) maps each mode to a factory;
-// new modes plug in there without touching any RunSpec caller. (The wire a
-// run crosses is orthogonal: RunSpec::transport.)
+// Execution backends. MakeExecutionBackend (backend.h) builds the backend
+// for each mode; a new mode is one more case there, and no RunSpec caller
+// changes. (The wire a run crosses is orthogonal: RunSpec::transport.)
 enum class ExecutionMode {
   kSecure,
   kCleartextFast,
@@ -158,13 +158,14 @@ struct RunSpec {
   // traffic shape — fewer communicate rounds are metered.
   bool cleartext_early_exit = false;
   int max_parallel_tasks = 0;  // 0 = auto
-  size_t channel_high_watermark_bytes = 0;  // 0 = unbounded
   double transfer_budget_alpha = 0.9;
   int64_t dlog_range = 0;  // 0 = auto-size
   uint64_t seed = 1;
   // HA checkpointing (core::RuntimeConfig, docs/ha.md): snapshot phase
   // state to ha_checkpoint_path every `ha_checkpoint_every` iterations;
   // ha_resume restarts a run from that snapshot (dstress_run --resume).
+  // Secure mode only, for solo runs and ensembles alike; the cleartext
+  // backend aborts on either.
   int ha_checkpoint_every = 0;
   std::string ha_checkpoint_path;
   bool ha_resume = false;
@@ -175,6 +176,8 @@ struct RunSpec {
   // (net/transport_spec.h): "sim" (in-process, default) or "tcp" (one
   // process per bank). Orthogonal to `mode`: the same mode runs over any
   // transport with identical results and per-node traffic stats.
+  // transport.options (net::TransportOptions) holds the per-channel
+  // queued-byte cap.
   net::TransportSpec transport;
 };
 
@@ -199,6 +202,12 @@ struct RunReport {
 // Multi-line human-readable report (the regulator-facing output of
 // examples/dstress_run).
 std::string FormatReport(const RunSpec& spec, const RunReport& report);
+
+// The HA lines that end a report (docs/ha.md), solo and ensemble alike:
+// "ha overhead:" when the transport's fault-tolerance layer was on or the
+// run resumed from a checkpoint, then "resumed: from iteration N" when it
+// resumed. Empty otherwise, so non-HA reports are unchanged.
+std::string FormatHaLines(const RunSpec& spec, const core::RunMetrics& metrics);
 
 }  // namespace dstress::engine
 

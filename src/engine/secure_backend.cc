@@ -11,15 +11,9 @@ class SecureBackend : public ExecutionBackend {
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kSecure); }
 
-  int64_t Execute(const std::vector<mpc::BitVector>& initial_states,
-                  core::RunMetrics* metrics) override {
-    return runtime_.Run(initial_states, metrics);
-  }
-
-  std::vector<int64_t> ExecuteEnsemble(
-      const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics) override {
-    return runtime_.RunEnsemble(per_scenario_states, metrics);
+  std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                               core::RunMetrics* metrics) override {
+    return runtime_.RunEnsemble(lanes, metrics);
   }
 
   void AttachObserver(net::NetworkObserver* observer) override {

@@ -179,7 +179,7 @@ std::string FormatEnsembleReport(const engine::RunSpec& spec, const EnsembleRepo
                 report.metrics.communicate.seconds, report.metrics.aggregate.seconds,
                 report.metrics.total_seconds, report.metrics.avg_bytes_per_node / 1e6);
   out += buf;
-  return out;
+  return out + engine::FormatHaLines(spec, report.metrics);
 }
 
 }  // namespace dstress::ensemble

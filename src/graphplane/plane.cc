@@ -52,26 +52,6 @@ uint64_t ExtractBits(const Bytes& raw, size_t bit_offset, int count) {
   return bits;
 }
 
-void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareMatrix* in_mat) {
-  const int n = static_cast<int>(states.size());
-  DSTRESS_CHECK(n > 0);
-  DSTRESS_CHECK(in_mat->instances() == static_cast<size_t>(n));
-  const size_t sb = states[0].size();
-  DSTRESS_CHECK(in_mat->rows() >= sb);
-  for (int lo = 0; lo < n; lo += 64) {
-    const int hi = std::min(n, lo + 64);
-    const size_t w = static_cast<size_t>(lo) / 64;
-    for (size_t r = 0; r < sb; r++) {
-      uint64_t word = 0;
-      for (int v = lo; v < hi; v++) {
-        word |= static_cast<uint64_t>(states[static_cast<size_t>(v)][r] & 1)
-                << (v - lo);
-      }
-      in_mat->row(r)[w] = word;
-    }
-  }
-}
-
 GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& program,
                        const circuit::EvalPlan& update_plan, core::WorkerPool* pool,
                        net::Transport* net, Options options)
@@ -163,6 +143,42 @@ void GraphPlane::Reset() {
   std::fill(msg_dirty_.begin(), msg_dirty_.end(), 0);
   active_list_.clear();
   stats_ = Stats{};
+}
+
+void GraphPlane::PackStates(const std::vector<std::vector<mpc::BitVector>>& lanes, size_t first) {
+  DSTRESS_CHECK(first + static_cast<size_t>(num_scenarios_) <= lanes.size());
+  for (int s = 0; s < num_scenarios_; s++) {
+    const std::vector<mpc::BitVector>& states = lanes[first + static_cast<size_t>(s)];
+    DSTRESS_CHECK(static_cast<int>(states.size()) == n_);
+    for (const mpc::BitVector& state : states) {
+      DSTRESS_CHECK(static_cast<int>(state.size()) == sb_);
+    }
+  }
+  // Lane b of word w enters the block as word b (its state rows as bits);
+  // the transpose turns the block into the rows' lane words.
+  uint64_t block[64];
+  for (size_t w = 0; w < words_; w++) {
+    for (int r0 = 0; r0 < sb_; r0 += 64) {
+      const int rows = std::min(64, sb_ - r0);
+      for (int b = 0; b < 64; b++) {
+        const size_t lane = w * 64 + static_cast<size_t>(b);
+        const size_t v = lane / static_cast<size_t>(stride_);
+        const int s = static_cast<int>(lane % static_cast<size_t>(stride_));
+        uint64_t word = 0;
+        if (v < static_cast<size_t>(n_) && s < num_scenarios_) {
+          const uint8_t* bits = lanes[first + static_cast<size_t>(s)][v].data() + r0;
+          for (int r = 0; r < rows; r++) {
+            word |= static_cast<uint64_t>(bits[r] & 1) << r;
+          }
+        }
+        block[b] = word;
+      }
+      TransposeBits64x64(block);
+      for (int r = 0; r < rows; r++) {
+        in_mat_.row(static_cast<size_t>(r0 + r))[w] = block[r];
+      }
+    }
+  }
 }
 
 void GraphPlane::ComputeStep() {

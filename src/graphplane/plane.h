@@ -32,9 +32,9 @@
 //    Send/Recv per edge with the legacy payload bytes.
 //
 // The plane is engine-agnostic: it owns no transport, pool or circuits,
-// only references, so tests drive it directly and the arena backend
-// (src/engine/arena_cleartext_backend.cc) composes it per run or per
-// ensemble chunk.
+// only references, so tests drive it directly. The arena backend
+// (src/engine/arena_cleartext_backend.cc) keeps one plane, rebuilt only
+// when a chunk's lane count changes, and Resets it before every chunk.
 #ifndef SRC_GRAPHPLANE_PLANE_H_
 #define SRC_GRAPHPLANE_PLANE_H_
 
@@ -56,11 +56,6 @@ namespace dstress::graphplane {
 // the plane's literal-send fallback and the arena backend's gather phase.
 void InsertBits(Bytes* out, size_t bit_offset, uint64_t bits, int count);
 uint64_t ExtractBits(const Bytes& raw, size_t bit_offset, int count);
-
-// Packs one solo state vector per vertex into the first state_bits rows of
-// a stride-1 input matrix (lane v = vertex v). `in_mat` must already have
-// >= states[0].size() rows and exactly states.size() instances.
-void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareMatrix* in_mat);
 
 class GraphPlane {
  public:
@@ -91,18 +86,21 @@ class GraphPlane {
              const circuit::EvalPlan& update_plan, core::WorkerPool* pool, net::Transport* net,
              Options options);
 
-  // The update-circuit input arena. Callers pack initial states into rows
-  // [0, state_bits) (PackSoloStates or SetLaneGroup) after Reset(); in-slot
-  // rows start at ⊥ (all-zero), matching the container plane's init.
-  mpc::PackedShareMatrix& input_matrix() { return in_mat_; }
-  const mpc::PackedShareMatrix& input_matrix() const { return in_mat_; }
-
   size_t lane_words() const { return words_; }
   const std::vector<uint64_t>& valid_masks() const { return valid_mask_; }
 
   // Zeroes both arenas, re-arms the frontier (everything active) and
-  // clears the stats. One Reset + init packing per run.
+  // clears the stats. One Reset + PackStates per run.
   void Reset();
+
+  // Packs the initial states of this plane's S lanes, lanes[first + s][v]
+  // being lane s's state for vertex v, into rows [0, state_bits) of the
+  // input arena. Call after Reset(): in-slot rows stay at ⊥ (all-zero),
+  // matching the container plane's init. Works in blocks of 64 lanes x 64
+  // state rows, one bit transpose per block, for any state width and
+  // stride; lanes past S (and past the last vertex) pack as zero. Aborts
+  // unless every lane holds one state_bits-wide state per vertex.
+  void PackStates(const std::vector<std::vector<mpc::BitVector>>& lanes, size_t first);
 
   // One computation step: evaluates every active word's lanes through the
   // update plan (bitsliced, chunked over the worker pool, thread-local
@@ -140,6 +138,7 @@ class GraphPlane {
   // container plane's reduction.
   std::vector<uint64_t> ScenarioSums(const mpc::PackedShareMatrix& contrib, int agg_bits) const;
 
+  int num_scenarios() const { return num_scenarios_; }
   const Stats& stats() const { return stats_; }
 
  private:

@@ -6,8 +6,7 @@
 // per bank — so the channel is an abstraction selected per run, never named
 // by the algorithm layer: a run describes its wire with a
 // net::TransportSpec (backend name + options, transport_spec.h) and
-// MakeTransport resolves it through a registry that mirrors the engine's
-// ExecutionMode registry. Two backends are built in:
+// MakeTransport resolves it through a registry. Two backends are built in:
 //
 //   "sim" — net::SimNetwork (sim_network.h): in-process queues, every
 //           protocol party on its own thread;

@@ -1,6 +1,5 @@
 // TransportSpec + the transport registry: how a deployment chooses the wire
-// its run crosses, mirroring the ExecutionMode registry in
-// src/engine/backend.h.
+// its run crosses.
 //
 // A TransportSpec names a backend plus its options; MakeTransport resolves
 // the name — first against factories installed with RegisterTransport (test
@@ -103,18 +102,6 @@ struct TransportSpec {
   // and the scripted fault schedule it fires.
   std::string faulty_inner = "sim";
   std::vector<FaultSpec> faults;
-
-  // Copy of this spec with the channel high-watermark overridden when
-  // `cap` is nonzero — the rule every scheduler-level knob
-  // (RuntimeConfig::channel_high_watermark_bytes) applies before
-  // MakeTransport.
-  TransportSpec WithChannelHighWatermark(size_t cap) const {
-    TransportSpec spec = *this;
-    if (cap > 0) {
-      spec.options.channel_high_watermark_bytes = cap;
-    }
-    return spec;
-  }
 };
 
 // Convenience constructors, mirroring the topology helpers in run_spec.h.

@@ -113,6 +113,8 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
       {"network scale_free 20 2\ntriples maybe\n", "triples must be"},
       {"network scale_free 20 2\ntriples ot\nha checkpoint_every 1\n",
        "cannot be combined with HA checkpoint/resume"},
+      {"network scale_free 20 2\nmode cleartext\nha checkpoint_path /tmp/c.ckpt\n",
+       "require 'mode secure'"},
       {"network scale_free 20 2\nearly_exit maybe\n", "early_exit must be"},
       {"network scale_free 20 2\nepsilon -1\n", "epsilon must be positive"},
       {"network scale_free 20 2\nleverage 0\n", "leverage must be in"},

@@ -1,6 +1,5 @@
 // Engine-layer tests: the RunSpec -> Engine -> RunReport API, the
-// ExecutionMode registry, and the two acceptance properties of the
-// redesign:
+// ExecutionMode names, and the two acceptance properties of the redesign:
 //
 //  (a) secure mode is a pure adapter — per-node traffic bytes (the fig4
 //      probe quantity) and the released result are bit-identical to
@@ -12,13 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/backend.h"
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
 #include "src/finance/utility.h"
 #include "src/finance/workload.h"
 #include "src/graph/generators.h"
-#include "src/net/sim_network.h"
 #include "src/programs/private_sum.h"
 #include "tests/fidelity_digest.h"
 
@@ -380,45 +377,6 @@ TEST(ExecutionModeTest, NamesRoundTrip) {
   EXPECT_EQ(ExecutionModeFromName("secure"), ExecutionMode::kSecure);
   EXPECT_EQ(ExecutionModeFromName("cleartext"), ExecutionMode::kCleartextFast);
   EXPECT_FALSE(ExecutionModeFromName("tls").has_value());
-}
-
-// A registered factory replaces a built-in backend (the seam the planned
-// TCP multi-process transport will use), and ResetExecutionMode restores
-// the built-in.
-class StubBackend : public ExecutionBackend {
- public:
-  const char* name() const override { return "stub"; }
-  int64_t Execute(const std::vector<mpc::BitVector>&, core::RunMetrics* metrics) override {
-    if (metrics != nullptr) {
-      *metrics = core::RunMetrics{};
-    }
-    return 424242;
-  }
-  std::vector<int64_t> ExecuteEnsemble(const std::vector<std::vector<mpc::BitVector>>&,
-                                       core::RunMetrics*) override {
-    return {};
-  }
-  void AttachObserver(net::NetworkObserver*) override {}
-  const net::Transport& transport() const override { return net_; }
-
- private:
-  net::SimNetwork net_{1};
-};
-
-TEST(ExecutionModeRegistryTest, OverrideAndReset) {
-  RegisterExecutionMode(ExecutionMode::kCleartextFast,
-                        [](const BackendContext&) { return std::make_unique<StubBackend>(); });
-
-  RunSpec spec;
-  spec.topology = CorePeripheryTopology(8, 2);
-  spec.iterations = 1;
-  spec.mode = ExecutionMode::kCleartextFast;
-  EXPECT_EQ(Engine(spec).Run().released, 424242);
-
-  ResetExecutionMode(ExecutionMode::kCleartextFast);
-  spec.noise_alpha = 1e-12;
-  RunReport real = Engine(spec).Run();
-  EXPECT_EQ(real.released, static_cast<int64_t>(real.reference));
 }
 
 }  // namespace

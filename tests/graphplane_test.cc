@@ -11,7 +11,8 @@
 //     captured from the retired per-vertex container plane and checked
 //     equal to the arena plane's before that plane was deleted.
 //
-//  2. Frontier unit tests driving graphplane::GraphPlane directly: words
+//  2. Unit tests driving graphplane::GraphPlane directly. PackStates must
+//     round-trip every lane at any state width and stride. Frontier: words
 //     deactivate when their inputs stop changing, reactivate when a changed
 //     message is delivered, every edge is still metered every iteration,
 //     and W > 1 scenario lanes converge independently without cross-lane
@@ -29,6 +30,7 @@
 
 #include "src/circuit/builder.h"
 #include "src/circuit/eval_plan.h"
+#include "src/common/rng.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
 #include "src/engine/engine.h"
@@ -366,7 +368,7 @@ TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   plane.Reset();
   std::vector<mpc::BitVector> states(n, mpc::BitVector(4, 0));
   states[0] = {1, 0, 1, 0};  // 5
-  graphplane::PackSoloStates(states, &plane.input_matrix());
+  plane.PackStates({states}, 0);
 
   // After Reset everything is active.
   EXPECT_EQ(plane.ActiveWords(), 3u);
@@ -441,17 +443,12 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
 
   plane.Reset();
-  for (int v = 0; v < n; v++) {
-    for (int s = 0; s < kScenarios; s++) {
-      if (v == s) {
-        // State 7 = bits 0..2 set.
-        for (int r = 0; r < 3; r++) {
-          plane.input_matrix().Set(static_cast<size_t>(r),
-                                   static_cast<size_t>(v * kStride + s), true);
-        }
-      }
-    }
+  std::vector<std::vector<mpc::BitVector>> lanes(kScenarios,
+                                                 std::vector<mpc::BitVector>(n, {0, 0, 0, 0}));
+  for (int s = 0; s < kScenarios; s++) {
+    lanes[static_cast<size_t>(s)][static_cast<size_t>(s)] = {1, 1, 1, 0};  // 7
   }
+  plane.PackStates(lanes, 0);
 
   int rounds = 0;
   while (!plane.AllConverged() && rounds < 8) {
@@ -490,6 +487,54 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   EXPECT_EQ(sums[0], 21u);  // 7 + 7 + 7
   EXPECT_EQ(sums[1], 14u);  // 0 + 7 + 7
   EXPECT_EQ(sums[2], 7u);   // 0 + 0 + 7
+}
+
+// PackStates packs blocks of 64 lanes x 64 state rows: every lane of every
+// vertex must read back its own state at widths below, at and above one
+// block, at solo and ensemble strides, with a short last word, and from an
+// offset into the lane list.
+TEST(GraphPlanePackTest, PackStatesRoundTripsEveryWidthAndStride) {
+  const int n = 70;
+  graph::Graph g(n);
+  g.AddEdge(0, 1);
+  core::WorkerPool pool(2);
+  net::SimNetwork net(n);
+  Rng rng(5);
+  const struct {
+    int scenarios;
+    int stride;
+  } shapes[] = {{1, 1}, {3, 4}, {64, 64}};
+  for (int bits : {5, 64, 130}) {
+    core::VertexProgram program = PropagateProgram(bits, 1);
+    circuit::Circuit update = core::BuildUpdateCircuit(program);
+    circuit::EvalPlan plan(update);
+    for (const auto& shape : shapes) {
+      graphplane::GraphPlane::Options options;
+      options.num_scenarios = shape.scenarios;
+      options.stride = shape.stride;
+      graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
+      const size_t first = 1;  // lane 0 of the list belongs to another chunk
+      std::vector<std::vector<mpc::BitVector>> lanes(first + shape.scenarios);
+      for (auto& states : lanes) {
+        for (int v = 0; v < n; v++) {
+          mpc::BitVector state(static_cast<size_t>(bits));
+          for (auto& bit : state) {
+            bit = static_cast<uint8_t>(rng.Next() & 1);
+          }
+          states.push_back(std::move(state));
+        }
+      }
+      plane.Reset();
+      plane.PackStates(lanes, first);
+      for (int s = 0; s < shape.scenarios; s++) {
+        for (int v = 0; v < n; v++) {
+          ASSERT_EQ(plane.VertexState(v, s), lanes[first + s][static_cast<size_t>(v)])
+              << "bits " << bits << " lanes " << shape.scenarios << " vertex " << v
+              << " lane " << s;
+        }
+      }
+    }
+  }
 }
 
 // Engine-level early-exit A/B: breaking out of the iteration loop once the

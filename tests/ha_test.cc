@@ -7,7 +7,8 @@
 //  * ha::RuntimeSnapshot — checkpoint codec, atomic save/load, and the
 //    integrity/version/magic rejection paths;
 //  * checkpoint-every + --resume through the engine over sim: a resumed
-//    run must release the same figure as the uninterrupted run;
+//    run, solo or ensemble, must release the same figures as the
+//    uninterrupted run, and a checkpoint of another lane count is refused;
 //  * ha::FaultyTransport — deterministic fault injection: a delay fault
 //    must not perturb figures or traffic, and a kill on a backend without
 //    process boundaries must wake blocked receivers with a clear abort.
@@ -25,6 +26,7 @@
 #include "src/cli/scenario.h"
 #include "src/common/rng.h"
 #include "src/engine/engine.h"
+#include "src/ensemble/ensemble.h"
 #include "src/ha/checkpoint.h"
 #include "src/ha/failure_detector.h"
 #include "src/ha/faulty.h"
@@ -413,38 +415,102 @@ engine::RunSpec CheckpointableSpec() {
   return spec;
 }
 
+// The same spec as a 3-lane ensemble: one lane per shocked bank.
+engine::RunSpec CheckpointableEnsembleSpec() {
+  engine::RunSpec spec = CheckpointableSpec();
+  spec.ensemble.emplace();
+  for (int bank : {0, 2, 5}) {
+    ensemble::Scenario scenario;
+    scenario.shock.shocked_banks = {bank};
+    spec.ensemble->scenarios.push_back(scenario);
+  }
+  return spec;
+}
+
+// Per-lane released figures and references of one run of `spec`: Run() for
+// a solo spec, RunEnsemble() for an ensemble.
+struct LaneFigures {
+  std::vector<int64_t> released;
+  std::vector<uint64_t> references;
+  core::RunMetrics metrics;
+};
+
+LaneFigures RunLanes(const engine::RunSpec& spec) {
+  engine::Engine engine(spec);
+  LaneFigures out;
+  if (spec.ensemble.has_value()) {
+    ensemble::EnsembleReport report = engine.RunEnsemble();
+    for (const ensemble::ScenarioResult& lane : report.scenarios) {
+      out.released.push_back(lane.released);
+      out.references.push_back(lane.reference);
+    }
+    out.metrics = report.metrics;
+  } else {
+    engine::RunReport report = engine.Run();
+    out.released.push_back(report.released);
+    out.references.push_back(report.reference);
+    out.metrics = report.metrics;
+  }
+  return out;
+}
+
 TEST(CheckpointResumeTest, SimResumeReleasesTheSameFigure) {
-  const std::string path = TempPath("ckpt_resume");
+  // Checkpoints cover every lane count: a solo run and a 3-lane ensemble.
+  for (const engine::RunSpec& spec : {CheckpointableSpec(), CheckpointableEnsembleSpec()}) {
+    const size_t lanes = spec.ensemble.has_value() ? spec.ensemble->scenarios.size() : 1;
+    SCOPED_TRACE(std::to_string(lanes) + " lane(s)");
+    const std::string path = TempPath("ckpt_resume");
+    std::remove(path.c_str());
 
-  // Reference: the same run with checkpointing off.
-  engine::Engine ref_engine(CheckpointableSpec());
-  engine::RunReport ref = ref_engine.Run();
+    // Reference: the same run with checkpointing off.
+    const LaneFigures ref = RunLanes(spec);
+    ASSERT_EQ(ref.released.size(), lanes);
 
-  // Checkpointing on: figures unchanged, snapshot left at iteration 4.
-  engine::RunSpec ckpt_spec = CheckpointableSpec();
-  ckpt_spec.ha_checkpoint_every = 2;
-  ckpt_spec.ha_checkpoint_path = path;
-  engine::Engine ckpt_engine(ckpt_spec);
-  engine::RunReport ckpt = ckpt_engine.Run();
-  EXPECT_EQ(ckpt.released, ref.released);
-  EXPECT_EQ(ckpt.reference, ref.reference);
-  EXPECT_GT(ckpt.metrics.ha_checkpoint_seconds, 0.0);
+    // Checkpointing on: figures unchanged, snapshot left at iteration 4
+    // with one share entry per (lane, vertex).
+    engine::RunSpec ckpt_spec = spec;
+    ckpt_spec.ha_checkpoint_every = 2;
+    ckpt_spec.ha_checkpoint_path = path;
+    const LaneFigures ckpt = RunLanes(ckpt_spec);
+    EXPECT_EQ(ckpt.released, ref.released);
+    EXPECT_EQ(ckpt.references, ref.references);
+    EXPECT_GT(ckpt.metrics.ha_checkpoint_seconds, 0.0);
 
-  RuntimeSnapshot snapshot;
-  std::string error;
-  ASSERT_TRUE(LoadSnapshot(path, &snapshot, &error)) << error;
-  EXPECT_EQ(snapshot.next_iteration, 4);
+    RuntimeSnapshot snapshot;
+    std::string error;
+    ASSERT_TRUE(LoadSnapshot(path, &snapshot, &error)) << error;
+    EXPECT_EQ(snapshot.next_iteration, 4);
+    EXPECT_EQ(snapshot.state_shares.size(), lanes * 8);
 
-  // Resume: iterations 0-3 are skipped, yet the released figure (and the
-  // cleartext reference) must come out bit-identical — the fidelity
-  // contract of docs/ha.md.
-  engine::RunSpec resume_spec = ckpt_spec;
-  resume_spec.ha_resume = true;
-  engine::Engine resume_engine(resume_spec);
-  engine::RunReport resumed = resume_engine.Run();
-  EXPECT_EQ(resumed.released, ref.released);
-  EXPECT_EQ(resumed.reference, ref.reference);
-  EXPECT_EQ(resumed.metrics.resumed_from_iteration, 4);
+    // Resume: iterations 0-3 are skipped, yet every lane's released figure
+    // (and cleartext reference) must come out bit-identical — the fidelity
+    // contract of docs/ha.md.
+    engine::RunSpec resume_spec = ckpt_spec;
+    resume_spec.ha_resume = true;
+    const LaneFigures resumed = RunLanes(resume_spec);
+    EXPECT_EQ(resumed.released, ref.released);
+    EXPECT_EQ(resumed.references, ref.references);
+    EXPECT_EQ(resumed.metrics.resumed_from_iteration, 4);
+    std::remove(path.c_str());
+  }
+}
+
+// The fingerprint does not cover the lane count, so resuming a solo run's
+// checkpoint into an ensemble of the same spec must fail on the share
+// array size, naming both counts.
+TEST(CheckpointResumeDeathTest, LaneCountMismatchIsRejected) {
+  const std::string path = TempPath("ckpt_lanes");
+  engine::RunSpec solo = CheckpointableSpec();
+  solo.ha_checkpoint_every = 2;
+  solo.ha_checkpoint_path = path;
+  engine::Engine(solo).Run();
+
+  engine::RunSpec spec = CheckpointableEnsembleSpec();
+  spec.ha_checkpoint_every = 2;
+  spec.ha_checkpoint_path = path;
+  spec.ha_resume = true;
+  EXPECT_DEATH({ engine::Engine(spec).RunEnsemble(); },
+               "holds 8 vertex entries, this run needs 24 \\(3 lanes x 8 vertices\\)");
   std::remove(path.c_str());
 }
 
