@@ -190,7 +190,9 @@ struct JsonEntry {
   // Rows compared against a baseline run.
   std::optional<double> wall_ms_baseline = std::nullopt;
   double bytes_per_node = 0;
-  // Secure validation and ensemble rows: the run's block size, and the
+  // Every row that runs or models the protocol carries its block size, so
+  // tools/check_bench.py never matches a DSTRESS_FULL=1 row (block 20) with
+  // a default-scale one (block 8). Secure validation rows also carry the
   // worker-pool thread budget (0 = the default budget).
   std::optional<int> block_size = std::nullopt;
   std::optional<int> workers = std::nullopt;
@@ -407,6 +409,7 @@ void Run() {
                   FormatDuration(proj.total_seconds).c_str(), FormatDuration(mpc_s).c_str(),
                   proj.traffic_bytes_per_node / 1e6);
       JsonEntry row{n, degree, "secure-projected", proj.total_seconds * 1e3};
+      row.block_size = block_size;
       row.bytes_per_node = proj.traffic_bytes_per_node;
       row.mpc_ms = mpc_s * 1e3;
       json.push_back(row);
@@ -464,6 +467,7 @@ void Run() {
     secure.model_check = JsonEntry::ModelCheck{proj.total_seconds * 1e3, model_error};
     json.push_back(secure);
     JsonEntry secure_mpc{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3};
+    secure_mpc.block_size = block_size;
     secure_mpc.bytes_per_node = report.metrics.avg_bytes_per_node;
     json.push_back(secure_mpc);
     if (n != 20) {
@@ -521,6 +525,7 @@ void Run() {
         tcp_ha.metrics.ha_control_bytes / 1e6, tcp_ha.metrics.ha_checkpoint_seconds);
     JsonEntry ha_row{n, degree, "secure-ha", tcp_ha.metrics.total_seconds * 1e3,
                      tcp_plain.metrics.total_seconds * 1e3, tcp_ha.metrics.avg_bytes_per_node};
+    ha_row.block_size = block_size;
     ha_row.ha = JsonEntry::Ha{static_cast<double>(tcp_ha.metrics.ha_control_bytes),
                               tcp_ha.metrics.ha_checkpoint_seconds * 1e3};
     json.push_back(ha_row);
@@ -548,6 +553,7 @@ void Run() {
                 static_cast<unsigned long long>(m.base_ot_executions), m.offline_seconds,
                 overlap_ms);
     JsonEntry ot_row{n, ot_degree, "secure-ot", m.total_seconds * 1e3};
+    ot_row.block_size = ot_block_size;
     ot_row.bytes_per_node = m.avg_bytes_per_node;
     ot_row.offline = JsonEntry::Offline{static_cast<double>(m.base_ot_executions),
                                         m.offline_seconds * 1e3, m.offline_wait_seconds * 1e3,

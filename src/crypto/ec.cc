@@ -92,6 +92,12 @@ int ComputeWnaf(U256 e, int8_t digits[260]) {
   return top;
 }
 
+// Writes the compressed encoding of the affine point (x, y).
+void EncodeAffine(const Fp& x, const Fp& y, uint8_t* out33) {
+  out33[0] = y.IsOdd() ? 0x03 : 0x02;
+  x.raw().ToBytesBe(out33 + 1);
+}
+
 }  // namespace
 
 const U256& CurveOrder() { return kN; }
@@ -265,8 +271,7 @@ std::array<uint8_t, EcPoint::kCompressedSize> EcPoint::Compress() const {
   }
   Fp ax = Fp::FromUint64(0), ay = Fp::FromUint64(0);
   ToAffine(&ax, &ay);
-  out[0] = ay.IsOdd() ? 0x03 : 0x02;
-  ax.raw().ToBytesBe(out.data() + 1);
+  EncodeAffine(ax, ay, out.data());
   return out;
 }
 
@@ -351,10 +356,18 @@ void EcPoint::CompressBatch(const EcPoint* points, size_t count, uint8_t* out) {
     Fp zinv = inv_all * prefix[idx];
     inv_all = inv_all * p.z_;
     Fp zinv2 = zinv.Square();
-    Fp ax = p.x_ * zinv2;
-    Fp ay = p.y_ * zinv2 * zinv;
-    slot[0] = ay.IsOdd() ? 0x03 : 0x02;
-    ax.raw().ToBytesBe(slot + 1);
+    EncodeAffine(p.x_ * zinv2, p.y_ * zinv2 * zinv, slot);
+  }
+}
+
+void EcPoint::CompressAffine(const AffinePoint* points, size_t count, uint8_t* out) {
+  for (size_t i = 0; i < count; i++) {
+    uint8_t* slot = out + i * kCompressedSize;
+    if (points[i].infinity) {
+      std::memset(slot, 0, kCompressedSize);
+    } else {
+      EncodeAffine(points[i].x, points[i].y, slot);
+    }
   }
 }
 

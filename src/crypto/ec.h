@@ -64,16 +64,18 @@ class EcPoint {
   // inversion (Montgomery's trick) — the serialization hot path for
   // subshare bundles, which carry (k+1)^2 * L points per transfer.
   static void CompressBatch(const EcPoint* points, size_t count, uint8_t* out);
+  // Compresses `count` affine points (batch-engine results) into
+  // out[count*33] in the same format; affine input needs no inversion.
+  static void CompressAffine(const AffinePoint* points, size_t count, uint8_t* out);
 
   // Converts `count` points to affine with one shared field inversion —
   // feeds the batch-affine engine (table builds, burst decryption).
   static void ToAffineBatch(const EcPoint* points, size_t count, AffinePoint* out);
 
   // Decompresses `count` packed 33-byte encodings (the inverse of
-  // CompressBatch's layout). Returns false if any encoding is invalid, in
-  // which case `out` is unspecified. The square root per point is inherent;
-  // what the batch form saves is the per-point validity plumbing on the
-  // deserialization hot path.
+  // CompressBatch's layout) by one Decompress per point, each paying its own
+  // square root. Returns false if any encoding is invalid, in which case
+  // `out` is unspecified.
   static bool DecompressBatch(const uint8_t* in, size_t count, EcPoint* out);
   // Same, decoding straight into batch-engine affine form (decompression is
   // natively affine, so this skips the Jacobian round trip).

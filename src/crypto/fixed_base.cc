@@ -227,92 +227,6 @@ void BatchAddAssign(AffinePoint* acc, const AffinePoint* add, size_t count) {
   BatchAddSelected(acc, nullptr, add, count);
 }
 
-void BatchAddRows(const AffinePoint* a, const AffinePoint* b, AffinePoint* dst, size_t count,
-                  const Fp* endo, bool negate) {
-  static thread_local std::vector<AddKind> kind;
-  static thread_local std::vector<Fp> den;
-  static thread_local std::vector<AffinePoint> tb;
-  kind.resize(count);
-  den.clear();
-  den.reserve(count);
-
-  // Pass 1: classify and collect denominators. A transformed addend is
-  // staged once; an untransformed one is read from `b` in both passes.
-  const AffinePoint* qs = b;
-  if (endo != nullptr || negate) {
-    tb.resize(count);
-    for (size_t t = 0; t < count; t++) {
-      AffinePoint q = b[t];
-      if (!q.infinity) {
-        if (endo != nullptr) {
-          q.x = q.x * *endo;
-        }
-        if (negate) {
-          q.y = q.y.Neg();
-        }
-      }
-      tb[t] = q;
-    }
-    qs = tb.data();
-  }
-  for (size_t t = 0; t < count; t++) {
-    const AffinePoint& p = a[t];
-    const AffinePoint& q = qs[t];
-    if (q.infinity) {
-      kind[t] = AddKind::kKeep;
-    } else if (p.infinity) {
-      kind[t] = AddKind::kCopy;
-    } else if (p.x != q.x) {
-      kind[t] = AddKind::kGeneric;
-      den.push_back(q.x - p.x);
-    } else if (p.y == q.y && !p.y.IsZero()) {
-      kind[t] = AddKind::kDouble;
-      den.push_back(p.y + p.y);
-    } else {
-      kind[t] = AddKind::kInfinity;
-    }
-  }
-  Fp::BatchInvert(den.data(), den.size());
-
-  // Pass 2: results are computed into locals before any store, so `dst`
-  // aliasing `a` (or, lane-wise, `b`) stays correct.
-  size_t cursor = 0;
-  for (size_t t = 0; t < count; t++) {
-    const AffinePoint& p = a[t];
-    const AffinePoint& q = qs[t];
-    switch (kind[t]) {
-      case AddKind::kKeep:
-        dst[t] = p;
-        break;
-      case AddKind::kCopy:
-        dst[t] = q;
-        break;
-      case AddKind::kInfinity:
-        dst[t] = AffinePoint{};
-        break;
-      case AddKind::kGeneric: {
-        Fp lambda = (q.y - p.y) * den[cursor++];
-        Fp x3 = lambda.Square() - p.x - q.x;
-        Fp y3 = lambda * (p.x - x3) - p.y;
-        dst[t].x = x3;
-        dst[t].y = y3;
-        dst[t].infinity = false;
-        break;
-      }
-      case AddKind::kDouble: {
-        Fp xx = p.x.Square();
-        Fp lambda = (xx + xx + xx) * den[cursor++];
-        Fp x3 = lambda.Square() - p.x - p.x;
-        Fp y3 = lambda * (p.x - x3) - p.y;
-        dst[t].x = x3;
-        dst[t].y = y3;
-        dst[t].infinity = false;
-        break;
-      }
-    }
-  }
-}
-
 void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out) {
   for (size_t i = 0; i < count; i++) {
     out[i] = AffinePoint{};
@@ -358,21 +272,30 @@ FixedBaseTableSet FixedBaseTableSet::Build(const std::vector<EcPoint>& bases) {
   const size_t m = set.m_;
   set.entries_.resize(static_cast<size_t>(FixedBaseTable::kHalfWindows) *
                       FixedBaseTable::kEntriesPerWindow * m);
+  auto pack_row = [&set, m](int j, int d, const std::vector<AffinePoint>& row) {
+    PackedEntry* dst = set.entries_.data() + set.RowOffset(j, d);
+    for (size_t i = 0; i < m; i++) {
+      dst[i] = row[i].infinity ? PackedEntry{} : PackedEntry{row[i].x.raw(), row[i].y.raw()};
+    }
+  };
 
-  // Same per-window affine lockstep as BuildMany, but zero-copy: row(j, 1)
-  // IS the window base B_j, each chain step writes row(j, d) = row(j, d-1)
-  // + row(j, 1) out of place, and B_{j+1} = 16 * B_j lands directly in
-  // row(j+1, 1) as one batch doubling of row(j, 8).
-  EcPoint::ToAffineBatch(bases.data(), m, set.MutableRow(0, 1));
+  // BuildMany's per-window affine lockstep on working rows: window j's
+  // chain d * B_j is seven batch additions of B_j, and B_{j+1} = 16 * B_j
+  // is one batch doubling of 8 * B_j. Each row is packed as it lands.
+  std::vector<AffinePoint> base(m);
+  EcPoint::ToAffineBatch(bases.data(), m, base.data());
+  std::vector<AffinePoint> cur(m);
   for (int j = 0; j < FixedBaseTable::kHalfWindows; j++) {
-    const AffinePoint* base = set.Row(j, 1);
+    cur = base;
+    pack_row(j, 1, cur);
     for (int d = 2; d <= FixedBaseTable::kEntriesPerWindow; d++) {
-      BatchAddRows(set.Row(j, d - 1), base, set.MutableRow(j, d), m, nullptr, false);
+      BatchAddAssign(cur.data(), base.data(), m);
+      pack_row(j, d, cur);
     }
     if (j + 1 < FixedBaseTable::kHalfWindows) {
-      const AffinePoint* top = set.Row(j, FixedBaseTable::kEntriesPerWindow);
-      // a == b, so every lane is a doubling (see BuildMany).
-      BatchAddRows(top, top, set.MutableRow(j + 1, 1), m, nullptr, false);
+      base = cur;
+      // Self-addition classifies every lane as a doubling (see BuildMany).
+      BatchAddAssign(base.data(), base.data(), m);
     }
   }
   return set;
@@ -384,6 +307,8 @@ void FixedBaseTableSet::MulShared(const FixedBaseTable::Recoding& recoding,
   for (size_t i = 0; i < m; i++) {
     out[i] = AffinePoint{};
   }
+  static thread_local std::vector<AffinePoint> staged;
+  staged.resize(m);
   const Fp& beta = EndomorphismBeta();
   for (int j = 0; j < FixedBaseTable::kHalfWindows; j++) {
     for (int half = 0; half < 2; half++) {
@@ -391,9 +316,26 @@ void FixedBaseTableSet::MulShared(const FixedBaseTable::Recoding& recoding,
       if (d == 0) {
         continue;
       }
-      // phi (x *= beta) for the endomorphism half and the digit sign are
-      // applied by the add itself while the row is read.
-      BatchAddRows(out, Row(j, d > 0 ? d : -d), out, m, half == 1 ? &beta : nullptr, d < 0);
+      // Unpack the row, applying phi (x *= beta) for the endomorphism half
+      // and the digit sign as each entry is staged.
+      const PackedEntry* row = entries_.data() + RowOffset(j, d > 0 ? d : -d);
+      for (size_t i = 0; i < m; i++) {
+        const PackedEntry& e = row[i];
+        AffinePoint& q = staged[i];
+        q.infinity = e.x.IsZero() && e.y.IsZero();
+        if (q.infinity) {
+          continue;
+        }
+        q.x = Fp::FromU256(e.x);
+        q.y = Fp::FromU256(e.y);
+        if (half == 1) {
+          q.x = q.x * beta;
+        }
+        if (d < 0) {
+          q.y = q.y.Neg();
+        }
+      }
+      BatchAddAssign(out, staged.data(), m);
     }
   }
 }

@@ -86,15 +86,6 @@ void BatchAddAssign(AffinePoint* acc, const AffinePoint* add, size_t count);
 void BatchAddSelected(AffinePoint* acc, const size_t* indices, const AffinePoint* add,
                       size_t count);
 
-// dst[t] = a[t] + T(b[t]) with T applying the optional endomorphism
-// (x *= *endo) and negation to the addend as it is read — the zero-copy
-// core under FixedBaseTableSet. `dst` may alias `a` (accumulate in place)
-// and, when no transform is requested, pass-2 reads `b` directly, so a
-// table row is consumed without ever being staged. `b` must not alias
-// `dst` unless it also aliases `a` elementwise.
-void BatchAddRows(const AffinePoint* a, const AffinePoint* b, AffinePoint* dst, size_t count,
-                  const Fp* endo, bool negate);
-
 // One lane of a batched multiplication: out = scalar(recoding) * base(table).
 // Both pointers alias freely across lanes — e.g. one recoding against many
 // tables (bundle encryption) or one table against many recodings (column
@@ -119,6 +110,13 @@ void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out);
 // The endomorphism mirror is not materialized: phi is applied to the row
 // while the addend is staged (one field multiplication per lane), halving
 // build work and memory next to FixedBaseTable.
+//
+// The set holds 33 * 8 entries per key, so a certificate's sets are most of
+// a secure engine's memory; entries are stored packed as their normalized
+// (x, y) words, 64 bytes against an AffinePoint's 88, and unpacked as each
+// row is staged. Infinity packs as (0, 0), which no curve point has:
+// secp256k1 has no point with x = 0 or y = 0, since 7 is not a square mod p
+// and -7 is not a cube.
 class FixedBaseTableSet {
  public:
   // One shared normalization + per-window batch chains across all keys;
@@ -133,18 +131,17 @@ class FixedBaseTableSet {
   void MulShared(const FixedBaseTable::Recoding& recoding, AffinePoint* out) const;
 
  private:
-  const AffinePoint* Row(int window, int d) const {
-    return entries_.data() +
-           (static_cast<size_t>(window) * FixedBaseTable::kEntriesPerWindow + (d - 1)) * m_;
-  }
-  AffinePoint* MutableRow(int window, int d) {
-    return entries_.data() +
-           (static_cast<size_t>(window) * FixedBaseTable::kEntriesPerWindow + (d - 1)) * m_;
+  struct PackedEntry {
+    U256 x, y;
+  };
+
+  size_t RowOffset(int window, int d) const {
+    return (static_cast<size_t>(window) * FixedBaseTable::kEntriesPerWindow + (d - 1)) * m_;
   }
 
   size_t m_ = 0;
   // Row (window j, digit d) holds d * 16^j * base_i for i = 0..m_-1.
-  std::vector<AffinePoint> entries_;
+  std::vector<PackedEntry> entries_;
 };
 
 }  // namespace dstress::crypto

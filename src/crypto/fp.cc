@@ -8,64 +8,8 @@ namespace dstress::crypto {
 
 namespace {
 
-using uint128 = unsigned __int128;
-
-// 2^256 ≡ kFold (mod p), kFold = 2^32 + 977.
-constexpr uint64_t kFold = 0x1000003D1ULL;
-
 const U256 kP(0xFFFFFFFEFFFFFC2FULL, 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL,
               0xFFFFFFFFFFFFFFFFULL);
-
-// Folds an 8-limb product into a fully reduced 4-limb value. Hot path: the
-// entire EC layer funnels through here, so the loops are flat and allocation
-// free.
-inline U256 Reduce512(const uint64_t t[8]) {
-  // First fold: r = lo + hi * kFold.
-  uint64_t m[5];
-  uint128 carry = 0;
-  for (int i = 0; i < 4; i++) {
-    uint128 cur = static_cast<uint128>(t[4 + i]) * kFold + carry;
-    m[i] = static_cast<uint64_t>(cur);
-    carry = cur >> 64;
-  }
-  m[4] = static_cast<uint64_t>(carry);
-
-  U256 r;
-  uint128 acc = 0;
-  for (int i = 0; i < 4; i++) {
-    acc += static_cast<uint128>(t[i]) + m[i];
-    r.w[i] = static_cast<uint64_t>(acc);
-    acc >>= 64;
-  }
-  uint64_t overflow = m[4] + static_cast<uint64_t>(acc);
-
-  while (overflow != 0) {
-    uint128 prod = static_cast<uint128>(overflow) * kFold;
-    U256 add(static_cast<uint64_t>(prod), static_cast<uint64_t>(prod >> 64), 0, 0);
-    overflow = AddWithCarry(r, add, &r);
-  }
-  while (Cmp(r, kP) >= 0) {
-    SubWithBorrow(r, kP, &r);
-  }
-  return r;
-}
-
-// 4x4 schoolbook multiply into 8 limbs (operand scanning; the compiler
-// unrolls the fixed-trip loops and keeps the carries in registers).
-inline void Mul4x4(const uint64_t a[4], const uint64_t b[4], uint64_t out[8]) {
-  for (int i = 0; i < 8; i++) {
-    out[i] = 0;
-  }
-  for (int i = 0; i < 4; i++) {
-    uint64_t carry = 0;
-    for (int j = 0; j < 4; j++) {
-      uint128 cur = static_cast<uint128>(a[i]) * b[j] + out[i + j] + carry;
-      out[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    out[i + 4] = carry;
-  }
-}
 
 // Squares `x` n times.
 inline Fp SqN(Fp x, int n) {
@@ -105,59 +49,6 @@ inline ChainParts ChainCore(const Fp& a) {
 }  // namespace
 
 const U256& Fp::P() { return kP; }
-
-Fp Fp::FromU256(const U256& v) {
-  U256 r = v;
-  while (Cmp(r, kP) >= 0) {
-    SubWithBorrow(r, kP, &r);
-  }
-  Fp out;
-  out.v_ = r;
-  return out;
-}
-
-Fp Fp::operator+(const Fp& o) const {
-  U256 s;
-  uint64_t carry = AddWithCarry(v_, o.v_, &s);
-  if (carry != 0 || Cmp(s, kP) >= 0) {
-    SubWithBorrow(s, kP, &s);
-  }
-  Fp out;
-  out.v_ = s;
-  return out;
-}
-
-Fp Fp::operator-(const Fp& o) const {
-  U256 d;
-  uint64_t borrow = SubWithBorrow(v_, o.v_, &d);
-  if (borrow != 0) {
-    AddWithCarry(d, kP, &d);
-  }
-  Fp out;
-  out.v_ = d;
-  return out;
-}
-
-Fp Fp::Neg() const {
-  if (v_.IsZero()) {
-    return *this;
-  }
-  U256 d;
-  SubWithBorrow(kP, v_, &d);
-  Fp out;
-  out.v_ = d;
-  return out;
-}
-
-Fp Fp::operator*(const Fp& o) const {
-  uint64_t t[8];
-  Mul4x4(v_.w, o.v_.w, t);
-  Fp out;
-  out.v_ = Reduce512(t);
-  return out;
-}
-
-Fp Fp::Square() const { return *this * *this; }
 
 Fp Fp::Pow(const U256& e) const {
   Fp result = Fp::FromUint64(1);

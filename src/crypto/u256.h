@@ -1,8 +1,9 @@
 // Fixed-width 256-bit unsigned integer arithmetic.
 //
 // This is the bottom layer of the from-scratch cryptographic stack: the
-// secp256k1 field (fp.h), the group-order scalar ring (scalar.h) and the
-// elliptic-curve group (ec.h) are all built on U256. Limbs are stored
+// secp256k1 field (fp.h) loads and encodes through U256, and the
+// elliptic-curve group (ec.h) does its scalar arithmetic mod the group order
+// with the generic helpers below. Limbs are stored
 // little-endian (w[0] is least significant); 128-bit intermediates use the
 // compiler's unsigned __int128.
 #ifndef SRC_CRYPTO_U256_H_

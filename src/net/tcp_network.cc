@@ -439,16 +439,22 @@ void TcpNetwork::MonitorLoop() {
     for (NodeId node = 0; node < num_nodes_; node++) {
       Link& link = *links_[node];
       if (!link.down.load(std::memory_order_acquire) || link.respawned) continue;
-      link.respawned = true;
       pid_t pid = link.pid.load(std::memory_order_relaxed);
       if (pid <= 0 || spec_.node_program.empty()) {
+        link.respawned = true;
         std::fprintf(stderr, "tcp ha: cannot auto-respawn bank %d (%s); waiting for an"
                      " external `dstress_node --resume`\n", node,
                      pid <= 0 ? "externally started bank" : "fork-mode bank, no node_program");
         continue;
       }
+      // Only a bank whose process exited is respawned. A dropped link whose
+      // process still runs is a transient drop the bank resumes by itself;
+      // a blocking waitpid on it would wedge this thread until the bank
+      // exits, which it only does after the destructor, blocked joining this
+      // thread, sends the shutdown.
       int status = 0;
-      waitpid(pid, &status, 0);
+      if (waitpid(pid, &status, WNOHANG) == 0) continue;
+      link.respawned = true;
       pid_t fresh = SpawnNodeProcess(node, /*resume=*/true);
       link.pid.store(fresh, std::memory_order_relaxed);
       std::fprintf(stderr, "tcp ha: respawned bank %d with --resume (pid %d)\n", node,

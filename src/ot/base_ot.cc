@@ -32,17 +32,6 @@ OtKey DeriveKey(uint32_t index, const uint8_t* encoded) {
   return key;
 }
 
-// Serializes an affine point in the compressed wire format without the
-// per-point inversion EcPoint::Compress() pays for Jacobian inputs.
-void WriteAffine(const AffinePoint& p, uint8_t* out33) {
-  if (p.infinity) {
-    std::memset(out33, 0, EcPoint::kCompressedSize);
-    return;
-  }
-  out33[0] = p.y.IsOdd() ? 0x03 : 0x02;
-  p.x.raw().ToBytesBe(out33 + 1);
-}
-
 }  // namespace
 
 uint64_t BaseOtExecutionCount() { return g_base_ot_executions.load(std::memory_order_relaxed); }
@@ -131,12 +120,13 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
   std::vector<AffinePoint> products(n);
   crypto::MulBatch(tasks.data(), n, products.data());
 
+  std::vector<uint8_t> encoded(n * EcPoint::kCompressedSize);
+  EcPoint::CompressAffine(products.data(), n, encoded.data());
   BaseOtReceiverOutput out;
   out.keys.reserve(n);
-  uint8_t encoded[EcPoint::kCompressedSize];
   for (size_t i = 0; i < n; i++) {
-    WriteAffine(products[i], encoded);
-    out.keys.push_back(DeriveKey(static_cast<uint32_t>(i), encoded));
+    out.keys.push_back(
+        DeriveKey(static_cast<uint32_t>(i), encoded.data() + i * EcPoint::kCompressedSize));
   }
   return out;
 }

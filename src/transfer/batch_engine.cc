@@ -17,17 +17,6 @@ using crypto::FixedBaseTable;
 
 constexpr size_t kPoint = EcPoint::kCompressedSize;
 
-// Serializes an affine point in the compressed wire format without the
-// per-point inversion EcPoint::Compress() pays for Jacobian inputs.
-void WriteAffine(const AffinePoint& p, uint8_t* out33) {
-  if (p.infinity) {
-    std::memset(out33, 0, kPoint);
-    return;
-  }
-  out33[0] = p.y.IsOdd() ? 0x03 : 0x02;
-  p.x.raw().ToBytesBe(out33 + 1);
-}
-
 // Sub-session of step `step` (0: bundles, 1: aggregate, 2: columns) of the
 // edge transfer on `base`.
 net::SessionId TransferSubSession(net::SessionId base, int step) {
@@ -139,9 +128,8 @@ std::vector<Bytes> EncryptSubsharesWire(const std::vector<mpc::BitVector>& membe
   for (size_t x = 0; x < senders; x++) {
     out[x].resize((1 + slots_per_sender) * kPoint);
     std::memcpy(out[x].data(), c1_wire.data() + x * kPoint, kPoint);
-    for (size_t s = 0; s < slots_per_sender; s++) {
-      WriteAffine(lanes[x * slots_per_sender + s], out[x].data() + (1 + s) * kPoint);
-    }
+    EcPoint::CompressAffine(lanes.data() + x * slots_per_sender, slots_per_sender,
+                            out[x].data() + kPoint);
   }
   return out;
 }
@@ -192,9 +180,7 @@ Bytes AggregateSubsharesWire(const std::vector<Bytes>& bundle_wires, const Trans
   Bytes out((1 + slots) * kPoint);
   auto c1_wire = c1.Compress();
   std::memcpy(out.data(), c1_wire.data(), kPoint);
-  for (size_t s = 0; s < slots; s++) {
-    WriteAffine(acc[s], out.data() + (1 + s) * kPoint);
-  }
+  EcPoint::CompressAffine(acc.data(), slots, out.data() + kPoint);
   return out;
 }
 
@@ -266,9 +252,7 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
 
   // Bulk-compress the decrypted points and take parities via the table.
   std::vector<uint8_t> compressed(lanes_n * kPoint);
-  for (size_t i = 0; i < lanes_n; i++) {
-    WriteAffine(lanes[i], compressed.data() + i * kPoint);
-  }
+  EcPoint::CompressAffine(lanes.data(), lanes_n, compressed.data());
   shares_out->assign(members, mpc::BitVector(bits, 0));
   for (size_t y = 0; y < members; y++) {
     for (int b = 0; b < bits; b++) {

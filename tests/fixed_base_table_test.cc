@@ -109,7 +109,8 @@ TEST(FixedBaseTableTest, MulBatchMatchesPerLaneMul) {
 TEST(FixedBaseTableSetTest, MulSharedMatchesGenericMulOnCorpus) {
   auto prg = ChaCha20Prg::FromSeed(78);
   // Mixed set sizes straddle the per-window build threshold; a duplicated
-  // base and the generator exercise equal-lane and canonical cases.
+  // base and the generator exercise equal-lane and canonical cases, and an
+  // infinity base the packed (0, 0) entry.
   for (size_t m : {1u, 3u, 40u}) {
     std::vector<EcPoint> bases;
     bases.push_back(EcPoint::Generator());
@@ -118,6 +119,7 @@ TEST(FixedBaseTableSetTest, MulSharedMatchesGenericMulOnCorpus) {
     }
     if (m >= 3) {
       bases[m - 1] = bases[0];
+      bases.push_back(EcPoint::Infinity());
     }
     FixedBaseTableSet set = FixedBaseTableSet::Build(bases);
     ASSERT_EQ(set.num_keys(), bases.size());

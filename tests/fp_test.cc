@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/crypto/chacha20.h"
 
 namespace dstress::crypto {
@@ -112,6 +115,190 @@ TEST(FpTest, FromU256ReducesOverflow) {
   U256 over;
   AddWithCarry(Fp::P(), U256(5), &over);
   EXPECT_EQ(Fp::FromU256(over), Fp::FromUint64(5));
+}
+
+// --- differential test against the generic-modulus helpers ----------------
+// u256.h's ModAdd / ModSub / ModMul / ModInv with modulus p are the oracle;
+// the Fp side never normalizes between steps, so every operation runs on
+// the weakly reduced outputs of the previous one.
+
+U256 PMinus(uint64_t k) {
+  U256 out;
+  SubWithBorrow(Fp::P(), U256(k), &out);
+  return out;
+}
+
+// v mod p for any 256-bit v (2^256 - 1 < 2p, so one subtraction suffices).
+U256 ModP(const U256& v) {
+  U256 out = v;
+  if (Cmp(out, Fp::P()) >= 0) {
+    SubWithBorrow(out, Fp::P(), &out);
+  }
+  return out;
+}
+
+// 0, 1, 2, p-1, p-2 and 2^255, then values in [p, 2^256) loaded unreduced:
+// p, p+1, p+2^32 and 2^256-1 (every limb at its bound).
+std::vector<U256> EdgeValues() {
+  U256 all_ones(~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0});
+  U256 p_plus_2_32;
+  AddWithCarry(Fp::P(), U256(uint64_t{1} << 32), &p_plus_2_32);
+  U256 p_plus_1;
+  AddWithCarry(Fp::P(), U256::One(), &p_plus_1);
+  return {U256(0),    U256(1),  U256(2),  PMinus(1),   PMinus(2),
+          Shl(U256(1), 255), Fp::P(), p_plus_1, p_plus_2_32, all_ones};
+}
+
+void ExpectAllOpsMatch(const U256& a, const U256& b) {
+  const U256& p = Fp::P();
+  Fp fa = Fp::FromU256(a);
+  Fp fb = Fp::FromU256(b);
+  U256 ra = ModP(a);
+  U256 rb = ModP(b);
+  std::string where = a.ToHex() + ", " + b.ToHex();
+  EXPECT_EQ((fa + fb).raw(), ModAdd(ra, rb, p)) << where;
+  EXPECT_EQ((fa - fb).raw(), ModSub(ra, rb, p)) << where;
+  EXPECT_EQ((fa * fb).raw(), ModMul(ra, rb, p)) << where;
+  EXPECT_EQ(fa == fb, ra == rb) << where;
+  EXPECT_EQ(fa.raw(), ra) << where;
+  EXPECT_EQ(fa.Square().raw(), ModMul(ra, ra, p)) << where;
+  EXPECT_EQ(fa.Neg().raw(), ModSub(U256(0), ra, p)) << where;
+  EXPECT_EQ(fa.IsZero(), ra.IsZero()) << where;
+  EXPECT_EQ(fa.IsOdd(), ra.IsOdd()) << where;
+}
+
+TEST(FpDifferentialTest, EdgeValuesMatchGenericHelpers) {
+  std::vector<U256> edges = EdgeValues();
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      ExpectAllOpsMatch(a, b);
+    }
+    if (!ModP(a).IsZero()) {
+      EXPECT_EQ(Fp::FromU256(a).Inv().raw(), ModInv(ModP(a), Fp::P())) << a.ToHex();
+    }
+  }
+}
+
+TEST(FpDifferentialTest, RandomValuesMatchGenericHelpers) {
+  auto prg = ChaCha20Prg::FromSeed(17);
+  std::vector<U256> values = EdgeValues();
+  while (values.size() < 400) {
+    values.push_back(prg.NextU256());
+  }
+  for (size_t i = 0; i + 1 < values.size(); i++) {
+    ExpectAllOpsMatch(values[i], values[i + 1]);
+    ExpectAllOpsMatch(values[i + 1], values[i]);
+  }
+  for (size_t i = values.size() - 40; i < values.size(); i++) {
+    Fp a = Fp::FromU256(values[i]);
+    EXPECT_EQ(a.Inv().raw(), ModInv(ModP(values[i]), Fp::P()));
+  }
+}
+
+TEST(FpDifferentialTest, RandomWalksMatchGenericHelpersAtEveryStep) {
+  const U256& p = Fp::P();
+  const std::vector<U256> edges = EdgeValues();
+  for (uint64_t seed : {18, 19}) {
+    auto prg = ChaCha20Prg::FromSeed(seed);
+    U256 start = prg.NextU256();
+    Fp acc = Fp::FromU256(start);
+    U256 ref = ModP(start);
+    for (int step = 0; step < 10000; step++) {
+      uint64_t pick = prg.NextU64();
+      // Operands: an edge value, a fresh random value, or the accumulator
+      // itself, so limbs at their bound meet limbs at their bound.
+      U256 raw_operand;
+      Fp operand;
+      switch ((pick >> 8) % 3) {
+        case 0:
+          raw_operand = edges[(pick >> 16) % edges.size()];
+          operand = Fp::FromU256(raw_operand);
+          break;
+        case 1:
+          raw_operand = prg.NextU256();
+          operand = Fp::FromU256(raw_operand);
+          break;
+        default:
+          raw_operand = ref;
+          operand = acc;
+          break;
+      }
+      U256 rv = ModP(raw_operand);
+      switch (pick % 5) {
+        case 0:
+          acc = acc + operand;
+          ref = ModAdd(ref, rv, p);
+          break;
+        case 1:
+          acc = acc - operand;
+          ref = ModSub(ref, rv, p);
+          break;
+        case 2:
+          acc = acc.Neg();
+          ref = ModSub(U256(0), ref, p);
+          break;
+        case 3:
+          acc = acc * operand;
+          ref = ModMul(ref, rv, p);
+          break;
+        default:
+          acc = acc.Square();
+          ref = ModMul(ref, ref, p);
+          break;
+      }
+      ASSERT_EQ(acc.raw(), ref) << "seed " << seed << " step " << step << " op " << pick % 5;
+      ASSERT_EQ(acc.IsOdd(), ref.IsOdd()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(acc == Fp::FromU256(ref), true) << "seed " << seed << " step " << step;
+      if (ref.IsZero()) {
+        // Restart from a fresh value so the walk does not collapse to 0.
+        U256 fresh = prg.NextU256();
+        acc = Fp::FromU256(fresh);
+        ref = ModP(fresh);
+      }
+    }
+  }
+}
+
+TEST(FpDifferentialTest, UnreducedRepresentativesNormalize) {
+  // x + p fits in 256 bits for x < 2^256 - p = 2^32 + 977, so FromU256(x + p)
+  // loads a second, unreduced representative of x.
+  auto prg = ChaCha20Prg::FromSeed(20);
+  std::vector<uint64_t> xs = {0, 1, 2, 3, 976, 977, uint64_t{1} << 32, 0x1000003D0ULL};
+  while (xs.size() < 64) {
+    xs.push_back(prg.NextU64() % 0x1000003D1ULL);
+  }
+  for (uint64_t v : xs) {
+    U256 x(v);
+    U256 x_plus_p;
+    ASSERT_EQ(AddWithCarry(x, Fp::P(), &x_plus_p), 0u);
+    Fp lo = Fp::FromU256(x);
+    Fp hi = Fp::FromU256(x_plus_p);
+    EXPECT_EQ(hi.raw(), x) << v;
+    EXPECT_EQ(hi.IsOdd(), x.IsOdd()) << v;
+    EXPECT_EQ(hi.IsZero(), x.IsZero()) << v;
+    EXPECT_TRUE(hi == lo) << v;
+    EXPECT_FALSE(hi != lo) << v;
+    EXPECT_FALSE(hi == lo + Fp::FromUint64(1)) << v;
+    Fp r = Fp::FromU256(prg.NextU256());
+    EXPECT_EQ(hi * r, lo * r) << v;
+    EXPECT_EQ((hi + r).raw(), (lo + r).raw()) << v;
+  }
+}
+
+TEST(FpDifferentialTest, BatchInvertMatchesModInv) {
+  auto prg = ChaCha20Prg::FromSeed(21);
+  std::vector<U256> raw = {U256(1), PMinus(1), Shl(U256(1), 255)};
+  while (raw.size() < 50) {
+    raw.push_back(prg.NextU256());
+  }
+  std::vector<Fp> values;
+  for (const U256& v : raw) {
+    values.push_back(Fp::FromU256(v));
+  }
+  Fp::BatchInvert(values.data(), values.size());
+  for (size_t i = 0; i < raw.size(); i++) {
+    EXPECT_EQ(values[i].raw(), ModInv(ModP(raw[i]), Fp::P())) << i;
+  }
 }
 
 class FpPowParamTest : public ::testing::TestWithParam<uint64_t> {};

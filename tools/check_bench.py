@@ -2,6 +2,7 @@
 """Regression gate over BENCH_fig6.json: measured rows against committed history.
 
 Usage: tools/check_bench.py BENCH_fig6.json [REFERENCE.json]
+       tools/check_bench.py --traffic-only BENCH_fig6.json REFERENCE.json
 
 BENCH_fig6.json is the run to check; REFERENCE.json is the committed
 BENCH_fig6.json, copied aside before the bench overwrites it. Every gate
@@ -28,6 +29,15 @@ hardware_concurrency differs from the reference's, since the worker rows
 measure parallel overlap, which another core count changes. The gate FAILS
 when it compared no row at all, whatever the reason: a reference taken on
 another core count must be regenerated on the run's.
+
+Traffic gate, checked when REFERENCE.json is given. Every row's
+bytes_per_node must equal its counterpart's in the reference exactly: the
+protocol's traffic is deterministic in the bench's seeds and does not depend
+on the host, so any difference is a protocol change. A mismatch, or a
+missing or non-numeric bytes_per_node, FAILS and names the row; a row with no
+counterpart prints a named SKIP; matching no row at all FAILS. Rows match on
+the same fields as the normalized gate. With --traffic-only this is the only
+gate run, since it can block on any host while the timing gates cannot.
 
 Other failures: a missing, non-numeric or non-positive wall_ms or kernel_ms
 (in either file) names the row or file; a run with no row of the
@@ -149,6 +159,32 @@ def gate_normalized(run, ref, run_path, ref_path, failures, skips, notes):
             failures.append(f"FAIL: no gated row of {run_path} was compared with {ref_path}")
 
 
+def gate_traffic(run, ref, run_path, ref_path, failures, skips, notes):
+    """Exact bytes_per_node equality of every row that has a counterpart."""
+    reference = {row_key(e): e for e in ref.get("entries", [])}
+    compared = 0
+    for e in run.get("entries", []):
+        base = reference.get(row_key(e))
+        if base is None:
+            skips.append(f"SKIP: {row_name(e)}: no counterpart in {ref_path}; "
+                         "traffic not compared")
+            continue
+        got = e.get("bytes_per_node")
+        want = base.get("bytes_per_node")
+        if not is_number(got) or not is_number(want):
+            failures.append(f"FAIL: {row_name(e)}: malformed bytes_per_node {got!r} "
+                            f"(reference {want!r})")
+            continue
+        compared += 1
+        if got != want:
+            failures.append(f"FAIL: {row_name(e)}: bytes_per_node {got} != reference {want}")
+    if compared == 0:
+        failures.append(f"FAIL: no row of {run_path} has a counterpart in {ref_path}; "
+                        "traffic not compared")
+    else:
+        notes.append(f"ok: bytes_per_node of {compared} matched rows equal the reference's")
+
+
 def gate_ensemble_floor(entries, path, failures, skips, notes):
     ensemble_rows = [e for e in entries if e.get("mode") == "cleartext-ensemble"]
     if not ensemble_rows:
@@ -220,7 +256,12 @@ def main(argv=None) -> int:
     parser.add_argument("reference_json", nargs="?",
                         help="the committed BENCH_fig6.json; without it only the "
                              "same-run gates are checked")
+    parser.add_argument("--traffic-only", action="store_true",
+                        help="check only that every matched row's bytes_per_node equals "
+                             "the reference's (needs REFERENCE.json)")
     args = parser.parse_args(argv)
+    if args.traffic_only and args.reference_json is None:
+        parser.error("--traffic-only needs REFERENCE.json")
 
     with open(args.bench_json) as f:
         run = json.load(f)
@@ -233,17 +274,24 @@ def main(argv=None) -> int:
     else:
         with open(args.reference_json) as f:
             ref = json.load(f)
-        gate_normalized(run, ref, args.bench_json, args.reference_json, failures, skips, notes)
-    gate_ensemble_floor(entries, args.bench_json, failures, skips, notes)
-    gate_million_budget(entries, args.bench_json, failures, skips, notes)
+        gate_traffic(run, ref, args.bench_json, args.reference_json, failures, skips, notes)
+        if not args.traffic_only:
+            gate_normalized(run, ref, args.bench_json, args.reference_json, failures, skips,
+                            notes)
+    if not args.traffic_only:
+        gate_ensemble_floor(entries, args.bench_json, failures, skips, notes)
+        gate_million_budget(entries, args.bench_json, failures, skips, notes)
+        notes = informational(entries) + notes
 
-    for line in informational(entries) + notes + skips:
+    for line in notes + skips:
         print(line)
     if failures:
         for line in failures:
             print(line)
         return 1
-    if ref is None:
+    if args.traffic_only:
+        print("OK: every matched row's bytes_per_node equals the reference's")
+    elif ref is None:
         print("OK: every same-run gate passed")
     else:
         print(f"OK: every gate passed (tolerance {TOLERANCE:.2f}x, kernel {run.get('kernel_ms')} "

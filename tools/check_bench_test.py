@@ -57,8 +57,8 @@ class CheckBenchTest(unittest.TestCase):
         self.tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self.tmp.cleanup)
 
-    def gate(self, run, ref=None):
-        paths = []
+    def gate(self, run, ref=None, flags=()):
+        paths = list(flags)
         for name, data in (("run.json", run), ("ref.json", ref)):
             if data is None:
                 continue
@@ -202,6 +202,66 @@ class CheckBenchTest(unittest.TestCase):
         status, out = self.gate(bench(), ref)
         self.assertEqual(status, 1, out)
         self.assertIn("was compared", out)
+
+    def test_equal_traffic_passes(self):
+        for flags in ((), ("--traffic-only",)):
+            status, out = self.gate(bench(), bench(), flags)
+            self.assertEqual(status, 0, f"{flags}: {out}")
+            self.assertIn("ok: bytes_per_node of 8 matched rows equal the reference's", out)
+
+    def test_changed_traffic_fails_naming_the_row(self):
+        for flags in ((), ("--traffic-only",)):
+            run = bench()
+            row(run, "secure", workers=1)["bytes_per_node"] += 1
+            status, out = self.gate(run, bench(), flags)
+            self.assertEqual(status, 1, f"{flags}: {out}")
+            self.assertIn("FAIL: mode=secure N=20 D=6 block_size=8 workers=1: bytes_per_node "
+                          "2720475 != reference 2720474", out)
+            self.assertNotIn("FAIL: mode=secure N=20 D=6 block_size=8 workers=0", out)
+
+    def test_malformed_traffic_fails(self):
+        for bad in (None, "2720474", True):
+            run = bench()
+            row(run, "secure-ot")["bytes_per_node"] = bad
+            status, out = self.gate(run, bench(), ("--traffic-only",))
+            self.assertEqual(status, 1, f"{bad!r}: {out}")
+            self.assertIn("FAIL: mode=secure-ot N=10 D=3: malformed bytes_per_node", out)
+
+    def test_row_without_counterpart_is_a_named_traffic_skip(self):
+        run = bench()
+        run["entries"].append({"N": 100, "D": 10, "mode": "secure", "block_size": 20,
+                               "workers": 0, "wall_ms": 90000.0, "bytes_per_node": 1})
+        status, out = self.gate(run, bench(), ("--traffic-only",))
+        self.assertEqual(status, 0, out)
+        self.assertIn("SKIP: mode=secure N=100 D=10 block_size=20 workers=0: no counterpart "
+                      "in", out)
+        self.assertIn("traffic not compared", out)
+
+    def test_traffic_only_ignores_timing(self):
+        run = bench(kernel_ms=25.0, cores=2)
+        row(run, "secure", workers=1)["wall_ms"] *= 10
+        row(run, "cleartext-ensemble")["wall_ms_baseline"] = 30.0 * 1.2
+        row(run, "cleartext", N=1000000)["wall_ms"] = 10500.0
+        status, out = self.gate(run, bench(), ("--traffic-only",))
+        self.assertEqual(status, 0, out)
+        self.assertIn("OK: every matched row's bytes_per_node equals the reference's", out)
+        self.assertNotIn("kernel units", out)
+        self.assertNotIn("amortization", out)
+        status, out = self.gate(run, bench())
+        self.assertEqual(status, 1, out)
+
+    def test_traffic_only_with_no_match_fails(self):
+        ref = bench()
+        ref["entries"] = ref["entries"][:1]
+        ref["entries"][0]["mode"] = "other"
+        status, out = self.gate(bench(), ref, ("--traffic-only",))
+        self.assertEqual(status, 1, out)
+        self.assertIn("has a counterpart in", out)
+
+    def test_traffic_only_needs_a_reference(self):
+        with self.assertRaises(SystemExit) as cm, contextlib.redirect_stderr(io.StringIO()):
+            self.gate(bench(), None, ("--traffic-only",))
+        self.assertEqual(cm.exception.code, 2)
 
 
 if __name__ == "__main__":
