@@ -51,7 +51,10 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
   for (int i = 0; i < block_size; i++) {
     ids[i] = i;
   }
-  // OT setup excluded from timing (offline phase), as in the prototype.
+  // The timer covers triple generation: an OtTripleSource runs its base OTs
+  // with every peer lazily inside its first Generate, which runs inside the
+  // timed Eval, so fig3's OT ablation times base-OT setup, IKNP extension
+  // and the GMW online phase together. Dealer triples are local draws.
   std::vector<std::unique_ptr<mpc::TripleSource>> sources(block_size);
   for (int p = 0; p < block_size; p++) {
     if (use_ot) {

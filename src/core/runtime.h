@@ -7,8 +7,7 @@
 //                           and meters every byte; backends are selected by
 //                           name via net::TransportSpec ("sim" in-process,
 //                           "tcp" one process per bank — see
-//                           RuntimeConfig::transport). net::Channel
-//                           coalesces a role's per-round message bursts.
+//                           RuntimeConfig::transport).
 //   protocol  (src/mpc, src/ot, src/transfer)
 //                         — GMW circuit evaluation, OT-extension triples,
 //                           and the §3.5 share-transfer scheme, all written

@@ -22,20 +22,18 @@ Fp CurveB() { return Fp::FromUint64(7); }
 // The curve admits an efficient endomorphism phi(x, y) = (beta*x, y) with
 // phi(P) = lambda*P. Splitting k = k1 + lambda*k2 with |k1|, |k2| ~ 2^128
 // halves the doubling chain of a variable-base multiplication. Constants
-// and the split follow the standard lattice decomposition (GLV 2001), with
-// the rounded multipliers g1, g2 = round(2^384 * b_i / n).
+// and the split follow the standard lattice decomposition (GLV 2001):
+// (a1, b1), (a2, b2) is the reduced basis of {(x, y) : x + y*lambda ≡ 0
+// (mod n)}, with b1 < 0 and b2 = a1, and g1, g2 = round(2^384 * b2 / n),
+// round(2^384 * -b1 / n) are the rounded multipliers.
 const char kBetaHex[] = "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee";
-const U256 kMinusLambda = U256::FromHex(
-    "ac9c52b33fa3cf1f5ad9e3fd77ed9ba4a880b9fc8ec739c2e0cfc810b51283cf");  // n - lambda
+const U256 kA1 = U256::FromHex("3086d221a7d46bcde86c90e49284eb15");  // = b2
 const U256 kMinusB1 = U256::FromHex("e4437ed6010e88286f547fa90abfe4c3");
-const U256 kMinusB2 =
-    U256::FromHex("fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c");
+const U256 kA2 = U256::FromHex("114ca50f7a8e2f3f657c1108d9d44cfd8");
 const U256 kG1 =
     U256::FromHex("3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031");
 const U256 kG2 =
     U256::FromHex("e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71");
-const U256 kHalfN =
-    U256::FromHex("7fffffffffffffffffffffffffffffff5d576e7357a4501ddfe92f46681b20a0");
 
 // High 128 bits of k*g, rounded: round(k*g / 2^384).
 U256 MulShift384(const U256& k, const U256& g) {
@@ -47,27 +45,19 @@ U256 MulShift384(const U256& k, const U256& g) {
   return out;
 }
 
-// Splits e (reduced mod n) into e = sign1*k1 + lambda*sign2*k2 with k1, k2
-// short (~128 bits).
-void SplitLambda(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2) {
-  U256 c1 = MulShift384(e, kG1);
-  U256 c2 = MulShift384(e, kG2);
-  c1 = ModMul(c1, kMinusB1, kN);
-  c2 = ModMul(c2, kMinusB2, kN);
-  U256 r2 = ModAdd(c1, c2, kN);
-  U256 r1 = ModAdd(e, ModMul(r2, kMinusLambda, kN), kN);
-  *sign1 = 1;
-  *sign2 = 1;
-  if (Cmp(r1, kHalfN) > 0) {
-    SubWithBorrow(kN, r1, &r1);
-    *sign1 = -1;
+// a*b mod 2^256.
+U256 MulLow(const U256& a, const U256& b) {
+  U512 prod = MulFull(a, b);
+  return U256(prod.w[0], prod.w[1], prod.w[2], prod.w[3]);
+}
+
+// Splits a two's-complement value into magnitude and sign.
+void ToSignMagnitude(const U256& v, U256* magnitude, int* sign) {
+  *sign = v.Bit(255) ? -1 : 1;
+  *magnitude = v;
+  if (*sign < 0) {
+    SubWithBorrow(U256::Zero(), v, magnitude);
   }
-  if (Cmp(r2, kHalfN) > 0) {
-    SubWithBorrow(kN, r2, &r2);
-    *sign2 = -1;
-  }
-  *k1 = r1;
-  *k2 = r2;
 }
 
 // Width-5 wNAF digit expansion; returns the index of the top nonzero digit.
@@ -193,7 +183,7 @@ EcPoint EcPoint::Mul(const U256& k) const {
   // two tables (P and phi(P)).
   U256 k1, k2;
   int sign1 = 0, sign2 = 0;
-  SplitLambda(e, &k1, &sign1, &k2, &sign2);
+  SplitScalarGlv(e, &k1, &sign1, &k2, &sign2);
 
   int8_t digits1[260] = {0};
   int8_t digits2[260] = {0};
@@ -202,8 +192,7 @@ EcPoint EcPoint::Mul(const U256& k) const {
 
   EcPoint base1 = (sign1 > 0) ? *this : Neg();
   // phi(P): scale the Jacobian X coordinate by beta (affine x -> beta*x).
-  static const Fp kBeta = Fp::FromHex(kBetaHex);
-  EcPoint base2(x_ * kBeta, y_, z_);
+  EcPoint base2(x_ * EndomorphismBeta(), y_, z_);
   if (sign2 < 0) {
     base2 = base2.Neg();
   }
@@ -335,29 +324,9 @@ EcPoint MulBase(const U256& k) {
 }
 
 void EcPoint::CompressBatch(const EcPoint* points, size_t count, uint8_t* out) {
-  // Montgomery batch inversion over the non-infinity z coordinates.
-  std::vector<Fp> prefix(count);
-  Fp running = Fp::FromUint64(1);
-  for (size_t i = 0; i < count; i++) {
-    prefix[i] = running;
-    if (!points[i].IsInfinity()) {
-      running = running * points[i].z_;
-    }
-  }
-  Fp inv_all = running.Inv();
-  // Walk backwards: zinv_i = inv(prod_{j<=i}) * prefix_i.
-  for (size_t idx = count; idx-- > 0;) {
-    uint8_t* slot = out + idx * kCompressedSize;
-    const EcPoint& p = points[idx];
-    if (p.IsInfinity()) {
-      std::memset(slot, 0, kCompressedSize);
-      continue;
-    }
-    Fp zinv = inv_all * prefix[idx];
-    inv_all = inv_all * p.z_;
-    Fp zinv2 = zinv.Square();
-    EncodeAffine(p.x_ * zinv2, p.y_ * zinv2 * zinv, slot);
-  }
+  std::vector<AffinePoint> affine(count);
+  ToAffineBatch(points, count, affine.data());
+  CompressAffine(affine.data(), count, out);
 }
 
 void EcPoint::CompressAffine(const AffinePoint* points, size_t count, uint8_t* out) {
@@ -372,8 +341,7 @@ void EcPoint::CompressAffine(const AffinePoint* points, size_t count, uint8_t* o
 }
 
 void EcPoint::ToAffineBatch(const EcPoint* points, size_t count, AffinePoint* out) {
-  // Same Montgomery walk as CompressBatch, but the affine coordinates are
-  // the product rather than an intermediate.
+  // Montgomery batch inversion over the non-infinity z coordinates.
   std::vector<Fp> prefix(count);
   Fp running = Fp::FromUint64(1);
   for (size_t i = 0; i < count; i++) {
@@ -383,6 +351,7 @@ void EcPoint::ToAffineBatch(const EcPoint* points, size_t count, AffinePoint* ou
     }
   }
   Fp inv_all = running.Inv();
+  // Walk backwards: zinv_i = inv(prod_{j<=i}) * prefix_i.
   for (size_t idx = count; idx-- > 0;) {
     const EcPoint& p = points[idx];
     if (p.IsInfinity()) {
@@ -396,17 +365,6 @@ void EcPoint::ToAffineBatch(const EcPoint* points, size_t count, AffinePoint* ou
     out[idx].y = p.y_ * zinv2 * zinv;
     out[idx].infinity = false;
   }
-}
-
-bool EcPoint::DecompressBatch(const uint8_t* in, size_t count, EcPoint* out) {
-  for (size_t i = 0; i < count; i++) {
-    auto p = Decompress(in + i * kCompressedSize);
-    if (!p.has_value()) {
-      return false;
-    }
-    out[i] = *p;
-  }
-  return true;
 }
 
 bool EcPoint::DecompressBatch(const uint8_t* in, size_t count, AffinePoint* out) {
@@ -429,7 +387,20 @@ bool EcPoint::DecompressBatch(const uint8_t* in, size_t count, AffinePoint* out)
 }
 
 void SplitScalarGlv(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2) {
-  SplitLambda(e, k1, sign1, k2, sign2);
+  // With c1 ~ e*b2/n and c2 ~ e*(-b1)/n, the lattice point c1*(a1, b1) +
+  // c2*(a2, b2) is close to (e, 0), so (k1, k2) = (e, 0) minus that point
+  // satisfies k1 + lambda*k2 ≡ e (mod n) with |k1|, |k2| < 2^129. The
+  // products overflow 256 bits but the differences do not, so they are
+  // exact in two's complement mod 2^256 and bit 255 is the sign: no
+  // reduction mod n is needed.
+  U256 c1 = MulShift384(e, kG1);
+  U256 c2 = MulShift384(e, kG2);
+  U256 r1, r2;
+  SubWithBorrow(e, MulLow(c1, kA1), &r1);
+  SubWithBorrow(r1, MulLow(c2, kA2), &r1);
+  SubWithBorrow(MulLow(c1, kMinusB1), MulLow(c2, kA1), &r2);
+  ToSignMagnitude(r1, k1, sign1);
+  ToSignMagnitude(r2, k2, sign2);
 }
 
 const Fp& EndomorphismBeta() {

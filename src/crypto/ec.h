@@ -61,8 +61,7 @@ class EcPoint {
   static std::optional<EcPoint> Decompress(const uint8_t* bytes33);
 
   // Compresses `count` points into out[count*33] with one shared field
-  // inversion (Montgomery's trick) — the serialization hot path for
-  // subshare bundles, which carry (k+1)^2 * L points per transfer.
+  // inversion: ToAffineBatch, then CompressAffine.
   static void CompressBatch(const EcPoint* points, size_t count, uint8_t* out);
   // Compresses `count` affine points (batch-engine results) into
   // out[count*33] in the same format; affine input needs no inversion.
@@ -73,12 +72,9 @@ class EcPoint {
   static void ToAffineBatch(const EcPoint* points, size_t count, AffinePoint* out);
 
   // Decompresses `count` packed 33-byte encodings (the inverse of
-  // CompressBatch's layout) by one Decompress per point, each paying its own
-  // square root. Returns false if any encoding is invalid, in which case
-  // `out` is unspecified.
-  static bool DecompressBatch(const uint8_t* in, size_t count, EcPoint* out);
-  // Same, decoding straight into batch-engine affine form (decompression is
-  // natively affine, so this skips the Jacobian round trip).
+  // CompressBatch's layout) into batch-engine affine form, by one Decompress
+  // per point, each paying its own square root. Returns false if any
+  // encoding is invalid, in which case `out` is unspecified.
   static bool DecompressBatch(const uint8_t* in, size_t count, AffinePoint* out);
 
   // Equality in the group (compares affine forms; handles infinity).
@@ -97,10 +93,11 @@ EcPoint MulBase(const U256& k);
 
 // --- GLV decomposition (exposed for the fixed-base tables) -------------------
 // secp256k1 admits the endomorphism phi(x, y) = (beta*x, y) = lambda*(x, y).
-// SplitScalarGlv writes e ≡ sign1*k1 + lambda*sign2*k2 (mod n) with k1, k2
-// short (~128 bits); e must already be reduced mod n. EcPoint::Mul uses the
-// same split internally; fixed_base.h uses it to halve the window count of
-// its per-key tables (one table for P, one derived table for phi(P)).
+// SplitScalarGlv writes e ≡ sign1*k1 + lambda*sign2*k2 (mod n) with
+// k1, k2 < 2^129; e must already be reduced mod n. The split is exact
+// integer arithmetic on the lattice basis, with no reduction mod n.
+// EcPoint::Mul uses it internally; fixed_base.h uses it to halve the window
+// count of its tables (one table for P, one derived table for phi(P)).
 void SplitScalarGlv(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2);
 const Fp& EndomorphismBeta();
 

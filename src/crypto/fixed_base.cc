@@ -1,7 +1,5 @@
 #include "src/crypto/fixed_base.h"
 
-#include <utility>
-
 #include "src/common/check.h"
 
 namespace dstress::crypto {
@@ -45,118 +43,36 @@ FixedBaseTable::Recoding FixedBaseTable::Recode(const U256& k) {
   return r;
 }
 
-FixedBaseTable::FixedBaseTable(const EcPoint& base) {
-  *this = std::move(BuildMany({base}).front());
-}
+FixedBaseTable::FixedBaseTable(const EcPoint& base)
+    : entries_(kHalfWindows * kEntriesPerWindow), endo_entries_(kHalfWindows * kEntriesPerWindow) {
+  // Ladder 16^j * base (Jacobian doubling), normalized with one shared
+  // inversion; the entry chains d = 1..8 then advance in lockstep across the
+  // window lanes, and phi(x, y) = (beta*x, y) fills each endomorphism entry
+  // as its base entry lands, for one field multiplication per entry.
+  std::vector<EcPoint> ladder(kHalfWindows);
+  EcPoint p = base;
+  for (int j = 0; j < kHalfWindows; j++) {
+    ladder[j] = p;
+    p = p.Double().Double().Double().Double();
+  }
+  std::vector<AffinePoint> window_base(kHalfWindows);
+  EcPoint::ToAffineBatch(ladder.data(), kHalfWindows, window_base.data());
 
-std::vector<FixedBaseTable> FixedBaseTable::BuildMany(const std::vector<EcPoint>& bases) {
-  const size_t m = bases.size();
-  std::vector<FixedBaseTable> out(m, FixedBaseTable());
-  if (m == 0) {
-    return out;
-  }
-  for (auto& table : out) {
-    table.entries_.resize(kHalfWindows * kEntriesPerWindow);
-    table.endo_entries_.resize(kHalfWindows * kEntriesPerWindow);
-  }
   const Fp& beta = EndomorphismBeta();
-
-  // Two build strategies with the same result. The per-window scheme pays
-  // one shared inversion per batch-affine call (8 calls per window, 264
-  // total), amortized across the m key lanes — a win for certificate-sized
-  // batches but a 10x loss at m = 1, where each call inverts for a single
-  // lane. Small batches take the ladder scheme, which amortizes across the
-  // m * 33 window lanes instead.
-  constexpr size_t kPerWindowThreshold = 32;
-
-  if (m >= kPerWindowThreshold) {
-    // Entirely affine, one lane per key: window j's entry chain d * B_j for
-    // d = 1..8 is seven batch additions of B_j, and the next window base
-    // B_{j+1} = 16 * B_j is ONE batch doubling of the d=8 entry (8 * B_j) —
-    // replacing the four Jacobian doublings per window a 16^j ladder pays.
-    // phi(x, y) = (beta*x, y) fills the endomorphism entry as each base
-    // entry lands, for one field multiplication per entry.
-    std::vector<AffinePoint> base(m);
-    EcPoint::ToAffineBatch(bases.data(), m, base.data());
-    std::vector<AffinePoint> cur(m);
-    for (int j = 0; j < kHalfWindows; j++) {
-      cur = base;
-      for (int d = 1; d <= kEntriesPerWindow; d++) {
-        if (d > 1) {
-          BatchAddAssign(cur.data(), base.data(), m);
-        }
-        for (size_t t = 0; t < m; t++) {
-          AffinePoint e = cur[t];
-          out[t].entries_[j * kEntriesPerWindow + (d - 1)] = e;
-          if (!e.infinity) {
-            e.x = e.x * beta;
-          }
-          out[t].endo_entries_[j * kEntriesPerWindow + (d - 1)] = e;
-        }
-      }
-      if (j + 1 < kHalfWindows) {
-        base = cur;
-        // Self-addition classifies every lane as a doubling (the addend is
-        // never read back after the slope is formed), so aliasing is safe.
-        BatchAddAssign(base.data(), base.data(), m);
-      }
-    }
-    return out;
-  }
-
-  // Ladder 16^j * base per key (Jacobian doubling), normalized with one
-  // shared inversion; entry chains d = 1..8 then advance in lockstep across
-  // every (key, window) lane.
-  const size_t lanes = m * kHalfWindows;
-  std::vector<EcPoint> ladder(lanes);
-  for (size_t t = 0; t < m; t++) {
-    EcPoint p = bases[t];
-    for (int j = 0; j < kHalfWindows; j++) {
-      ladder[t * kHalfWindows + j] = p;
-      p = p.Double().Double().Double().Double();
-    }
-  }
-  std::vector<AffinePoint> base_row(lanes);
-  EcPoint::ToAffineBatch(ladder.data(), lanes, base_row.data());
-
-  std::vector<AffinePoint> cur = base_row;
+  std::vector<AffinePoint> cur = window_base;
   for (int d = 1; d <= kEntriesPerWindow; d++) {
     if (d > 1) {
-      BatchAddAssign(cur.data(), base_row.data(), lanes);
+      BatchAddAssign(cur.data(), window_base.data(), kHalfWindows);
     }
-    for (size_t t = 0; t < m; t++) {
-      for (int j = 0; j < kHalfWindows; j++) {
-        AffinePoint e = cur[t * kHalfWindows + j];
-        out[t].entries_[j * kEntriesPerWindow + (d - 1)] = e;
-        if (!e.infinity) {
-          e.x = e.x * beta;
-        }
-        out[t].endo_entries_[j * kEntriesPerWindow + (d - 1)] = e;
+    for (int j = 0; j < kHalfWindows; j++) {
+      AffinePoint e = cur[j];
+      entries_[j * kEntriesPerWindow + (d - 1)] = e;
+      if (!e.infinity) {
+        e.x = e.x * beta;
       }
+      endo_entries_[j * kEntriesPerWindow + (d - 1)] = e;
     }
   }
-  return out;
-}
-
-EcPoint FixedBaseTable::Mul(const U256& k) const {
-  // Single-point evaluation accumulates in Jacobian form (mixed additions
-  // against the affine entries); batched evaluation goes through MulBatch,
-  // where the per-window inversion is shared.
-  Recoding r = Recode(k);
-  EcPoint acc = EcPoint::Infinity();
-  for (int j = 0; j < kHalfWindows; j++) {
-    for (int half = 0; half < 2; half++) {
-      int d = half == 0 ? r.digit1[j] : r.digit2[j];
-      if (d == 0) {
-        continue;
-      }
-      const AffinePoint& entry =
-          half == 0 ? Entry(j, d > 0 ? d : -d) : EndoEntry(j, d > 0 ? d : -d);
-      EcPoint p = EcPoint::FromAffinePoint(entry);
-      acc = acc.Add(d > 0 ? p : p.Neg());
-    }
-  }
-  return acc;
 }
 
 void BatchAddSelected(AffinePoint* acc, const size_t* indices, const AffinePoint* add,
@@ -227,7 +143,8 @@ void BatchAddAssign(AffinePoint* acc, const AffinePoint* add, size_t count) {
   BatchAddSelected(acc, nullptr, add, count);
 }
 
-void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out) {
+void MulBatch(const FixedBaseTable& table, const FixedBaseTable::Recoding* recodings,
+              size_t count, AffinePoint* out) {
   for (size_t i = 0; i < count; i++) {
     out[i] = AffinePoint{};
   }
@@ -242,14 +159,13 @@ void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out) {
       idx.clear();
       add.clear();
       for (size_t i = 0; i < count; i++) {
-        const FixedBaseTable::Recoding& r = *tasks[i].recoding;
+        const FixedBaseTable::Recoding& r = recodings[i];
         int d = half == 0 ? r.digit1[j] : r.digit2[j];
         if (d == 0) {
           continue;
         }
-        const AffinePoint& entry = half == 0 ? tasks[i].table->Entry(j, d > 0 ? d : -d)
-                                             : tasks[i].table->EndoEntry(j, d > 0 ? d : -d);
-        AffinePoint a = entry;
+        AffinePoint a =
+            half == 0 ? table.Entry(j, d > 0 ? d : -d) : table.EndoEntry(j, d > 0 ? d : -d);
         if (d < 0 && !a.infinity) {
           a.y = a.y.Neg();
         }
@@ -279,9 +195,10 @@ FixedBaseTableSet FixedBaseTableSet::Build(const std::vector<EcPoint>& bases) {
     }
   };
 
-  // BuildMany's per-window affine lockstep on working rows: window j's
-  // chain d * B_j is seven batch additions of B_j, and B_{j+1} = 16 * B_j
-  // is one batch doubling of 8 * B_j. Each row is packed as it lands.
+  // Entirely affine, one lane per key: window j's chain d * B_j is seven
+  // batch additions of B_j, and the next window base B_{j+1} = 16 * B_j is
+  // one batch doubling of 8 * B_j, which replaces the four Jacobian
+  // doublings per window of a 16^j ladder. Each row is packed as it lands.
   std::vector<AffinePoint> base(m);
   EcPoint::ToAffineBatch(bases.data(), m, base.data());
   std::vector<AffinePoint> cur(m);
@@ -294,7 +211,8 @@ FixedBaseTableSet FixedBaseTableSet::Build(const std::vector<EcPoint>& bases) {
     }
     if (j + 1 < FixedBaseTable::kHalfWindows) {
       base = cur;
-      // Self-addition classifies every lane as a doubling (see BuildMany).
+      // Self-addition classifies every lane as a doubling (the addend is
+      // never read back after the slope is formed), so aliasing is safe.
       BatchAddAssign(base.data(), base.data(), m);
     }
   }

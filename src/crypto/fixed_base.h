@@ -12,12 +12,14 @@
 // endomorphism table almost free to build (one field multiplication per
 // entry).
 //
-// The table exists for the transfer hot path, where the *same* certificate
-// key multiplies a fresh ephemeral every transfer and the same ephemeral
-// multiplies (k+1)*L different keys per bundle: recodings are computed once
-// per scalar and shared across every lane that uses that scalar, and MulBatch
-// advances all lanes in lockstep so each window level pays a single shared
-// field inversion for the whole burst.
+// Two shapes use this engine. A FixedBaseTable serves one base multiplied
+// by many scalars: the shared ephemeral c1 of a column burst against every
+// (member, bit) secret, and the base-OT receiver's A against every b_i.
+// MulBatch advances all of those lanes in lockstep, so each window level
+// pays a single shared field inversion. A FixedBaseTableSet serves many keys
+// multiplied by one scalar: a certificate's keys against a bundle's
+// ephemeral. Either way a scalar is recoded once and the recoding is shared
+// by every lane that uses it.
 #ifndef SRC_CRYPTO_FIXED_BASE_H_
 #define SRC_CRYPTO_FIXED_BASE_H_
 
@@ -47,15 +49,6 @@ class FixedBaseTable {
   static Recoding Recode(const U256& k);
 
   explicit FixedBaseTable(const EcPoint& base);
-  // Builds one table per base with every entry chain advanced in lockstep
-  // (shared-inversion batch addition across all bases and windows) — the
-  // per-certificate build path, ~7x cheaper per key than isolated builds.
-  static std::vector<FixedBaseTable> BuildMany(const std::vector<EcPoint>& bases);
-
-  // k * base; identical in value to base.Mul(k) for every k (the randomized
-  // corpus test pins this). Single-point convenience — the hot path uses
-  // MulBatch.
-  EcPoint Mul(const U256& k) const;
 
   // Entry(j, d) = d * 16^j * base, EndoEntry(j, d) = d * 16^j * phi(base),
   // both affine; d in [1, kEntriesPerWindow].
@@ -67,8 +60,6 @@ class FixedBaseTable {
   }
 
  private:
-  FixedBaseTable() = default;
-
   std::vector<AffinePoint> entries_;       // [kHalfWindows * kEntriesPerWindow]
   std::vector<AffinePoint> endo_entries_;  // phi(base) mirror
 };
@@ -86,30 +77,22 @@ void BatchAddAssign(AffinePoint* acc, const AffinePoint* add, size_t count);
 void BatchAddSelected(AffinePoint* acc, const size_t* indices, const AffinePoint* add,
                       size_t count);
 
-// One lane of a batched multiplication: out = scalar(recoding) * base(table).
-// Both pointers alias freely across lanes — e.g. one recoding against many
-// tables (bundle encryption) or one table against many recodings (column
-// decryption).
-struct MulTask {
-  const FixedBaseTable* table;
-  const FixedBaseTable::Recoding* recoding;
-};
+// out[i] = k(recodings[i]) * base(table) for every lane, in lockstep: per
+// window level, one shared-inversion batch addition across all lanes with a
+// nonzero digit. Identical in value to base.Mul(k) for every k (the
+// randomized corpus test pins this). Results are affine, ready for direct
+// compressed serialization.
+void MulBatch(const FixedBaseTable& table, const FixedBaseTable::Recoding* recodings,
+              size_t count, AffinePoint* out);
 
-// Evaluates every task in lockstep: per window level, one shared-inversion
-// batch addition across all lanes with a nonzero digit. Results are affine,
-// ready for direct compressed serialization.
-void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out);
-
-// Window-major structure-of-arrays variant of BuildMany + MulBatch for the
-// one shape the transfer hot path actually has: a fixed SET of base points
-// (one per certificate [member][bit] key) all multiplied by the SAME scalar
-// (the bundle's shared ephemeral). Storing entries row-major by
-// (window, digit) makes every MulShared gather a contiguous num_keys-sized
-// row instead of one cache-missing load per 42 KB-strided per-key table,
-// and the shared scalar means one digit decision covers the whole row.
-// The endomorphism mirror is not materialized: phi is applied to the row
-// while the addend is staged (one field multiplication per lane), halving
-// build work and memory next to FixedBaseTable.
+// The other shape: a fixed SET of base points (one per certificate
+// [member][bit] key) all multiplied by the SAME scalar (the bundle's shared
+// ephemeral). Entries are stored window-major, row by (window, digit), so
+// every MulShared gathers a contiguous num_keys-sized row, and the shared
+// scalar means one digit decision covers the whole row. The endomorphism
+// mirror is not materialized: phi is applied to the row while the addend is
+// staged (one field multiplication per lane), halving build work and memory
+// next to FixedBaseTable.
 //
 // The set holds 33 * 8 entries per key, so a certificate's sets are most of
 // a secure engine's memory; entries are stored packed as their normalized
@@ -120,8 +103,8 @@ void MulBatch(const MulTask* tasks, size_t count, AffinePoint* out);
 class FixedBaseTableSet {
  public:
   // One shared normalization + per-window batch chains across all keys;
-  // intended for certificate-sized sets (~100+ keys) where the per-row
-  // inversion amortizes.
+  // intended for certificate-sized sets (~100+ keys), where each row's
+  // inversion amortizes across the keys.
   static FixedBaseTableSet Build(const std::vector<EcPoint>& bases);
 
   size_t num_keys() const { return m_; }

@@ -2,10 +2,10 @@
 //
 // This is the bottom layer of the from-scratch cryptographic stack: the
 // secp256k1 field (fp.h) loads and encodes through U256, and the
-// elliptic-curve group (ec.h) does its scalar arithmetic mod the group order
-// with the generic helpers below. Limbs are stored
-// little-endian (w[0] is least significant); 128-bit intermediates use the
-// compiler's unsigned __int128.
+// elliptic-curve group (ec.h) splits its scalars with the full product and
+// two's-complement subtraction below. Limbs are stored little-endian (w[0]
+// is least significant); 128-bit intermediates use the compiler's
+// unsigned __int128.
 #ifndef SRC_CRYPTO_U256_H_
 #define SRC_CRYPTO_U256_H_
 
@@ -65,20 +65,6 @@ U512 MulFull(const U256& a, const U256& b);
 // Logical shifts. Shift amounts in [0, 255].
 U256 Shl(const U256& a, int bits);
 U256 Shr(const U256& a, int bits);
-
-// Generic (slow) modular reduction of a 512-bit value, for places where no
-// special-form prime is available (the scalar ring). Binary long division.
-U256 Mod512(const U512& a, const U256& m);
-
-// Generic modular helpers built on Mod512; adequate for key generation and
-// test support, not on any hot path.
-U256 ModAdd(const U256& a, const U256& b, const U256& m);
-U256 ModSub(const U256& a, const U256& b, const U256& m);
-U256 ModMul(const U256& a, const U256& b, const U256& m);
-U256 ModPow(const U256& a, const U256& e, const U256& m);
-// Modular inverse for odd modulus m with gcd(a, m) = 1 (Fermat when m is
-// prime is handled by callers; this uses the binary extended gcd).
-U256 ModInv(const U256& a, const U256& m);
 
 }  // namespace dstress::crypto
 

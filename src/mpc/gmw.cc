@@ -1,37 +1,39 @@
 #include "src/mpc/gmw.h"
 
+#include <utility>
+
 #include "src/common/bits.h"
 #include "src/common/check.h"
 
 namespace dstress::mpc {
 
-net::Channel GmwParty::MakeChannel(net::Transport* net, std::vector<net::NodeId> parties,
-                                   int my_index, net::SessionId session) {
-  DSTRESS_CHECK(my_index >= 0 && my_index < static_cast<int>(parties.size()));
-  net::NodeId self = parties[my_index];
-  return net::Channel(net, self, std::move(parties), session);
-}
-
 GmwParty::GmwParty(net::Transport* net, std::vector<net::NodeId> parties, int my_index,
                    TripleSource* triples, net::SessionId session)
     : net_(net),
-      channel_(MakeChannel(net, std::move(parties), my_index, session)),
+      parties_(std::move(parties)),
       my_index_(my_index),
-      triples_(triples) {}
+      session_(session),
+      triples_(triples) {
+  DSTRESS_CHECK(my_index_ >= 0 && my_index_ < static_cast<int>(parties_.size()));
+}
 
 std::vector<uint64_t> GmwParty::ExchangeXor(const std::vector<uint64_t>& mine) {
   ByteWriter block;
   for (uint64_t w : mine) {
     block.U64(w);
   }
-  channel_.Broadcast(block.bytes());
-  const std::vector<net::NodeId>& parties = channel_.peers();
+  const net::NodeId self = parties_[my_index_];
+  for (net::NodeId peer : parties_) {
+    if (peer != self) {
+      net_->Send(self, peer, block.bytes(), session_);
+    }
+  }
   std::vector<uint64_t> total = mine;
-  for (int p = 0; p < static_cast<int>(parties.size()); p++) {
+  for (int p = 0; p < static_cast<int>(parties_.size()); p++) {
     if (p == my_index_) {
       continue;
     }
-    Bytes incoming = channel_.Recv(parties[p]);
+    Bytes incoming = net_->Recv(self, parties_[p], session_);
     DSTRESS_CHECK(incoming.size() == mine.size() * 8);
     ByteReader reader(incoming);
     for (size_t w = 0; w < total.size(); w++) {
@@ -70,7 +72,7 @@ PackedShareMatrix GmwParty::EvalBatch(const circuit::EvalPlan& plan,
   std::vector<BatchInstance> items(w_count);
   for (size_t j = 0; j < w_count; j++) {
     items[j].plan = &plan;
-    items[j].parties = channel_.peers();
+    items[j].parties = parties_;
     items[j].my_index = my_index_;
     if (num_and > 0) {
       items[j].triples = SliceTriples(bulk, j * num_and, num_and);
@@ -78,8 +80,7 @@ PackedShareMatrix GmwParty::EvalBatch(const circuit::EvalPlan& plan,
     items[j].input_shares = input_shares.Instance(j);
     items[j].order_key = j;
   }
-  std::vector<BitVector> outputs =
-      EvalBatchInstances(net_, channel_.session(), std::move(items), stats);
+  std::vector<BitVector> outputs = EvalBatchInstances(net_, session_, std::move(items), stats);
 
   PackedShareMatrix result(plan.num_outputs(), w_count);
   for (size_t j = 0; j < w_count; j++) {

@@ -38,7 +38,6 @@
 #include "src/mpc/packed.h"
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
-#include "src/net/channel.h"
 #include "src/net/transport.h"
 
 namespace dstress::mpc {
@@ -74,23 +73,19 @@ class GmwParty {
   BitVector Open(const BitVector& my_shares);
 
   int my_index() const { return my_index_; }
-  int num_parties() const { return static_cast<int>(channel_.peers().size()); }
+  int num_parties() const { return static_cast<int>(parties_.size()); }
   bool is_leader() const { return my_index_ == 0; }
 
  private:
-  // Bounds-checks my_index, then builds the party's session endpoint (the
-  // channel's peer list doubles as the party list).
-  static net::Channel MakeChannel(net::Transport* net, std::vector<net::NodeId> parties,
-                                  int my_index, net::SessionId session);
-
   // All-to-all exchange of a packed word block; returns the XOR of all
-  // parties' blocks (i.e., the opened values). Sends coalesce through the
-  // channel: one buffered broadcast, one flush, then the blocking receives.
+  // parties' blocks (i.e., the opened values). The block goes to every
+  // other party before the first blocking receive.
   std::vector<uint64_t> ExchangeXor(const std::vector<uint64_t>& mine);
 
   net::Transport* net_;
-  net::Channel channel_;
+  std::vector<net::NodeId> parties_;
   int my_index_;
+  net::SessionId session_;
   TripleSource* triples_;
 };
 

@@ -17,8 +17,8 @@
 // FIFO/session semantics and channel_demux.h for the shared queue/metering
 // core (Recv, stats, observer rule) this backend inherits. SendBatch takes
 // the channel lock once and wakes the consumer once for a whole run of
-// messages, which is what makes net::Channel's coalescing worthwhile on
-// this backend.
+// messages, which is what makes the batched GMW layer's one SendBatch run
+// per peer (mpc/batch_eval.h) worthwhile on this backend.
 #ifndef SRC_NET_SIM_NETWORK_H_
 #define SRC_NET_SIM_NETWORK_H_
 

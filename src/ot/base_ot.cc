@@ -57,14 +57,14 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
 
   Bytes reply = net->Recv(self, peer, session);
   DSTRESS_CHECK(reply.size() == n * EcPoint::kCompressedSize);
-  std::vector<EcPoint> b_points(n);
+  std::vector<AffinePoint> b_points(n);
   DSTRESS_CHECK(EcPoint::DecompressBatch(reply.data(), n, b_points.data()));
 
   // points[2i] = a*B_i and points[2i+1] = a*B_i - a*A, serialized with one
   // shared inversion.
   std::vector<EcPoint> points(2 * n);
   for (size_t i = 0; i < n; i++) {
-    points[2 * i] = b_points[i].Mul(a);
+    points[2 * i] = EcPoint::FromAffinePoint(b_points[i]).Mul(a);
     points[2 * i + 1] = points[2 * i].Add(neg_a_big_a);
   }
   Bytes encoded(2 * n * EcPoint::kCompressedSize);
@@ -112,13 +112,11 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
   // The results are affine, so they encode without a further inversion.
   const crypto::FixedBaseTable table(*big_a);
   std::vector<crypto::FixedBaseTable::Recoding> recodings(n);
-  std::vector<crypto::MulTask> tasks(n);
   for (size_t i = 0; i < n; i++) {
     recodings[i] = crypto::FixedBaseTable::Recode(secrets[i]);
-    tasks[i] = {&table, &recodings[i]};
   }
   std::vector<AffinePoint> products(n);
-  crypto::MulBatch(tasks.data(), n, products.data());
+  crypto::MulBatch(table, recodings.data(), n, products.data());
 
   std::vector<uint8_t> encoded(n * EcPoint::kCompressedSize);
   EcPoint::CompressAffine(products.data(), n, encoded.data());

@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/dp/samplers.h"
-#include "src/net/channel.h"
 
 namespace dstress::transfer {
 
@@ -227,16 +226,14 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
 
   const size_t lanes_n = members * bits;
   std::vector<FixedBaseTable::Recoding> recodings(lanes_n);
-  std::vector<crypto::MulTask> tasks(lanes_n);
   for (size_t y = 0; y < members; y++) {
     DSTRESS_CHECK(static_cast<int>(member_keys[y]->keys.size()) == bits);
     for (int b = 0; b < bits; b++) {
       recodings[y * bits + b] = FixedBaseTable::Recode(member_keys[y]->keys[b].secret);
-      tasks[y * bits + b] = crypto::MulTask{&c1_table, &recodings[y * bits + b]};
     }
   }
   std::vector<AffinePoint> lanes(lanes_n);
-  crypto::MulBatch(tasks.data(), lanes_n, lanes.data());
+  crypto::MulBatch(c1_table, recodings.data(), lanes_n, lanes.data());
   // Decryption is c2 + (-secret*c1): negate, then add the c2 points.
   for (AffinePoint& p : lanes) {
     if (!p.infinity) {
@@ -296,13 +293,9 @@ void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
   Bytes agg = net->Recv(node_j, node_i, TransferSubSession(session, 1));
   std::vector<Bytes> columns = AdjustAndSplitWire(agg, neighbor_key, params);
   DSTRESS_CHECK(columns.size() == members_j.size());
-  // Every column is ready before the first delivery; the Channel flushes
-  // the whole fan-out as one burst.
-  net::Channel fanout(net, node_j, members_j, TransferSubSession(session, 2));
   for (size_t y = 0; y < members_j.size(); y++) {
-    fanout.Send(members_j[y], std::move(columns[y]));
+    net->Send(node_j, members_j[y], std::move(columns[y]), TransferSubSession(session, 2));
   }
-  fanout.Flush();
 }
 
 std::vector<mpc::BitVector> RecoverAtMembers(net::Transport* net,

@@ -6,9 +6,10 @@
 // counterpart in transfer.h but for a whole per-edge burst at once, keeping
 // points in batch-affine form end to end:
 //
-//  * every (recipient, bit) slot of every bundle is one lane of a single
-//    MulBatch over the certificate's FixedBaseTables, sharing one scalar
-//    recoding per sender and one field inversion per window level;
+//  * every (recipient, bit) slot of a sender's bundle is one lane of one
+//    FixedBaseTableSet::MulShared call over the certificate's table set,
+//    one call per sender with one scalar recoding and one field inversion
+//    per nonzero window digit;
 //  * results are serialized straight from affine coordinates, so the
 //    per-point Jacobian normalization (one field inversion each) on the
 //    seed serialization path disappears;
@@ -111,7 +112,8 @@ void AggregateAtSource(net::Transport* net, net::NodeId node_i,
                        crypto::ChaCha20Prg& prg, const EvenNoiseCache& noise);
 
 // Step 3: node j receives the aggregate, adjusts it with the edge's neighbor
-// key, and fans one column out to each member of B_j in one Channel burst.
+// key, and sends one column to each member of B_j, in member order, once
+// every column is ready.
 void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
                   const std::vector<net::NodeId>& members_j, net::SessionId session,
                   const crypto::U256& neighbor_key, const TransferParams& params);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/crypto/chacha20.h"
+#include "tests/u256_oracle.h"
 
 namespace dstress::crypto {
 namespace {
@@ -189,6 +192,53 @@ TEST(EcTest, EqualityAcrossRepresentations) {
   EcPoint via_mul = p.Mul(U256(3));
   EXPECT_EQ(via_double, via_add);
   EXPECT_EQ(via_double, via_mul);
+}
+
+// The split's contract, checked against the generic oracle rather than the
+// EC code: both halves are short, and sign1*k1 + lambda*sign2*k2 ≡ e (mod n).
+TEST(GlvSplitTest, HalvesAreShortAndRecombine) {
+  const U256& n = CurveOrder();
+  const U256 lambda =
+      U256::FromHex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  ASSERT_EQ(ModPow(lambda, U256(3), n), U256::One());  // a cube root of unity
+
+  auto reduce = [&n](U256 v) {
+    while (Cmp(v, n) >= 0) {
+      SubWithBorrow(v, n, &v);
+    }
+    return v;
+  };
+  U256 half_n = Shr(n, 1);
+  std::vector<U256> inputs = {U256(0),
+                              U256(1),
+                              U256(2),
+                              ModSub(U256(0), U256(1), n),
+                              ModSub(U256(0), U256(2), n),
+                              half_n,
+                              ModAdd(half_n, U256(1), n),
+                              lambda,
+                              ModSub(U256(0), lambda, n),
+                              Shl(U256::One(), 128),
+                              ModSub(Shl(U256::One(), 129), U256(1), n),
+                              reduce(Shl(U256::One(), 255)),
+                              reduce(U256(~0ULL, ~0ULL, ~0ULL, ~0ULL))};
+  auto prg = ChaCha20Prg::FromSeed(13);
+  while (inputs.size() < 10000) {
+    inputs.push_back(prg.NextScalar(n));
+  }
+
+  for (const U256& e : inputs) {
+    U256 k1, k2;
+    int sign1 = 0, sign2 = 0;
+    SplitScalarGlv(e, &k1, &sign1, &k2, &sign2);
+    ASSERT_LE(k1.BitLength(), 128) << e.ToHex();
+    ASSERT_LE(k2.BitLength(), 128) << e.ToHex();
+    ASSERT_TRUE(sign1 == 1 || sign1 == -1) << e.ToHex();
+    ASSERT_TRUE(sign2 == 1 || sign2 == -1) << e.ToHex();
+    U256 t1 = sign1 > 0 ? k1 : ModSub(U256(0), k1, n);
+    U256 t2 = sign2 > 0 ? k2 : ModSub(U256(0), k2, n);
+    ASSERT_EQ(ModAdd(t1, ModMul(lambda, t2, n), n), e) << e.ToHex();
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/crypto/chacha20.h"
+#include "tests/u256_oracle.h"
 
 namespace dstress::crypto {
 namespace {
@@ -118,9 +119,9 @@ TEST(FpTest, FromU256ReducesOverflow) {
 }
 
 // --- differential test against the generic-modulus helpers ----------------
-// u256.h's ModAdd / ModSub / ModMul / ModInv with modulus p are the oracle;
-// the Fp side never normalizes between steps, so every operation runs on
-// the weakly reduced outputs of the previous one.
+// u256_oracle.h's ModAdd / ModSub / ModMul / ModInv with modulus p are the
+// oracle; the Fp side never normalizes between steps, so every operation
+// runs on the weakly reduced outputs of the previous one.
 
 U256 PMinus(uint64_t k) {
   U256 out;

@@ -8,7 +8,6 @@
 
 #include <thread>
 
-#include "src/net/channel.h"
 #include "src/net/sim_network.h"
 #include "src/net/transport_spec.h"
 
@@ -216,46 +215,6 @@ TEST(TransportRegistryTest, OverrideAndReset) {
   EXPECT_EQ(MakeTransport(spec, 2)->num_nodes(), 2);
   ResetTransport("loopback");
   EXPECT_FALSE(KnownTransportBackend("loopback"));
-}
-
-TEST(ChannelTest, BuffersUntilFlush) {
-  SimNetwork sim(3);
-  Channel channel(&sim, 0, {0, 1, 2}, /*session=*/5);
-  channel.Send(1, Bytes{1});
-  channel.Send(2, Bytes{2});
-  channel.Send(1, Bytes{3});
-  EXPECT_EQ(sim.TotalBytes(), 0u);  // nothing on the wire yet
-
-  channel.Flush();
-  EXPECT_EQ(sim.NodeStats(0).messages_sent, 3u);
-  EXPECT_EQ(sim.Recv(1, 0, 5), Bytes{1});
-  EXPECT_EQ(sim.Recv(1, 0, 5), Bytes{3});
-  EXPECT_EQ(sim.Recv(2, 0, 5), Bytes{2});
-}
-
-TEST(ChannelTest, RecvFlushesPendingSends) {
-  SimNetwork sim(2);
-  Channel a(&sim, 0, {0, 1}, 0);
-  Channel b(&sim, 1, {0, 1}, 0);
-  std::thread peer([&] {
-    Bytes got = b.Recv(0);
-    b.Send(0, got);
-    b.Flush();
-  });
-  a.Send(1, Bytes{42});
-  // Recv must flush the buffered send first, or this deadlocks.
-  EXPECT_EQ(a.Recv(1), Bytes{42});
-  peer.join();
-}
-
-TEST(ChannelTest, BroadcastSkipsSelf) {
-  SimNetwork sim(3);
-  Channel channel(&sim, 1, {0, 1, 2}, 0);
-  channel.Broadcast(Bytes{7});
-  channel.Flush();
-  EXPECT_EQ(sim.Recv(0, 1), Bytes{7});
-  EXPECT_EQ(sim.Recv(2, 1), Bytes{7});
-  EXPECT_EQ(sim.NodeStats(1).messages_sent, 2u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/chacha20.h"
+#include "tests/u256_oracle.h"
 
 namespace dstress::crypto {
 namespace {

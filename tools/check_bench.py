@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Regression gate over BENCH_fig6.json: measured rows against committed history.
+"""Regression gate over BENCH_fig6.json and BENCH_transfer.json against committed history.
 
 Usage: tools/check_bench.py BENCH_fig6.json [REFERENCE.json]
        tools/check_bench.py --traffic-only BENCH_fig6.json REFERENCE.json
+       tools/check_bench.py --traffic-only BENCH_transfer.json REFERENCE.json
 
 BENCH_fig6.json is the run to check; REFERENCE.json is the committed
 BENCH_fig6.json, copied aside before the bench overwrites it. Every gate
@@ -38,6 +39,14 @@ missing or non-numeric bytes_per_node, FAILS and names the row; a row with no
 counterpart prints a named SKIP; matching no row at all FAILS. Rows match on
 the same fields as the normalized gate. With --traffic-only this is the only
 gate run, since it can block on any host while the timing gates cannot.
+
+The traffic gate dispatches on the files' "bench" field. For "transfer"
+files (bench_transfer_micro) it compares the paper's §5.3 bytes per role,
+TRANSFER_TRAFFIC_FIELDS, of every `transfers` row exactly with the
+reference row of the same block_size; these rows are the same at both bench
+scales. A mismatch, a missing or non-numeric field, or a row of either file
+with no counterpart in the other FAILS and names the block and field. Files
+of different "bench" kinds FAIL without being compared.
 
 Other failures: a missing, non-numeric or non-positive wall_ms or kernel_ms
 (in either file) names the row or file; a run with no row of the
@@ -77,6 +86,10 @@ ENSEMBLE_FLOOR = 1.3
 CLEARTEXT_1M_BUDGET_MS = 10000.0
 
 KEY_FIELDS = ("mode", "N", "D", "block_size", "workers", "scenarios")
+
+# The per-role bytes of one §5.2/§5.3 single-message transfer.
+TRANSFER_TRAFFIC_FIELDS = ("i_recv_bytes", "member_bi_sent_bytes", "j_sent_bytes",
+                           "member_bj_recv_bytes")
 
 
 def is_number(value) -> bool:
@@ -185,6 +198,37 @@ def gate_traffic(run, ref, run_path, ref_path, failures, skips, notes):
         notes.append(f"ok: bytes_per_node of {compared} matched rows equal the reference's")
 
 
+def gate_transfer_traffic(run, ref, run_path, ref_path, failures, notes):
+    """Exact per-role bytes of every transfers row, matched on block_size."""
+    run_rows = {t.get("block_size"): t for t in run.get("transfers", [])}
+    ref_rows = {t.get("block_size"): t for t in ref.get("transfers", [])}
+    for block in ref_rows.keys() - run_rows.keys():
+        failures.append(f"FAIL: transfers block_size={block}: in {ref_path} but not in "
+                        f"{run_path}")
+    compared = 0
+    for block, t in run_rows.items():
+        base = ref_rows.get(block)
+        if base is None:
+            failures.append(f"FAIL: transfers block_size={block}: no counterpart in {ref_path}")
+            continue
+        compared += 1
+        for field in TRANSFER_TRAFFIC_FIELDS:
+            got = t.get(field)
+            want = base.get(field)
+            if not is_number(got) or not is_number(want):
+                failures.append(f"FAIL: transfers block_size={block}: malformed {field} {got!r} "
+                                f"(reference {want!r})")
+            elif got != want:
+                failures.append(f"FAIL: transfers block_size={block}: {field} {got} != "
+                                f"reference {want}")
+    if compared == 0:
+        failures.append(f"FAIL: no transfers row of {run_path} has a counterpart in {ref_path}; "
+                        "traffic not compared")
+    else:
+        notes.append(f"ok: per-role bytes of {compared} matched transfers rows equal the "
+                     "reference's")
+
+
 def gate_ensemble_floor(entries, path, failures, skips, notes):
     ensemble_rows = [e for e in entries if e.get("mode") == "cleartext-ensemble"]
     if not ensemble_rows:
@@ -252,13 +296,13 @@ def informational(entries):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("bench_json", help="the run's BENCH_fig6.json")
+    parser.add_argument("bench_json", help="the run's BENCH_fig6.json or BENCH_transfer.json")
     parser.add_argument("reference_json", nargs="?",
-                        help="the committed BENCH_fig6.json; without it only the "
+                        help="the committed file of the same kind; without it only the "
                              "same-run gates are checked")
     parser.add_argument("--traffic-only", action="store_true",
-                        help="check only that every matched row's bytes_per_node equals "
-                             "the reference's (needs REFERENCE.json)")
+                        help="check only that every matched row's traffic equals the "
+                             "reference's (needs REFERENCE.json)")
     args = parser.parse_args(argv)
     if args.traffic_only and args.reference_json is None:
         parser.error("--traffic-only needs REFERENCE.json")
@@ -274,7 +318,15 @@ def main(argv=None) -> int:
     else:
         with open(args.reference_json) as f:
             ref = json.load(f)
-        gate_traffic(run, ref, args.bench_json, args.reference_json, failures, skips, notes)
+        kind, ref_kind = run.get("bench"), ref.get("bench")
+        if kind != ref_kind:
+            failures.append(f"FAIL: {args.bench_json} is a {kind!r} bench file and "
+                            f"{args.reference_json} a {ref_kind!r} one; nothing compared")
+        elif kind == "transfer":
+            gate_transfer_traffic(run, ref, args.bench_json, args.reference_json, failures,
+                                  notes)
+        else:
+            gate_traffic(run, ref, args.bench_json, args.reference_json, failures, skips, notes)
         if not args.traffic_only:
             gate_normalized(run, ref, args.bench_json, args.reference_json, failures, skips,
                             notes)
@@ -289,7 +341,9 @@ def main(argv=None) -> int:
         for line in failures:
             print(line)
         return 1
-    if args.traffic_only:
+    if args.traffic_only and run.get("bench") == "transfer":
+        print("OK: every transfers row's per-role bytes equal the reference's")
+    elif args.traffic_only:
         print("OK: every matched row's bytes_per_node equals the reference's")
     elif ref is None:
         print("OK: every same-run gate passed")

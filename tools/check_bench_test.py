@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/check_bench.py over synthetic BENCH_fig6.json files.
+"""Unit tests for tools/check_bench.py over synthetic BENCH_fig6.json and
+BENCH_transfer.json files.
 
 Run: python3 tools/check_bench_test.py (ctest runs it as check_bench_test).
 """
@@ -41,6 +42,21 @@ def bench(kernel_ms=25.0, cores=4):
             {"N": 1000, "D": 8, "mode": "cleartext-ensemble", "scenarios": 64,
              "wall_ms": 30.0, "wall_ms_baseline": 70.0, "speedup": 2.33,
              "bytes_per_node": 4589},
+        ],
+    }
+
+
+def transfer_bench():
+    return {
+        "bench": "transfer",
+        "block_size": 8,
+        "primitives_us": {"mul_variable_base": 77.0, "recode": 0.8},
+        "roles": [{"role": "encrypt", "us": 4384.0}],
+        "transfers": [
+            {"block_size": b, "ms": 10.0 * b, "i_recv_bytes": 400 * (b + 1) ** 2,
+             "member_bi_sent_bytes": 400 * (b + 1), "j_sent_bytes": 430 * b,
+             "member_bj_recv_bytes": 429}
+            for b in (8, 12, 16, 20)
         ],
     }
 
@@ -257,6 +273,53 @@ class CheckBenchTest(unittest.TestCase):
         status, out = self.gate(bench(), ref, ("--traffic-only",))
         self.assertEqual(status, 1, out)
         self.assertIn("has a counterpart in", out)
+
+    def test_equal_transfer_traffic_passes(self):
+        run = transfer_bench()
+        for t in run["transfers"]:
+            t["ms"] *= 3  # timing is not compared
+        status, out = self.gate(run, transfer_bench(), ("--traffic-only",))
+        self.assertEqual(status, 0, out)
+        self.assertIn("ok: per-role bytes of 4 matched transfers rows equal the reference's", out)
+        self.assertIn("OK: every transfers row's per-role bytes equal the reference's", out)
+
+    def test_changed_transfer_field_fails_naming_block_and_field(self):
+        run = transfer_bench()
+        run["transfers"][2]["j_sent_bytes"] += 33
+        status, out = self.gate(run, transfer_bench(), ("--traffic-only",))
+        self.assertEqual(status, 1, out)
+        self.assertIn("FAIL: transfers block_size=16: j_sent_bytes 6913 != reference 6880", out)
+        self.assertEqual(out.count("FAIL"), 1, out)
+
+    def test_malformed_transfer_field_fails(self):
+        for bad in (None, "429", True):
+            run = transfer_bench()
+            if bad is None:
+                del run["transfers"][0]["member_bj_recv_bytes"]
+            else:
+                run["transfers"][0]["member_bj_recv_bytes"] = bad
+            status, out = self.gate(run, transfer_bench(), ("--traffic-only",))
+            self.assertEqual(status, 1, f"{bad!r}: {out}")
+            self.assertIn("FAIL: transfers block_size=8: malformed member_bj_recv_bytes", out)
+
+    def test_missing_transfer_block_fails(self):
+        run = transfer_bench()
+        del run["transfers"][3]
+        status, out = self.gate(run, transfer_bench(), ("--traffic-only",))
+        self.assertEqual(status, 1, out)
+        self.assertIn("FAIL: transfers block_size=20: in", out)
+        extra = transfer_bench()
+        extra["transfers"].append(dict(extra["transfers"][0], block_size=24))
+        status, out = self.gate(extra, transfer_bench(), ("--traffic-only",))
+        self.assertEqual(status, 1, out)
+        self.assertIn("FAIL: transfers block_size=24: no counterpart in", out)
+
+    def test_mixed_bench_kinds_fail(self):
+        for run, ref in ((transfer_bench(), bench()), (bench(), transfer_bench())):
+            status, out = self.gate(run, ref, ("--traffic-only",))
+            self.assertEqual(status, 1, out)
+            self.assertIn("nothing compared", out)
+            self.assertNotIn("OK:", out)
 
     def test_traffic_only_needs_a_reference(self):
         with self.assertRaises(SystemExit) as cm, contextlib.redirect_stderr(io.StringIO()):
