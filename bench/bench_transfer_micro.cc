@@ -26,9 +26,13 @@
 //     ~40% smaller; the quadratic/linear/constant split per role is
 //     identical.
 //
-// Everything is written to BENCH_transfer.json in the working directory
-// (CI runs from the repo root and uploads it next to BENCH_fig6.json).
+// Every timing is the median of kReps timed repetitions; each repetition's
+// setup (fresh PRGs, a fresh transport, its input data) runs outside the
+// timer. Everything is written to BENCH_transfer.json in the working
+// directory (CI runs from the repo root and uploads it next to
+// BENCH_fig6.json).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -41,6 +45,28 @@
 
 namespace dstress::bench {
 namespace {
+
+constexpr int kReps = 5;
+
+// Median over kReps calls of `rep`, which runs its own untimed setup and
+// returns the seconds of its timed part.
+template <typename Rep>
+double MedianSeconds(Rep rep) {
+  std::vector<double> seconds;
+  for (int i = 0; i < kReps; i++) {
+    seconds.push_back(rep());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[kReps / 2];
+}
+
+std::vector<crypto::ChaCha20Prg> MemberPrgs(int block_size) {
+  std::vector<crypto::ChaCha20Prg> prgs;
+  for (int x = 0; x < block_size; x++) {
+    prgs.push_back(crypto::ChaCha20Prg::FromSeed(100 + x));
+  }
+  return prgs;
+}
 
 struct RoleRow {
   std::string role;
@@ -73,6 +99,7 @@ void WriteJson(int block_size, const std::vector<PrimitiveRow>& primitives,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"transfer\",\n");
   std::fprintf(f, "  \"block_size\": %d,\n", block_size);
+  std::fprintf(f, "  \"reps\": %d,\n", kReps);
   std::fprintf(f, "  \"primitives_us\": {\n");
   for (size_t i = 0; i < primitives.size(); i++) {
     std::fprintf(f, "    \"%s\": %.3f%s\n", primitives[i].name.c_str(), primitives[i].us,
@@ -116,52 +143,61 @@ std::vector<PrimitiveRow> BenchPrimitives() {
     scalars.push_back(prg.NextScalar(order));
   }
 
-  std::vector<crypto::EcPoint> points;
+  std::vector<crypto::EcPoint> points(kOps);
+  rows.push_back({"mul_variable_base", MedianSeconds([&] {
+                    Stopwatch timer;
+                    for (int i = 0; i < kOps; i++) {
+                      points[i] = base.Mul(scalars[i]);
+                    }
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
+  rows.push_back({"fixed_base_table_build", MedianSeconds([&] {
+                    Stopwatch timer;
+                    crypto::FixedBaseTable table(base);
+                    return timer.ElapsedSeconds();
+                  }) * 1e6});
+  std::vector<crypto::FixedBaseTable::Recoding> recodings(kOps);
+  rows.push_back({"recode", MedianSeconds([&] {
+                    Stopwatch timer;
+                    for (int i = 0; i < kOps; i++) {
+                      recodings[i] = crypto::FixedBaseTable::Recode(scalars[i]);
+                    }
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
   {
-    Stopwatch timer;
-    for (const auto& s : scalars) {
-      points.push_back(base.Mul(s));
-    }
-    rows.push_back({"mul_variable_base", timer.ElapsedSeconds() * 1e6 / kOps});
-  }
-  {
-    Stopwatch timer;
-    crypto::FixedBaseTable table(base);
-    rows.push_back({"fixed_base_table_build", timer.ElapsedSeconds() * 1e6});
-    timer.Reset();
-    std::vector<crypto::FixedBaseTable::Recoding> recodings;
-    for (const auto& s : scalars) {
-      recodings.push_back(crypto::FixedBaseTable::Recode(s));
-    }
-    rows.push_back({"recode", timer.ElapsedSeconds() * 1e6 / kOps});
     // One table against many recodings: the shape of column decryption and
     // the base-OT receiver.
+    crypto::FixedBaseTable table(base);
     std::vector<crypto::AffinePoint> products(kOps);
-    timer.Reset();
-    crypto::MulBatch(table, recodings.data(), kOps, products.data());
-    rows.push_back({"mul_batch_fixed_base_table", timer.ElapsedSeconds() * 1e6 / kOps});
+    rows.push_back({"mul_batch_fixed_base_table", MedianSeconds([&] {
+                      Stopwatch timer;
+                      crypto::MulBatch(table, recodings.data(), kOps, products.data());
+                      return timer.ElapsedSeconds();
+                    }) * 1e6 / kOps});
     for (const crypto::AffinePoint& p : products) {
       DSTRESS_CHECK(!p.infinity);
     }
   }
-  {
-    Stopwatch timer;
-    for (const auto& s : scalars) {
-      crypto::EcPoint p = crypto::MulBase(s);
-      DSTRESS_CHECK(!p.IsInfinity());
-    }
-    rows.push_back({"mul_base_comb", timer.ElapsedSeconds() * 1e6 / kOps});
-  }
-  {
-    std::vector<uint8_t> wire(kOps * crypto::EcPoint::kCompressedSize);
-    Stopwatch timer;
-    crypto::EcPoint::CompressBatch(points.data(), kOps, wire.data());
-    rows.push_back({"compress_batch", timer.ElapsedSeconds() * 1e6 / kOps});
-    std::vector<crypto::AffinePoint> back(kOps);
-    timer.Reset();
-    DSTRESS_CHECK(crypto::EcPoint::DecompressBatch(wire.data(), kOps, back.data()));
-    rows.push_back({"decompress_batch", timer.ElapsedSeconds() * 1e6 / kOps});
-  }
+  rows.push_back({"mul_base_comb", MedianSeconds([&] {
+                    Stopwatch timer;
+                    for (const auto& s : scalars) {
+                      crypto::EcPoint p = crypto::MulBase(s);
+                      DSTRESS_CHECK(!p.IsInfinity());
+                    }
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
+  std::vector<uint8_t> wire(kOps * crypto::EcPoint::kCompressedSize);
+  rows.push_back({"compress_batch", MedianSeconds([&] {
+                    Stopwatch timer;
+                    crypto::EcPoint::CompressBatch(points.data(), kOps, wire.data());
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
+  std::vector<crypto::AffinePoint> back(kOps);
+  rows.push_back({"decompress_batch", MedianSeconds([&] {
+                    Stopwatch timer;
+                    DSTRESS_CHECK(crypto::EcPoint::DecompressBatch(wire.data(), kOps, back.data()));
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
   return rows;
 }
 
@@ -199,40 +235,48 @@ std::vector<RoleRow> BenchRoles(int block_size) {
   }
   std::vector<mpc::BitVector> member_shares(block_size, share);
 
+  // Each role consumes the previous role's output, which is the same on
+  // every repetition: the PRGs are re-seeded outside the timer.
   std::vector<RoleRow> rows;
   std::vector<Bytes> bundles;
-  {
-    std::vector<crypto::ChaCha20Prg> prgs;
-    for (int x = 0; x < block_size; x++) {
-      prgs.push_back(crypto::ChaCha20Prg::FromSeed(100 + x));
-    }
-    Stopwatch timer;
-    bundles = transfer::EncryptSubsharesWire(member_shares, cert, prgs);
-    rows.push_back({"encrypt", timer.ElapsedSeconds() * 1e6 / block_size});
-  }
+  rows.push_back({"encrypt", MedianSeconds([&] {
+                    std::vector<crypto::ChaCha20Prg> prgs = MemberPrgs(block_size);
+                    Stopwatch timer;
+                    std::vector<Bytes> out =
+                        transfer::EncryptSubsharesWire(member_shares, cert, prgs);
+                    const double seconds = timer.ElapsedSeconds();
+                    bundles = std::move(out);
+                    return seconds;
+                  }) * 1e6 / block_size});
   Bytes agg;
-  {
-    auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
-    Stopwatch timer;
-    agg = transfer::AggregateSubsharesWire(bundles, params, mask_prg, noise);
-    rows.push_back({"aggregate", timer.ElapsedSeconds() * 1e6});
-  }
+  rows.push_back({"aggregate", MedianSeconds([&] {
+                    auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
+                    Stopwatch timer;
+                    Bytes out = transfer::AggregateSubsharesWire(bundles, params, mask_prg, noise);
+                    const double seconds = timer.ElapsedSeconds();
+                    agg = std::move(out);
+                    return seconds;
+                  }) * 1e6});
   std::vector<Bytes> columns;
-  {
-    Stopwatch timer;
-    columns = transfer::AdjustAndSplitWire(agg, neighbor_key, params);
-    rows.push_back({"adjust", timer.ElapsedSeconds() * 1e6});
+  rows.push_back({"adjust", MedianSeconds([&] {
+                    Stopwatch timer;
+                    std::vector<Bytes> out =
+                        transfer::AdjustAndSplitWire(agg, neighbor_key, params);
+                    const double seconds = timer.ElapsedSeconds();
+                    columns = std::move(out);
+                    return seconds;
+                  }) * 1e6});
+  std::vector<const transfer::MemberKeys*> member_keys;
+  for (int y = 0; y < block_size; y++) {
+    member_keys.push_back(&dest_keys.members[y]);
   }
-  {
-    std::vector<const transfer::MemberKeys*> member_keys;
-    for (int y = 0; y < block_size; y++) {
-      member_keys.push_back(&dest_keys.members[y]);
-    }
-    std::vector<mpc::BitVector> recovered;
-    Stopwatch timer;
-    DSTRESS_CHECK(transfer::RecoverSharesWire(columns, member_keys, table, params, &recovered));
-    rows.push_back({"recover", timer.ElapsedSeconds() * 1e6 / block_size});
-  }
+  rows.push_back({"recover", MedianSeconds([&] {
+                    std::vector<mpc::BitVector> recovered;
+                    Stopwatch timer;
+                    DSTRESS_CHECK(transfer::RecoverSharesWire(columns, member_keys, table,
+                                                              params, &recovered));
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / block_size});
   return rows;
 }
 
@@ -263,39 +307,46 @@ TransferRow SingleTransfer(int block_size) {
 
   // Nodes: 0 = i, 1 = j, 2.. = block members (distinct for clean per-role
   // accounting).
-  std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(2 + 2 * block_size);
-  net::Transport* net = net_owner.get();
   std::vector<net::NodeId> members_i, members_j;
   std::vector<const transfer::MemberKeys*> member_keys;
-  std::vector<crypto::ChaCha20Prg> prgs;
   for (int m = 0; m < block_size; m++) {
     members_i.push_back(2 + m);
     members_j.push_back(2 + block_size + m);
     member_keys.push_back(&dest_keys.members[m]);
-    prgs.push_back(crypto::ChaCha20Prg::FromSeed(100 + m));
   }
-  auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
   constexpr net::SessionId kSession = 1;
 
-  Stopwatch timer;
-  transfer::SendBundles(net, members_i, 0, kSession, shares, cert, prgs);
-  transfer::AggregateAtSource(net, 0, members_i, 1, kSession, params, mask_prg, noise);
-  transfer::AdjustAtDest(net, 1, 0, members_j, kSession, neighbor_key, params);
-  std::vector<mpc::BitVector> received =
-      transfer::RecoverAtMembers(net, members_j, 1, kSession, member_keys, table, params);
+  // A fresh transport and fresh PRGs per repetition, so every repetition
+  // sends the same bytes.
   TransferRow row;
   row.block_size = block_size;
-  row.ms = timer.ElapsedSeconds() * 1e3;
-  DSTRESS_CHECK(mpc::ReconstructBits(received) == message);
-  row.i_recv_bytes = net->NodeStats(0).bytes_received;
-  row.member_bi_sent_bytes = net->NodeStats(members_i[0]).bytes_sent;
-  row.j_sent_bytes = net->NodeStats(1).bytes_sent;
-  row.member_bj_recv_bytes = net->NodeStats(members_j[0]).bytes_received;
+  const double seconds = MedianSeconds([&] {
+    std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(2 + 2 * block_size);
+    net::Transport* net = net_owner.get();
+    std::vector<crypto::ChaCha20Prg> prgs = MemberPrgs(block_size);
+    auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
+    Stopwatch timer;
+    transfer::SendBundles(net, members_i, 0, kSession, shares, cert, prgs);
+    transfer::AggregateAtSource(net, 0, members_i, 1, kSession, params, mask_prg, noise);
+    transfer::AdjustAtDest(net, 1, 0, members_j, kSession, neighbor_key, params);
+    std::vector<mpc::BitVector> received =
+        transfer::RecoverAtMembers(net, members_j, 1, kSession, member_keys, table, params);
+    const double elapsed = timer.ElapsedSeconds();
+    DSTRESS_CHECK(mpc::ReconstructBits(received) == message);
+    row.i_recv_bytes = net->NodeStats(0).bytes_received;
+    row.member_bi_sent_bytes = net->NodeStats(members_i[0]).bytes_sent;
+    row.j_sent_bytes = net->NodeStats(1).bytes_sent;
+    row.member_bj_recv_bytes = net->NodeStats(members_j[0]).bytes_received;
+    return elapsed;
+  });
+  row.ms = seconds * 1e3;
   return row;
 }
 
 void Run() {
-  std::printf("# transfer-phase crypto microbenchmarks (docs/transfer-crypto.md)\n");
+  std::printf("# transfer-phase crypto microbenchmarks (docs/transfer-crypto.md), median of %d "
+              "repetitions\n",
+              kReps);
 
   std::printf("\n# EC primitives\n%28s %12s\n", "op", "us");
   std::vector<PrimitiveRow> primitives = BenchPrimitives();

@@ -39,7 +39,8 @@ namespace dstress::core {
 // Thread budget for a phase scheduler: `max_parallel_tasks` if nonzero,
 // else 4x hardware concurrency (oversubscribed so blocking intra-group
 // receives still leave runnable threads), 16 when concurrency is unknown.
-// Shared by core::Runtime and the engine's cleartext backend.
+// core::Runtime's budget. The engine's cleartext backend sizes its pool
+// to the hardware threads instead: the graph plane's tasks never block.
 int ResolveThreadBudget(int max_parallel_tasks);
 
 class WorkerPool {

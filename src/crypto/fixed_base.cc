@@ -12,11 +12,10 @@ void RecodeHalf(const U256& k, int sign, int8_t out[FixedBaseTable::kHalfWindows
   int carry = 0;
   for (int j = 0; j < FixedBaseTable::kHalfWindows; j++) {
     int d = static_cast<int>((k.w[j / 16] >> (4 * (j % 16))) & 0xF) + carry;
-    carry = 0;
-    if (d > 8) {
-      d -= 16;
-      carry = 1;
-    }
+    // d is in [0, 16]; d > 8 becomes d - 16 with a carry, without a
+    // branch on the scalar's bits.
+    carry = (d + 7) >> 4;
+    d -= carry << 4;
     out[j] = static_cast<int8_t>(sign * d);
   }
   // GLV halves are < 2^129, so window 32 (bits 128..131) absorbs the final

@@ -5,6 +5,7 @@
 // pinned by the golden digests in tests/graphplane_test.cc.
 #include <algorithm>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,19 @@ namespace {
 constexpr net::SessionId kEdgeSession = 1ULL << 60;
 constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
+
+// The plane's pool size: `max_parallel_tasks` if set, else one thread per
+// hardware thread (4 when the count is unknown). Its tasks never block, so
+// core::ResolveThreadBudget's 4x oversubscription, which keeps the secure
+// runtime's blocking groups fed, would only add threads and their
+// thread-local scratch.
+int PlaneThreads(int max_parallel_tasks) {
+  if (max_parallel_tasks > 0) {
+    return max_parallel_tasks;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : static_cast<int>(hw);
+}
 
 uint64_t BitsToWord(const std::vector<uint8_t>& bits) {
   uint64_t value = 0;
@@ -75,8 +89,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     }
 
     net_ = net::MakeTransport(config_.transport, graph_.num_vertices());
-    pool_ = std::make_unique<core::WorkerPool>(
-        core::ResolveThreadBudget(config_.max_parallel_tasks));
+    pool_ = std::make_unique<core::WorkerPool>(PlaneThreads(config_.max_parallel_tasks));
   }
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }

@@ -1,6 +1,7 @@
 #include "src/graphplane/plane.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/common/bits.h"
@@ -14,6 +15,17 @@ namespace {
 // scratch (num_wires * chunk words) cache-resident, same sizing as the
 // packed-share data plane's chunking.
 constexpr size_t kWordsPerTask = 16;
+
+// Bit 0 of each of the 8 state bytes at `bytes`, byte i as bit i (the
+// `& 1` of a per-byte loop). The mask leaves bit 8i; the multiply moves it
+// to bit 56 + i, and no two of the 64 partial products share a bit
+// position, so no carry reaches the top byte. Byte i loads as bits
+// 8i..8i+7 because the host is little-endian (src/common/bytes.h).
+inline uint64_t GatherBit0(const uint8_t* bytes) {
+  uint64_t x = 0;
+  std::memcpy(&x, bytes, sizeof(x));
+  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
 
 int SlotOf(const std::vector<int>& neighbors, int target) {
   for (size_t i = 0; i < neighbors.size(); i++) {
@@ -154,31 +166,57 @@ void GraphPlane::PackStates(const std::vector<std::vector<mpc::BitVector>>& lane
       DSTRESS_CHECK(static_cast<int>(state.size()) == sb_);
     }
   }
-  // Lane b of word w enters the block as word b (its state rows as bits);
-  // the transpose turns the block into the rows' lane words.
-  uint64_t block[64];
-  for (size_t w = 0; w < words_; w++) {
-    for (int r0 = 0; r0 < sb_; r0 += 64) {
-      const int rows = std::min(64, sb_ - r0);
-      for (int b = 0; b < 64; b++) {
-        const size_t lane = w * 64 + static_cast<size_t>(b);
-        const size_t v = lane / static_cast<size_t>(stride_);
-        const int s = static_cast<int>(lane % static_cast<size_t>(stride_));
-        uint64_t word = 0;
-        if (v < static_cast<size_t>(n_) && s < num_scenarios_) {
-          const uint8_t* bits = lanes[first + static_cast<size_t>(s)][v].data() + r0;
-          for (int r = 0; r < rows; r++) {
-            word |= static_cast<uint64_t>(bits[r] & 1) << r;
+  // Each task packs its words' blocks of 64 lanes x 64 state rows: lane b
+  // of word w enters block (w, row block) as word b, its state rows as
+  // bits, and one transpose turns the block into the rows' lane words.
+  const size_t row_blocks = (static_cast<size_t>(sb_) + 63) / 64;
+  const size_t stride = static_cast<size_t>(stride_);
+  const size_t num_tasks = (words_ + kWordsPerTask - 1) / kWordsPerTask;
+  pool_->RunGrouped(num_tasks, 1, [&](size_t task, size_t) {
+    const size_t w0 = task * kWordsPerTask;
+    const size_t cw = std::min(kWordsPerTask, words_ - w0);
+    static thread_local std::vector<uint64_t> blocks;
+    const size_t block_words = cw * row_blocks * 64;
+    if (blocks.size() < block_words) blocks.resize(block_words);
+    // Lanes past S or past the last vertex are never gathered: zero.
+    std::fill_n(blocks.begin(), block_words, 0);
+    // Scenario by scenario, so consecutive reads are one lane's states for
+    // consecutive vertices (consecutive allocations). A stride divides 64,
+    // so the task's lanes are exactly vertices [v0, v1) of every scenario.
+    const size_t v0 = w0 * 64 / stride;
+    const size_t v1 = std::min(static_cast<size_t>(n_), (w0 + cw) * 64 / stride);
+    for (size_t s = 0; s < static_cast<size_t>(num_scenarios_); s++) {
+      const std::vector<mpc::BitVector>& states = lanes[first + s];
+      for (size_t v = v0; v < v1; v++) {
+        const size_t lane = v * stride + s;
+        uint64_t* block = &blocks[(lane / 64 - w0) * row_blocks * 64 + lane % 64];
+        const uint8_t* bits = states[v].data();
+        for (int r0 = 0; r0 < sb_; r0 += 64, block += 64) {
+          const int rows = std::min(64, sb_ - r0);
+          uint64_t word = 0;
+          int r = 0;
+          for (; r + 8 <= rows; r += 8) {
+            word |= GatherBit0(bits + r0 + r) << r;
           }
+          for (; r < rows; r++) {
+            word |= static_cast<uint64_t>(bits[r0 + r] & 1) << r;
+          }
+          *block = word;
         }
-        block[b] = word;
-      }
-      TransposeBits64x64(block);
-      for (int r = 0; r < rows; r++) {
-        in_mat_.row(static_cast<size_t>(r0 + r))[w] = block[r];
       }
     }
-  }
+    for (size_t k = 0; k < cw; k++) {
+      for (size_t rb = 0; rb < row_blocks; rb++) {
+        uint64_t* block = &blocks[(k * row_blocks + rb) * 64];
+        TransposeBits64x64(block);
+        const int r0 = static_cast<int>(rb) * 64;
+        const int rows = std::min(64, sb_ - r0);
+        for (int r = 0; r < rows; r++) {
+          in_mat_.row(static_cast<size_t>(r0 + r))[w0 + k] = block[r];
+        }
+      }
+    }
+  });
 }
 
 void GraphPlane::ComputeStep() {

@@ -98,8 +98,10 @@ class GraphPlane {
   // input arena. Call after Reset(): in-slot rows stay at ⊥ (all-zero),
   // matching the container plane's init. Works in blocks of 64 lanes x 64
   // state rows, one bit transpose per block, for any state width and
-  // stride; lanes past S (and past the last vertex) pack as zero. Aborts
-  // unless every lane holds one state_bits-wide state per vertex.
+  // stride; lanes past S (and past the last vertex) pack as zero. Word
+  // ranges are pool tasks, as in ComputeStep, and each reads bit 0 of a
+  // state byte, 8 bytes per multiply. Aborts unless every lane holds one
+  // state_bits-wide state per vertex.
   void PackStates(const std::vector<std::vector<mpc::BitVector>>& lanes, size_t first);
 
   // One computation step: evaluates every active word's lanes through the

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/crypto/chacha20.h"
+#include "tests/u256_oracle.h"
 
 namespace dstress::crypto {
 namespace {
@@ -60,6 +61,75 @@ TEST(FixedBaseTableTest, MulBatchMatchesGenericMulOnCorpus) {
     for (size_t i = 0; i < corpus.size(); i++) {
       EXPECT_EQ(EcPoint::FromAffinePoint(out[i]), base.Mul(corpus[i])) << "scalar " << i;
     }
+  }
+}
+
+// Recode's digits are the signed 4-bit windows of the two GLV halves:
+// every digit lies in [-8, 8], the table's range, and
+// sum d1_j 16^j + lambda * sum d2_j 16^j is the scalar mod n, checked
+// through the oracle, which shares no code with the split or the
+// recoding. The range is checked with each half's sign divided out, as
+// [-7, 8]: the digit set whose expansion is unique, so the digits are
+// pinned, not only valid. Inputs: GlvSplitTest's edge scalars (ec_test),
+// unreduced ones, and PRG scalars.
+TEST(FixedBaseTableTest, RecodeDigitsAreSignedWindowsOfTheScalar) {
+  const U256& n = CurveOrder();
+  const U256 lambda =
+      U256::FromHex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  ASSERT_EQ(ModPow(lambda, U256(3), n), U256::One());
+  auto reduce = [&n](U256 v) {
+    while (Cmp(v, n) >= 0) {
+      SubWithBorrow(v, n, &v);
+    }
+    return v;
+  };
+  // sum d_j 16^j mod n, Horner from the top window down.
+  auto window_sum = [&n](const int8_t* digits) {
+    U256 acc;
+    for (int j = FixedBaseTable::kHalfWindows - 1; j >= 0; j--) {
+      for (int doubling = 0; doubling < 4; doubling++) {
+        acc = ModAdd(acc, acc, n);
+      }
+      acc = digits[j] >= 0 ? ModAdd(acc, U256(static_cast<uint64_t>(digits[j])), n)
+                           : ModSub(acc, U256(static_cast<uint64_t>(-digits[j])), n);
+    }
+    return acc;
+  };
+  const U256 half_n = Shr(n, 1);
+  const U256 all_ones(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<U256> inputs = {U256(0),
+                              U256(1),
+                              U256(2),
+                              ModSub(U256(0), U256(1), n),
+                              ModSub(U256(0), U256(2), n),
+                              half_n,
+                              ModAdd(half_n, U256(1), n),
+                              lambda,
+                              ModSub(U256(0), lambda, n),
+                              Shl(U256::One(), 128),
+                              ModSub(Shl(U256::One(), 129), U256(1), n),
+                              reduce(Shl(U256::One(), 255)),
+                              reduce(all_ones),
+                              n,
+                              all_ones};
+  auto prg = ChaCha20Prg::FromSeed(79);
+  while (inputs.size() < 10000) {
+    inputs.push_back(prg.NextScalar(n));
+  }
+
+  for (const U256& k : inputs) {
+    const FixedBaseTable::Recoding r = FixedBaseTable::Recode(k);
+    U256 k1, k2;
+    int sign1 = 0, sign2 = 0;
+    SplitScalarGlv(reduce(k), &k1, &sign1, &k2, &sign2);
+    for (int j = 0; j < FixedBaseTable::kHalfWindows; j++) {
+      const int d1 = sign1 * r.digit1[j];
+      const int d2 = sign2 * r.digit2[j];
+      ASSERT_TRUE(d1 >= -7 && d1 <= 8 && d2 >= -7 && d2 <= 8) << k.ToHex() << " window " << j;
+    }
+    ASSERT_EQ(ModAdd(window_sum(r.digit1), ModMul(lambda, window_sum(r.digit2), n), n),
+              reduce(k))
+        << k.ToHex();
   }
 }
 

@@ -12,7 +12,7 @@
 //     equal to the arena plane's before that plane was deleted.
 //
 //  2. Unit tests driving graphplane::GraphPlane directly. PackStates must
-//     round-trip every lane at any state width and stride. Frontier: words
+//     round-trip every lane at any state width, stride and pool size. Frontier: words
 //     deactivate when their inputs stop changing, reactivate when a changed
 //     message is delivered, every edge is still metered every iteration,
 //     and W > 1 scenario lanes converge independently without cross-lane
@@ -489,48 +489,70 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   EXPECT_EQ(sums[2], 7u);   // 0 + 0 + 7
 }
 
-// PackStates packs blocks of 64 lanes x 64 state rows: every lane of every
-// vertex must read back its own state at widths below, at and above one
-// block, at solo and ensemble strides, with a short last word, and from an
-// offset into the lane list.
+// PackStates packs blocks of 64 lanes x 64 state rows on the pool, 16
+// lane words per task, gathering bit 0 of 8 state bytes at a time: every
+// lane of every vertex must read back bit 0 of each of its state bytes at
+// widths below, at and above one block (with and without a partial 8-byte
+// group, and EN's D=8 width with its 48-row last block), at solo and
+// ensemble strides, with a short last word, from an offset into the lane
+// list, on pools of 1 and 4 threads, and at every stride for a vertex
+// count whose words span several tasks, the last one partial. State bytes
+// are random, not just 0 or 1. Lanes past S in a vertex's lane group pack
+// as zero.
 TEST(GraphPlanePackTest, PackStatesRoundTripsEveryWidthAndStride) {
-  const int n = 70;
-  graph::Graph g(n);
-  g.AddEdge(0, 1);
-  core::WorkerPool pool(2);
-  net::SimNetwork net(n);
   Rng rng(5);
   const struct {
     int scenarios;
     int stride;
-  } shapes[] = {{1, 1}, {3, 4}, {64, 64}};
-  for (int bits : {5, 64, 130}) {
-    core::VertexProgram program = PropagateProgram(bits, 1);
-    circuit::Circuit update = core::BuildUpdateCircuit(program);
-    circuit::EvalPlan plan(update);
-    for (const auto& shape : shapes) {
-      graphplane::GraphPlane::Options options;
-      options.num_scenarios = shape.scenarios;
-      options.stride = shape.stride;
-      graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
-      const size_t first = 1;  // lane 0 of the list belongs to another chunk
-      std::vector<std::vector<mpc::BitVector>> lanes(first + shape.scenarios);
-      for (auto& states : lanes) {
-        for (int v = 0; v < n; v++) {
-          mpc::BitVector state(static_cast<size_t>(bits));
-          for (auto& bit : state) {
-            bit = static_cast<uint8_t>(rng.Next() & 1);
+    int n;  // n * stride / 64 > 16 words
+  } shapes[] = {{1, 1, 2100}, {3, 4, 530}, {64, 64, 70}};
+  for (int threads : {1, 4}) {
+    core::WorkerPool pool(threads);
+    for (int bits : {5, 13, 64, 77, 130, 304}) {
+      core::VertexProgram program = PropagateProgram(bits, 1);
+      circuit::Circuit update = core::BuildUpdateCircuit(program);
+      circuit::EvalPlan plan(update);
+      for (const auto& shape : shapes) {
+        const int n = shape.n;
+        graph::Graph g(n);
+        g.AddEdge(0, 1);
+        net::SimNetwork net(n);
+        graphplane::GraphPlane::Options options;
+        options.num_scenarios = shape.scenarios;
+        options.stride = shape.stride;
+        graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
+        const size_t first = 1;  // lane 0 of the list belongs to another chunk
+        std::vector<std::vector<mpc::BitVector>> lanes(first + shape.scenarios);
+        for (auto& states : lanes) {
+          for (int v = 0; v < n; v++) {
+            mpc::BitVector state(static_cast<size_t>(bits));
+            for (auto& byte : state) {
+              byte = static_cast<uint8_t>(rng.Next());
+            }
+            states.push_back(std::move(state));
           }
-          states.push_back(std::move(state));
         }
-      }
-      plane.Reset();
-      plane.PackStates(lanes, first);
-      for (int s = 0; s < shape.scenarios; s++) {
-        for (int v = 0; v < n; v++) {
-          ASSERT_EQ(plane.VertexState(v, s), lanes[first + s][static_cast<size_t>(v)])
-              << "bits " << bits << " lanes " << shape.scenarios << " vertex " << v
-              << " lane " << s;
+        plane.Reset();
+        plane.PackStates(lanes, first);
+        for (int s = 0; s < shape.scenarios; s++) {
+          for (int v = 0; v < n; v++) {
+            mpc::BitVector expected = lanes[first + s][static_cast<size_t>(v)];
+            for (auto& byte : expected) {
+              byte &= 1;
+            }
+            ASSERT_EQ(plane.VertexState(v, s), expected)
+                << "threads " << threads << " bits " << bits << " lanes " << shape.scenarios
+                << " n " << n << " vertex " << v << " lane " << s;
+          }
+        }
+        for (int r = 0; shape.stride > shape.scenarios && r < bits; r++) {
+          for (int v = 0; v < n; v++) {
+            ASSERT_EQ(plane.StateLaneGroup(static_cast<size_t>(r), v, shape.stride) >>
+                          shape.scenarios,
+                      0u)
+                << "threads " << threads << " bits " << bits << " row " << r << " vertex "
+                << v;
+          }
         }
       }
     }
