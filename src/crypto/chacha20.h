@@ -22,8 +22,8 @@ void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t coun
 inline constexpr uint32_t kChaChaSigma[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
 
 // The 20-round ChaCha permutation of a 16-word state, in place and without
-// the feed-forward. Generic over the word type so that lane-parallel
-// callers (ot::CrHashRows, over a vector of 32-bit lanes) share the round
+// the feed-forward. Generic over the word type so that the lane-parallel
+// kernel (chacha20.cc, over vectors of 32-bit lanes) shares the round
 // function with ChaCha20Block.
 template <typename Word>
 void ChaChaRounds(Word x[16]) {
@@ -53,6 +53,18 @@ void ChaChaRounds(Word x[16]) {
   }
 }
 
+// The fixed-key ChaCha20 hash of 128-bit inputs, one output bit each: for
+// j < count, bit j of `out` becomes
+//   bit 0 of output word 0 of ChaCha20Block(
+//       key = x_j || le64(first_index + j) || le64(tag), nonce = 0, counter = 0),
+// where x_j is (rows[2j] ^ mask[0], rows[2j + 1] ^ mask[1]) as two
+// little-endian words. `out` has (count + 63) / 64 words and is
+// overwritten; bits past `count` are 0. IKNP's correlation-robust hash
+// is this function under its domain tag (ot::kCrHashTag). Runs on the
+// lane-parallel kernel (chacha20_lanes.h) at this CPU's width.
+void ChaCha20HashBits(const uint64_t* rows, size_t count, uint64_t first_index,
+                      const uint64_t mask[2], uint64_t tag, uint64_t* out);
+
 class ChaCha20Prg {
  public:
   // Deterministic PRG from a 32-byte key. The 12-byte nonce defaults to a
@@ -62,6 +74,9 @@ class ChaCha20Prg {
   // entry point; protocol code should pass full-entropy keys.
   static ChaCha20Prg FromSeed(uint64_t seed, uint64_t stream_id = 0);
 
+  // Draws of two or more whole blocks past the buffered one are written
+  // straight into `out` by the lane-parallel kernel, several counter blocks
+  // per pass; only the head and the tail go through the 64-byte buffer.
   void Fill(uint8_t* out, size_t len);
   Bytes NextBytes(size_t len);
   uint8_t NextByte();

@@ -149,10 +149,19 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                 "%llu triples consumed\n",
                 report.metrics.update_and_gates, report.metrics.update_and_depth,
                 static_cast<unsigned long long>(report.metrics.triples_consumed));
-  // OT-triple runs name their offline phase (docs/offline-phase.md) so
-  // reported walls are attributable.
+  // OT-triple runs name their offline phase (docs/offline-phase.md) and
+  // print its cost, so reported walls are attributable: generation time
+  // overlaps the online phase, and the wait is what the online phase lost.
+  std::string offline_line;
   if (spec.use_ot_triples) {
     transport += ", triples: ot";
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "offline triples:     %.2f s generating, %.2f s online wait, "
+                  "%llu base-OT executions\n",
+                  report.metrics.offline_seconds, report.metrics.offline_wait_seconds,
+                  static_cast<unsigned long long>(report.metrics.base_ot_executions));
+    offline_line = line;
   }
   char buf[1024];
   std::snprintf(
@@ -163,13 +172,14 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
       "banks:               %d (block size %d, %d iterations)\n"
       "shocked banks:       %zu\n"
       "%s"
+      "%s"
       "released TDS:        %lld money units (eps=%.3f, leverage r=%.2f)\n"
       "reference TDS:       %llu money units (cleartext check, not released)\n"
       "wall time:           %.2f s\n"
       "traffic per bank:    %.2f MB\n",
       report.model_name.c_str(), ExecutionModeName(report.mode), transport.c_str(),
       num_vertices, spec.block_size, report.iterations, spec.shock.shocked_banks.size(),
-      circuit_line,
+      circuit_line, offline_line.c_str(),
       static_cast<long long>(report.released), spec.epsilon, spec.leverage,
       static_cast<unsigned long long>(report.reference), report.metrics.total_seconds,
       report.metrics.avg_bytes_per_node / 1e6);

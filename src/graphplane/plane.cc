@@ -147,7 +147,10 @@ GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& pro
 }
 
 void GraphPlane::Reset() {
-  std::fill(in_mat_.data(), in_mat_.data() + in_mat_.rows() * in_mat_.words_per_row(), 0);
+  // The state rows [0, state_bits) are left to PackStates, which writes
+  // every word of them; a new plane's start at zero.
+  std::fill(in_mat_.row(static_cast<size_t>(sb_)),
+            in_mat_.data() + in_mat_.rows() * in_mat_.words_per_row(), 0);
   std::fill(out_msg_mat_.data(),
             out_msg_mat_.data() + out_msg_mat_.rows() * out_msg_mat_.words_per_row(), 0);
   std::fill(active_.begin(), active_.end(), 1);

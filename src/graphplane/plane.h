@@ -89,19 +89,21 @@ class GraphPlane {
   size_t lane_words() const { return words_; }
   const std::vector<uint64_t>& valid_masks() const { return valid_mask_; }
 
-  // Zeroes both arenas, re-arms the frontier (everything active) and
-  // clears the stats. One Reset + PackStates per run.
+  // Zeroes the message arena and the input arena's in-slot rows, re-arms
+  // the frontier (everything active) and clears the stats. It leaves the
+  // state rows [0, state_bits) as they are: PackStates, which must follow,
+  // rewrites every word of them. One Reset + PackStates per run.
   void Reset();
 
   // Packs the initial states of this plane's S lanes, lanes[first + s][v]
   // being lane s's state for vertex v, into rows [0, state_bits) of the
-  // input arena. Call after Reset(): in-slot rows stay at ⊥ (all-zero),
-  // matching the container plane's init. Works in blocks of 64 lanes x 64
-  // state rows, one bit transpose per block, for any state width and
-  // stride; lanes past S (and past the last vertex) pack as zero. Word
-  // ranges are pool tasks, as in ComputeStep, and each reads bit 0 of a
-  // state byte, 8 bytes per multiply. Aborts unless every lane holds one
-  // state_bits-wide state per vertex.
+  // input arena, every word of them. Call right after Reset(): in-slot
+  // rows stay at ⊥ (all-zero), matching the container plane's init. Works
+  // in blocks of 64 lanes x 64 state rows, one bit transpose per block, for
+  // any state width and stride; lanes past S (and past the last vertex)
+  // pack as zero. Word ranges are pool tasks, as in ComputeStep, and each
+  // reads bit 0 of a state byte, 8 bytes per multiply. Aborts unless every
+  // lane holds one state_bits-wide state per vertex.
   void PackStates(const std::vector<std::vector<mpc::BitVector>>& lanes, size_t first);
 
   // One computation step: evaluates every active word's lanes through the

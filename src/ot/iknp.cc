@@ -18,13 +18,6 @@ crypto::ChaCha20Prg PrgFromKey(const OtKey& key, uint64_t stream_id) {
   return crypto::ChaCha20Prg(full, stream_id);
 }
 
-// Four OTs' copies of one ChaCha20 state word, a 32-bit lane each. These
-// are GCC vector extensions: plain SSE2 on x86-64 and NEON on arm64, with
-// no intrinsics and no target flags.
-typedef uint32_t U32x4 __attribute__((vector_size(16)));
-
-U32x4 Splat(uint32_t v) { return U32x4{v, v, v, v}; }
-
 PackedBits PrgBits(crypto::ChaCha20Prg& prg, size_t words) {
   PackedBits out(words);
   prg.Fill(reinterpret_cast<uint8_t*>(out.data()), words * 8);
@@ -49,42 +42,6 @@ void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_
         rows[2 * (64 * b + c) + h] = block[c];
       }
     }
-  }
-}
-
-void CrHashRows(const uint64_t* rows, size_t count, uint64_t first_index, const uint64_t mask[2],
-                uint64_t* out) {
-  std::fill_n(out, PackedWords(count), 0);
-  for (size_t j = 0; j < count; j += 4) {
-    // Lane k hashes OT j + k. Lanes past `count` hash a zero row and are
-    // dropped, so no row past the end is read.
-    const size_t lanes = std::min<size_t>(4, count - j);
-    U32x4 x[16] = {Splat(crypto::kChaChaSigma[0]), Splat(crypto::kChaChaSigma[1]),
-                   Splat(crypto::kChaChaSigma[2]), Splat(crypto::kChaChaSigma[3])};
-    for (size_t k = 0; k < 4; k++) {
-      if (k < lanes) {
-        const uint64_t lo = rows[2 * (j + k)] ^ mask[0];
-        const uint64_t hi = rows[2 * (j + k) + 1] ^ mask[1];
-        x[4][k] = static_cast<uint32_t>(lo);
-        x[5][k] = static_cast<uint32_t>(lo >> 32);
-        x[6][k] = static_cast<uint32_t>(hi);
-        x[7][k] = static_cast<uint32_t>(hi >> 32);
-      }
-      const uint64_t index = first_index + j + k;
-      x[8][k] = static_cast<uint32_t>(index);
-      x[9][k] = static_cast<uint32_t>(index >> 32);
-    }
-    x[10] = Splat(static_cast<uint32_t>(kCrHashTag));
-    x[11] = Splat(static_cast<uint32_t>(kCrHashTag >> 32));
-    // Words 12-15 (block counter and nonce) stay zero.
-    crypto::ChaChaRounds(x);
-    // The feed-forward, on the one output word the hash keeps.
-    const U32x4 word0 = x[0] + Splat(crypto::kChaChaSigma[0]);
-    uint64_t bits = 0;
-    for (int k = 0; k < 4; k++) {
-      bits |= static_cast<uint64_t>(word0[k] & 1) << k;
-    }
-    out[j / 64] |= (bits & ((1ULL << lanes) - 1)) << (j % 64);
   }
 }
 
@@ -133,8 +90,9 @@ RandomOtPairs IknpSender::Extend(size_t count) {
   out.r0.resize(words);
   out.r1.resize(words);
   const uint64_t no_mask[2] = {0, 0};
-  CrHashRows(rows.data(), count, ot_counter_, no_mask, out.r0.data());
-  CrHashRows(rows.data(), count, ot_counter_, s_bits_.data(), out.r1.data());
+  crypto::ChaCha20HashBits(rows.data(), count, ot_counter_, no_mask, kCrHashTag, out.r0.data());
+  crypto::ChaCha20HashBits(rows.data(), count, ot_counter_, s_bits_.data(), kCrHashTag,
+                           out.r1.data());
   ot_counter_ += count;
   return out;
 }
@@ -155,18 +113,23 @@ RandomOtChosen IknpReceiver::Extend(const PackedBits& choices, size_t count) {
   size_t words = PackedWords(count);
   DSTRESS_CHECK(choices.size() >= words);
 
+  // Column i of u is t_i ^ PRG(k_i^1) ^ choices. The message is allocated
+  // once at its size, and the mask is drawn straight into it.
   std::vector<PackedBits> t_cols(kIknpKappa);
-  ByteWriter u_block;
+  Bytes u_block(static_cast<size_t>(kIknpKappa) * words * 8);
   for (int i = 0; i < kIknpKappa; i++) {
     PackedBits t = PrgBits(prg0_[i], words);
-    PackedBits mask = PrgBits(prg1_[i], words);
+    uint8_t* u = u_block.data() + static_cast<size_t>(i) * words * 8;
+    prg1_[i].Fill(u, words * 8);
     for (size_t w = 0; w < words; w++) {
-      uint64_t u = t[w] ^ mask[w] ^ choices[w];
-      u_block.U64(u);
+      uint64_t uw;
+      std::memcpy(&uw, u + w * 8, 8);
+      uw ^= t[w] ^ choices[w];
+      std::memcpy(u + w * 8, &uw, 8);
     }
     t_cols[i] = std::move(t);
   }
-  net_->Send(self_, peer_, u_block.Take(), session_);
+  net_->Send(self_, peer_, std::move(u_block), session_);
 
   std::vector<uint64_t> rows(count * 2);
   TransposeColumns(t_cols, count, rows.data());
@@ -175,7 +138,7 @@ RandomOtChosen IknpReceiver::Extend(const PackedBits& choices, size_t count) {
   out.count = count;
   out.r.resize(words);
   const uint64_t no_mask[2] = {0, 0};
-  CrHashRows(rows.data(), count, ot_counter_, no_mask, out.r.data());
+  crypto::ChaCha20HashBits(rows.data(), count, ot_counter_, no_mask, kCrHashTag, out.r.data());
   ot_counter_ += count;
   return out;
 }

@@ -3,7 +3,7 @@
 // Turns kappa = 128 base OTs (base_ot.h) into an unbounded stream of cheap
 // random OTs on single bits using only symmetric crypto: a ChaCha20 PRG
 // expands the base-OT keys into the column matrix, and a fixed-key ChaCha20
-// permutation hashes each OT's row (CrHashRows). The paper notes that
+// permutation hashes each OT's row (kCrHashTag). The paper notes that
 // Wysteria's GMW backend relies on exactly this optimization to keep MPC
 // traffic low (§5.3, [41, 46]). docs/offline-phase.md "Cost of an extend"
 // has the hash's definition, its security argument and measured costs.
@@ -40,27 +40,21 @@ struct RandomOtChosen {
   size_t count = 0;
 };
 
-// The two kernels of an Extend, exposed so tests can pin them to per-bit
-// and scalar references.
-//
-// TransposeColumns transposes the kappa x count bit matrix whose column i
+// An Extend's transpose, exposed so tests can pin it to a per-bit
+// reference. It transposes the kappa x count bit matrix whose column i
 // is cols[i] into rows: row j is (rows[2j], rows[2j+1]), and its bit i is
 // bit j of cols[i]. Runs as 64x64 block transposes, one per 64 OTs and
 // 64-column half.
 void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_t* rows);
 
 // Domain tag of the correlation-robust hash: the ASCII bytes "IKNP-CRH".
-inline constexpr uint64_t kCrHashTag = 0x4852432D504E4B49ULL;
-
-// The correlation-robust hash over all rows of an Extend. With
+// An Extend hashes OT j's 128-bit row x (two little-endian words) as
 //   H(j, x) = bit 0 of output word 0 of crypto::ChaCha20Block(
 //       key = x || le64(j) || le64(kCrHashTag), nonce = 0, counter = 0),
-// where x is a 128-bit row as two little-endian words, bit j of `out`
-// becomes H(first_index + j, row_j ^ mask) for j < count. `out` has
-// PackedWords(count) words and is overwritten; bits past `count` are 0.
-// Evaluates four OTs at a time, one per 32-bit vector lane.
-void CrHashRows(const uint64_t* rows, size_t count, uint64_t first_index, const uint64_t mask[2],
-                uint64_t* out);
+// all rows at once through crypto::ChaCha20HashBits under this tag, which
+// evaluates 4, 8 or 16 OTs at a time, as wide as the CPU's vector
+// registers.
+inline constexpr uint64_t kCrHashTag = 0x4852432D504E4B49ULL;
 
 class IknpSender {
  public:

@@ -266,6 +266,33 @@ TEST(ScenarioRunTest, EndToEndEnAndEgj) {
   }
 }
 
+// OT-triple runs print the offline layer's cost (generation, online wait,
+// base-OT executions); dealer runs print no such line.
+TEST(ScenarioRunTest, ReportShowsOfflineCostForOtRunsOnly) {
+  for (bool ot : {false, true}) {
+    std::string text = "network core_periphery 6 2\niterations 1\nblock_size 2\nshock 0\nseed 4\n";
+    if (ot) {
+      text += "triples ot\n";
+    }
+    std::string error;
+    auto spec = ParseScenario(text, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    engine::Engine engine(*spec);
+    engine::RunReport report = engine.Run();
+    const std::string formatted = engine::FormatReport(*spec, report);
+    const size_t line = formatted.find("offline triples:");
+    if (!ot) {
+      EXPECT_EQ(line, std::string::npos) << formatted;
+      continue;
+    }
+    ASSERT_NE(line, std::string::npos) << formatted;
+    EXPECT_GT(report.metrics.base_ot_executions, 0u);
+    const std::string executions =
+        " " + std::to_string(report.metrics.base_ot_executions) + " base-OT executions\n";
+    EXPECT_NE(formatted.find(executions, line), std::string::npos) << formatted;
+  }
+}
+
 TEST(ScenarioParseTest, DuplicateShockedBankRejected) {
   std::string error;
   auto spec = ParseScenario("network core_periphery 10 3\nshock 0 3 3\n", &error);

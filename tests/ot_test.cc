@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "src/crypto/chacha20_lanes.h"
 #include "src/crypto/ec.h"
 #include "src/crypto/sha256.h"
 #include "src/net/sim_network.h"
@@ -384,17 +385,23 @@ bool ReferenceCrHash(uint64_t index, uint64_t lo, uint64_t hi) {
   return (block[0] & 1) != 0;
 }
 
-TEST(IknpKernelTest, LaneKernelMatchesScalarChaChaDefinition) {
+using HashRowsFn = std::function<void(const uint64_t* rows, size_t count, uint64_t first_index,
+                                       const uint64_t mask[2], uint64_t* out)>;
+
+// Checks a lane kernel's hash against ReferenceCrHash. The counts cover a
+// partial, a whole and a spilled pass at 4, 8 and 16 lanes, and partial,
+// exact and multi-word outputs.
+void ExpectHashMatchesReference(const HashRowsFn& hash) {
   const PackedBits s = RandomWords(2, 71, 0);
   const uint64_t zero[2] = {0, 0};
   // The second start index makes the OT indices cross 2^32 mid-array.
   for (uint64_t first : {uint64_t{0}, (uint64_t{1} << 32) - 2}) {
-    for (size_t count : {1, 3, 4, 5, 63, 64, 65, 4097}) {
+    for (size_t count : {1, 3, 4, 5, 15, 16, 17, 31, 33, 63, 64, 65, 4097}) {
       const PackedBits rows = RandomWords(2 * count, 72, count);
       for (const uint64_t* mask : {zero, s.data()}) {
         // One spare word past the output, poisoned, to catch overruns.
         PackedBits out(PackedWords(count) + 1, ~0ULL);
-        CrHashRows(rows.data(), count, first, mask, out.data());
+        hash(rows.data(), count, first, mask, out.data());
         for (size_t j = 0; j < count; j++) {
           const bool expect =
               ReferenceCrHash(first + j, rows[2 * j] ^ mask[0], rows[2 * j + 1] ^ mask[1]);
@@ -409,6 +416,34 @@ TEST(IknpKernelTest, LaneKernelMatchesScalarChaChaDefinition) {
     }
   }
 }
+
+TEST(IknpKernelTest, LaneKernelMatchesScalarChaChaDefinition) {
+  ExpectHashMatchesReference([](const uint64_t* rows, size_t count, uint64_t first_index,
+                                const uint64_t mask[2], uint64_t* out) {
+    crypto::ChaCha20HashBits(rows, count, first_index, mask, kCrHashTag, out);
+  });
+}
+
+// The same check at every width the kernel is compiled at; a width this
+// CPU cannot run is skipped, not passed.
+class IknpKernelWidthTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IknpKernelWidthTest, LaneKernelMatchesScalarChaChaDefinition) {
+  const crypto::internal::ChaChaKernels* kernels = crypto::internal::ChaChaKernelsAt(GetParam());
+  if (kernels == nullptr) {
+    GTEST_SKIP() << "this CPU cannot run the " << GetParam() << "-lane kernel";
+  }
+  ExpectHashMatchesReference([kernels](const uint64_t* rows, size_t count, uint64_t first_index,
+                                       const uint64_t mask[2], uint64_t* out) {
+    kernels->hash_bits(rows, count, first_index, mask, kCrHashTag, out);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, IknpKernelWidthTest,
+                         ::testing::ValuesIn(crypto::internal::kChaChaLaneWidths),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param);
+                         });
 
 // Golden digest of a fixed-seed Extend transcript: one session pair runs
 // the corpus as consecutive Extends (so later calls hash at nonzero OT
