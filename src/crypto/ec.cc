@@ -60,24 +60,51 @@ void ToSignMagnitude(const U256& v, U256* magnitude, int* sign) {
   }
 }
 
-// Width-5 wNAF digit expansion; returns the index of the top nonzero digit.
-int ComputeWnaf(U256 e, int8_t digits[260]) {
-  int top = -1;
-  for (int i = 0; !e.IsZero(); i++) {
-    int8_t d = 0;
-    if (e.IsOdd()) {
-      int v = static_cast<int>(e.w[0] & 31);
-      if (v >= 16) {
-        v -= 32;
-        AddWithCarry(e, U256(static_cast<uint64_t>(-v)), &e);
-      } else {
-        SubWithBorrow(e, U256(static_cast<uint64_t>(v)), &e);
-      }
-      d = static_cast<int8_t>(v);
-      top = i;
+// Bits [bit, bit + count) of e as an integer, count <= 5; bits past 255
+// read as zero.
+int BitsAt(const U256& e, int bit, int count) {
+  const int word = bit >> 6;
+  const int shift = bit & 63;
+  if (word >= 4) {
+    return 0;
+  }
+  uint64_t v = e.w[word] >> shift;
+  if (shift + count > 64 && word < 3) {
+    v |= e.w[word + 1] << (64 - shift);
+  }
+  return static_cast<int>(v & ((1u << count) - 1));
+}
+
+// Index of the first bit of e at or after `bit` that differs from `carry`
+// (bits past 255 read as zero), or 257 when there is none.
+int NextBitNot(const U256& e, int bit, int carry) {
+  const uint64_t flip = carry ? ~0ULL : 0;
+  for (; bit < 256; bit = (bit | 63) + 1) {
+    const uint64_t v = (e.w[bit >> 6] ^ flip) >> (bit & 63);
+    if (v != 0) {
+      return bit + __builtin_ctzll(v);
     }
-    digits[i] = d;
-    e = Shr(e, 1);
+  }
+  return carry ? bit : 257;
+}
+
+// Width-5 wNAF digit expansion, written into a zeroed `digits` (nonzero
+// digits only); returns the index of the top nonzero digit, or -1 for e = 0.
+// A word-level scan with a carry (the window method of libsecp256k1's
+// secp256k1_ecmult_wnaf): runs of bits equal to the carry are skipped with
+// one count-trailing-zeros per word, and each digit takes the next 5 bits
+// plus the carry.
+int ComputeWnaf(const U256& e, int8_t digits[260]) {
+  constexpr int kWidth = 5;
+  int top = -1;
+  int carry = 0;
+  for (int bit = NextBitNot(e, 0, 0); bit <= 256; bit = NextBitNot(e, bit, carry)) {
+    int d = BitsAt(e, bit, kWidth) + carry;  // odd: bit `bit` differs from the carry
+    carry = (d >> (kWidth - 1)) & 1;
+    d -= carry << kWidth;
+    digits[bit] = static_cast<int8_t>(d);
+    top = bit;
+    bit += kWidth;
   }
   return top;
 }

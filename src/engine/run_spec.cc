@@ -163,7 +163,7 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                   static_cast<unsigned long long>(report.metrics.base_ot_executions));
     offline_line = line;
   }
-  char buf[1024];
+  char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
       "model:               %s\n"
@@ -175,15 +175,27 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
       "%s"
       "released TDS:        %lld money units (eps=%.3f, leverage r=%.2f)\n"
       "reference TDS:       %llu money units (cleartext check, not released)\n"
+      "%s"
       "wall time:           %.2f s\n"
       "traffic per bank:    %.2f MB\n",
       report.model_name.c_str(), ExecutionModeName(report.mode), transport.c_str(),
       num_vertices, spec.block_size, report.iterations, spec.shock.shocked_banks.size(),
       circuit_line, offline_line.c_str(),
       static_cast<long long>(report.released), spec.epsilon, spec.leverage,
-      static_cast<unsigned long long>(report.reference), report.metrics.total_seconds,
+      static_cast<unsigned long long>(report.reference),
+      FormatPhaseLine(report.metrics).c_str(), report.metrics.total_seconds,
       report.metrics.avg_bytes_per_node / 1e6);
   return buf + FormatHaLines(spec, report.metrics);
+}
+
+std::string FormatPhaseLine(const core::RunMetrics& metrics) {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "phases:              init %.2fs, compute %.2fs, communicate %.2fs,"
+                " aggregate %.2fs\n",
+                metrics.init.seconds, metrics.compute.seconds, metrics.communicate.seconds,
+                metrics.aggregate.seconds);
+  return line;
 }
 
 std::string FormatHaLines(const RunSpec& spec, const core::RunMetrics& metrics) {

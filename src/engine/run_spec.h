@@ -203,6 +203,12 @@ struct RunReport {
 // examples/dstress_run).
 std::string FormatReport(const RunSpec& spec, const RunReport& report);
 
+// The "phases:" line of a report, solo and ensemble alike: seconds spent
+// in the run's init, compute (GMW or the graph plane's step), communicate
+// (edge transfers) and aggregate phases, so a report attributes its wall
+// time without a profiler.
+std::string FormatPhaseLine(const core::RunMetrics& metrics);
+
 // The HA lines that end a report (docs/ha.md), solo and ensemble alike:
 // "ha overhead:" when the transport's fault-tolerance layer was on or the
 // run resumed from a checkpoint, then "resumed: from iteration N" when it

@@ -170,13 +170,10 @@ std::string FormatEnsembleReport(const engine::RunSpec& spec, const EnsembleRepo
       out += buf;
     }
   }
+  out += engine::FormatPhaseLine(report.metrics);
   std::snprintf(buf, sizeof(buf),
-                "phases:              init %.2fs, compute %.2fs, communicate %.2fs,"
-                " aggregate %.2fs\n"
                 "wall time:           %.2f s\n"
                 "traffic per bank:    %.2f MB\n",
-                report.metrics.init.seconds, report.metrics.compute.seconds,
-                report.metrics.communicate.seconds, report.metrics.aggregate.seconds,
                 report.metrics.total_seconds, report.metrics.avg_bytes_per_node / 1e6);
   out += buf;
   return out + engine::FormatHaLines(spec, report.metrics);

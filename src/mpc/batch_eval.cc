@@ -27,8 +27,20 @@ struct Group {
   PackedShareMatrix ta, tb, tc;  // num_and x W
   std::vector<uint64_t> leader_mask;  // bit c set iff member c is leader
   size_t triple_cursor = 0;
-  // Current layer's masked openings, wire-major (layer_size x W).
+  // Current layer's masked openings, wire-major: rows [0, layer size) of
+  // matrices sized once for the plan's widest AND layer.
   PackedShareMatrix d_rows, e_rows;
+};
+
+// One (executing node, peer) pair of directed channels and the sorted
+// instances the two share. The run sent on `out` and the run expected on
+// `in` both carry exactly these instances' openings, in sorted-instance
+// order (the agreed per-channel message order).
+struct ChannelPair {
+  net::ChannelHandle out;  // self -> peer
+  net::ChannelHandle in;   // peer -> self
+  std::vector<size_t> shared;
+  std::vector<uint32_t> sizes;  // this round's message sizes, both ways
 };
 
 void XorRows(const uint64_t* a, const uint64_t* b, uint64_t* z, size_t words) {
@@ -79,11 +91,8 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
     groups[it->second].members.push_back(s);
   }
 
-  // Directed channels this call exchanges on: for each (executing node,
-  // peer) pair, the sorted instances they share — both the sends (self ->
-  // peer) and the expected receives (peer -> self) of one channel-pair are
-  // exactly this list, in sorted-instance order (the agreed per-channel
-  // message order).
+  // Channel pairs this call exchanges on, in (self, peer) order, with
+  // their handles resolved once for every round.
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<size_t>> channel_instances;
   for (size_t s = 0; s < count; s++) {
     const BatchInstance& inst = instances[sorted[s]];
@@ -93,6 +102,15 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
         channel_instances[{inst_self, p}].push_back(s);
       }
     }
+  }
+  std::vector<ChannelPair> pairs;
+  pairs.reserve(channel_instances.size());
+  for (auto& [channel, shared] : channel_instances) {
+    ChannelPair& pair = pairs.emplace_back();
+    pair.out = net->OpenChannel(channel.first, channel.second, session);
+    pair.in = net->OpenChannel(channel.second, channel.first, session);
+    pair.shared = std::move(shared);
+    pair.sizes.reserve(pair.shared.size());
   }
 
   size_t max_depth = 0;
@@ -106,6 +124,12 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
     g.ta = PackedShareMatrix(num_and, w_count);
     g.tb = PackedShareMatrix(num_and, w_count);
     g.tc = PackedShareMatrix(num_and, w_count);
+    size_t widest_layer = 0;
+    for (const auto& layer : plan.and_layers()) {
+      widest_layer = std::max(widest_layer, layer.size());
+    }
+    g.d_rows = PackedShareMatrix(widest_layer, w_count);
+    g.e_rows = PackedShareMatrix(widest_layer, w_count);
     g.leader_mask.assign(g.shares.words_per_row(), 0);
     for (size_t c = 0; c < w_count; c++) {
       const BatchInstance& inst = instances[sorted[g.members[c]]];
@@ -206,10 +230,12 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
     eval_local_layer(g, 0);
   }
 
-  // Per-instance opened d/e accumulators and serialized payloads for the
-  // current round; hoisted so their buffers are reused across rounds.
+  // Per-instance opened d/e accumulators, per-instance layer sizes, and
+  // one channel's outgoing and incoming run for the current round; hoisted
+  // so their buffers are reused across rounds.
   std::vector<PackedBits> opened(count);
-  std::vector<Bytes> payload(count);
+  std::vector<size_t> layer_size(count);
+  Bytes run, incoming;
   size_t rounds = 0;
 
   for (size_t round = 1; round <= max_depth; round++) {
@@ -227,8 +253,6 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
       const auto& layer = plan.and_layers()[round];
       const size_t n = layer.size();
       const size_t words = g.shares.words_per_row();
-      g.d_rows = PackedShareMatrix(n, g.members.size());
-      g.e_rows = PackedShareMatrix(n, g.members.size());
       for (size_t i = 0; i < n; i++) {
         const Gate& gate = plan.gates()[layer[i]];
         size_t t = g.triple_cursor + i;
@@ -277,60 +301,46 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
       rounds++;
     }
 
-    std::vector<size_t> round_layer_size(count);
     for (size_t s = 0; s < count; s++) {
       const circuit::EvalPlan& plan = *instances[sorted[s]].plan;
-      round_layer_size[s] = round < plan.and_layers().size() ? plan.and_layers()[round].size() : 0;
+      layer_size[s] = round < plan.and_layers().size() ? plan.and_layers()[round].size() : 0;
     }
-    auto layer_size_of = [&](size_t s) -> size_t { return round_layer_size[s]; };
 
-    // Superstep: all sends first (never blocking), then the receives. One
-    // SendBatch run per channel carries this round's per-instance messages,
-    // and one RecvBatch drains the mirror channel. Each instance's payload
-    // is serialized once (little-endian u64 words, the ExchangeXor format)
-    // and copied per peer.
-    for (size_t s = 0; s < count; s++) {
-      if (layer_size_of(s) == 0) {
-        continue;
-      }
-      payload[s].resize(opened[s].size() * 8);
-      std::memcpy(payload[s].data(), opened[s].data(), payload[s].size());
-    }
-    for (auto& [channel, shared] : channel_instances) {
-      std::vector<Bytes> messages;
-      messages.reserve(shared.size());
-      for (size_t s : shared) {
-        if (layer_size_of(s) != 0) {
-          messages.push_back(payload[s]);
-        }
-      }
-      if (!messages.empty()) {
-        net->SendBatch(channel.first, channel.second, std::move(messages), session);
-      }
-    }
-    for (auto& [channel, shared] : channel_instances) {
-      size_t expected = 0;
-      for (size_t s : shared) {
-        if (layer_size_of(s) != 0) {
-          expected++;
-        }
-      }
-      if (expected == 0) {
-        continue;
-      }
-      std::vector<Bytes> incoming =
-          net->RecvBatch(channel.first, channel.second, expected, session);
-      size_t next = 0;
-      for (size_t s : shared) {
-        if (layer_size_of(s) == 0) {
+    // Superstep: all sends first (never blocking), then the receives. Each
+    // channel carries this round's openings of its shared instances as one
+    // run — each instance's block (little-endian u64 words, the ExchangeXor
+    // format) one message of it — and the mirror channel's run is drained
+    // with every boundary checked against the size this side expects.
+    for (ChannelPair& pair : pairs) {
+      pair.sizes.clear();
+      run.clear();
+      for (size_t s : pair.shared) {
+        if (layer_size[s] == 0) {
           continue;
         }
-        const Bytes& msg = incoming[next++];
-        DSTRESS_CHECK(msg.size() == opened[s].size() * 8);
-        for (size_t w = 0; w < opened[s].size(); w++) {
-          uint64_t word;
-          std::memcpy(&word, msg.data() + w * 8, 8);
-          opened[s][w] ^= word;
+        const auto* words = reinterpret_cast<const uint8_t*>(opened[s].data());
+        pair.sizes.push_back(static_cast<uint32_t>(opened[s].size() * 8));
+        run.insert(run.end(), words, words + opened[s].size() * 8);
+      }
+      if (!pair.sizes.empty()) {
+        net->SendRun(pair.out, run, pair.sizes);
+      }
+    }
+    for (ChannelPair& pair : pairs) {
+      if (pair.sizes.empty()) {
+        continue;
+      }
+      net->RecvRun(pair.in, pair.sizes, &incoming);
+      const uint8_t* at = incoming.data();
+      for (size_t s : pair.shared) {
+        if (layer_size[s] == 0) {
+          continue;
+        }
+        for (uint64_t& word : opened[s]) {
+          uint64_t theirs;
+          std::memcpy(&theirs, at, 8);
+          word ^= theirs;
+          at += 8;
         }
       }
     }

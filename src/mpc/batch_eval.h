@@ -12,16 +12,20 @@
 // task per node evaluates all of its instances together, bitsliced
 // instance-minor (PackedShareMatrix) so XOR/NOT/CONST gates cost one word
 // op per 64 instances, and ships each layer's d/e openings for all
-// instances in one coalesced SendBatch run per peer.
+// instances sharing a peer as one run on that channel (net::Transport's
+// SendRun/RecvRun: one buffer plus message boundaries). The channel
+// handles are resolved once per call (OpenChannel), and the run buffer and
+// boundary lists are reused across rounds.
 //
 // Wire compatibility is a hard invariant: the batched path sends exactly
 // the same per-instance payloads as the unbatched path — one
 // [d-words | e-words] block per instance per nonempty AND layer per peer,
-// byte-identical to GmwParty::Eval's message — as individual messages
-// inside the SendBatch run. Per-node TrafficStats (bytes *and* message
-// counts) are therefore bit-identical to the unbatched schedule; only the
-// session ids and the synchronization cost differ. Communication rounds
-// stay equal to the circuit's AND depth.
+// byte-identical to GmwParty::Eval's message — as individual messages of
+// the run: the transport meters, observes and delivers each on its own,
+// and the receiver checks every message's size. Per-node TrafficStats
+// (bytes *and* message counts) are therefore bit-identical to the
+// unbatched schedule; only the session ids and the synchronization cost
+// differ. Communication rounds stay equal to the circuit's AND depth.
 //
 // Deadlock freedom: all participating nodes run their batch call
 // concurrently (the runtime admits the whole phase as one worker-pool

@@ -20,9 +20,10 @@
 //    (packed.h), turning the free gates into word ops (64 instances per
 //    uint64 lane), drawing all W * num_and triples in one bulk
 //    TripleSource::Generate, and coalescing each AND layer's W opening
-//    messages per peer into one SendBatch run. Rounds stay equal to the
-//    AND depth, and each instance's messages stay byte-identical to a solo
-//    Eval — see batch_eval.h. Eval is the W=1 case.
+//    messages per peer into one run (Transport::SendRun). Rounds stay
+//    equal to the AND depth, and each instance's messages stay
+//    byte-identical to a solo Eval — see batch_eval.h. Eval is the W=1
+//    case.
 //
 // Collusion resistance: with k+1 parties, any k colluding members see only
 // uniformly random shares (GMW's guarantee), matching assumption 3 of the

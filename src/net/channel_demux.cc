@@ -60,6 +60,33 @@ void ChannelDemuxTransport::SetObserver(NetworkObserver* observer) {
   observer_.store(observer, std::memory_order_release);
 }
 
+ChannelDemuxTransport::Entry::Entry(Bytes buffer, const Bytes& payload,
+                                    const std::vector<uint32_t>& sizes)
+    : data(std::move(buffer)), count(static_cast<uint32_t>(sizes.size())) {
+  DSTRESS_CHECK(sizes.size() > 1 && sizes.size() <= UINT32_MAX);
+  data.assign(payload.begin(), payload.end());
+  const auto* table = reinterpret_cast<const uint8_t*>(sizes.data());
+  data.insert(data.end(), table, table + 4 * sizes.size());
+}
+
+Bytes ChannelDemuxTransport::PopMessage(Channel& ch) {
+  Entry& front = ch.queue.front();
+  const size_t size = front.Size(front.next);
+  Bytes msg;
+  if (front.count == 1) {
+    msg = std::move(front.data);
+  } else {
+    const uint8_t* begin = front.data.data() + front.offset;
+    msg.assign(begin, begin + size);
+  }
+  front.offset += size;
+  if (++front.next == front.count) {
+    ch.queue.pop_front();
+  }
+  ch.queued_bytes -= size;
+  return msg;
+}
+
 ChannelDemuxTransport::Channel& ChannelDemuxTransport::ChannelFor(const ChannelKey& key) {
   {
     std::shared_lock<std::shared_mutex> read(channels_mu_);
@@ -121,9 +148,7 @@ Bytes ChannelDemuxTransport::Recv(NodeId to, NodeId from, SessionId session) {
     // Loaded after the wait: a Recv parked before an (otherwise legal)
     // pre-traffic attach must still record its OnRecv.
     NetworkObserver* observer = observer_.load(std::memory_order_acquire);
-    msg = std::move(ch.queue.front());
-    ch.queue.pop_front();
-    ch.queued_bytes -= msg.size();
+    msg = PopMessage(ch);
     if (observer != nullptr) {
       observer->OnRecv(to, from, session, msg);
     }
@@ -131,6 +156,32 @@ Bytes ChannelDemuxTransport::Recv(NodeId to, NodeId from, SessionId session) {
   counters_[to]->bytes_received.fetch_add(msg.size(), std::memory_order_relaxed);
   counters_[to]->messages_received.fetch_add(1, std::memory_order_relaxed);
   return msg;
+}
+
+uint64_t ChannelDemuxTransport::TakeMessages(std::unique_lock<std::mutex>& lock, Channel& ch,
+                                             NodeId to, NodeId from, SessionId session,
+                                             size_t count, const std::vector<uint32_t>* sizes,
+                                             std::vector<Bytes>* messages) {
+  uint64_t bytes = 0;
+  while (messages->size() < count) {
+    ch.cv.wait(lock, [&] { return !ch.queue.empty() || PairDead(from, to); });
+    if (ch.queue.empty()) {
+      AbortDeadPeer(to, from, session);
+    }
+    NetworkObserver* observer = observer_.load(std::memory_order_acquire);
+    while (!ch.queue.empty() && messages->size() < count) {
+      Bytes msg = PopMessage(ch);
+      if (sizes != nullptr) {
+        DSTRESS_CHECK(msg.size() == (*sizes)[messages->size()]);
+      }
+      if (observer != nullptr) {
+        observer->OnRecv(to, from, session, msg);
+      }
+      bytes += msg.size();
+      messages->push_back(std::move(msg));
+    }
+  }
+  return bytes;
 }
 
 std::vector<Bytes> ChannelDemuxTransport::RecvBatch(NodeId to, NodeId from, size_t count,
@@ -145,27 +196,82 @@ std::vector<Bytes> ChannelDemuxTransport::RecvBatch(NodeId to, NodeId from, size
   uint64_t bytes = 0;
   {
     std::unique_lock<std::mutex> lock(ch.mu);
-    while (messages.size() < count) {
-      ch.cv.wait(lock, [&] { return !ch.queue.empty() || PairDead(from, to); });
-      if (ch.queue.empty()) {
-        AbortDeadPeer(to, from, session);
-      }
-      NetworkObserver* observer = observer_.load(std::memory_order_acquire);
-      while (!ch.queue.empty() && messages.size() < count) {
-        Bytes msg = std::move(ch.queue.front());
-        ch.queue.pop_front();
-        ch.queued_bytes -= msg.size();
-        if (observer != nullptr) {
-          observer->OnRecv(to, from, session, msg);
-        }
-        bytes += msg.size();
-        messages.push_back(std::move(msg));
-      }
-    }
+    bytes = TakeMessages(lock, ch, to, from, session, count, /*sizes=*/nullptr, &messages);
   }
   counters_[to]->bytes_received.fetch_add(bytes, std::memory_order_relaxed);
   counters_[to]->messages_received.fetch_add(count, std::memory_order_relaxed);
   return messages;
+}
+
+ChannelHandle ChannelDemuxTransport::OpenChannel(NodeId from, NodeId to, SessionId session) {
+  DSTRESS_CHECK(from >= 0 && from < num_nodes_ && to >= 0 && to < num_nodes_);
+  // Stored before ChannelFor takes the shared lock, as a Send would (see
+  // SetObserver): every send through the handle is then ordered after any
+  // attach that this call did not abort.
+  traffic_started_.store(true, std::memory_order_release);
+  return ChannelHandle{from, to, session, &ChannelFor(ChannelKey{from, to, session})};
+}
+
+void ChannelDemuxTransport::RecvRun(const ChannelHandle& channel,
+                                    const std::vector<uint32_t>& sizes, Bytes* out_buffer) {
+  Bytes& out = *out_buffer;
+  out.clear();
+  const NodeId to = channel.to;
+  const NodeId from = channel.from;
+  const size_t count = sizes.size();
+  if (count == 0) {
+    return;
+  }
+  uint64_t total = 0;
+  for (uint32_t size : sizes) {
+    total += size;
+  }
+  Channel& ch = Resolved(channel);
+  std::vector<Bytes> messages;
+  {
+    std::unique_lock<std::mutex> lock(ch.mu);
+    ch.cv.wait(lock, [&] { return !ch.queue.empty() || PairDead(from, to); });
+    if (ch.queue.empty()) {
+      AbortDeadPeer(to, from, channel.session);
+    }
+    Entry& front = ch.queue.front();
+    if (front.next == 0 && front.count == count) {
+      // The entry is exactly this run: check its boundaries and hand its
+      // buffer over, size table cut off, keeping the caller's old buffer
+      // as the channel's spare.
+      NetworkObserver* observer = observer_.load(std::memory_order_acquire);
+      size_t offset = 0;
+      for (uint32_t i = 0; i < front.count; i++) {
+        const size_t size = front.Size(i);
+        DSTRESS_CHECK(size == sizes[i]);
+        if (observer != nullptr) {
+          const uint8_t* begin = front.data.data() + offset;
+          observer->OnRecv(to, from, channel.session, Bytes(begin, begin + size));
+        }
+        offset += size;
+      }
+      out.swap(front.data);
+      out.resize(total);
+      ch.spare = std::move(front.data);
+      ch.queue.pop_front();
+      ch.queued_bytes -= total;
+    } else {
+      // The run's messages lie in several entries (tcp frames, or runs
+      // mixed with keyed sends): take them as RecvBatch does, buffers moved
+      // out under the lock, and copy and free them after it, so the
+      // channel's writer (a tcp reader thread) is not held up.
+      messages.reserve(count);
+      TakeMessages(lock, ch, to, from, channel.session, count, &sizes, &messages);
+    }
+  }
+  if (!messages.empty()) {
+    out.reserve(total);
+    for (const Bytes& message : messages) {
+      out.insert(out.end(), message.begin(), message.end());
+    }
+  }
+  counters_[to]->bytes_received.fetch_add(total, std::memory_order_relaxed);
+  counters_[to]->messages_received.fetch_add(count, std::memory_order_relaxed);
 }
 
 TrafficStats ChannelDemuxTransport::NodeStats(NodeId node) const {

@@ -9,18 +9,30 @@
 // attach-before-traffic observer rule — is semantics the two must share
 // bit for bit, so it lives here exactly once and backends inherit it.
 //
+// Channel handles (OpenChannel) point straight at a channel's queue, so
+// RecvRun (and SimNetwork's SendRun) skips the map and its shared_mutex. A
+// queue entry is one message or one run: the messages of a SendRun back to
+// back, then a table of their sizes, in one buffer. A receive takes the
+// next messages in order whatever entries hold them: a Recv may split a
+// run, a RecvRun may span several entries, and a RecvRun that matches a run
+// entry whole takes its buffer. Each message is metered, observed and
+// counted against the watermark on its own either way.
+//
 // Concurrency contract for derived Send paths: store traffic_started_
 // before acquiring channels_mu_ (shared) and load observer_ under it. With
 // SetObserver holding channels_mu_ exclusively, either the attach CHECK
 // observes the started traffic and aborts, or the attach fully completes
 // first and the send observes the new pointer — never a silently
-// unobserved message.
+// unobserved message. OpenChannel follows the same contract once for all
+// of a handle's later sends, which is why opening a channel counts as
+// traffic.
 #ifndef SRC_NET_CHANNEL_DEMUX_H_
 #define SRC_NET_CHANNEL_DEMUX_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -29,6 +41,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/check.h"
 #include "src/net/transport.h"
 
 namespace dstress::net {
@@ -58,6 +71,14 @@ class ChannelDemuxTransport : public Transport {
   std::vector<Bytes> RecvBatch(NodeId to, NodeId from, size_t count,
                                SessionId session = 0) override;
 
+  // Resolves the channel's queue once (marking traffic as started, see
+  // above); RecvRun drains through it. Sends through a handle are the
+  // backend's business: SimNetwork enqueues a run as one entry, TcpNetwork
+  // keeps the default (a SendBatch of per-message frames).
+  ChannelHandle OpenChannel(NodeId from, NodeId to, SessionId session = 0) override;
+  void RecvRun(const ChannelHandle& channel, const std::vector<uint32_t>& sizes,
+               Bytes* out) override;
+
   TrafficStats NodeStats(NodeId node) const override;
   uint64_t TotalBytes() const override;
   uint64_t MaxBytesPerNode() const override;
@@ -75,11 +96,41 @@ class ChannelDemuxTransport : public Transport {
   }
 
  protected:
-  struct Channel {
+  // One queue entry: a single message (Send, SendBatch, a tcp frame) or a
+  // run of `count` > 1 messages (SimNetwork::SendRun) lying back to back in
+  // `data`, followed by their sizes as `count` u32s.
+  struct Entry {
+    explicit Entry(Bytes message) : data(std::move(message)) {}
+    // The run `payload` (sizes.size() > 1 messages, sizes summing to
+    // payload.size()) and its size table, written into `buffer`, whose
+    // capacity is reused.
+    Entry(Bytes buffer, const Bytes& payload, const std::vector<uint32_t>& sizes);
+
+    // Size of message i of the entry.
+    size_t Size(uint32_t i) const {
+      if (count == 1) {
+        return data.size();
+      }
+      uint32_t size;
+      std::memcpy(&size, data.data() + data.size() - 4 * (count - i), 4);
+      return size;
+    }
+
+    Bytes data;
+    uint32_t count = 1;
+    uint32_t next = 0;   // messages already dequeued
+    size_t offset = 0;   // byte offset of message `next` in data
+  };
+
+  struct Channel : ChannelState {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Bytes> queue;
-    size_t queued_bytes = 0;  // bytes currently in `queue`
+    std::deque<Entry> queue;
+    size_t queued_bytes = 0;  // bytes of undelivered messages in `queue`
+    // A buffer RecvRun handed back when it took a run entry whole; the
+    // channel's next SendRun writes its run into it, so a channel that
+    // carries one run per round stops allocating.
+    Bytes spare;
   };
 
   struct PerNodeCounters {
@@ -107,6 +158,22 @@ class ChannelDemuxTransport : public Transport {
   };
 
   Channel& ChannelFor(const ChannelKey& key);
+  // The channel behind a handle this transport opened.
+  static Channel& Resolved(const ChannelHandle& handle) {
+    DSTRESS_DCHECK(handle.state != nullptr);
+    return *static_cast<Channel*>(handle.state);
+  }
+  // Dequeues the next message of a nonempty queue (under ch.mu): a single
+  // message's buffer itself, or a copy of the next message of a run.
+  static Bytes PopMessage(Channel& ch);
+  // Moves the channel's next `count` messages into an empty *messages,
+  // waiting on ch.cv with `lock` (held on ch.mu) as needed, aborting on a
+  // dead peer, checking message i against (*sizes)[i] as it arrives when
+  // sizes is given, and running OnRecv per message. Returns their bytes;
+  // meters nothing.
+  uint64_t TakeMessages(std::unique_lock<std::mutex>& lock, Channel& ch, NodeId to, NodeId from,
+                        SessionId session, size_t count, const std::vector<uint32_t>* sizes,
+                        std::vector<Bytes>* messages);
   void CheckWatermark(const Channel& ch) const;
   void MeterSend(NodeId from, uint64_t bytes, uint64_t messages);
 

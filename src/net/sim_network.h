@@ -15,10 +15,15 @@
 //
 // Channels are keyed by (from, to, session); see transport.h for the
 // FIFO/session semantics and channel_demux.h for the shared queue/metering
-// core (Recv, stats, observer rule) this backend inherits. SendBatch takes
-// the channel lock once and wakes the consumer once for a whole run of
-// messages, which is what makes the batched GMW layer's one SendBatch run
-// per peer (mpc/batch_eval.h) worthwhile on this backend.
+// core (Recv, RecvRun, stats, observer rule) this backend inherits.
+// SendRun is the batched GMW exchange's path (mpc/batch_eval.h): through a
+// channel handle resolved once per call, one round's openings for a peer
+// become one queue entry — the payload and its size table in one buffer —
+// under one lock acquisition and one consumer wakeup. The receiver's
+// RecvRun takes that buffer over whole and leaves its previous one as the
+// channel's spare, which the next SendRun fills, so the rounds of a call
+// allocate nothing once buffer sizes settle. SendBatch amortizes the lock
+// and wakeup the same way but queues one entry per message.
 #ifndef SRC_NET_SIM_NETWORK_H_
 #define SRC_NET_SIM_NETWORK_H_
 
@@ -42,9 +47,15 @@ class SimNetwork : public ChannelDemuxTransport {
   void Send(NodeId from, NodeId to, Bytes message, SessionId session = 0) override;
 
   // Batched Send: identical FIFO boundaries and metering, one lock
-  // acquisition and one consumer wakeup for the whole run.
+  // acquisition and one consumer wakeup for the whole batch.
   void SendBatch(NodeId from, NodeId to, std::vector<Bytes> messages,
                  SessionId session = 0) override;
+
+  // Run send (transport.h) through a handle from OpenChannel: one queue
+  // entry for the whole run, with per-message OnSend, metering and
+  // watermark checks identical to SendBatch.
+  void SendRun(const ChannelHandle& channel, const Bytes& data,
+               const std::vector<uint32_t>& sizes) override;
 
   // Bulk self-delivery metering (transport.h): payloads that the arena
   // graph plane moved through its own memory never leave the process on

@@ -369,7 +369,7 @@ void TcpNetwork::ReaderLoop(NodeId bank, int fd, FrameDecoder decoder) {
     {
       std::lock_guard<std::mutex> lock(ch.mu);
       ch.queued_bytes += payload.size();
-      ch.queue.push_back(std::move(payload));
+      ch.queue.emplace_back(std::move(payload));
       CheckWatermark(ch);
     }
     ch.cv.notify_one();

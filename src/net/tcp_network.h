@@ -28,6 +28,9 @@
 //    against SetObserver exactly as in SimNetwork), OnRecv at Recv.
 //  * The high-watermark cap bounds bytes delivered to a channel but not yet
 //    Recv'd (frames still inside the socket path are not counted).
+//  * Runs (transport.h): SendRun keeps the base-class decomposition, one
+//    frame per message through SendBatch (wire v3 unchanged, no run frame);
+//    RecvRun drains the delivered frames through the channel handle.
 //
 // Spawn modes: with node_program unset the constructor fork()s the node
 // loop without exec. The children run regular (non-async-signal-safe) code,

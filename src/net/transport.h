@@ -29,6 +29,12 @@
 //  * Every message is metered per sender and per receiver — payload bytes
 //    only, never wire framing — so the paper's traffic figures (Figures 4,
 //    5-right, 6-right, §5.3) are exact and backend-independent.
+//  * A channel can be resolved once into a ChannelHandle (OpenChannel) and
+//    then carry runs: one buffer holding several messages back to back plus
+//    their boundaries (SendRun/RecvRun). A run is a way of moving messages,
+//    not a message: every boundary, meter count, observer callback and
+//    watermark check is the one SendBatch/RecvBatch of the same messages
+//    gives, and runs mix freely with keyed calls on one channel.
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
 
@@ -68,14 +74,32 @@ struct TransportOptions {
   // channel; 0 = unbounded. Protocol rounds bound queue growth in a correct
   // run, so when a cap is set, exceeding it is a fatal CHECK — a runaway
   // protocol is caught at the offending Send instead of OOMing the process.
-  // Size the cap for a full round's burst, not for a drain race: a
-  // SendBatch enqueues its whole run before the receiver can dequeue, so a
-  // cap must accommodate the largest coalesced burst a round emits. Note
-  // the batched MPC data plane (core::Runtime's lockstep compute phase)
-  // coalesces a whole phase's per-instance openings onto one (from, to)
-  // channel per round — the per-channel burst there is the sum of every
-  // shared instance's opening block, not one vertex's.
+  // The check runs per message, for the messages of a SendBatch or a
+  // SendRun exactly as for single Sends. Size the cap for a full round's
+  // burst, not for a drain race: a batch or run is enqueued whole before
+  // the receiver can dequeue, so a cap must accommodate the largest
+  // coalesced burst a round emits. Note the batched MPC data plane
+  // (core::Runtime's lockstep compute phase) sends a whole phase's
+  // per-instance openings on one (from, to) channel per round as one run
+  // — the per-channel burst there is the sum of every shared instance's
+  // opening block, not one vertex's.
   size_t channel_high_watermark_bytes = 0;
+};
+
+// A backend's state for one resolved channel. Backends that resolve
+// channels (ChannelDemuxTransport) derive their channel type from it.
+struct ChannelState {};
+
+// A (from, to, session) channel resolved once for many calls
+// (Transport::OpenChannel). Valid only on the transport that opened it,
+// for that transport's lifetime.
+struct ChannelHandle {
+  NodeId from = 0;
+  NodeId to = 0;
+  SessionId session = 0;
+  // The opening backend's channel, or nullptr when the transport keeps the
+  // keyed default (its runs then go through SendBatch/RecvBatch).
+  ChannelState* state = nullptr;
 };
 
 class Transport {
@@ -109,11 +133,38 @@ class Transport {
   // observable behavior of calling Recv `count` times — same FIFO order,
   // same per-message metering and observer callbacks — but lets the
   // backend amortize its synchronization over the burst (the receive-side
-  // mirror of SendBatch; the batched MPC path drains a round's openings
-  // per peer with one call). Blocks until all `count` have arrived. The
+  // mirror of SendBatch). Blocks until all `count` have arrived. The
   // default implementation just loops over Recv.
   virtual std::vector<Bytes> RecvBatch(NodeId to, NodeId from, size_t count,
                                        SessionId session = 0);
+
+  // Resolves the (from, to, session) channel once, for a caller that moves
+  // many runs on it (the batched GMW exchange sends and receives one run
+  // per channel per round). Opening a channel counts as traffic for the
+  // observer rule: attach an observer before it. The default returns the
+  // key alone, so a decorator that overrides only the keyed calls sees
+  // every run as SendBatch/RecvBatch.
+  virtual ChannelHandle OpenChannel(NodeId from, NodeId to, SessionId session = 0);
+
+  // Enqueues a run on `channel`: sizes.size() messages lying back to back
+  // in `data`, message i being sizes[i] bytes (data.size() is their sum).
+  // Observably identical to SendBatch of the same messages: each message
+  // is metered on its own, gets its own OnSend and its own watermark
+  // check, and keeps its FIFO boundary under any mix of Send, SendBatch
+  // and SendRun with Recv, RecvBatch and RecvRun on the channel. The
+  // default splits the run and calls SendBatch.
+  virtual void SendRun(const ChannelHandle& channel, const Bytes& data,
+                       const std::vector<uint32_t>& sizes);
+
+  // Dequeues the channel's next sizes.size() messages into *out, back to
+  // back, blocking until all have arrived. Message i must be sizes[i]
+  // bytes; a mismatch is a fatal CHECK (the receiver knows every boundary
+  // of a protocol round). Otherwise observably identical to RecvBatch of
+  // the same count. The transport may keep *out's old buffer and hand over
+  // one of its own, so a caller that passes the same `out` every round
+  // allocates nothing once sizes settle. The default calls RecvBatch.
+  virtual void RecvRun(const ChannelHandle& channel, const std::vector<uint32_t>& sizes,
+                       Bytes* out);
 
   virtual TrafficStats NodeStats(NodeId node) const = 0;
   virtual uint64_t TotalBytes() const = 0;

@@ -293,6 +293,28 @@ TEST(ScenarioRunTest, ReportShowsOfflineCostForOtRunsOnly) {
   }
 }
 
+// A solo secure report splits its wall time by phase, as an ensemble
+// report does, so GMW compute shows against the edge transfers.
+TEST(ScenarioRunTest, SoloSecureReportShowsPhases) {
+  std::string error;
+  auto spec = ParseScenario(
+      "network core_periphery 6 2\niterations 2\nblock_size 2\nshock 0\nseed 4\n", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  engine::Engine engine(*spec);
+  engine::RunReport report = engine.Run();
+  EXPECT_EQ(report.mode, engine::ExecutionMode::kSecure);
+  EXPECT_GT(report.metrics.compute.seconds, 0.0);
+  EXPECT_GT(report.metrics.communicate.seconds, 0.0);
+
+  const std::string formatted = engine::FormatReport(*spec, report);
+  const size_t phases = formatted.find(engine::FormatPhaseLine(report.metrics));
+  ASSERT_NE(phases, std::string::npos) << formatted;
+  EXPECT_EQ(formatted.compare(phases, 26, "phases:              init "), 0) << formatted;
+  EXPECT_LT(formatted.find("released TDS:"), phases) << formatted;
+  EXPECT_LT(phases, formatted.find("wall time:")) << formatted;
+  EXPECT_NE(formatted.find("traffic per bank:"), std::string::npos) << formatted;
+}
+
 TEST(ScenarioParseTest, DuplicateShockedBankRejected) {
   std::string error;
   auto spec = ParseScenario("network core_periphery 10 3\nshock 0 3 3\n", &error);

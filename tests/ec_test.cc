@@ -12,6 +12,49 @@ namespace {
 
 EcPoint RandomPoint(ChaCha20Prg& prg) { return MulBase(prg.NextScalar(CurveOrder())); }
 
+const U256 kLambda =
+    U256::FromHex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+
+// Scalars at the edges of the GLV split and of the wNAF recoding behind
+// EcPoint::Mul: 0, 1, 2 and their negations, n/2 and the values around
+// it, ±lambda, 2^128, 2^129 - 1, and 2^255 and 2^256 - 1 reduced mod n.
+std::vector<U256> GlvEdgeScalars() {
+  const U256& n = CurveOrder();
+  auto reduce = [&n](U256 v) {
+    while (Cmp(v, n) >= 0) {
+      SubWithBorrow(v, n, &v);
+    }
+    return v;
+  };
+  U256 half_n = Shr(n, 1);
+  return {U256(0),
+          U256(1),
+          U256(2),
+          ModSub(U256(0), U256(1), n),
+          ModSub(U256(0), U256(2), n),
+          half_n,
+          ModAdd(half_n, U256(1), n),
+          kLambda,
+          ModSub(U256(0), kLambda, n),
+          Shl(U256::One(), 128),
+          ModSub(Shl(U256::One(), 129), U256(1), n),
+          reduce(Shl(U256::One(), 255)),
+          reduce(U256(~0ULL, ~0ULL, ~0ULL, ~0ULL))};
+}
+
+// The reference for EcPoint::Mul: plain double-and-add over all 256 bits,
+// no split, no recoding, no tables.
+EcPoint DoubleAndAdd(const EcPoint& p, const U256& e) {
+  EcPoint acc = EcPoint::Infinity();
+  for (int i = 255; i >= 0; i--) {
+    acc = acc.Double();
+    if (e.Bit(i)) {
+      acc = acc.Add(p);
+    }
+  }
+  return acc;
+}
+
 TEST(EcTest, GeneratorIsOnCurve) {
   Fp x = Fp::FromUint64(0), y = Fp::FromUint64(0);
   EcPoint::Generator().ToAffine(&x, &y);
@@ -121,6 +164,24 @@ TEST_P(EcSmallScalarTest, MulMatchesRepeatedAddition) {
 INSTANTIATE_TEST_SUITE_P(SmallScalars, EcSmallScalarTest,
                          ::testing::Values(0, 1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 100, 255));
 
+// Mul's split, wNAF recoding and odd-multiple tables against the
+// reference, on the split's edge scalars, raw 256-bit values (Mul reduces
+// them mod n) and 1,000 PRG scalars.
+TEST(EcTest, MulMatchesDoubleAndAdd) {
+  auto prg = ChaCha20Prg::FromSeed(29);
+  const EcPoint p = RandomPoint(prg);
+  std::vector<U256> scalars = GlvEdgeScalars();
+  scalars.push_back(CurveOrder());
+  scalars.push_back(U256(~0ULL, ~0ULL, ~0ULL, ~0ULL));
+  scalars.push_back(U256(~0ULL, ~0ULL, 0, 0));  // a half-width run of ones
+  for (int i = 0; i < 1000; i++) {
+    scalars.push_back(prg.NextScalar(CurveOrder()));
+  }
+  for (const U256& e : scalars) {
+    ASSERT_EQ(p.Mul(e), DoubleAndAdd(p, e)) << e.ToHex();
+  }
+}
+
 TEST(EcTest, CompressRoundTrip) {
   auto prg = ChaCha20Prg::FromSeed(9);
   for (int i = 0; i < 30; i++) {
@@ -198,30 +259,10 @@ TEST(EcTest, EqualityAcrossRepresentations) {
 // EC code: both halves are short, and sign1*k1 + lambda*sign2*k2 ≡ e (mod n).
 TEST(GlvSplitTest, HalvesAreShortAndRecombine) {
   const U256& n = CurveOrder();
-  const U256 lambda =
-      U256::FromHex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  const U256& lambda = kLambda;
   ASSERT_EQ(ModPow(lambda, U256(3), n), U256::One());  // a cube root of unity
 
-  auto reduce = [&n](U256 v) {
-    while (Cmp(v, n) >= 0) {
-      SubWithBorrow(v, n, &v);
-    }
-    return v;
-  };
-  U256 half_n = Shr(n, 1);
-  std::vector<U256> inputs = {U256(0),
-                              U256(1),
-                              U256(2),
-                              ModSub(U256(0), U256(1), n),
-                              ModSub(U256(0), U256(2), n),
-                              half_n,
-                              ModAdd(half_n, U256(1), n),
-                              lambda,
-                              ModSub(U256(0), lambda, n),
-                              Shl(U256::One(), 128),
-                              ModSub(Shl(U256::One(), 129), U256(1), n),
-                              reduce(Shl(U256::One(), 255)),
-                              reduce(U256(~0ULL, ~0ULL, ~0ULL, ~0ULL))};
+  std::vector<U256> inputs = GlvEdgeScalars();
   auto prg = ChaCha20Prg::FromSeed(13);
   while (inputs.size() < 10000) {
     inputs.push_back(prg.NextScalar(n));

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/engine/engine.h"
 #include "src/ensemble/spec.h"
@@ -36,7 +37,7 @@ RunSpec CleartextBase(int num_banks) {
   spec.topology.degree_cap = 4;
   spec.model = ContagionModel::kEisenbergNoe;
   spec.mode = ExecutionMode::kCleartextFast;
-  spec.shock.shocked_banks = {0};
+  spec.shock.shocked_banks = std::vector<int>{0};
   spec.seed = 11;
   return spec;
 }
@@ -51,7 +52,7 @@ RunSpec SecureBase(int num_banks, int iterations) {
   spec.mode = ExecutionMode::kSecure;
   spec.block_size = 2;
   spec.iterations = iterations;
-  spec.shock.shocked_banks = {0};
+  spec.shock.shocked_banks = std::vector<int>{0};
   spec.seed = 11;
   return spec;
 }
@@ -79,7 +80,7 @@ void AddExplicitScenarios(RunSpec* spec, int width) {
   spec->ensemble.emplace();
   for (int s = 0; s < width; s++) {
     Scenario sc;
-    sc.shock.shocked_banks = {s};
+    sc.shock.shocked_banks = std::vector<int>{s};
     spec->ensemble->scenarios.push_back(sc);
   }
 }
@@ -95,7 +96,7 @@ TEST(MaterializeScenariosTest, DrawsAreDeterministicDistinctAndInRange) {
   es.magnitude_lo = 0.2;
   es.magnitude_hi = 0.7;
   finance::ShockParams base;
-  base.shocked_banks = {0};
+  base.shocked_banks = std::vector<int>{0};
   std::vector<Scenario> a = MaterializeScenarios(es, base, 20);
   std::vector<Scenario> b = MaterializeScenarios(es, base, 20);
   ASSERT_EQ(a.size(), 32u);
@@ -119,7 +120,7 @@ TEST(MaterializeScenariosTest, DrawsAreDeterministicDistinctAndInRange) {
 TEST(MaterializeScenariosTest, ExplicitScenariosPassThrough) {
   EnsembleSpec es;
   Scenario one;
-  one.shock.shocked_banks = {2, 3};
+  one.shock.shocked_banks = std::vector<int>{2, 3};
   one.label = "pair";
   es.scenarios.push_back(one);
   finance::ShockParams base;
@@ -135,7 +136,7 @@ TEST(MaterializeScenariosTest, PerturbWorkloadAssignsDistinctSeeds) {
   es.draw_seed = 3;
   es.perturb_workload = true;
   finance::ShockParams base;
-  base.shocked_banks = {0};
+  base.shocked_banks = std::vector<int>{0};
   std::vector<Scenario> out = MaterializeScenarios(es, base, 12);
   std::set<uint64_t> seeds;
   for (const Scenario& sc : out) {

@@ -21,6 +21,13 @@ std::unique_ptr<Transport> MakeTcp(int num_nodes) {
   return MakeTransport(TcpTransportSpec(), num_nodes);
 }
 
+// RecvRun into a buffer of its own.
+Bytes TakeRun(Transport& net, const ChannelHandle& channel, const std::vector<uint32_t>& sizes) {
+  Bytes out;
+  net.RecvRun(channel, sizes, &out);
+  return out;
+}
+
 TEST(TcpNetworkTest, FifoPerSessionThroughBasePointer) {
   auto net = MakeTcp(2);
   for (uint8_t i = 0; i < 10; i++) {
@@ -111,6 +118,46 @@ TEST(TcpNetworkTest, ObserverSeesBatchedMessagesInFifoOrder) {
   std::vector<Bytes> expected = {Bytes{1}, Bytes{2}, Bytes{3}};
   EXPECT_EQ(recorder.sends, expected);
   EXPECT_EQ(recorder.recvs, expected);
+}
+
+// Over tcp a run crosses the wire as today's per-message frames (the base
+// SendRun decomposes into SendBatch), and RecvRun reassembles it from the
+// frames queued at the driver: a run's boundaries survive any mix with
+// keyed calls, the observer sees each message once, and metering counts
+// messages.
+TEST(TcpNetworkTest, RunsCrossTheWireAsFrames) {
+  auto net = MakeTcp(2);
+  OrderRecorder recorder;
+  net->SetObserver(&recorder);
+  const ChannelHandle channel = net->OpenChannel(0, 1, 6);
+  net->Send(0, 1, Bytes{0}, 6);
+  net->SendRun(channel, Bytes{1, 2, 2, 3}, {1, 2, 1});
+  net->SendBatch(0, 1, {Bytes{4}, Bytes{5, 5}}, 6);
+
+  EXPECT_EQ(TakeRun(*net, channel, {1, 1}), (Bytes{0, 1}));
+  EXPECT_EQ(net->Recv(1, 0, 6), (Bytes{2, 2}));
+  EXPECT_EQ(TakeRun(*net, channel, {1, 1, 2}), (Bytes{3, 4, 5, 5}));
+
+  const std::vector<Bytes> expected = {Bytes{0}, Bytes{1},    Bytes{2, 2},
+                                       Bytes{3}, Bytes{4}, Bytes{5, 5}};
+  EXPECT_EQ(recorder.sends, expected);
+  EXPECT_EQ(recorder.recvs, expected);
+  EXPECT_EQ(net->NodeStats(0).messages_sent, 6u);
+  EXPECT_EQ(net->NodeStats(0).bytes_sent, 8u);
+  EXPECT_EQ(net->NodeStats(1).messages_received, 6u);
+  EXPECT_EQ(net->NodeStats(1).bytes_received, 8u);
+}
+
+// A RecvRun parked before the frames arrive wakes as they land.
+TEST(TcpNetworkTest, RecvRunWaitsForItsFrames) {
+  auto net = MakeTcp(2);
+  const ChannelHandle channel = net->OpenChannel(1, 0, 2);
+  Bytes run;
+  std::thread receiver([&] { net->RecvRun(channel, {3, 1}, &run); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  net->SendRun(channel, Bytes{7, 7, 7, 8}, {3, 1});
+  receiver.join();
+  EXPECT_EQ(run, (Bytes{7, 7, 7, 8}));
 }
 
 // Drives the same deterministic traffic script over SimNetwork and
