@@ -198,6 +198,9 @@ struct JsonEntry {
   std::optional<int> workers = std::nullopt;
   // Scenario-ensemble rows: lane count K (baseline = K solo runs).
   std::optional<int> scenarios = std::nullopt;
+  // Cleartext-ensemble rows: the engine's construction (every lane's
+  // initial states and fixed-point reference), best of the gated reps.
+  std::optional<double> setup_ms = std::nullopt;
   // secure-projected rows: the projection's MPC share (compute +
   // aggregation).
   std::optional<double> mpc_ms = std::nullopt;
@@ -233,6 +236,9 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double ker
       std::fprintf(f, ", \"scenarios\": %d", *e.scenarios);
     }
     std::fprintf(f, ", \"wall_ms\": %.2f", e.wall_ms);
+    if (e.setup_ms) {
+      std::fprintf(f, ", \"setup_ms\": %.2f", *e.setup_ms);
+    }
     if (e.mpc_ms) {
       std::fprintf(f, ", \"mpc_ms\": %.2f", *e.mpc_ms);
     }
@@ -620,7 +626,8 @@ void Run() {
   // re-checked here at bench scale), so the amortization column compares
   // identical computations.
   std::printf("\n# cleartext scenario-ensemble amortization (N=1000 scale-free, real runs)\n");
-  std::printf("%6s %14s %14s %14s\n", "K", "ensemble(s)", "K solos(s)", "amortization");
+  std::printf("%6s %14s %14s %14s %10s\n", "K", "ensemble(s)", "K solos(s)", "amortization",
+              "setup(s)");
   // K=64 fills one packed word per lane group; K=128 exercises the chunked
   // (two-pass) plane. Smaller K amortizes less (compute scales with the
   // lane stride) and is not a row the amortization floor should pin.
@@ -644,8 +651,17 @@ void Run() {
     spec.ensemble->magnitude_lo = 0.0;
     spec.ensemble->magnitude_hi = 0.5;
 
-    ensemble::EnsembleReport report =
-        BestOf(kGatedReps, [&] { return engine::Engine(spec).RunEnsemble(); }, kReportSeconds);
+    double setup_seconds = -1;
+    ensemble::EnsembleReport report = BestOf(
+        kGatedReps,
+        [&] {
+          Stopwatch setup;
+          engine::Engine engine(spec);
+          const double seconds = setup.ElapsedSeconds();
+          setup_seconds = setup_seconds < 0 ? seconds : std::min(setup_seconds, seconds);
+          return engine.RunEnsemble();
+        },
+        kReportSeconds);
     std::vector<ensemble::Scenario> scenarios =
         ensemble::MaterializeScenarios(*spec.ensemble, spec.shock, 1000);
     double solo_seconds = BestOf(
@@ -661,11 +677,13 @@ void Run() {
           return seconds;
         },
         [](double seconds) { return seconds; });
-    std::printf("%6d %14.2f %14.2f %13.1fx\n", k_scenarios, report.metrics.total_seconds,
-                solo_seconds, solo_seconds / report.metrics.total_seconds);
+    std::printf("%6d %14.2f %14.2f %13.1fx %10.3f\n", k_scenarios,
+                report.metrics.total_seconds, solo_seconds,
+                solo_seconds / report.metrics.total_seconds, setup_seconds);
     JsonEntry row{1000, 8, "cleartext-ensemble", report.metrics.total_seconds * 1e3,
                   solo_seconds * 1e3, report.metrics.avg_bytes_per_node};
     row.scenarios = k_scenarios;
+    row.setup_ms = setup_seconds * 1e3;
     json.push_back(row);
   }
   std::printf("# one lockstep pass amortizes per-edge messaging and fixed overheads across\n"

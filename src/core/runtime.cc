@@ -60,16 +60,6 @@ mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
   return out;
 }
 
-int SlotOf(const std::vector<int>& neighbors, int target) {
-  for (size_t i = 0; i < neighbors.size(); i++) {
-    if (neighbors[i] == target) {
-      return static_cast<int>(i);
-    }
-  }
-  DSTRESS_CHECK(false);
-  return -1;
-}
-
 }  // namespace
 
 std::string RunMetrics::ToString() const {
@@ -158,6 +148,13 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   net_ = net::MakeTransport(config.transport, graph.num_vertices());
   dlog_table_ = std::make_unique<crypto::DlogTable>(transfer_params_.dlog_range);
   edges_ = graph.Edges();
+  edge_in_slot_ = graph::EdgeInSlots(graph);
+  edge_out_slot_.reserve(edges_.size());
+  for (int v = 0; v < graph.num_vertices(); v++) {
+    for (int slot = 0; slot < graph.OutDegree(v); slot++) {
+      edge_out_slot_.push_back(slot);
+    }
+  }
 
   pool_ = std::make_unique<WorkerPool>(ResolveThreadBudget(config.max_parallel_tasks));
 
@@ -506,7 +503,7 @@ void Runtime::CommunicatePhase(int scenario) {
 
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    int out_slot = SlotOf(graph_.OutNeighbors(i), j);
+    const int out_slot = edge_out_slot_[e];
     std::vector<mpc::BitVector> shares;
     std::vector<crypto::ChaCha20Prg> prgs;
     shares.reserve(k1);
@@ -528,14 +525,12 @@ void Runtime::CommunicatePhase(int scenario) {
 
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
     transfer::AdjustAtDest(net_.get(), j, i, setup_.blocks[j], session_of(e),
-                           setup_.neighbor_keys[j][in_slot], transfer_params_);
+                           setup_.neighbor_keys[j][edge_in_slot_[e]], transfer_params_);
   });
 
   pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
-    auto [i, j] = edges_[e];
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
+    const int j = edges_[e].second;
     std::vector<const transfer::MemberKeys*> keys;
     keys.reserve(k1);
     for (int member_node : setup_.blocks[j]) {
@@ -545,7 +540,7 @@ void Runtime::CommunicatePhase(int scenario) {
         transfer::RecoverAtMembers(net_.get(), setup_.blocks[j], j, session_of(e), keys,
                                    *dlog_table_, transfer_params_);
     for (int y = 0; y < k1; y++) {
-      inmsg_shares_[vertex_offset + j][in_slot][y] = std::move(shares[y]);
+      inmsg_shares_[vertex_offset + j][edge_in_slot_[e]][y] = std::move(shares[y]);
     }
   });
 }

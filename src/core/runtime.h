@@ -352,7 +352,11 @@ class Runtime {
   // Offline phase (use_ot_triples): the node-pair triple factory.
   std::unique_ptr<mpc::TripleFactory> triple_factory_;
 
+  // Graph::Edges(), with each edge's slot in its source's out-list and in
+  // its destination's in-list.
   std::vector<std::pair<int, int>> edges_;
+  std::vector<int> edge_out_slot_;
+  std::vector<int> edge_in_slot_;
 
   // Per-run circuit-stat accumulators (RunMetrics surface).
   std::atomic<uint64_t> triples_consumed_{0};

@@ -167,6 +167,13 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
     DSTRESS_CHECK(static_cast<int>(spec_.custom_states.size()) == n);
     base_lane_.push_back(spec_.custom_states);
   } else {
+    // The state builders write neighbor slots by index, and the backends
+    // would reject the bound anyway: fail before compiling any lane.
+    if (graph_->MaxDegree() > degree_bound) {
+      std::fprintf(stderr, "engine: degree_bound %d is below the graph's maximum degree %d\n",
+                   degree_bound, graph_->MaxDegree());
+      std::abort();
+    }
     iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
     if (spec_.ensemble.has_value()) {
       scenarios_ = ensemble::MaterializeScenarios(*spec_.ensemble, spec_.shock, n);

@@ -25,6 +25,36 @@ Word Slice(const Word& state, int index, int width) {
               state.begin() + static_cast<long>(index + 1) * width);
 }
 
+// Flat edge numbering. Out-edge e is Edges()[e], so u's s-th out-edge is
+// out_start[u] + s; in-edges follow the in-lists, so v's d-th in-slot is
+// in_start[v] + d. far[e] is out-edge e's index as an in-edge.
+struct EdgeIndex {
+  std::vector<size_t> out_start;  // [vertex + 1]
+  std::vector<size_t> in_start;   // [vertex + 1]
+  std::vector<size_t> far;        // [out-edge]
+};
+
+EdgeIndex IndexEdges(const graph::Graph& g) {
+  const int n = g.num_vertices();
+  EdgeIndex index;
+  index.out_start.assign(static_cast<size_t>(n) + 1, 0);
+  index.in_start.assign(static_cast<size_t>(n) + 1, 0);
+  for (int v = 0; v < n; v++) {
+    index.out_start[v + 1] = index.out_start[v] + g.OutDegree(v);
+    index.in_start[v + 1] = index.in_start[v] + g.InDegree(v);
+  }
+  const std::vector<int> in_slots = graph::EdgeInSlots(g);
+  index.far.resize(in_slots.size());
+  size_t e = 0;
+  for (int u = 0; u < n; u++) {
+    for (int v : g.OutNeighbors(u)) {
+      index.far[e] = index.in_start[v] + in_slots[e];
+      e++;
+    }
+  }
+  return index;
+}
+
 }  // namespace
 
 uint64_t EnInstance::TotalDebtOf(int v) const {
@@ -124,40 +154,30 @@ core::VertexProgram MakeEnProgram(const EnProgramParams& params) {
 std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
                                                 const EnProgramParams& params) {
   const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  std::vector<mpc::BitVector> states;
-  states.reserve(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); v++) {
-    mpc::BitVector state;
-    state.reserve(StateBits(params));
-    mpc::AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(instance.cash[v]), w));
-    mpc::AppendBits(&state,
-                    mpc::WordToBits(params.format.SaturateValue(instance.TotalDebtOf(v)), w));
-    mpc::AppendBits(&state, mpc::WordToBits(params.format.One(), w));  // prorate = 1.0
-    // Out-slot debts (padded to D with zeros).
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t debt =
-          d < g.OutDegree(v) ? params.format.SaturateValue(instance.debts[v][d]) : 0;
-      mpc::AppendBits(&state, mpc::WordToBits(debt, w));
+  // Slots are written by index, so no vertex may have more neighbors than D.
+  DSTRESS_CHECK(g.MaxDegree() <= d_bound);
+  // Every state is sized once, all zero (the padding slots), and its words
+  // are written in place.
+  std::vector<mpc::BitVector> states(static_cast<size_t>(n),
+                                     mpc::BitVector(static_cast<size_t>(StateBits(params)), 0));
+  auto put = [&](int v, int word, uint64_t value) {
+    mpc::StoreWordBits(value, w, states[v].data() + static_cast<size_t>(word) * w);
+  };
+  const std::vector<int> in_slots = graph::EdgeInSlots(g);
+  size_t e = 0;
+  for (int u = 0; u < n; u++) {
+    put(u, 0, params.format.SaturateValue(instance.cash[u]));
+    put(u, 1, params.format.SaturateValue(instance.TotalDebtOf(u)));
+    put(u, 2, params.format.One());  // prorate = 1.0
+    // u's out-slot debt is also its creditor's in-slot credit.
+    for (int s = 0; s < g.OutDegree(u); s++, e++) {
+      const uint64_t debt = params.format.SaturateValue(instance.debts[u][s]);
+      put(u, 3 + s, debt);
+      put(g.OutNeighbors(u)[s], 3 + d_bound + in_slots[e], debt);
     }
-    // In-slot credits: what the in-neighbor owes me.
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t credit = 0;
-      if (d < g.InDegree(v)) {
-        int j = g.InNeighbors(v)[d];
-        // Find my slot in j's out list.
-        const auto& out = g.OutNeighbors(j);
-        for (size_t s = 0; s < out.size(); s++) {
-          if (out[s] == v) {
-            credit = params.format.SaturateValue(instance.debts[j][s]);
-            break;
-          }
-        }
-      }
-      mpc::AppendBits(&state, mpc::WordToBits(credit, w));
-    }
-    states.push_back(std::move(state));
   }
   return states;
 }
@@ -166,19 +186,26 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
                       std::vector<uint64_t>* prorate_out) {
   const graph::Graph& g = *instance.graph;
   const int n = g.num_vertices();
-  const uint64_t one = params.format.One();
-  const uint64_t max_value = params.format.MaxValue();
+  const FixedPointFormat& format = params.format;
+  const uint64_t one = format.One();
+  const uint64_t max_value = format.MaxValue();
+  const EdgeIndex index = IndexEdges(g);
 
+  // debt[e] is what out-edge e's source owes; credit[i] is what in-edge i's
+  // destination is owed: the same word at the far end.
   std::vector<uint64_t> cash(n), total_debt(n);
+  std::vector<uint64_t> debt(index.far.size()), credit(index.far.size());
   for (int v = 0; v < n; v++) {
-    cash[v] = params.format.SaturateValue(instance.cash[v]);
-    total_debt[v] = params.format.SaturateValue(instance.TotalDebtOf(v));
+    cash[v] = format.SaturateValue(instance.cash[v]);
+    total_debt[v] = format.SaturateValue(instance.TotalDebtOf(v));
+    for (int s = 0; s < g.OutDegree(v); s++) {
+      const size_t e = index.out_start[v] + s;
+      debt[e] = format.SaturateValue(instance.debts[v][s]);
+      credit[index.far[e]] = debt[e];
+    }
   }
-  // shortfall_in[v][slot]: last received shortfall notice per in-slot.
-  std::vector<std::vector<uint64_t>> shortfall_in(n);
-  for (int v = 0; v < n; v++) {
-    shortfall_in[v].assign(g.InDegree(v), 0);
-  }
+  // shortfall[i]: the last shortfall notice received on in-edge i.
+  std::vector<uint64_t> shortfall(index.far.size(), 0);
   std::vector<uint64_t> prorate(n, one);
 
   // Mirrors the runtime: iterations+1 computation steps with a
@@ -186,42 +213,22 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
       uint64_t liquid = cash[v];
-      for (int d = 0; d < g.InDegree(v); d++) {
-        int j = g.InNeighbors(v)[d];
-        uint64_t credit = 0;
-        const auto& out = g.OutNeighbors(j);
-        for (size_t s = 0; s < out.size(); s++) {
-          if (out[s] == v) {
-            credit = params.format.SaturateValue(instance.debts[j][s]);
-            break;
-          }
-        }
-        uint64_t paid = shortfall_in[v][d] > credit ? 0 : credit - shortfall_in[v][d];
-        liquid += paid;
+      for (size_t i = index.in_start[v]; i < index.in_start[v + 1]; i++) {
+        liquid += shortfall[i] > credit[i] ? 0 : credit[i] - shortfall[i];
       }
       liquid = std::min(liquid, max_value);
-      uint64_t ratio = total_debt[v] == 0 ? one : (liquid << params.format.frac_bits) /
-                                                      total_debt[v];
+      uint64_t ratio =
+          total_debt[v] == 0 ? one : (liquid << format.frac_bits) / total_debt[v];
       prorate[v] = std::min(ratio, one);
     }
     if (step == params.iterations) {
       break;
     }
-    // Communication: update shortfall notices.
+    // Communication: every out-edge delivers its shortfall notice.
     for (int v = 0; v < n; v++) {
-      uint64_t unpaid_frac = one - prorate[v];
-      for (int s = 0; s < g.OutDegree(v); s++) {
-        int j = g.OutNeighbors(v)[s];
-        uint64_t debt = params.format.SaturateValue(instance.debts[v][s]);
-        uint64_t shortfall = (debt * unpaid_frac) >> params.format.frac_bits;
-        // Locate v's slot among j's in-neighbors.
-        const auto& in = g.InNeighbors(j);
-        for (size_t slot = 0; slot < in.size(); slot++) {
-          if (in[slot] == v) {
-            shortfall_in[j][slot] = shortfall;
-            break;
-          }
-        }
+      const uint64_t unpaid_frac = one - prorate[v];
+      for (size_t e = index.out_start[v]; e < index.out_start[v + 1]; e++) {
+        shortfall[index.far[e]] = (debt[e] * unpaid_frac) >> format.frac_bits;
       }
     }
   }
@@ -231,7 +238,7 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   }
   uint64_t tds = 0;
   for (int v = 0; v < n; v++) {
-    tds += (total_debt[v] * (one - prorate[v])) >> params.format.frac_bits;
+    tds += (total_debt[v] * (one - prorate[v])) >> format.frac_bits;
   }
   return tds;
 }
@@ -240,24 +247,24 @@ double EnSolveExact(const EnInstance& instance, int iterations,
                     std::vector<double>* prorates_out) {
   const graph::Graph& g = *instance.graph;
   const int n = g.num_vertices();
+  const EdgeIndex index = IndexEdges(g);
   std::vector<double> total_debt(n, 0.0);
+  // owed[i]: the debt in-edge i carries, so v sums its in-slots in order.
+  std::vector<double> owed(index.far.size());
   for (int v = 0; v < n; v++) {
     total_debt[v] = static_cast<double>(instance.TotalDebtOf(v));
+    for (int s = 0; s < g.OutDegree(v); s++) {
+      owed[index.far[index.out_start[v] + s]] = static_cast<double>(instance.debts[v][s]);
+    }
   }
   std::vector<double> p(n, 1.0);
   for (int it = 0; it <= iterations; it++) {
     std::vector<double> next(n, 1.0);
     for (int v = 0; v < n; v++) {
       double liquid = static_cast<double>(instance.cash[v]);
-      for (int d = 0; d < g.InDegree(v); d++) {
-        int j = g.InNeighbors(v)[d];
-        const auto& out = g.OutNeighbors(j);
-        for (size_t s = 0; s < out.size(); s++) {
-          if (out[s] == v) {
-            liquid += static_cast<double>(instance.debts[j][s]) * p[j];
-            break;
-          }
-        }
+      const std::vector<int>& in = g.InNeighbors(v);
+      for (size_t d = 0; d < in.size(); d++) {
+        liquid += owed[index.in_start[v] + d] * p[in[d]];
       }
       next[v] = total_debt[v] == 0 ? 1.0 : std::min(1.0, liquid / total_debt[v]);
     }

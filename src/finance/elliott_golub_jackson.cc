@@ -123,32 +123,31 @@ core::VertexProgram MakeEgjProgram(const EgjProgramParams& params) {
 std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
                                                  const EgjProgramParams& params) {
   const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  std::vector<mpc::BitVector> states;
-  states.reserve(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); v++) {
-    mpc::BitVector state;
-    state.reserve(StateBits(params));
-    auto append = [&](uint64_t value) {
-      mpc::AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(value), w));
+  // Slots are written by index, so no vertex may have more neighbors than D.
+  DSTRESS_CHECK(g.MaxDegree() <= d_bound);
+  // Every state is sized once, all zero (the padding slots), and its words
+  // are written in place.
+  std::vector<mpc::BitVector> states(static_cast<size_t>(n),
+                                     mpc::BitVector(static_cast<size_t>(StateBits(params)), 0));
+  for (int v = 0; v < n; v++) {
+    uint8_t* state = states[v].data();
+    auto put = [&](int word, uint64_t value) {
+      mpc::StoreWordBits(params.format.SaturateValue(value), w,
+                         state + static_cast<size_t>(word) * w);
     };
-    append(instance.base[v]);
-    append(instance.orig_val[v]);
-    append(instance.orig_val[v]);  // value starts at the initial valuation
-    append(instance.threshold[v]);
-    append(instance.penalty[v]);
-    for (int d = 0; d < d_bound; d++) {
-      append(d < g.InDegree(v) ? instance.insh[v][d] : 0);
+    put(0, instance.base[v]);
+    put(1, instance.orig_val[v]);
+    put(2, instance.orig_val[v]);  // value starts at the initial valuation
+    put(3, instance.threshold[v]);
+    put(4, instance.penalty[v]);
+    const std::vector<int>& in = g.InNeighbors(v);
+    for (int d = 0; d < static_cast<int>(in.size()); d++) {
+      put(5 + d, instance.insh[v][d]);
+      put(5 + d_bound + d, instance.orig_val[in[d]]);
     }
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t nbr = 0;
-      if (d < g.InDegree(v)) {
-        nbr = instance.orig_val[g.InNeighbors(v)[d]];
-      }
-      append(nbr);
-    }
-    states.push_back(std::move(state));
   }
   return states;
 }
@@ -163,51 +162,52 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
 
   auto sat = [&](uint64_t v) { return params.format.SaturateValue(v); };
 
-  std::vector<std::vector<uint64_t>> discount_in(n);
+  // Per bank, saturated once; per in-edge (v's d-th in-slot is
+  // in_start[v] + d), the issuer and the share held.
+  std::vector<uint64_t> base(n), orig(n), threshold(n), penalty(n);
+  std::vector<size_t> in_start(static_cast<size_t>(n) + 1, 0);
+  std::vector<int> issuer;
+  std::vector<uint64_t> share;
+  issuer.reserve(static_cast<size_t>(g.num_edges()));
+  share.reserve(static_cast<size_t>(g.num_edges()));
   for (int v = 0; v < n; v++) {
-    discount_in[v].assign(g.InDegree(v), 0);
+    base[v] = sat(instance.base[v]);
+    orig[v] = sat(instance.orig_val[v]);
+    threshold[v] = sat(instance.threshold[v]);
+    penalty[v] = sat(instance.penalty[v]);
+    const std::vector<int>& in = g.InNeighbors(v);
+    in_start[v + 1] = in_start[v] + in.size();
+    issuer.insert(issuer.end(), in.begin(), in.end());
+    for (size_t d = 0; d < in.size(); d++) {
+      share.push_back(sat(instance.insh[v][d]));
+    }
   }
-  std::vector<uint64_t> value(n);
-  for (int v = 0; v < n; v++) {
-    value[v] = sat(instance.orig_val[v]);
-  }
+  // A bank sends the same discount on every out-edge, so the messages in
+  // flight are one word per bank; none has arrived before the first step.
+  std::vector<uint64_t> discount(n, 0);
+  std::vector<uint64_t> value = orig;
 
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
-      uint64_t acc = sat(instance.base[v]);
-      for (int d = 0; d < g.InDegree(v); d++) {
-        uint64_t discount = std::min(discount_in[v][d], one);
-        uint64_t remain = one - discount;
-        uint64_t nbr_orig = sat(instance.orig_val[g.InNeighbors(v)[d]]);
-        uint64_t nbr_value = (nbr_orig * remain) >> f;
-        uint64_t holding = (sat(instance.insh[v][d]) * nbr_value) >> f;
-        acc += holding;
+      uint64_t acc = base[v];
+      for (size_t i = in_start[v]; i < in_start[v + 1]; i++) {
+        uint64_t remain = one - std::min(discount[issuer[i]], one);
+        uint64_t nbr_value = (orig[issuer[i]] * remain) >> f;
+        acc += (share[i] * nbr_value) >> f;
       }
       acc = std::min(acc, max_value);
-      if (acc < sat(instance.threshold[v])) {
-        uint64_t pen = sat(instance.penalty[v]);
-        acc = acc < pen ? 0 : acc - pen;
+      if (acc < threshold[v]) {
+        acc = acc < penalty[v] ? 0 : acc - penalty[v];
       }
       value[v] = acc;
     }
     if (step == params.iterations) {
       break;
     }
-    // Communication: broadcast discounts to holders (out-neighbors).
+    // Communication: every bank broadcasts its discount to its holders.
     for (int v = 0; v < n; v++) {
-      uint64_t orig = sat(instance.orig_val[v]);
-      uint64_t ratio = orig == 0 ? one : std::min(one, (value[v] << f) / orig);
-      uint64_t discount = one - ratio;
-      for (int s = 0; s < g.OutDegree(v); s++) {
-        int holder = g.OutNeighbors(v)[s];
-        const auto& in = g.InNeighbors(holder);
-        for (size_t slot = 0; slot < in.size(); slot++) {
-          if (in[slot] == v) {
-            discount_in[holder][slot] = discount;
-            break;
-          }
-        }
-      }
+      uint64_t ratio = orig[v] == 0 ? one : std::min(one, (value[v] << f) / orig[v]);
+      discount[v] = one - ratio;
     }
   }
 
@@ -216,9 +216,8 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
   }
   uint64_t tds = 0;
   for (int v = 0; v < n; v++) {
-    uint64_t thr = sat(instance.threshold[v]);
-    if (value[v] < thr) {
-      tds += thr - value[v];
+    if (value[v] < threshold[v]) {
+      tds += threshold[v] - value[v];
     }
   }
   return tds;

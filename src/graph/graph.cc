@@ -45,6 +45,18 @@ std::vector<std::pair<int, int>> Graph::Edges() const {
   return edges;
 }
 
+std::vector<int> EdgeInSlots(const Graph& g) {
+  std::vector<int> slots;
+  slots.reserve(static_cast<size_t>(g.num_edges()));
+  for (int u = 0; u < g.num_vertices(); u++) {
+    for (int v : g.OutNeighbors(u)) {
+      const std::vector<int>& in = g.InNeighbors(v);
+      slots.push_back(static_cast<int>(std::find(in.begin(), in.end(), u) - in.begin()));
+    }
+  }
+  return slots;
+}
+
 std::vector<int> DegreeBuckets(const Graph& g, const std::vector<int>& thresholds) {
   std::vector<int> buckets(g.num_vertices());
   for (int v = 0; v < g.num_vertices(); v++) {

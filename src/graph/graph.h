@@ -48,6 +48,12 @@ class Graph {
   std::vector<std::vector<int>> in_;
 };
 
+// For every edge in Edges() order, its slot in the destination's in-list:
+// edge e = (u, v) arrives at InNeighbors(v)[slots[e]]. One search of v's
+// in-list per edge, O(E·D); callers that walk edges on every step compute
+// it once instead of searching neighbor lists per edge and step.
+std::vector<int> EdgeInSlots(const Graph& g);
+
 // §3.7 degree bucketing: assigns each vertex the smallest bucket whose
 // threshold covers the vertex's max degree. thresholds must be ascending;
 // the last bucket is unbounded. Returns the bucket index per vertex.

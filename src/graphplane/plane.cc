@@ -27,16 +27,6 @@ inline uint64_t GatherBit0(const uint8_t* bytes) {
   return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
 }
 
-int SlotOf(const std::vector<int>& neighbors, int target) {
-  for (size_t i = 0; i < neighbors.size(); i++) {
-    if (neighbors[i] == target) {
-      return static_cast<int>(i);
-    }
-  }
-  DSTRESS_CHECK(false);
-  return -1;
-}
-
 }  // namespace
 
 void InsertBits(Bytes* out, size_t bit_offset, uint64_t bits, int count) {
@@ -101,13 +91,11 @@ GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& pro
   }
   const size_t num_edges = out_start_[static_cast<size_t>(n_)];
   edge_dst_.reserve(num_edges);
-  edge_in_slot_.reserve(num_edges);
   for (int v = 0; v < n_; v++) {
-    for (int dst : graph_.OutNeighbors(v)) {
-      edge_dst_.push_back(dst);
-      edge_in_slot_.push_back(SlotOf(graph_.InNeighbors(dst), v));
-    }
+    edge_dst_.insert(edge_dst_.end(), graph_.OutNeighbors(v).begin(),
+                     graph_.OutNeighbors(v).end());
   }
+  edge_in_slot_ = graph::EdgeInSlots(graph_);
 
   valid_mask_.resize(words_, 0);
   for (size_t w = 0; w < words_; w++) {

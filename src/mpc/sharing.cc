@@ -37,10 +37,14 @@ BitVector ReconstructBits(const std::vector<BitVector>& shares) {
 
 BitVector WordToBits(uint64_t value, int bits) {
   BitVector out(bits);
-  for (int i = 0; i < bits; i++) {
-    out[i] = (value >> i) & 1;
-  }
+  StoreWordBits(value, bits, out.data());
   return out;
+}
+
+void StoreWordBits(uint64_t value, int bits, uint8_t* dst) {
+  for (int i = 0; i < bits; i++) {
+    dst[i] = (value >> i) & 1;
+  }
 }
 
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count) {

@@ -27,6 +27,8 @@ BitVector ReconstructBits(const std::vector<BitVector>& shares);
 // Little-endian bit (de)composition of integer words, the canonical layout
 // for circuit inputs/outputs.
 BitVector WordToBits(uint64_t value, int bits);
+// WordToBits in place: the low `bits` bits of value into dst[0, bits).
+void StoreWordBits(uint64_t value, int bits, uint8_t* dst);
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count);
 // Sign-extended read (two's complement).
 int64_t BitsToSignedWord(const BitVector& bits, size_t offset, int count);

@@ -339,6 +339,26 @@ TEST(EngineTest, ReusableAndDeterministicForFixedSeed) {
   EXPECT_EQ(first, b.Run().released);  // deterministic across instances
 }
 
+// A degree bound below the graph's maximum degree aborts in the
+// constructor, before any lane compiles, with a message naming both.
+TEST(EngineDeathTest, DegreeBoundBelowMaxDegreeFailsFast) {
+  graph::Graph hub(5);
+  for (int v = 1; v < 5; v++) {
+    hub.AddEdge(0, v);
+    hub.AddEdge(v, 0);
+  }
+  ASSERT_EQ(hub.MaxDegree(), 4);
+  for (ContagionModel model :
+       {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
+    RunSpec spec;
+    spec.graph = hub;
+    spec.model = model;
+    spec.degree_bound = 3;
+    spec.mode = ExecutionMode::kCleartextFast;
+    EXPECT_DEATH(Engine{spec}, "degree_bound 3 is below the graph's maximum degree 4");
+  }
+}
+
 TEST(EngineTest, CustomProgramRunsThroughBothModes) {
   graph::Graph g = Ring(6);
   programs::PrivateSumParams params;

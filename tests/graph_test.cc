@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 
 #include "src/graph/generators.h"
@@ -149,6 +150,40 @@ TEST(GeneratorsTest, CapDegreeEnforcesBound) {
   for (auto [u, v] : capped.Edges()) {
     EXPECT_TRUE(g.HasEdge(u, v));
   }
+}
+
+// EdgeInSlots equals a per-edge search of the destination's in-list: on
+// generated graphs, on a CapDegree output, and on a graph built with
+// repeated AddEdge calls.
+TEST(GraphTest, EdgeInSlotsMatchInListSearch) {
+  auto expect_search = [](const Graph& g) {
+    const std::vector<int> slots = EdgeInSlots(g);
+    const std::vector<std::pair<int, int>> edges = g.Edges();
+    ASSERT_EQ(slots.size(), edges.size());
+    for (size_t e = 0; e < edges.size(); e++) {
+      const auto [u, v] = edges[e];
+      const std::vector<int>& in = g.InNeighbors(v);
+      EXPECT_EQ(slots[e], std::find(in.begin(), in.end(), u) - in.begin()) << u << "->" << v;
+    }
+  };
+  Rng rng(21);
+  CorePeripheryParams params;
+  params.num_vertices = 60;
+  params.core_size = 8;
+  expect_search(GenerateCorePeriphery(params, rng));
+  expect_search(GenerateScaleFree(200, 3, rng));
+  Graph capped = CapDegree(GenerateScaleFree(200, 3, rng), 5);
+  ASSERT_LE(capped.MaxDegree(), 5);
+  expect_search(capped);
+
+  Graph repeated(5);
+  for (auto [u, v] : std::vector<std::pair<int, int>>{
+           {3, 1}, {0, 1}, {3, 1}, {1, 3}, {4, 1}, {0, 1}, {2, 4}, {1, 3}}) {
+    repeated.AddEdge(u, v);
+  }
+  expect_search(repeated);
+  // Edges() is (0,1) (1,3) (2,4) (3,1) (4,1); 1's in-list is 3, 0, 4.
+  EXPECT_EQ(EdgeInSlots(repeated), (std::vector<int>{1, 0, 0, 0, 2}));
 }
 
 class CorePeripherySizeTest : public ::testing::TestWithParam<int> {};

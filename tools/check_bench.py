@@ -54,7 +54,8 @@ GATED_MODES fails.
 
 `secure-ha` rows (docs/ha.md) print their HA overhead, heartbeat traffic and
 checkpoint time as information; `secure-ensemble` rows print their ratio to
-the solo runs. Neither is gated.
+the solo runs; `cleartext-ensemble` rows that record `setup_ms` print the
+ensemble engine's construction time. None of these is gated.
 
 Exit status 0 = every gate passed; 1 prints every failing row. Stdlib only.
 """
@@ -275,6 +276,9 @@ def informational(entries):
             lines.append(f"info: {row_name(e)}: projection {e.get('projected_ms')} ms vs "
                          f"measured {e.get('wall_ms')} ms, model error "
                          f"{e['model_error'] * 100:+.0f}%")
+        if e.get("mode") == "cleartext-ensemble" and is_number(e.get("setup_ms")):
+            lines.append(f"info: {row_name(e)}: engine set-up {e['setup_ms']} ms, best of "
+                         f"the gated repetitions (not gated)")
         if e.get("mode") == "secure-ensemble":
             lines.append(f"info: {row_name(e)}: {e.get('wall_ms')} ms vs "
                          f"{e.get('wall_ms_baseline')} ms for the solos (not gated)")

@@ -178,6 +178,18 @@ class CheckBenchTest(unittest.TestCase):
         self.assertIn("FAIL: mode=cleartext-ensemble N=1000 D=8 scenarios=64: 1.20x "
                       "amortization < 1.30x floor", out)
 
+    def test_ensemble_setup_is_information_only(self):
+        run = bench()
+        status, out = self.gate(run, bench())
+        self.assertNotIn("engine set-up", out)
+        row(run, "cleartext-ensemble")["setup_ms"] = 55.5
+        ref = copy.deepcopy(run)
+        row(ref, "cleartext-ensemble")["setup_ms"] = 1.0
+        status, out = self.gate(run, ref)
+        self.assertEqual(status, 0, out)
+        self.assertIn("info: mode=cleartext-ensemble N=1000 D=8 scenarios=64: engine set-up "
+                      "55.5 ms, best of the gated repetitions (not gated)", out)
+
     def test_without_reference_only_same_run_gates_run(self):
         run = bench()
         row(run, "secure", workers=1)["wall_ms"] *= 10
