@@ -9,15 +9,17 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "src/circuit/circuit.h"
+#include "src/circuit/eval_plan.h"
 #include "src/common/stopwatch.h"
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
-#include "src/mpc/gmw.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/sharing.h"
+#include "src/mpc/triple_factory.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
 
@@ -35,7 +37,10 @@ struct BlockMpcResult {
 
 // Evaluates `circuit` once in GMW within a single block of `block_size`
 // parties (dealer triples unless use_ot), mirroring the paper's Figure 3/4
-// microbenchmarks that run each MPC in isolation.
+// microbenchmarks that run each MPC in isolation. Every party's role runs
+// in one mpc::EvalBlock call on this thread, the lockstep plane the
+// runtime's phases run; the circuit's EvalPlan is compiled before the
+// timer, as the runtime compiles its plans once per run.
 inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_size,
                                   bool use_ot = false, uint64_t seed = 1) {
   std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(block_size);
@@ -46,34 +51,36 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
     bit = prg.NextBit() ? 1 : 0;
   }
   auto shares = mpc::ShareBits(inputs, block_size, prg);
+  circuit::EvalPlan plan(circuit);
 
   std::vector<net::NodeId> ids(block_size);
   for (int i = 0; i < block_size; i++) {
     ids[i] = i;
   }
-  // The timer covers triple generation: an OtTripleSource runs its base OTs
-  // with every peer lazily inside its first Generate, which runs inside the
-  // timed Eval, so fig3's OT ablation times base-OT setup, IKNP extension
-  // and the GMW online phase together. Dealer triples are local draws.
-  std::vector<std::unique_ptr<mpc::TripleSource>> sources(block_size);
+  std::unique_ptr<mpc::TripleFactory> factory;
+  std::vector<mpc::DealerTripleSource> dealers;
+  dealers.reserve(block_size);  // `sources` points into it
+  std::vector<mpc::TripleSource*> sources;
+  if (use_ot) {
+    mpc::TripleFactoryOptions options;
+    options.prg_seed = seed;
+    options.pipeline = false;  // Enqueue generates the wave on this thread
+    factory = std::make_unique<mpc::TripleFactory>(&net, options);
+  }
   for (int p = 0; p < block_size; p++) {
-    if (use_ot) {
-      sources[p] = std::make_unique<mpc::OtTripleSource>(
-          &net, ids, p, crypto::ChaCha20Prg::FromSeed(seed + 1000 + p));
-    } else {
-      sources[p] = std::make_unique<mpc::DealerTripleSource>(p, block_size, seed);
-    }
+    sources.push_back(use_ot ? factory->ViewFor(/*tag=*/0, p)
+                             : &dealers.emplace_back(p, block_size, seed));
   }
 
+  // The timer covers triple generation: with use_ot the factory's one wave
+  // (base OTs with every peer, IKNP extension and the cross-term
+  // corrections) runs inside it, so fig3's OT ablation times the offline
+  // and online phases together. Dealer triples are local draws.
   Stopwatch timer;
-  std::vector<std::thread> threads;
-  for (int p = 0; p < block_size; p++) {
-    threads.emplace_back(
-        [&, p] { mpc::GmwParty(&net, ids, p, sources[p].get()).Eval(circuit, shares[p]); });
+  if (use_ot) {
+    factory->Enqueue({{/*tag=*/0, ids, circuit.stats().num_and}});
   }
-  for (auto& t : threads) {
-    t.join();
-  }
+  mpc::EvalBlock(&net, /*session=*/0, plan, ids, {shares}, sources);
   BlockMpcResult result;
   result.seconds = timer.ElapsedSeconds();
   result.bytes_per_node = net.AverageBytesPerNode();

@@ -1,12 +1,12 @@
 #include "src/baseline/naive_mpc.h"
 
-#include <thread>
 #include <vector>
 
 #include "src/circuit/builder.h"
+#include "src/circuit/eval_plan.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
-#include "src/mpc/gmw.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
@@ -52,33 +52,21 @@ NaiveMpcResult RunNaiveMatMul(const NaiveMpcParams& params) {
   std::unique_ptr<net::Transport> net_owner = net::MakeSimTransport(params.parties);
   net::Transport& net = *net_owner;
   auto shares = mpc::ShareBits(inputs, params.parties, prg);
-  std::vector<mpc::BitVector> outputs(params.parties);
+  circuit::EvalPlan plan(circuit);
+  std::vector<net::NodeId> ids(params.parties);
+  std::vector<mpc::DealerTripleSource> dealers;
+  dealers.reserve(params.parties);  // `sources` points into it
+  std::vector<mpc::TripleSource*> sources;
+  for (int p = 0; p < params.parties; p++) {
+    ids[p] = p;
+    sources.push_back(&dealers.emplace_back(p, params.parties, params.seed));
+  }
 
   NaiveMpcResult result;
   result.and_gates = circuit.stats().num_and;
   Stopwatch timer;
-  std::vector<std::thread> threads;
-  threads.reserve(params.parties);
-  for (int p = 0; p < params.parties; p++) {
-    threads.emplace_back([&, p] {
-      std::vector<net::NodeId> ids(params.parties);
-      for (int i = 0; i < params.parties; i++) {
-        ids[i] = i;
-      }
-      std::unique_ptr<mpc::TripleSource> triples;
-      if (params.use_ot_triples) {
-        triples = std::make_unique<mpc::OtTripleSource>(
-            &net, ids, p, crypto::ChaCha20Prg::FromSeed(params.seed + 100 + p));
-      } else {
-        triples = std::make_unique<mpc::DealerTripleSource>(p, params.parties, params.seed);
-      }
-      mpc::GmwParty party(&net, ids, p, triples.get());
-      outputs[p] = party.Eval(circuit, shares[p]);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  std::vector<mpc::BitVector> outputs =
+      mpc::EvalBlock(&net, /*session=*/0, plan, ids, {shares}, sources)[0];
   result.seconds = timer.ElapsedSeconds();
   result.total_bytes = net.TotalBytes();
   result.verified = mpc::ReconstructBits(outputs) == expected;

@@ -22,7 +22,6 @@ struct NaiveMpcParams {
   int matrix_n = 10;      // matrix dimension
   int value_bits = 12;    // element width (the prototype's share width)
   int parties = 3;        // parties in the monolithic MPC
-  bool use_ot_triples = false;
   uint64_t seed = 1;
 };
 
@@ -38,8 +37,10 @@ struct NaiveMpcResult {
 // value_bits, matching fixed-point semantics).
 circuit::Circuit BuildMatMulCircuit(int matrix_n, int value_bits);
 
-// Evaluates one matrix multiplication in GMW among `parties` parties over a
-// simulated transport and verifies the result against a host-side product.
+// Evaluates one matrix multiplication in GMW among `parties` parties with
+// dealer triples over a simulated transport (every party's role in one
+// lockstep mpc::EvalBlock call) and verifies the result against a
+// host-side product.
 NaiveMpcResult RunNaiveMatMul(const NaiveMpcParams& params);
 
 // §5.5 extrapolation: scales a measured multiplication cubically to

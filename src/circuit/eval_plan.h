@@ -1,7 +1,7 @@
 // Precompiled evaluation plan for a boolean circuit.
 //
-// Both evaluation engines — GMW over XOR shares (src/mpc/gmw.h) and the
-// cleartext fast path (src/engine/cleartext_backend.cc) — walk a circuit in
+// Both evaluation engines — GMW over XOR shares (src/mpc/batch_eval.h) and
+// the cleartext graph plane (src/graphplane) — walk a circuit in
 // the same layered order: the AND gates of communication round r, then the
 // free gates (INPUT/CONST/XOR/NOT) that become computable at round r. The
 // seed implementation re-derived that grouping on every Eval call; an

@@ -44,7 +44,8 @@ Bytes PackBits(const mpc::BitVector& bits) {
   return out;
 }
 
-// GmwParty::Open's wire format: PackBits zero-padded to whole 8-byte words.
+// The release opening's wire format: PackBits zero-padded to whole 8-byte
+// words (bit i at bit i % 64 of little-endian word i / 64).
 Bytes PackWords(const mpc::BitVector& bits) {
   Bytes out = PackBits(bits);
   out.resize(PackedWords(bits.size()) * 8, 0);
@@ -225,7 +226,7 @@ void Runtime::EnqueueComputeWave(int num_scenarios) {
   }
   const size_t num_and = update_circuit_.stats().num_and;
   if (num_and == 0) {
-    return;  // the online phase draws no triples either (gmw.cc guards)
+    return;  // the online phase draws no triples either (ComputePhase guards)
   }
   const int n = graph_.num_vertices();
   std::vector<mpc::TripleDemand> demands;
@@ -627,8 +628,9 @@ std::vector<int64_t> Runtime::Aggregate(int num_scenarios) {
   }
 
   // Open every lane's noised total: each member of the aggregation block
-  // sends its output shares to every other member in GmwParty::Open's wire
-  // format, and the XOR of all members' shares is the release.
+  // sends its output shares to every other member as one message of
+  // PackWords (packed little-endian, zero-padded to whole 8-byte words),
+  // and the XOR of all members' shares is the release.
   const std::vector<int>& agg = setup_.aggregation_block;
   for (int s = 0; s < num_scenarios; s++) {
     const net::SessionId session = kAggEvalSession | (static_cast<uint64_t>(s) << 40);

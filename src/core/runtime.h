@@ -62,7 +62,7 @@
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
 #include "src/graph/graph.h"
-#include "src/mpc/gmw.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/triple_factory.h"
 #include "src/net/transport.h"
 #include "src/net/transport_spec.h"

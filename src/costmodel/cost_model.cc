@@ -82,36 +82,23 @@ MicroCosts CalibrateBatched(int block_size, int message_bits, int batch_width) {
     }
     instance_shares.push_back(mpc::ShareBits(inputs, block_size, prg));
   }
-  std::vector<mpc::DealerTripleSource> sources;
-  sources.reserve(block_size);
+  std::vector<mpc::DealerTripleSource> dealers;
+  dealers.reserve(block_size);  // `sources` points into it
+  std::vector<mpc::TripleSource*> sources;
   for (int p = 0; p < block_size; p++) {
-    sources.emplace_back(p, block_size, 77);
+    sources.push_back(&dealers.emplace_back(p, block_size, 77));
   }
 
-  // All roles of all instances advance in one lockstep call on this thread
-  // — the runtime's single-scheduler mode. Triple draws are inside the
-  // timed section, as in the runtime's compute phase. Best of a few
+  // All roles of all instances advance in one mpc::EvalBlock call on this
+  // thread — the runtime's single-scheduler mode. Triple draws are inside
+  // the timed section, as in the runtime's compute phase. Best of a few
   // repetitions: one lockstep evaluation is only milliseconds, so a single
   // shot is at the mercy of scheduler noise.
   constexpr int kGmwReps = 3;
   double seconds = 0;
   for (int rep = 0; rep < kGmwReps; rep++) {
     Stopwatch timer;
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(static_cast<size_t>(block_size) * batch_width);
-    for (int p = 0; p < block_size; p++) {
-      for (int j = 0; j < batch_width; j++) {
-        mpc::BatchInstance item;
-        item.plan = &plan;
-        item.parties = ids;
-        item.my_index = p;
-        item.triples = sources[p].Generate(num_and);
-        item.input_shares = instance_shares[j][p];
-        item.order_key = static_cast<uint64_t>(j);
-        items.push_back(std::move(item));
-      }
-    }
-    mpc::EvalBatchInstances(net_owner.get(), /*session=*/0, std::move(items));
+    mpc::EvalBlock(net_owner.get(), /*session=*/0, plan, ids, instance_shares, sources);
     double rep_seconds = timer.ElapsedSeconds();
     seconds = rep == 0 ? rep_seconds : std::min(seconds, rep_seconds);
   }

@@ -47,8 +47,8 @@ struct MicroCosts {
 // runtime runs: the MPC terms via the bitsliced packed-share engine
 // (docs/packed-eval.md — `batch_width` independent instances of a
 // multiplier-heavy circuit advance through the AND layers in one lockstep
-// mpc::EvalBatchInstances call over a sim transport, whose metered bytes
-// give bytes_per_and), and the transfer terms via the batched wire-level
+// mpc::EvalBlock call over a sim transport, whose metered bytes give
+// bytes_per_and), and the transfer terms via the batched wire-level
 // crypto engine (docs/transfer-crypto.md — fixed-base key tables,
 // batch-affine bundle encryption, cached noise points, lockstep column
 // decryption), plus the once-per-run certificate table build.

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/crypto/u256.h"
@@ -78,6 +79,12 @@ class ChaCha20Prg {
   // straight into `out` by the lane-parallel kernel, several counter blocks
   // per pass; only the head and the tail go through the 64-byte buffer.
   void Fill(uint8_t* out, size_t len);
+  // `count` uniform 64-bit words, written by one Fill over their bytes.
+  std::vector<uint64_t> NextWords(size_t count) {
+    std::vector<uint64_t> out(count);
+    Fill(reinterpret_cast<uint8_t*>(out.data()), count * 8);
+    return out;
+  }
   Bytes NextBytes(size_t len);
   uint8_t NextByte();
   uint64_t NextU64();

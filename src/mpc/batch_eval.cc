@@ -1,6 +1,8 @@
 #include "src/mpc/batch_eval.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <numeric>
 
@@ -242,8 +244,8 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
     bool any_exchange = false;
 
     // Mask this round's AND inputs with the triples and serialize each
-    // instance's opening block — byte-identical to GmwParty::Eval's
-    // per-layer message: d words then e words, little-endian u64.
+    // instance's opening block in the wire format (batch_eval.h): d words
+    // then e words, little-endian u64.
     for (Group& g : groups) {
       const circuit::EvalPlan& plan = *g.plan;
       if (round >= plan.and_layers().size() || plan.and_layers()[round].empty()) {
@@ -308,9 +310,9 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
 
     // Superstep: all sends first (never blocking), then the receives. Each
     // channel carries this round's openings of its shared instances as one
-    // run — each instance's block (little-endian u64 words, the ExchangeXor
-    // format) one message of it — and the mirror channel's run is drained
-    // with every boundary checked against the size this side expects.
+    // run — each instance's block (little-endian u64 words) one message of
+    // it — and the mirror channel's run is drained with every boundary
+    // checked against the size this side expects.
     for (ChannelPair& pair : pairs) {
       pair.sizes.clear();
       run.clear();
@@ -417,6 +419,41 @@ std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId se
       out[o] = g.shares.Get(outs[o], col_of[s]) ? 1 : 0;
     }
     outputs[sorted[s]] = std::move(out);
+  }
+  return outputs;
+}
+
+std::vector<std::vector<BitVector>> EvalBlock(net::Transport* net, net::SessionId session,
+                                              const circuit::EvalPlan& plan,
+                                              const std::vector<net::NodeId>& parties,
+                                              const std::vector<std::vector<BitVector>>& shares,
+                                              const std::vector<TripleSource*>& sources,
+                                              BatchStats* stats) {
+  const size_t num_parties = parties.size();
+  DSTRESS_CHECK(sources.size() == num_parties);
+  const size_t num_and = plan.stats().num_and;
+  std::vector<BatchInstance> items;
+  items.reserve(shares.size() * num_parties);
+  for (size_t j = 0; j < shares.size(); j++) {
+    DSTRESS_CHECK(shares[j].size() == num_parties);
+    for (size_t p = 0; p < num_parties; p++) {
+      BatchInstance& item = items.emplace_back();
+      item.plan = &plan;
+      item.parties = parties;
+      item.my_index = static_cast<int>(p);
+      if (num_and > 0) {
+        item.triples = sources[p]->Generate(num_and);
+      }
+      item.input_shares = shares[j][p];
+      item.order_key = j;
+    }
+  }
+  std::vector<BitVector> flat = EvalBatchInstances(net, session, std::move(items), stats);
+  std::vector<std::vector<BitVector>> outputs(shares.size());
+  for (size_t j = 0; j < shares.size(); j++) {
+    auto first = flat.begin() + static_cast<std::ptrdiff_t>(j * num_parties);
+    outputs[j].assign(std::make_move_iterator(first),
+                      std::make_move_iterator(first + static_cast<std::ptrdiff_t>(num_parties)));
   }
   return outputs;
 }

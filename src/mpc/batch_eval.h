@@ -1,31 +1,33 @@
 // Lockstep batched GMW evaluation — the secure half of the packed-share
-// data plane (docs/packed-eval.md).
+// data plane (docs/packed-eval.md), and the only GMW engine in the tree.
+//
+// GMW (Goldreich–Micali–Wigderson 1987) over XOR shares among a block's
+// k+1 members (paper §3.3, §3.6): XOR, NOT and CONST gates are local; each
+// AND gate consumes a Beaver triple (a, b, c = a AND b) and opens
+// d = x^a, e = y^b. All AND gates of one multiplicative depth open
+// together, so the communication rounds equal the circuit's AND depth, and
+// any k colluding members see only uniformly random shares.
 //
 // One node usually plays roles in many concurrent GMW instances: it is a
 // member of several vertex blocks in a computation step, of several leaf or
-// combine blocks in an aggregation tree. The seed runtime ran each
-// (instance, member) role as its own pool task with its own GmwParty, so a
-// node paid the per-layer synchronization cost (enqueue wakeups, blocking
-// receives, context switches) once per instance per AND layer. Because all
-// of a step's instances evaluate circuits with aligned layer structure,
-// those roles can instead advance through the AND layers in lockstep: one
-// task per node evaluates all of its instances together, bitsliced
+// combine blocks in an aggregation tree. Because all of a phase's
+// instances evaluate circuits with aligned layer structure, their roles
+// advance through the AND layers in lockstep: the instances are bitsliced
 // instance-minor (PackedShareMatrix) so XOR/NOT/CONST gates cost one word
-// op per 64 instances, and ships each layer's d/e openings for all
-// instances sharing a peer as one run on that channel (net::Transport's
+// op per 64 instances, and each layer's d/e openings for all instances
+// sharing a peer ship as one run on that channel (net::Transport's
 // SendRun/RecvRun: one buffer plus message boundaries). The channel
 // handles are resolved once per call (OpenChannel), and the run buffer and
 // boundary lists are reused across rounds.
 //
-// Wire compatibility is a hard invariant: the batched path sends exactly
-// the same per-instance payloads as the unbatched path — one
-// [d-words | e-words] block per instance per nonempty AND layer per peer,
-// byte-identical to GmwParty::Eval's message — as individual messages of
-// the run: the transport meters, observes and delivers each on its own,
-// and the receiver checks every message's size. Per-node TrafficStats
-// (bytes *and* message counts) are therefore bit-identical to the
-// unbatched schedule; only the session ids and the synchronization cost
-// differ. Communication rounds stay equal to the circuit's AND depth.
+// Wire format: each instance sends one [d-words | e-words] block
+// (little-endian u64, d bits then e bits of the layer's AND gates, each
+// zero-padded to whole words) per nonempty AND layer to each peer, as its
+// own message of the run: the transport meters, observes and delivers each
+// on its own, and the receiver checks every message's size. Per-node
+// TrafficStats (bytes *and* message counts) therefore do not depend on how
+// instances are batched, on which thread runs them, or on the triple
+// values; only the synchronization cost differs.
 //
 // Deadlock freedom: all participating nodes run their batch call
 // concurrently (the runtime admits the whole phase as one worker-pool
@@ -40,7 +42,8 @@
 // phase runs as one call on one thread, every Recv is satisfied by a Send
 // earlier in the same round, no thread ever parks, and the bitslicing
 // width grows to every role of the phase. Wire traffic is unchanged — the
-// same messages cross the same (from, to) channels either way.
+// same messages cross the same (from, to) channels either way. EvalBlock
+// below is that mode for the instances of one block.
 #ifndef SRC_MPC_BATCH_EVAL_H_
 #define SRC_MPC_BATCH_EVAL_H_
 
@@ -92,6 +95,20 @@ struct BatchStats {
 std::vector<BitVector> EvalBatchInstances(net::Transport* net, net::SessionId session,
                                           std::vector<BatchInstance> instances,
                                           BatchStats* stats = nullptr);
+
+// Every (instance, party) role of W = shares.size() instances of `plan`
+// shared by one block, in one EvalBatchInstances call on the calling
+// thread. shares[j][p] is party p's input share of instance j; returns
+// outputs[j][p]. Party p draws plan.stats().num_and triples per instance
+// from sources[p], in instance order, so `sources` must not need
+// communication at draw time (dealer tapes, factory views). Instance j's
+// order_key is j. `stats` counts every role's triples.
+std::vector<std::vector<BitVector>> EvalBlock(net::Transport* net, net::SessionId session,
+                                              const circuit::EvalPlan& plan,
+                                              const std::vector<net::NodeId>& parties,
+                                              const std::vector<std::vector<BitVector>>& shares,
+                                              const std::vector<TripleSource*>& sources,
+                                              BatchStats* stats = nullptr);
 
 }  // namespace dstress::mpc
 

@@ -16,15 +16,9 @@ namespace {
 // base-OT streams from the per-(tag, member) share streams below.
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ULL;
 
-PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words) {
-  PackedBits out(words);
-  prg.Fill(reinterpret_cast<uint8_t*>(out.data()), words * 8);
-  return out;
-}
-
-// Circle-method tournament over n players, generalized from
-// OtTripleSource: rounds 0 .. TournamentRounds(n)-1 enumerate all unordered
-// pairs, one perfect matching per round (slot n-1 padded for odd n).
+// Circle-method tournament over n players: rounds 0 .. TournamentRounds(n)-1
+// enumerate all unordered pairs, one perfect matching per round (a padding
+// slot gives one player a bye per round when n is odd).
 int TournamentRounds(int n) {
   int m = (n % 2 == 0) ? n : n + 1;
   return m - 1;
@@ -177,7 +171,7 @@ TripleFactory::Buffer* TripleFactory::BufferFor(uint64_t tag, int member) {
   return buf.get();
 }
 
-PeerIknp& TripleFactory::PairFor(net::NodeId self, net::NodeId peer) {
+TripleFactory::PeerIknp& TripleFactory::PairFor(net::NodeId self, net::NodeId peer) {
   std::map<net::NodeId, std::unique_ptr<PeerIknp>>* mine;
   {
     std::lock_guard<std::mutex> lock(pairs_mu_);
@@ -299,8 +293,8 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
       auto prg = crypto::ChaCha20Prg::FromSeed(
           options_.prg_seed * kSeedMix + ((dem.tag << 8) | static_cast<uint64_t>(m)),
           streams[d][m]);
-      shares[d].a[m] = RandomPacked(prg, words);
-      shares[d].b[m] = RandomPacked(prg, words);
+      shares[d].a[m] = prg.NextWords(words);
+      shares[d].b[m] = prg.NextWords(words);
       shares[d].c[m].assign(words, 0);
       for (size_t w = 0; w < words; w++) {
         shares[d].c[m][w] = shares[d].a[m][w] & shares[d].b[m][w];

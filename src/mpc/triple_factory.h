@@ -1,9 +1,10 @@
-// Node-pair OT triple factory: the batched offline phase.
+// Node-pair OT triple factory: the batched offline phase, and the only
+// OT-triple generator in the tree.
 //
-// A per-role source (OtTripleSource) gives every (role-group, member)
-// instance its own IKNP sessions, so each role pays a 128-base-OT setup per
-// peer and issues tiny per-batch extends. On one executing node those roles
-// overwhelmingly face the same peer nodes — the factory exploits that:
+// Giving every (role-group, member) instance its own IKNP sessions would
+// make each role pay a 128-base-OT setup per peer and issue tiny
+// per-batch extends. On one executing node those roles overwhelmingly face
+// the same peer nodes — the factory exploits that:
 //
 //  * ONE IknpSender/IknpReceiver pair per unordered node pair per run
 //    (lazily established the first time two nodes co-occur in a wave, kept
@@ -15,8 +16,9 @@
 //    direction.
 //  * A partitioner deals each group's shares out to per-(group, member)
 //    TripleSource views — blocking cursors over a buffered stream with
-//    SliceTriples semantics — so GmwParty / EvalBatchInstances consume
-//    triples exactly as before and the online phase is untouched.
+//    SliceTriples semantics — which EvalBatchInstances' callers draw from
+//    like any other TripleSource, so the online phase does not know which
+//    source it runs on.
 //
 // Pipelining: with Options::pipeline, Enqueue hands waves to a background
 // dispatcher thread (with its own WorkerPool, so offline role tasks never
@@ -50,6 +52,7 @@
 #include "src/crypto/chacha20.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport.h"
+#include "src/ot/iknp.h"
 
 namespace dstress::mpc {
 
@@ -126,6 +129,13 @@ class TripleFactory {
   };
 
   class View;
+
+  // One extension-sender/receiver pair toward a peer node, established
+  // with one base-OT setup in each direction.
+  struct PeerIknp {
+    std::unique_ptr<ot::IknpSender> sender;
+    std::unique_ptr<ot::IknpReceiver> receiver;
+  };
 
   Buffer* BufferFor(uint64_t tag, int member);
   PeerIknp& PairFor(net::NodeId self, net::NodeId peer);

@@ -4,13 +4,13 @@
 // engine consumes one triple per AND gate: parties open d = x^a and
 // e = y^b, then locally compute shares of x AND y.
 //
-// Two sources are provided:
+// TripleSource has two implementations:
 //
-//  * OtTripleSource — the real protocol. Every ordered pair of parties runs
-//    IKNP-extended random OTs to produce XOR shares of the cross terms
-//    a_i AND b_j; sessions are scheduled with a round-robin tournament so
-//    disjoint pairs run concurrently. This is what the paper's prototype
-//    does via the Choi et al. GMW implementation with OT extensions.
+//  * The node-pair OT triple factory's views (triple_factory.h) — the real
+//    protocol and the only OT-triple generator: every pair of block nodes
+//    runs IKNP-extended random OTs to produce XOR shares of the cross terms
+//    a_i AND b_j. This is what the paper's prototype does via the Choi et
+//    al. GMW implementation with OT extensions.
 //
 //  * DealerTripleSource — a simulated offline phase: all parties derive
 //    their shares deterministically from a shared dealer seed. This mode
@@ -20,14 +20,9 @@
 #ifndef SRC_MPC_TRIPLES_H_
 #define SRC_MPC_TRIPLES_H_
 
-#include <map>
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "src/common/bits.h"
-#include "src/crypto/chacha20.h"
-#include "src/net/transport.h"
-#include "src/ot/iknp.h"
 
 namespace dstress::mpc {
 
@@ -41,22 +36,14 @@ struct BitTriples {
 class TripleSource {
  public:
   virtual ~TripleSource() = default;
-  // Collective: every party in the group must call Generate with the same
-  // count, in the same protocol position. Counts may vary call to call
-  // (the batched evaluation path draws one bulk range per EvalBatch) as
-  // long as all parties' call sequences match.
+  // Every party of a group must make the same sequence of Generate calls
+  // (the same counts in the same order); counts may vary call to call.
+  // Neither implementation communicates at draw time.
   virtual BitTriples Generate(size_t count) = 0;
 };
 
-// One extension-sender/receiver pair toward a peer, established with one
-// base-OT setup in each direction.
-struct PeerIknp {
-  std::unique_ptr<ot::IknpSender> sender;
-  std::unique_ptr<ot::IknpReceiver> receiver;
-};
-
 // Copies triples [start, start+count) of `src` into a fresh BitTriples.
-// Used to split one bulk Generate across the instances of an EvalBatch.
+// Factory views deal their draws out of a buffered stream this way.
 BitTriples SliceTriples(const BitTriples& src, size_t start, size_t count);
 
 class DealerTripleSource : public TripleSource {
@@ -81,33 +68,6 @@ class DealerTripleSource : public TripleSource {
   // source's differently-seeded streams (the old per-bit advance perturbed
   // the seed itself, which adjacent sources could alias).
   uint64_t calls_ = 0;
-};
-
-class OtTripleSource : public TripleSource {
- public:
-  // `parties` are the transport node ids of the group, `my_index` is this
-  // party's position in that list. Base-OT setup with every peer happens
-  // lazily on the first Generate call.
-  OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties, int my_index,
-                 crypto::ChaCha20Prg prg, net::SessionId session = 0);
-
-  BitTriples Generate(size_t count) override;
-
- private:
-  void EnsureSetup();
-  // Tournament schedule: returns the peer index this party meets in
-  // `round`, or -1 for a bye. Rounds 0 .. RoundCount()-1 enumerate all
-  // unordered pairs with disjoint pairs per round.
-  int PeerInRound(int round) const;
-  int RoundCount() const;
-
-  net::Transport* net_;
-  std::vector<net::NodeId> parties_;
-  int my_index_;
-  crypto::ChaCha20Prg prg_;
-  net::SessionId session_;
-  bool setup_done_ = false;
-  std::map<int, std::unique_ptr<PeerIknp>> sessions_;  // keyed by peer index
 };
 
 }  // namespace dstress::mpc

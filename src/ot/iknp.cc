@@ -18,12 +18,6 @@ crypto::ChaCha20Prg PrgFromKey(const OtKey& key, uint64_t stream_id) {
   return crypto::ChaCha20Prg(full, stream_id);
 }
 
-PackedBits PrgBits(crypto::ChaCha20Prg& prg, size_t words) {
-  PackedBits out(words);
-  prg.Fill(reinterpret_cast<uint8_t*>(out.data()), words * 8);
-  return out;
-}
-
 }  // namespace
 
 void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_t* rows) {
@@ -70,7 +64,7 @@ RandomOtPairs IknpSender::Extend(size_t count) {
 
   std::vector<PackedBits> q_cols(kIknpKappa);
   for (int i = 0; i < kIknpKappa; i++) {
-    PackedBits q = PrgBits(seed_prg_[i], words);
+    PackedBits q = seed_prg_[i].NextWords(words);
     if (GetBit(s_bits_, static_cast<size_t>(i))) {
       const uint8_t* u = u_block.data() + static_cast<size_t>(i) * words * 8;
       for (size_t w = 0; w < words; w++) {
@@ -118,7 +112,7 @@ RandomOtChosen IknpReceiver::Extend(const PackedBits& choices, size_t count) {
   std::vector<PackedBits> t_cols(kIknpKappa);
   Bytes u_block(static_cast<size_t>(kIknpKappa) * words * 8);
   for (int i = 0; i < kIknpKappa; i++) {
-    PackedBits t = PrgBits(prg0_[i], words);
+    PackedBits t = prg0_[i].NextWords(words);
     uint8_t* u = u_block.data() + static_cast<size_t>(i) * words * 8;
     prg1_[i].Fill(u, words * 8);
     for (size_t w = 0; w < words; w++) {

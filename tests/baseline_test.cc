@@ -60,15 +60,6 @@ TEST(NaiveMpcTest, GmwRunVerifies) {
   EXPECT_EQ(result.and_gates, BuildMatMulCircuit(4, 8).stats().num_and);
 }
 
-TEST(NaiveMpcTest, GmwRunVerifiesWithOtTriples) {
-  NaiveMpcParams params;
-  params.matrix_n = 2;
-  params.value_bits = 8;
-  params.parties = 2;
-  params.use_ot_triples = true;
-  EXPECT_TRUE(RunNaiveMatMul(params).verified);
-}
-
 TEST(NaiveMpcTest, ExtrapolationFormula) {
   // The paper's §5.5 extrapolation: (1750/25)^3 * 40 min * 11 ≈ 287 years.
   double seconds = ExtrapolateMatrixPowerSeconds(40.0 * 60, 25, 1750, 12);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <string>
 
+#include "src/baseline/naive_mpc.h"
 #include "src/circuit/builder.h"
-#include "src/mpc/gmw.h"
-#include "src/net/sim_network.h"
+#include "src/circuit/eval_plan.h"
+#include "src/core/vertex_program.h"
+#include "src/finance/eisenberg_noe.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/sharing.h"
+#include "src/mpc/triple_factory.h"
 #include "src/mpc/triples.h"
+#include "src/net/sim_network.h"
+#include "tests/fidelity_digest.h"
 
 namespace dstress::mpc {
 namespace {
@@ -91,11 +97,10 @@ TEST_P(DealerTripleTest, SequentialBatchesStayAligned) {
   }
 }
 
-// Bulk-generation offset regression: the batched evaluation path draws
-// wildly different batch sizes call to call (one bulk range per EvalBatch).
-// The per-call tape advance must keep every party's derivation in sync for
-// any agreed size sequence — checked per batch and over the concatenation
-// of all batches.
+// Bulk-generation offset regression: a source may be asked for wildly
+// different batch sizes call to call. The per-call tape advance must keep
+// every party's derivation in sync for any agreed size sequence — checked
+// per batch and over the concatenation of all batches.
 TEST_P(DealerTripleTest, InterleavedBatchSizesStayAligned) {
   int parties = GetParam();
   std::vector<DealerTripleSource> sources;
@@ -141,7 +146,7 @@ TEST(DealerTripleSourceTest, FreshCallsUseFreshTape) {
 }
 
 // SliceTriples must preserve triple validity across arbitrary cut points —
-// the bulk draw of GmwParty::EvalBatch is split per instance this way.
+// the factory's views deal their buffered streams out this way.
 TEST_P(DealerTripleTest, SlicedBulkBatchesAreValidTriples) {
   int parties = GetParam();
   constexpr size_t kPerInstance = 97;
@@ -162,32 +167,6 @@ TEST_P(DealerTripleTest, SlicedBulkBatchesAreValidTriples) {
 
 INSTANTIATE_TEST_SUITE_P(Parties, DealerTripleTest, ::testing::Values(1, 2, 3, 5, 8));
 
-class OtTripleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(OtTripleTest, TriplesAreValid) {
-  int parties = GetParam();
-  constexpr size_t kCount = 300;
-  net::SimNetwork net(parties);
-  std::vector<net::NodeId> ids(parties);
-  for (int i = 0; i < parties; i++) {
-    ids[i] = i;
-  }
-  std::vector<BitTriples> shares(parties);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < parties; p++) {
-    threads.emplace_back([&, p] {
-      OtTripleSource source(&net, ids, p, crypto::ChaCha20Prg::FromSeed(100 + p));
-      shares[p] = source.Generate(kCount);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  CheckTriples(shares, kCount);
-}
-
-INSTANTIATE_TEST_SUITE_P(Parties, OtTripleTest, ::testing::Values(2, 3, 4, 5));
-
 // Builds a circuit exercising every gate type and word op.
 Circuit MixedCircuit() {
   Builder b;
@@ -206,6 +185,47 @@ Circuit MixedCircuit() {
   return b.Build();
 }
 
+std::vector<net::NodeId> PartyIds(int parties) {
+  std::vector<net::NodeId> ids(parties);
+  for (int p = 0; p < parties; p++) {
+    ids[p] = p;
+  }
+  return ids;
+}
+
+// One instance of `circuit` evaluated by the block 0 .. P-1 of `net`
+// (P = shares.size()) with dealer triples under `seed`, every role in one
+// EvalBlock call. Returns each party's output shares.
+std::vector<BitVector> EvalWithDealer(net::Transport* net, const Circuit& circuit,
+                                      const std::vector<BitVector>& shares, uint64_t seed) {
+  const int parties = static_cast<int>(shares.size());
+  std::vector<DealerTripleSource> dealers;
+  dealers.reserve(parties);  // `sources` points into it
+  std::vector<TripleSource*> sources;
+  for (int p = 0; p < parties; p++) {
+    sources.push_back(&dealers.emplace_back(p, parties, seed));
+  }
+  return EvalBlock(net, /*session=*/0, circuit::EvalPlan(circuit), PartyIds(parties), {shares},
+                   sources)[0];
+}
+
+// The same with OT triples from one wave of a triple factory on `net`.
+std::vector<BitVector> EvalWithOtTriples(net::Transport* net, const Circuit& circuit,
+                                         const std::vector<BitVector>& shares, uint64_t seed) {
+  const int parties = static_cast<int>(shares.size());
+  TripleFactoryOptions options;
+  options.prg_seed = seed;
+  options.pipeline = false;
+  TripleFactory factory(net, options);
+  factory.Enqueue({{/*tag=*/0, PartyIds(parties), circuit.stats().num_and}});
+  std::vector<TripleSource*> sources;
+  for (int p = 0; p < parties; p++) {
+    sources.push_back(factory.ViewFor(/*tag=*/0, p));
+  }
+  return EvalBlock(net, /*session=*/0, circuit::EvalPlan(circuit), PartyIds(parties), {shares},
+                   sources)[0];
+}
+
 class GmwTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GmwTest, MatchesPlaintextEvalWithDealerTriples) {
@@ -220,22 +240,7 @@ TEST_P(GmwTest, MatchesPlaintextEvalWithDealerTriples) {
     auto expected = c.Eval(inputs);
     net::SimNetwork net(parties);
     auto shares = ShareBits(inputs, parties, prg);
-    std::vector<BitVector> outputs(parties);
-    std::vector<std::thread> threads;
-    for (int p = 0; p < parties; p++) {
-      threads.emplace_back([&, p] {
-        std::vector<net::NodeId> ids(parties);
-        for (int i = 0; i < parties; i++) {
-          ids[i] = i;
-        }
-        DealerTripleSource triples(p, parties, 5);
-        GmwParty party(&net, ids, p, &triples);
-        outputs[p] = party.Eval(c, shares[p]);
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
+    std::vector<BitVector> outputs = EvalWithDealer(&net, c, shares, /*seed=*/5);
     EXPECT_EQ(ReconstructBits(outputs), expected) << "trial " << trial;
   }
 }
@@ -253,19 +258,7 @@ TEST(GmwTest, MatchesPlaintextEvalWithOtTriples) {
   auto expected = c.Eval(inputs);
   net::SimNetwork net(kParties);
   auto shares = ShareBits(inputs, kParties, prg);
-  std::vector<BitVector> outputs(kParties);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kParties; p++) {
-    threads.emplace_back([&, p] {
-      std::vector<net::NodeId> ids = {0, 1, 2};
-      OtTripleSource triples(&net, ids, p, crypto::ChaCha20Prg::FromSeed(200 + p));
-      GmwParty party(&net, ids, p, &triples);
-      outputs[p] = party.Eval(c, shares[p]);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  std::vector<BitVector> outputs = EvalWithOtTriples(&net, c, shares, /*seed=*/200);
   EXPECT_EQ(ReconstructBits(outputs), expected);
 }
 
@@ -278,47 +271,9 @@ TEST(GmwTest, ConstOnlyCircuit) {
   Circuit circuit = b.Build();
   constexpr int kParties = 3;
   net::SimNetwork net(kParties);
-  std::vector<BitVector> outputs(kParties);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kParties; p++) {
-    threads.emplace_back([&, p] {
-      std::vector<net::NodeId> ids = {0, 1, 2};
-      DealerTripleSource triples(p, kParties, 1);
-      GmwParty party(&net, ids, p, &triples);
-      outputs[p] = party.Eval(circuit, {});
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  std::vector<BitVector> outputs =
+      EvalWithDealer(&net, circuit, std::vector<BitVector>(kParties), /*seed=*/1);
   EXPECT_EQ(BitsToWord(ReconstructBits(outputs), 0, 8), 0x5Au);
-}
-
-TEST(GmwTest, OpenRevealsSharedBits) {
-  constexpr int kParties = 4;
-  auto prg = crypto::ChaCha20Prg::FromSeed(79);
-  BitVector secret(100);
-  for (auto& bit : secret) {
-    bit = prg.NextBit() ? 1 : 0;
-  }
-  net::SimNetwork net(kParties);
-  auto shares = ShareBits(secret, kParties, prg);
-  std::vector<BitVector> opened(kParties);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kParties; p++) {
-    threads.emplace_back([&, p] {
-      std::vector<net::NodeId> ids = {0, 1, 2, 3};
-      DealerTripleSource triples(p, kParties, 1);
-      GmwParty party(&net, ids, p, &triples);
-      opened[p] = party.Open(shares[p]);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  for (int p = 0; p < kParties; p++) {
-    EXPECT_EQ(opened[p], secret) << "party " << p;
-  }
 }
 
 TEST(GmwTest, TrafficScalesWithParties) {
@@ -330,27 +285,102 @@ TEST(GmwTest, TrafficScalesWithParties) {
   std::vector<uint64_t> per_party;
   for (int parties : {2, 4, 8}) {
     net::SimNetwork net(parties);
-    auto shares = ShareBits(inputs, parties, prg);
-    std::vector<std::thread> threads;
-    for (int p = 0; p < parties; p++) {
-      threads.emplace_back([&, p, parties] {
-        std::vector<net::NodeId> ids(parties);
-        for (int i = 0; i < parties; i++) {
-          ids[i] = i;
-        }
-        DealerTripleSource triples(p, parties, 1);
-        GmwParty party(&net, ids, p, &triples);
-        party.Eval(c, shares[p]);
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
+    EvalWithDealer(&net, c, ShareBits(inputs, parties, prg), /*seed=*/1);
     per_party.push_back(net.NodeStats(0).bytes_sent);
   }
   // Per-party bytes = (parties-1) * layer bytes: ratios should be ~3x, ~7/3.
   EXPECT_NEAR(static_cast<double>(per_party[1]) / per_party[0], 3.0, 0.2);
   EXPECT_NEAR(static_cast<double>(per_party[2]) / per_party[1], 7.0 / 3.0, 0.2);
+}
+
+// The EN update circuit at degree bound D, in the figure benches' 12-bit
+// fixed-point format.
+Circuit EnUpdateCircuit(int degree_bound) {
+  finance::EnProgramParams params;
+  params.format.value_bits = 12;
+  params.format.frac_bits = 8;
+  params.degree_bound = degree_bound;
+  params.iterations = 7;
+  params.noise_alpha = 0.5;
+  params.aggregate_bits = 24;
+  return core::BuildUpdateCircuit(finance::MakeEnProgram(params));
+}
+
+// One evaluation of `circuit` by a block of `parties` parties on a fresh
+// sim transport, digested as every node's four TrafficStats counters plus
+// the reconstructed output bits. Neither depends on triple values, so the
+// digest holds for any triple source that sends the same messages.
+std::string BlockMpcDigest(const Circuit& circuit, int parties, bool use_ot, uint64_t seed) {
+  auto prg = crypto::ChaCha20Prg::FromSeed(seed);
+  BitVector inputs(circuit.num_inputs());
+  for (auto& bit : inputs) {
+    bit = prg.NextBit() ? 1 : 0;
+  }
+  auto shares = ShareBits(inputs, parties, prg);
+  net::SimNetwork net(parties);
+  std::vector<BitVector> outputs = use_ot ? EvalWithOtTriples(&net, circuit, shares, seed)
+                                          : EvalWithDealer(&net, circuit, shares, seed);
+  BitVector opened = ReconstructBits(outputs);
+  EXPECT_EQ(opened, circuit.Eval(inputs));
+  FidelityDigest digest;
+  digest.AddTraffic(net).AddBits(opened);
+  return digest.Hex();
+}
+
+// Pin of the one-block drivers (the figure benches' block MPC and the
+// naive baseline). The hex strings were captured from the per-party
+// thread drivers and a per-role IKNP triple source, before both were
+// replaced by one EvalBlock call and one triple-factory wave; traffic and
+// outputs did not move.
+TEST(BlockMpcDigestTest, TrafficMatchesGoldenDigest) {
+  struct Case {
+    const char* label;
+    bool en;  // EN update circuit at D = 6, else MixedCircuit()
+    int parties;
+    bool use_ot;
+    const char* golden;
+  };
+  const Case cases[] = {
+      {"mixed P=2", false, 2, false,
+       "ce032ab2571db92f039a373ec3217e6e84265942afe6a40652658be9307d4785"},
+      {"mixed P=3", false, 3, false,
+       "bf8be612cda089c575955263dcc346ef59b105fe4bef7a02f865ced1d3725ef7"},
+      {"mixed P=5", false, 5, false,
+       "c3450b72959798ca179e218f6d4988e0d9a89c51c0b8408a7ac8f94cc8844741"},
+      {"mixed P=8", false, 8, false,
+       "af8ebef56bfab72344ac2f17eccccf8393122dbe49c91db47e0d142f20217394"},
+      {"en P=2", true, 2, false,
+       "578433cf395a8d5fd61e03e2694835f54475e7b74d5ca483bb52f07b9bea8ee0"},
+      {"en P=3", true, 3, false,
+       "6859754839535a8b89ce724400c5012e69d8e1c83edd10df9f8c79275015aad4"},
+      {"en P=5", true, 5, false,
+       "6397a01507ebbb88e3ad93ed84f8b2bbc427d4564c97409d3cfef79d1ecebe09"},
+      {"en P=8", true, 8, false,
+       "e25028af3f6dcaed72188070c724beec292067f309e0f8463b1b6d0d1ac04847"},
+      {"en ot P=2", true, 2, true,
+       "fe89899cc67bd5ebe0649cc5872fc4be2bb32b71e5b44072577b745ae229d6d2"},
+      {"en ot P=3", true, 3, true,
+       "5bee61cfbd0ef6db331a623f3722da3a55dfe84c68ea747f8b32111f48bed7eb"},
+      {"en ot P=5", true, 5, true,
+       "25fb262fab3479838e4d445e2fe1ef0a48b7e8e66b9b24cd6c020d4892332d69"},
+  };
+  const Circuit mixed = MixedCircuit();
+  const Circuit en = EnUpdateCircuit(6);
+  for (const Case& c : cases) {
+    ExpectGoldenDigest(BlockMpcDigest(c.en ? en : mixed, c.parties, c.use_ot, /*seed=*/41),
+                       c.golden, c.label);
+  }
+
+  baseline::NaiveMpcParams params;
+  params.matrix_n = 4;
+  params.value_bits = 8;
+  params.parties = 3;
+  baseline::NaiveMpcResult naive = baseline::RunNaiveMatMul(params);
+  FidelityDigest digest;
+  digest.Add(naive.total_bytes).Add(naive.and_gates).Add(naive.verified ? 1 : 0);
+  ExpectGoldenDigest(digest.Hex(),
+                     "7c8e76103380647a2e82097e4a793b7c333d453270b52b9c514da3bb12067c52",
+                     "naive matmul n=4");
 }
 
 }  // namespace

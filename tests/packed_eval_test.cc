@@ -5,19 +5,21 @@
 //  * PackedShareMatrix round-trips the column representation.
 //  * EvalPlan::EvalPacked (word-parallel cleartext) == Circuit::Eval per
 //    instance, for batch widths around the word boundaries.
-//  * GmwParty::EvalBatch == per-instance GmwParty::Eval == Circuit::Eval on
-//    reconstructed outputs, same widths.
+//  * EvalBlock over W instances == W one-instance EvalBlock calls ==
+//    Circuit::Eval on reconstructed outputs, same widths, with the wide
+//    call's per-node traffic equal to the sum of the one-instance calls';
+//    the one-thread-per-party mode of EvalBatchInstances agrees with both.
 //  * The multi-node single-scheduler mode of EvalBatchInstances (many
 //    executing nodes, heterogeneous circuits, one thread) matches cleartext.
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <tuple>
 
 #include "src/circuit/circuit.h"
 #include "src/circuit/eval_plan.h"
 #include "src/common/rng.h"
 #include "src/mpc/batch_eval.h"
-#include "src/mpc/gmw.h"
 #include "src/mpc/packed.h"
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
@@ -125,72 +127,116 @@ TEST(EvalPlanTest, PackedClearTextMatchesEvalOnRandomCorpus) {
   }
 }
 
-// All parties run EvalBatch over a sim transport; returns the
-// reconstructed (opened) outputs per instance.
-std::vector<BitVector> RunGmwBatch(const Circuit& circuit,
-                                   const std::vector<BitVector>& instances, int parties,
-                                   uint64_t seed) {
+// Reconstructed outputs per instance and every node's traffic of one
+// block evaluation.
+struct BlockRun {
+  std::vector<BitVector> opened;
+  std::vector<net::TrafficStats> traffic;
+};
+
+// Shares every instance across `parties` parties and evaluates them all
+// on a fresh sim transport with dealer triples: in one EvalBlock call, or
+// (threaded) with each party's own EvalBatchInstances call on its own
+// thread, the one-thread-per-party mode of batch_eval.h.
+BlockRun RunBlock(const Circuit& circuit, const std::vector<BitVector>& instances, int parties,
+                  uint64_t seed, bool threaded) {
   EvalPlan plan(circuit);
   auto net = net::MakeSimTransport(parties);
   auto prg = crypto::ChaCha20Prg::FromSeed(seed);
-  // Share every instance's inputs across the parties.
-  std::vector<PackedShareMatrix> party_inputs(
-      parties, PackedShareMatrix(circuit.num_inputs(), instances.size()));
-  for (size_t j = 0; j < instances.size(); j++) {
-    auto shares = ShareBits(instances[j], parties, prg);
-    for (int p = 0; p < parties; p++) {
-      party_inputs[p].SetInstance(j, shares[p]);
-    }
+  std::vector<std::vector<BitVector>> shares;  // [instance][party]
+  for (const BitVector& instance : instances) {
+    shares.push_back(ShareBits(instance, parties, prg));
   }
   std::vector<net::NodeId> ids(parties);
+  std::vector<DealerTripleSource> dealers;
+  dealers.reserve(parties);  // `sources` points into it
+  std::vector<TripleSource*> sources;
   for (int p = 0; p < parties; p++) {
     ids[p] = p;
+    sources.push_back(&dealers.emplace_back(p, parties, seed ^ 0x5eedULL));
   }
-  std::vector<PackedShareMatrix> party_outputs(parties);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < parties; p++) {
-    threads.emplace_back([&, p] {
-      DealerTripleSource triples(p, parties, seed ^ 0x5eedULL);
-      GmwParty party(net.get(), ids, p, &triples);
-      BatchStats stats;
-      party_outputs[p] = party.EvalBatch(plan, party_inputs[p], &stats);
-      EXPECT_EQ(stats.rounds, circuit.stats().and_depth);
-      EXPECT_EQ(stats.triples_consumed, circuit.stats().num_and * instances.size());
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  std::vector<BitVector> opened;
-  for (size_t j = 0; j < instances.size(); j++) {
-    std::vector<BitVector> shares;
+  const size_t num_and = circuit.stats().num_and;
+  const size_t width = instances.size();
+  std::vector<std::vector<BitVector>> outputs;  // [instance][party]
+  if (threaded) {
+    outputs.assign(width, std::vector<BitVector>(parties));
+    std::vector<std::thread> threads;
     for (int p = 0; p < parties; p++) {
-      shares.push_back(party_outputs[p].Instance(j));
+      threads.emplace_back([&, p] {
+        std::vector<BatchInstance> items(width);
+        for (size_t j = 0; j < width; j++) {
+          items[j].plan = &plan;
+          items[j].parties = ids;
+          items[j].my_index = p;
+          if (num_and > 0) {
+            items[j].triples = sources[p]->Generate(num_and);
+          }
+          items[j].input_shares = shares[j][p];
+          items[j].order_key = j;
+        }
+        BatchStats stats;
+        std::vector<BitVector> mine =
+            EvalBatchInstances(net.get(), /*session=*/0, std::move(items), &stats);
+        EXPECT_EQ(stats.rounds, circuit.stats().and_depth);
+        EXPECT_EQ(stats.triples_consumed, num_and * width);
+        for (size_t j = 0; j < width; j++) {
+          outputs[j][p] = std::move(mine[j]);
+        }
+      });
     }
-    opened.push_back(ReconstructBits(shares));
+    for (auto& t : threads) {
+      t.join();
+    }
+  } else {
+    BatchStats stats;
+    outputs = EvalBlock(net.get(), /*session=*/0, plan, ids, shares, sources, &stats);
+    EXPECT_EQ(stats.rounds, circuit.stats().and_depth);
+    EXPECT_EQ(stats.triples_consumed, num_and * width * parties);
   }
-  return opened;
+  BlockRun run;
+  for (const std::vector<BitVector>& instance_outputs : outputs) {
+    run.opened.push_back(ReconstructBits(instance_outputs));
+  }
+  for (int v = 0; v < parties; v++) {
+    run.traffic.push_back(net->NodeStats(v));
+  }
+  return run;
 }
 
-TEST(GmwEvalBatchTest, BitIdenticalToPerInstanceEvalOnRandomCorpus) {
+auto TrafficKey(const net::TrafficStats& t) {
+  return std::make_tuple(t.bytes_sent, t.bytes_received, t.messages_sent, t.messages_received);
+}
+
+TEST(EvalBlockTest, BitIdenticalToPerInstanceEvalOnRandomCorpus) {
   for (uint64_t seed = 1; seed <= 4; seed++) {
     Circuit circuit = RandomCircuit(seed * 31, 10, 90);
     int parties = 2 + static_cast<int>(seed % 3);
     for (size_t width : {1u, 3u, 64u, 130u}) {
       auto instances = RandomInstances(seed * 1000 + width, circuit.num_inputs(), width);
-      std::vector<BitVector> batched = RunGmwBatch(circuit, instances, parties, seed);
+      BlockRun wide = RunBlock(circuit, instances, parties, seed, /*threaded=*/false);
+      BlockRun threaded = RunBlock(circuit, instances, parties, seed, /*threaded=*/true);
+      std::vector<net::TrafficStats> summed(parties);
       for (size_t j = 0; j < width; j++) {
-        EXPECT_EQ(batched[j], circuit.Eval(instances[j]))
+        BlockRun solo = RunBlock(circuit, {instances[j]}, parties, seed + j, /*threaded=*/false);
+        EXPECT_EQ(solo.opened[0], circuit.Eval(instances[j]))
             << "seed " << seed << " width " << width << " instance " << j;
+        EXPECT_EQ(wide.opened[j], solo.opened[0])
+            << "seed " << seed << " width " << width << " instance " << j;
+        EXPECT_EQ(threaded.opened[j], solo.opened[0])
+            << "seed " << seed << " width " << width << " instance " << j;
+        for (int v = 0; v < parties; v++) {
+          summed[v].bytes_sent += solo.traffic[v].bytes_sent;
+          summed[v].bytes_received += solo.traffic[v].bytes_received;
+          summed[v].messages_sent += solo.traffic[v].messages_sent;
+          summed[v].messages_received += solo.traffic[v].messages_received;
+        }
       }
-    }
-    // The W=1 case *is* Eval: one solo per-instance run must reconstruct to
-    // the same outputs the batch did.
-    auto instances = RandomInstances(seed * 7777, circuit.num_inputs(), 3);
-    std::vector<BitVector> batched = RunGmwBatch(circuit, instances, parties, seed + 9);
-    for (size_t j = 0; j < instances.size(); j++) {
-      std::vector<BitVector> solo = RunGmwBatch(circuit, {instances[j]}, parties, seed + 9);
-      EXPECT_EQ(solo[0], batched[j]) << "seed " << seed << " instance " << j;
+      for (int v = 0; v < parties; v++) {
+        EXPECT_EQ(TrafficKey(wide.traffic[v]), TrafficKey(summed[v]))
+            << "seed " << seed << " width " << width << " node " << v;
+        EXPECT_EQ(TrafficKey(threaded.traffic[v]), TrafficKey(wide.traffic[v]))
+            << "seed " << seed << " width " << width << " node " << v;
+      }
     }
   }
 }
