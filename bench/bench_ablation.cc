@@ -65,7 +65,7 @@ void KurosawaAblation() {
 
 void AggregationTreeAblation() {
   std::printf("# Ablation 2: single aggregation block vs two-level tree (fanout 16)\n");
-  std::printf("    N    flat agg(s)  flat MB    tree agg(s)  tree MB\n");
+  std::printf("    N    flat agg(ms)    flat KB    tree agg(ms)    tree KB\n");
   for (int n : {32, 96, 200}) {
     programs::PrivateSumParams params;
     params.degree_bound = 1;
@@ -82,19 +82,19 @@ void AggregationTreeAblation() {
     base.block_size = 4;
     base.seed = 9 + n;
 
-    double seconds[2];
-    double megabytes[2];
+    double ms[2];
+    double kilobytes[2];
     int variant = 0;
     for (int fanout : {0, 16}) {
       engine::RunSpec spec = base;
       spec.aggregation_fanout = fanout;
       engine::RunReport report = engine::Engine(spec).Run();
-      seconds[variant] = report.metrics.aggregate.seconds;
-      megabytes[variant] = static_cast<double>(report.metrics.aggregate.bytes) / 1e6;
+      ms[variant] = report.metrics.aggregate.seconds * 1e3;
+      kilobytes[variant] = static_cast<double>(report.metrics.aggregate.bytes) / 1e3;
       variant++;
     }
-    std::printf("%5d    %10.2f  %7.2f    %11.2f  %7.2f\n", n, seconds[0], megabytes[0],
-                seconds[1], megabytes[1]);
+    std::printf("%5d    %12.3f %10.3f    %12.3f %10.3f\n", n, ms[0], kilobytes[0], ms[1],
+                kilobytes[1]);
   }
   std::printf("# the tree bounds the root circuit at fanout inputs; the flat block's\n");
   std::printf("# circuit (and the root node's traffic) grows linearly with N\n\n");

@@ -2,11 +2,14 @@
 // engine the runtime runs (docs/transfer-crypto.md).
 //
 // Four sections:
-//  1. EC primitives (per-operation µs): variable-base EcPoint::Mul, the
-//     FixedBaseTable build, FixedBaseTable::Recode, one MulBatch of many
-//     recodings against one table (per lane), the generator comb MulBase,
-//     and batch compression/decompression — the operations whose costs
-//     explain the role walls below.
+//  1. EC primitives (per-operation µs): the field inverse and square root
+//     behind every batch step and decompression, variable-base
+//     EcPoint::Mul, the FixedBaseTable build, FixedBaseTable::Recode, one
+//     MulBatch of many recodings against one table (per lane), one
+//     128-lane MulVariableBases of one scalar (per lane, the base-OT
+//     sender's shape), the generator comb MulBase, and batch
+//     compression/decompression — the operations whose costs explain the
+//     role walls below.
 //  2. Per-transfer role walls: each of the four batched wire-level role
 //     kernels (bundle encryption, source aggregation, destination
 //     adjustment, column recovery) on one edge's burst.
@@ -143,6 +146,30 @@ std::vector<PrimitiveRow> BenchPrimitives() {
     scalars.push_back(prg.NextScalar(order));
   }
 
+  std::vector<crypto::Fp> field(kOps);
+  for (int i = 0; i < kOps; i++) {
+    field[i] = crypto::Fp::FromU256(scalars[i]);
+  }
+  rows.push_back({"fp_inv", MedianSeconds([&] {
+                    Stopwatch timer;
+                    crypto::Fp sum;
+                    for (const crypto::Fp& x : field) {
+                      sum = sum + x.Inv();
+                    }
+                    DSTRESS_CHECK(!sum.IsZero());
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
+  rows.push_back({"fp_sqrt", MedianSeconds([&] {
+                    Stopwatch timer;
+                    int roots = 0;
+                    for (const crypto::Fp& x : field) {
+                      crypto::Fp root;
+                      roots += x.Sqrt(&root) ? 1 : 0;
+                    }
+                    DSTRESS_CHECK(roots > 0);
+                    return timer.ElapsedSeconds();
+                  }) * 1e6 / kOps});
+
   std::vector<crypto::EcPoint> points(kOps);
   rows.push_back({"mul_variable_base", MedianSeconds([&] {
                     Stopwatch timer;
@@ -174,6 +201,21 @@ std::vector<PrimitiveRow> BenchPrimitives() {
                       crypto::MulBatch(table, recodings.data(), kOps, products.data());
                       return timer.ElapsedSeconds();
                     }) * 1e6 / kOps});
+    for (const crypto::AffinePoint& p : products) {
+      DSTRESS_CHECK(!p.infinity);
+    }
+  }
+  {
+    // Many bases against one scalar: the base-OT sender's 128 a*B_i.
+    constexpr int kLanes = 128;
+    std::vector<crypto::AffinePoint> bases(kLanes);
+    crypto::EcPoint::ToAffineBatch(points.data(), kLanes, bases.data());
+    std::vector<crypto::AffinePoint> products(kLanes);
+    rows.push_back({"mul_variable_bases_128", MedianSeconds([&] {
+                      Stopwatch timer;
+                      crypto::MulVariableBases(bases.data(), kLanes, scalars[0], products.data());
+                      return timer.ElapsedSeconds();
+                    }) * 1e6 / kLanes});
     for (const crypto::AffinePoint& p : products) {
       DSTRESS_CHECK(!p.infinity);
     }

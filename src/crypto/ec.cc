@@ -88,27 +88,6 @@ int NextBitNot(const U256& e, int bit, int carry) {
   return carry ? bit : 257;
 }
 
-// Width-5 wNAF digit expansion, written into a zeroed `digits` (nonzero
-// digits only); returns the index of the top nonzero digit, or -1 for e = 0.
-// A word-level scan with a carry (the window method of libsecp256k1's
-// secp256k1_ecmult_wnaf): runs of bits equal to the carry are skipped with
-// one count-trailing-zeros per word, and each digit takes the next 5 bits
-// plus the carry.
-int ComputeWnaf(const U256& e, int8_t digits[260]) {
-  constexpr int kWidth = 5;
-  int top = -1;
-  int carry = 0;
-  for (int bit = NextBitNot(e, 0, 0); bit <= 256; bit = NextBitNot(e, bit, carry)) {
-    int d = BitsAt(e, bit, kWidth) + carry;  // odd: bit `bit` differs from the carry
-    carry = (d >> (kWidth - 1)) & 1;
-    d -= carry << kWidth;
-    digits[bit] = static_cast<int8_t>(d);
-    top = bit;
-    bit += kWidth;
-  }
-  return top;
-}
-
 // Writes the compressed encoding of the affine point (x, y).
 void EncodeAffine(const Fp& x, const Fp& y, uint8_t* out33) {
   out33[0] = y.IsOdd() ? 0x03 : 0x02;
@@ -212,8 +191,8 @@ EcPoint EcPoint::Mul(const U256& k) const {
   int sign1 = 0, sign2 = 0;
   SplitScalarGlv(e, &k1, &sign1, &k2, &sign2);
 
-  int8_t digits1[260] = {0};
-  int8_t digits2[260] = {0};
+  int8_t digits1[kWnafDigits] = {0};
+  int8_t digits2[kWnafDigits] = {0};
   int top1 = ComputeWnaf(k1, digits1);
   int top2 = ComputeWnaf(k2, digits2);
 
@@ -428,6 +407,25 @@ void SplitScalarGlv(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2) {
   SubWithBorrow(MulLow(c1, kMinusB1), MulLow(c2, kA1), &r2);
   ToSignMagnitude(r1, k1, sign1);
   ToSignMagnitude(r2, k2, sign2);
+}
+
+// A word-level scan with a carry (the window method of libsecp256k1's
+// secp256k1_ecmult_wnaf): runs of bits equal to the carry are skipped with
+// one count-trailing-zeros per word, and each digit takes the next 5 bits
+// plus the carry.
+int ComputeWnaf(const U256& e, int8_t digits[kWnafDigits]) {
+  constexpr int kWidth = 5;
+  int top = -1;
+  int carry = 0;
+  for (int bit = NextBitNot(e, 0, 0); bit <= 256; bit = NextBitNot(e, bit, carry)) {
+    int d = BitsAt(e, bit, kWidth) + carry;  // odd: bit `bit` differs from the carry
+    carry = (d >> (kWidth - 1)) & 1;
+    d -= carry << kWidth;
+    digits[bit] = static_cast<int8_t>(d);
+    top = bit;
+    bit += kWidth;
+  }
+  return top;
 }
 
 const Fp& EndomorphismBeta() {

@@ -47,7 +47,9 @@ class EcPoint {
   EcPoint Double() const;
   EcPoint Add(const EcPoint& other) const;
   EcPoint Neg() const;
-  // Scalar multiplication by k (interpreted mod n), 4-bit fixed-window.
+  // Scalar multiplication by k (interpreted mod n): the GLV split, then
+  // both halves' width-5 wNAF digits (ComputeWnaf) against odd-multiple
+  // tables of P and phi(P).
   EcPoint Mul(const U256& k) const;
 
   // Converts to affine (x, y). Must not be infinity.
@@ -100,6 +102,16 @@ EcPoint MulBase(const U256& k);
 // count of its tables (one table for P, one derived table for phi(P)).
 void SplitScalarGlv(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2);
 const Fp& EndomorphismBeta();
+
+// Width-5 wNAF digit expansion of e: e = sum digits[i] * 2^i with every
+// nonzero digit odd, in [-15, 15], and any two nonzero digits at least 5
+// positions apart. `digits` must be zeroed; only the nonzero digits are
+// written. Returns the index of the top nonzero digit, or -1 for e = 0.
+// EcPoint::Mul walks the two GLV halves' expansions against tables of the
+// odd multiples 1*P ... 15*P, and so does fixed_base.h's lockstep
+// MulVariableBases.
+constexpr int kWnafDigits = 260;
+int ComputeWnaf(const U256& e, int8_t digits[kWnafDigits]);
 
 }  // namespace dstress::crypto
 

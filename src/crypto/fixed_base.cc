@@ -1,5 +1,7 @@
 #include "src/crypto/fixed_base.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace dstress::crypto {
@@ -91,12 +93,19 @@ void BatchAddSelected(AffinePoint* acc, const size_t* indices, const AffinePoint
     const AffinePoint& q = add[t];
     if (q.infinity) {
       kind[t] = AddKind::kKeep;
-    } else if (p.infinity) {
+      continue;
+    }
+    if (p.infinity) {
       kind[t] = AddKind::kCopy;
-    } else if (p.x != q.x) {
+      continue;
+    }
+    // Both points are on the curve, so equal x means q = p or q = -p, and
+    // p.y + q.y tells them apart; one normalization per test.
+    const Fp dx = q.x - p.x;
+    if (!dx.IsZero()) {
       kind[t] = AddKind::kGeneric;
-      den.push_back(q.x - p.x);
-    } else if (p.y == q.y && !p.y.IsZero()) {
+      den.push_back(dx);
+    } else if (!(p.y + q.y).IsZero()) {
       kind[t] = AddKind::kDouble;
       den.push_back(p.y + p.y);
     } else {
@@ -174,6 +183,83 @@ void MulBatch(const FixedBaseTable& table, const FixedBaseTable::Recoding* recod
       if (!idx.empty()) {
         BatchAddSelected(out, idx.data(), add.data(), idx.size());
       }
+    }
+  }
+}
+
+void MulVariableBases(const AffinePoint* bases, size_t count, const U256& k, AffinePoint* out) {
+  for (size_t i = 0; i < count; i++) {
+    out[i] = AffinePoint{};
+  }
+  U256 e = k;
+  while (Cmp(e, CurveOrder()) >= 0) {
+    SubWithBorrow(e, CurveOrder(), &e);
+  }
+  if (count == 0 || e.IsZero()) {
+    return;
+  }
+  U256 k1, k2;
+  int sign1 = 1, sign2 = 1;
+  SplitScalarGlv(e, &k1, &sign1, &k2, &sign2);
+  int8_t digits1[kWnafDigits] = {0};
+  int8_t digits2[kWnafDigits] = {0};
+  const int top1 = ComputeWnaf(k1, digits1);
+  const int top2 = ComputeWnaf(k2, digits2);
+
+  // Row t holds (2t + 1) * sign1 * B_i for every lane, the first half's sign
+  // folded in: one batch doubling of the bases, then seven batch additions
+  // of that double. The rows are per-call vectors, not grow-only
+  // thread_local scratch, which would keep every pool thread's largest
+  // batch resident and raise the OT engines' peak memory.
+  constexpr int kOddMultiples = 8;
+  std::vector<AffinePoint> table(kOddMultiples * count);
+  for (size_t i = 0; i < count; i++) {
+    table[i] = bases[i];
+    if (sign1 < 0 && !table[i].infinity) {
+      table[i].y = table[i].y.Neg();
+    }
+  }
+  std::vector<AffinePoint> twice(table.begin(), table.begin() + count);
+  BatchAddAssign(twice.data(), twice.data(), count);
+  for (int t = 1; t < kOddMultiples; t++) {
+    AffinePoint* row = table.data() + t * count;
+    std::copy_n(row - count, count, row);
+    BatchAddAssign(row, twice.data(), count);
+  }
+
+  // The phi half reads the same rows as phi(x, y) = (beta*x, y), which are
+  // sign1 * (2t + 1) * phi(B_i), so its y flips when sign2 differs from
+  // sign1, on top of the digit's own sign.
+  const Fp& beta = EndomorphismBeta();
+  std::vector<AffinePoint> staged(count);
+  auto add_digit = [&](int d, bool endo) {
+    const AffinePoint* row = table.data() + static_cast<size_t>((d > 0 ? d : -d) / 2) * count;
+    const bool negate = (d < 0) != (endo && sign1 != sign2);
+    for (size_t i = 0; i < count; i++) {
+      AffinePoint q = row[i];
+      if (!q.infinity) {
+        if (endo) {
+          q.x = q.x * beta;
+        }
+        if (negate) {
+          q.y = q.y.Neg();
+        }
+      }
+      staged[i] = q;
+    }
+    BatchAddAssign(out, staged.data(), count);
+  };
+  const int top = std::max(top1, top2);
+  for (int bit = top; bit >= 0; bit--) {
+    if (bit < top) {
+      // Self-addition is a doubling in every lane, as in FixedBaseTableSet::Build.
+      BatchAddAssign(out, out, count);
+    }
+    if (digits1[bit] != 0) {
+      add_digit(digits1[bit], false);
+    }
+    if (digits2[bit] != 0) {
+      add_digit(digits2[bit], true);
     }
   }
 }

@@ -12,13 +12,15 @@
 // endomorphism table almost free to build (one field multiplication per
 // entry).
 //
-// Two shapes use this engine. A FixedBaseTable serves one base multiplied
+// Three shapes use this engine. A FixedBaseTable serves one base multiplied
 // by many scalars: the shared ephemeral c1 of a column burst against every
 // (member, bit) secret, and the base-OT receiver's A against every b_i.
 // MulBatch advances all of those lanes in lockstep, so each window level
 // pays a single shared field inversion. A FixedBaseTableSet serves many keys
 // multiplied by one scalar: a certificate's keys against a bundle's
-// ephemeral. Either way a scalar is recoded once and the recoding is shared
+// ephemeral. MulVariableBases serves many one-off bases multiplied by one
+// scalar, with no table kept: the base-OT sender's a against every reply
+// point B_i. Either way a scalar is recoded once and the recoding is shared
 // by every lane that uses it.
 #ifndef SRC_CRYPTO_FIXED_BASE_H_
 #define SRC_CRYPTO_FIXED_BASE_H_
@@ -67,9 +69,9 @@ class FixedBaseTable {
 // --- batch-affine primitives -------------------------------------------------
 
 // acc[i] += add[i] for every lane, sharing one field inversion across the
-// batch (Montgomery's trick). Every special case is handled exactly:
-// infinities on either side, doubling (P + P), and cancellation
-// (P + (-P) = infinity).
+// batch (Montgomery's trick). Every special case is handled exactly for
+// points on the curve: infinities on either side, doubling (P + P), and
+// cancellation (P + (-P) = infinity).
 void BatchAddAssign(AffinePoint* acc, const AffinePoint* add, size_t count);
 
 // acc[indices[t]] += add[t]. Indices must be distinct within one call (each
@@ -84,6 +86,17 @@ void BatchAddSelected(AffinePoint* acc, const size_t* indices, const AffinePoint
 // compressed serialization.
 void MulBatch(const FixedBaseTable& table, const FixedBaseTable::Recoding* recodings,
               size_t count, AffinePoint* out);
+
+// out[i] = k * bases[i] for every lane (k interpreted mod n, like
+// EcPoint::Mul), in lockstep over k's single recoding: EcPoint::Mul's GLV
+// split and width-5 wNAF digits, shared by every lane. Each lane gets a
+// per-call table of the odd multiples 1*B_i ... 15*B_i (one batch doubling
+// and seven batch additions across all lanes); then, from the top digit
+// down, every bit is one BatchAddAssign doubling of all lanes and every
+// nonzero digit of either half one BatchAddAssign, so each step pays one
+// shared field inversion. Infinity, doubling and cancellation are exact in
+// every lane, and the results are affine, ready for CompressAffine.
+void MulVariableBases(const AffinePoint* bases, size_t count, const U256& k, AffinePoint* out);
 
 // The other shape: a fixed SET of base points (one per certificate
 // [member][bit] key) all multiplied by the SAME scalar (the bundle's shared

@@ -192,16 +192,16 @@ class Fp {
     return r;
   }
 
-  // Multiplicative inverse via Fermat: a^(p-2). Requires a != 0.
+  // Multiplicative inverse by safegcd divsteps (Bernstein-Yang), in
+  // variable time. Requires a != 0.
   Fp Inv() const;
   // Inverts `count` values in place with one shared Inv() (Montgomery's
-  // trick): 3 multiplications per value instead of one ~256-squaring
-  // exponentiation each. Every value must be nonzero.
+  // trick): 3 multiplications per value instead of one inversion each.
+  // Every value must be nonzero.
   static void BatchInvert(Fp* values, size_t count);
   // Square root via a^((p+1)/4) (valid since p ≡ 3 mod 4). Returns false if
   // no square root exists.
   bool Sqrt(Fp* out) const;
-  Fp Pow(const U256& e) const;
 
  private:
   using uint128 = unsigned __int128;

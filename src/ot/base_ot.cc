@@ -52,31 +52,37 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
   net->Send(self, peer, announce.Take(), session);
 
   // a*(B_i - A) = a*B_i - a*A, so a*A is the only multiplication that does
-  // not depend on the reply; it runs while the receiver works.
+  // not depend on the reply; it runs, in affine form, while the receiver
+  // works.
   const EcPoint neg_a_big_a = big_a.Mul(a).Neg();
+  AffinePoint neg_a_big_a_affine;
+  EcPoint::ToAffineBatch(&neg_a_big_a, 1, &neg_a_big_a_affine);
 
   Bytes reply = net->Recv(self, peer, session);
   DSTRESS_CHECK(reply.size() == n * EcPoint::kCompressedSize);
   std::vector<AffinePoint> b_points(n);
   DSTRESS_CHECK(EcPoint::DecompressBatch(reply.data(), n, b_points.data()));
 
-  // points[2i] = a*B_i and points[2i+1] = a*B_i - a*A, serialized with one
-  // shared inversion.
-  std::vector<EcPoint> points(2 * n);
-  for (size_t i = 0; i < n; i++) {
-    points[2 * i] = EcPoint::FromAffinePoint(b_points[i]).Mul(a);
-    points[2 * i + 1] = points[2 * i].Add(neg_a_big_a);
-  }
-  Bytes encoded(2 * n * EcPoint::kCompressedSize);
-  EcPoint::CompressBatch(points.data(), points.size(), encoded.data());
+  // Every a*B_i in one lockstep walk over a's digits, then every
+  // a*B_i - a*A in one batch addition; both are affine, so all 2n points
+  // encode with no inversion.
+  std::vector<AffinePoint> points0(n);
+  crypto::MulVariableBases(b_points.data(), n, a, points0.data());
+  std::vector<AffinePoint> points1 = points0;
+  const std::vector<AffinePoint> neg_a_big_a_lanes(n, neg_a_big_a_affine);
+  crypto::BatchAddAssign(points1.data(), neg_a_big_a_lanes.data(), n);
+  Bytes encoded0(n * EcPoint::kCompressedSize);
+  Bytes encoded1(n * EcPoint::kCompressedSize);
+  EcPoint::CompressAffine(points0.data(), n, encoded0.data());
+  EcPoint::CompressAffine(points1.data(), n, encoded1.data());
 
   BaseOtSenderOutput out;
   out.keys0.reserve(n);
   out.keys1.reserve(n);
   for (size_t i = 0; i < n; i++) {
-    const uint8_t* pair = encoded.data() + 2 * i * EcPoint::kCompressedSize;
-    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), pair));
-    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), pair + EcPoint::kCompressedSize));
+    const size_t offset = i * EcPoint::kCompressedSize;
+    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), encoded0.data() + offset));
+    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), encoded1.data() + offset));
   }
   return out;
 }

@@ -11,10 +11,13 @@
 //
 // Each half runs its `count` transfers as one batch (docs/offline-phase.md,
 // "Cost of base-OT setup"):
-//  * The sender computes a*A once while the reply is in flight, decodes the
-//    reply with one DecompressBatch, and does one variable-base
-//    multiplication per transfer: the second point is a*B_i - a*A, which
-//    equals a*(B_i - A). All 2*count points serialize with one inversion.
+//  * The sender computes a*A once while the reply is in flight and decodes
+//    the reply with one DecompressBatch. Every a*B_i comes out of one
+//    crypto::MulVariableBases, which walks a's single recoding across all
+//    count lanes in lockstep, one shared inversion per step. One batch
+//    addition of -a*A then gives every second point a*B_i - a*A, which
+//    equals a*(B_i - A). All 2*count points are affine and encode with no
+//    inversion.
 //  * The receiver serializes its reply with one inversion and sends it
 //    before any key work. It then evaluates every b_i*A in one lockstep
 //    crypto::MulBatch against a crypto::FixedBaseTable for A, whose affine
@@ -54,13 +57,14 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
 
 // Process-wide count of base-OT protocol executions (one per BaseOtSend or
 // BaseOtRecv call, i.e. one per batch of `count` transfers — the unit the
-// EC setup cost is paid in: count + 1 variable-base multiplications on the
-// sender, one table build plus a count-lane MulBatch on the receiver). Base
-// OTs are most of a fresh OT engine's first run, so tests and bench_fig6
-// assert on deltas of this counter to pin the triple factory's
-// O(roles x peers) -> O(node pairs) setup dedup. Both endpoints of an
-// in-process (sim transport) pairing increment it, so one IKNP
-// sender/receiver setup between two nodes counts 2.
+// EC setup cost is paid in: one variable-base multiplication plus a
+// count-lane MulVariableBases on the sender, one table build plus a
+// count-lane MulBatch on the receiver). Base OTs are most of a fresh OT
+// engine's first run, so tests and bench_fig6 assert on deltas of this
+// counter to pin the triple factory's O(roles x peers) -> O(node pairs)
+// setup dedup. Both endpoints of an in-process (sim transport) pairing
+// increment it, so one IKNP sender/receiver setup between two nodes
+// counts 2.
 uint64_t BaseOtExecutionCount();
 
 }  // namespace dstress::ot

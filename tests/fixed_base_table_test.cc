@@ -144,6 +144,56 @@ TEST(FixedBaseTableTest, InfinityBaseYieldsInfinity) {
   }
 }
 
+// The base-OT sender's shape: many one-off bases, one scalar. Every lane
+// must equal its own EcPoint::Mul, for the group identities, unreduced
+// scalars, powers of two (a single wNAF digit in either GLV half) and PRG
+// scalars, at batch sizes from one lane to more than two sender batches. The
+// batches mix in infinity, P beside -P (equal x in two lanes of one batch
+// step) and a repeated base.
+TEST(MulVariableBasesTest, MatchesPerLaneMulOnCorpus) {
+  auto prg = ChaCha20Prg::FromSeed(80);
+  std::vector<U256> corpus = {U256(0), U256::One(), U256(2), OrderMinusOne(), CurveOrder()};
+  U256 above_n;
+  AddWithCarry(CurveOrder(), U256(12345), &above_n);
+  corpus.push_back(above_n);
+  for (int k : {1, 5, 63, 64, 128, 129, 200, 255}) {
+    corpus.push_back(Shl(U256::One(), k));
+  }
+  while (corpus.size() < 24) {
+    corpus.push_back(prg.NextScalar(CurveOrder()));
+  }
+
+  for (size_t count : {1u, 2u, 128u, 300u}) {
+    std::vector<EcPoint> bases;
+    const EcPoint p = MulBase(prg.NextScalar(CurveOrder()));
+    bases.push_back(count == 1 ? EcPoint::Generator() : p);
+    if (count >= 2) {
+      bases.push_back(count == 2 ? p.Neg() : EcPoint::Infinity());
+    }
+    if (count > 2) {
+      bases.push_back(p.Neg());
+      bases.push_back(EcPoint::Generator());
+    }
+    while (bases.size() < count) {
+      bases.push_back(MulBase(prg.NextScalar(CurveOrder())));
+    }
+    if (count > 2) {
+      bases[count - 1] = bases[count / 2];  // a repeated base
+    }
+    std::vector<AffinePoint> affine(count);
+    EcPoint::ToAffineBatch(bases.data(), count, affine.data());
+
+    std::vector<AffinePoint> out(count);
+    for (const U256& k : corpus) {
+      MulVariableBases(affine.data(), count, k, out.data());
+      for (size_t i = 0; i < count; i++) {
+        ASSERT_EQ(EcPoint::FromAffinePoint(out[i]), bases[i].Mul(k))
+            << "count " << count << " lane " << i << " scalar " << k.ToHex();
+      }
+    }
+  }
+}
+
 TEST(FixedBaseTableSetTest, MulSharedMatchesGenericMulOnCorpus) {
   auto prg = ChaCha20Prg::FromSeed(78);
   // Set sizes from one key to a few dozen; a duplicated base and the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,21 @@ namespace dstress::crypto {
 namespace {
 
 Fp RandomFp(ChaCha20Prg& prg) { return Fp::FromU256(prg.NextU256()); }
+
+// a^e by square-and-multiply, for the power identities below; the library
+// itself needs no generic exponentiation.
+Fp Pow(const Fp& a, const U256& e) {
+  Fp result = Fp::FromUint64(1);
+  Fp base = a;
+  int top = e.BitLength();
+  for (int i = 0; i <= top; i++) {
+    if (e.Bit(i)) {
+      result = result * base;
+    }
+    base = base.Square();
+  }
+  return result;
+}
 
 TEST(FpTest, PrimeHasExpectedValue) {
   EXPECT_EQ(Fp::P().ToHex(),
@@ -87,9 +103,9 @@ TEST(FpTest, InverseRoundTrip) {
 
 TEST(FpTest, PowSmallExponents) {
   Fp three = Fp::FromUint64(3);
-  EXPECT_EQ(three.Pow(U256(0)), Fp::FromUint64(1));
-  EXPECT_EQ(three.Pow(U256(1)), three);
-  EXPECT_EQ(three.Pow(U256(5)), Fp::FromUint64(243));
+  EXPECT_EQ(Pow(three, U256(0)), Fp::FromUint64(1));
+  EXPECT_EQ(Pow(three, U256(1)), three);
+  EXPECT_EQ(Pow(three, U256(5)), Fp::FromUint64(243));
 }
 
 TEST(FpTest, SqrtOfSquares) {
@@ -288,18 +304,104 @@ TEST(FpDifferentialTest, UnreducedRepresentativesNormalize) {
 
 TEST(FpDifferentialTest, BatchInvertMatchesModInv) {
   auto prg = ChaCha20Prg::FromSeed(21);
-  std::vector<U256> raw = {U256(1), PMinus(1), Shl(U256(1), 255)};
-  while (raw.size() < 50) {
-    raw.push_back(prg.NextU256());
+  // From a single value (the total product is the value itself) to a
+  // large batch; every batch starts with 1, p-1 and 2^255.
+  for (size_t size : {1u, 2u, 63u, 64u, 65u, 1000u}) {
+    std::vector<U256> raw = {U256(1), PMinus(1), Shl(U256(1), 255)};
+    raw.resize(std::min<size_t>(raw.size(), size));
+    while (raw.size() < size) {
+      raw.push_back(prg.NextU256());
+    }
+    std::vector<Fp> values;
+    for (const U256& v : raw) {
+      values.push_back(Fp::FromU256(v));
+    }
+    Fp::BatchInvert(values.data(), values.size());
+    for (size_t i = 0; i < raw.size(); i++) {
+      EXPECT_EQ(values[i].raw(), ModInv(ModP(raw[i]), Fp::P())) << "size " << size << " " << i;
+    }
   }
-  std::vector<Fp> values;
-  for (const U256& v : raw) {
-    values.push_back(Fp::FromU256(v));
+}
+
+// Inv is a safegcd over signed 62-bit limbs whose length shrinks as f and g
+// do, with a final normalization from (-2p, p) into [0, p). The inputs cover
+// the shapes that reach each of those steps: small values (the length
+// shrinks after the first batches), powers of two and all-ones runs at every
+// length (long zero runs for the divsteps' count-trailing-zeros), values
+// next to p and p/2, unreduced loads, weakly reduced results of - and Neg
+// (limbs at their bounds), and PRG values. Each inverse is checked against
+// the oracle's binary extended gcd and by a * a^-1 = 1.
+TEST(FpDifferentialTest, InverseMatchesModInvOnEveryLimbShape) {
+  const U256& p = Fp::P();
+  std::vector<Fp> inputs;
+  std::vector<U256> expected_input;  // the value mod p each input encodes
+  auto add = [&](const Fp& a, const U256& reduced) {
+    inputs.push_back(a);
+    expected_input.push_back(reduced);
+  };
+  auto add_raw = [&](const U256& v) { add(Fp::FromU256(v), ModP(v)); };
+
+  const U256 half_down = Shr(PMinus(1), 1);  // (p-1)/2
+  U256 half_up;
+  AddWithCarry(half_down, U256::One(), &half_up);  // (p+1)/2
+  for (const U256& v : {U256(1), U256(2), U256(3), PMinus(1), PMinus(2), half_down, half_up}) {
+    add_raw(v);
   }
-  Fp::BatchInvert(values.data(), values.size());
-  for (size_t i = 0; i < raw.size(); i++) {
-    EXPECT_EQ(values[i].raw(), ModInv(ModP(raw[i]), Fp::P())) << i;
+  for (int k = 0; k < 256; k++) {
+    const U256 pow2 = Shl(U256::One(), k);
+    U256 pow2_minus_1;
+    SubWithBorrow(pow2, U256::One(), &pow2_minus_1);
+    add_raw(pow2);
+    if (k > 0) {
+      add_raw(pow2_minus_1);
+    }
   }
+  add_raw(U256((uint64_t{1} << 62) + 1));
+  add_raw(U256((uint64_t{1} << 62) - 1));
+  auto prg = ChaCha20Prg::FromSeed(22);
+  for (int bits = 1; bits <= 62; bits++) {
+    const uint64_t v = prg.NextU64() >> (64 - bits);
+    add_raw(U256(v == 0 ? 1 : v));
+  }
+  // Unreduced loads: p + 1 and 2^256 - 1.
+  U256 p_plus_1;
+  AddWithCarry(p, U256::One(), &p_plus_1);
+  add_raw(p_plus_1);
+  add_raw(U256(~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}));
+  // Weakly reduced: x - 0 and 0 - x carry 4p's limbs, and Neg of an
+  // unreduced load starts from limbs at their bounds.
+  const Fp zero = Fp::FromUint64(0);
+  for (const U256& v : EdgeValues()) {
+    if (ModP(v).IsZero()) {
+      continue;
+    }
+    const Fp a = Fp::FromU256(v);
+    add(a - zero, ModP(v));
+    add(zero - a, ModSub(U256(0), ModP(v), p));
+    add(a.Neg(), ModSub(U256(0), ModP(v), p));
+    add(a.Neg().Neg(), ModP(v));
+    add(a + a.Neg().Neg(), ModAdd(ModP(v), ModP(v), p));
+  }
+  while (inputs.size() < 100000 + 700) {
+    add_raw(prg.NextU256());
+  }
+
+  const Fp one = Fp::FromUint64(1);
+  for (size_t i = 0; i < inputs.size(); i++) {
+    const U256& x = expected_input[i];
+    if (x.IsZero()) {
+      continue;
+    }
+    const Fp inv = inputs[i].Inv();
+    ASSERT_EQ(inv.raw(), ModInv(x, p)) << "input " << i << ": " << x.ToHex();
+    ASSERT_EQ(inputs[i] * inv, one) << "input " << i << ": " << x.ToHex();
+  }
+}
+
+TEST(FpDeathTest, InverseOfZeroAborts) {
+  EXPECT_DEATH(Fp::FromUint64(0).Inv(), "");
+  // p loaded unreduced is zero too.
+  EXPECT_DEATH(Fp::FromU256(Fp::P()).Inv(), "");
 }
 
 class FpPowParamTest : public ::testing::TestWithParam<uint64_t> {};
@@ -311,7 +413,7 @@ TEST_P(FpPowParamTest, PowAgainstRepeatedMul) {
   for (uint64_t i = 0; i < e; i++) {
     expected = expected * base;
   }
-  EXPECT_EQ(base.Pow(U256(e)), expected);
+  EXPECT_EQ(Pow(base, U256(e)), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallExponents, FpPowParamTest,
