@@ -32,7 +32,7 @@ void Run() {
                                        : std::vector<int>{4, 6, 8, 10};
   std::printf("# Naive monolithic MPC baseline: N x N fixed-point matrix multiply in GMW\n");
   std::printf("# time(ms) is the median of %d runs; ok is yes when every run verified\n", kReps);
-  std::printf("%6s %12s %12s %14s %10s\n", "N", "and_gates", "time(ms)", "traffic(MB)", "ok");
+  std::printf("%6s %12s %12s %14s %10s\n", "N", "and_gates", "time(ms)", "traffic(KB)", "ok");
 
   double last_seconds = 0;
   int last_n = 0;
@@ -51,8 +51,8 @@ void Run() {
     }
     std::sort(seconds.begin(), seconds.end());
     const double median = seconds[kReps / 2];
-    std::printf("%6d %12zu %12.3f %14.2f %10s\n", n, result.and_gates, median * 1e3,
-                result.total_bytes / 1e6, verified ? "yes" : "NO");
+    std::printf("%6d %12zu %12.3f %14.3f %10s\n", n, result.and_gates, median * 1e3,
+                result.total_bytes / 1e3, verified ? "yes" : "NO");
     std::fflush(stdout);
     last_seconds = median;
     last_n = n;

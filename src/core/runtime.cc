@@ -139,14 +139,19 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
         transfer_params_.RecommendedDlogRange(1e-6 / std::max(draws, 1.0));
   }
 
+  // The transport first: tcp forks its bank processes in its constructor,
+  // which must happen before the pool has started a thread. The trusted
+  // setup then runs its EC work on the pool.
+  net_ = net::MakeTransport(config.transport, graph.num_vertices());
+  pool_ = std::make_unique<WorkerPool>(ResolveThreadBudget(config.max_parallel_tasks));
+
   SetupConfig setup_config;
   setup_config.num_nodes = graph.num_vertices();
   setup_config.block_size = config.block_size;
   setup_config.message_bits = program.message_bits;
   setup_config.seed = config.seed;
-  setup_ = RunTrustedSetup(setup_config, graph);
+  setup_ = RunTrustedSetup(setup_config, graph, *pool_);
 
-  net_ = net::MakeTransport(config.transport, graph.num_vertices());
   dlog_table_ = std::make_unique<crypto::DlogTable>(transfer_params_.dlog_range);
   edges_ = graph.Edges();
   edge_in_slot_ = graph::EdgeInSlots(graph);
@@ -156,8 +161,6 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
       edge_out_slot_.push_back(slot);
     }
   }
-
-  pool_ = std::make_unique<WorkerPool>(ResolveThreadBudget(config.max_parallel_tasks));
 
   if (config_.use_ot_triples) {
     mpc::TripleFactoryOptions factory_options;

@@ -37,7 +37,8 @@ std::vector<int> TrustedSetup::MakeExtraBlock(crypto::ChaCha20Prg& prg) const {
   return PickBlock(-1, num_nodes, block_size, prg);
 }
 
-TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& graph) {
+TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& graph,
+                             WorkerPool& pool) {
   DSTRESS_CHECK(config.num_nodes == graph.num_vertices());
   DSTRESS_CHECK(config.block_size >= 2 && config.block_size <= config.num_nodes);
 
@@ -47,15 +48,14 @@ TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& grap
   setup.message_bits = config.message_bits;
 
   auto prg = crypto::ChaCha20Prg::FromSeed(config.seed, /*stream_id=*/0x5e79);
-  // Identity keys: L key pairs per node.
-  setup.node_keys.reserve(config.num_nodes);
-  for (int node = 0; node < config.num_nodes; node++) {
-    transfer::MemberKeys keys;
-    keys.keys.reserve(config.message_bits);
-    for (int b = 0; b < config.message_bits; b++) {
-      keys.keys.push_back(crypto::ElGamalKeyGen(prg));
+  // Identity keys: L key pairs per node, the secrets drawn as ElGamalKeyGen
+  // draws them; the public keys follow on the pool.
+  setup.node_keys.resize(config.num_nodes);
+  for (auto& node : setup.node_keys) {
+    node.keys.resize(config.message_bits);
+    for (auto& kp : node.keys) {
+      kp.secret = prg.NextScalar(crypto::CurveOrder());
     }
-    setup.node_keys.push_back(std::move(keys));
   }
 
   // Blocks: B_v contains v plus block_size-1 random distinct nodes.
@@ -77,26 +77,42 @@ TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& grap
     }
   }
 
+  pool.RunGrouped(setup.node_keys.size(), 1, [&](size_t node, size_t) {
+    for (auto& kp : setup.node_keys[node].keys) {
+      kp.pub.point = crypto::MulBase(kp.secret);
+    }
+  });
+
   // Edge certificates: for edge (i, j) at j's in-slot d, blind B_j's member
   // public keys with neighbor key n^j_d.
+  struct Slot {
+    int i, j, d;
+  };
+  std::vector<Slot> slots;
   for (int j = 0; j < config.num_nodes; j++) {
     const auto& in_neighbors = graph.InNeighbors(j);
     for (size_t d = 0; d < in_neighbors.size(); d++) {
-      int i = in_neighbors[d];
-      transfer::BlockPublicKeys publics;
-      publics.reserve(config.block_size);
-      for (int member : setup.blocks[j]) {
-        std::vector<crypto::ElGamalPublicKey> row;
-        row.reserve(config.message_bits);
-        for (const auto& kp : setup.node_keys[member].keys) {
-          row.push_back(kp.pub);
-        }
-        publics.push_back(std::move(row));
-      }
-      setup.edge_certificates.emplace(
-          std::make_pair(i, j),
-          transfer::MakeBlockCertificate(publics, setup.neighbor_keys[j][d]));
+      slots.push_back(Slot{in_neighbors[d], j, static_cast<int>(d)});
     }
+  }
+  std::vector<transfer::BlockCertificate> certificates(slots.size());
+  pool.RunGrouped(slots.size(), 1, [&](size_t s, size_t) {
+    const int j = slots[s].j;
+    transfer::BlockPublicKeys publics;
+    publics.reserve(config.block_size);
+    for (int member : setup.blocks[j]) {
+      std::vector<crypto::ElGamalPublicKey> row;
+      row.reserve(config.message_bits);
+      for (const auto& kp : setup.node_keys[member].keys) {
+        row.push_back(kp.pub);
+      }
+      publics.push_back(std::move(row));
+    }
+    certificates[s] = transfer::MakeBlockCertificate(publics, setup.neighbor_keys[j][slots[s].d]);
+  });
+  for (size_t s = 0; s < slots.size(); s++) {
+    setup.edge_certificates.emplace(std::make_pair(slots[s].i, slots[s].j),
+                                    std::move(certificates[s]));
   }
   return setup;
 }

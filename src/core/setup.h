@@ -18,6 +18,13 @@
 // simulation the setup object is constructed centrally and the runtime
 // accesses exactly the fields each role would hold; the TP's signatures are
 // modeled by provenance.
+//
+// Every PRG draw (the secret keys, the blocks, the neighbor keys) happens on
+// the calling thread, in one fixed order. The EC work runs on a worker
+// pool: one task per node computes its public keys, then one task per
+// certificate blinds a block's keys in one lockstep walk. Each task writes
+// only its own slot, so the output is the same byte for byte at every pool
+// size.
 #ifndef SRC_CORE_SETUP_H_
 #define SRC_CORE_SETUP_H_
 
@@ -25,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/worker_pool.h"
 #include "src/crypto/chacha20.h"
 #include "src/graph/graph.h"
 #include "src/transfer/transfer.h"
@@ -62,7 +70,8 @@ struct TrustedSetup {
   int message_bits = 0;
 };
 
-TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& graph);
+TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& graph,
+                             WorkerPool& pool);
 
 }  // namespace dstress::core
 

@@ -124,33 +124,32 @@ DlogTable::DlogTable(int64_t range) : range_(range) {
     // every future hit. Abort the build instead.
     DSTRESS_CHECK(inserted);
   };
-  // Walk m = 0, +1, ..., +range and 0, -1, ..., -range with cheap group
-  // additions, compressing in chunks so the affine normalization cost is
-  // one shared inversion per chunk rather than one per entry.
+  // Walk m = 1, ..., range with cheap group additions, compressing in
+  // chunks so the affine normalization costs one shared inversion per chunk
+  // rather than one per entry. -m*G is (x, -y) for m*G = (x, y): p is odd
+  // and no curve point has y = 0, so -y has the other parity and -m*G's
+  // encoding is m*G's with the prefix byte flipped (0x02 <-> 0x03). Each
+  // chunk therefore fills both halves of the table.
   const EcPoint& g = EcPoint::Generator();
-  EcPoint neg_g = g.Neg();
   EcPoint pos = EcPoint::Infinity();
-  EcPoint neg = EcPoint::Infinity();
   insert(KeyOf(pos), 0);
   constexpr int64_t kChunk = 512;
   std::vector<EcPoint> points;
-  std::vector<int64_t> values;
-  std::vector<uint8_t> compressed(2 * kChunk * EcPoint::kCompressedSize);
+  std::vector<uint8_t> compressed(kChunk * EcPoint::kCompressedSize);
   for (int64_t start = 1; start <= range; start += kChunk) {
     const int64_t end = std::min(range, start + kChunk - 1);
     points.clear();
-    values.clear();
     for (int64_t m = start; m <= end; m++) {
       pos = pos.Add(g);
-      neg = neg.Add(neg_g);
       points.push_back(pos);
-      values.push_back(m);
-      points.push_back(neg);
-      values.push_back(-m);
     }
     EcPoint::CompressBatch(points.data(), points.size(), compressed.data());
     for (size_t i = 0; i < points.size(); i++) {
-      insert(KeyOfBytes(compressed.data() + i * EcPoint::kCompressedSize), values[i]);
+      uint8_t* bytes = compressed.data() + i * EcPoint::kCompressedSize;
+      const int64_t m = start + static_cast<int64_t>(i);
+      insert(KeyOfBytes(bytes), m);
+      bytes[0] ^= 0x01;
+      insert(KeyOfBytes(bytes), -m);
     }
   }
 }

@@ -71,8 +71,10 @@ ElGamalCiphertext HomAdd(const ElGamalCiphertext& a, const ElGamalCiphertext& b)
 // This is how node i folds geometric masking noise into forwarded shares.
 ElGamalCiphertext HomAddPlain(const ElGamalCiphertext& ct, int64_t delta);
 
-// Blinds a public key: P -> r*P. Performed by the trusted party with the
-// neighbor key r during setup (block certificates).
+// Blinds a public key: P -> r*P, Appendix A's RandomizeKey for one key.
+// The trusted party blinds a whole block certificate with the neighbor key
+// r in one lockstep walk (transfer::MakeBlockCertificate), which the tests
+// check against this definition.
 ElGamalPublicKey RandomizePublicKey(const ElGamalPublicKey& pub, const U256& r);
 // Adjusts a ciphertext produced under the blinded key r*P so the original
 // secret decrypts it: c1 -> r*c1. Performed by the edge endpoint j, which

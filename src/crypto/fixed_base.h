@@ -16,12 +16,15 @@
 // by many scalars: the shared ephemeral c1 of a column burst against every
 // (member, bit) secret, and the base-OT receiver's A against every b_i.
 // MulBatch advances all of those lanes in lockstep, so each window level
-// pays a single shared field inversion. A FixedBaseTableSet serves many keys
-// multiplied by one scalar: a certificate's keys against a bundle's
-// ephemeral. MulVariableBases serves many one-off bases multiplied by one
-// scalar, with no table kept: the base-OT sender's a against every reply
-// point B_i. Either way a scalar is recoded once and the recoding is shared
-// by every lane that uses it.
+// pays a single shared field inversion. A FixedBaseTableSet serves a fixed
+// set of keys multiplied by one scalar, over and over: a certificate's keys
+// against every bundle's ephemeral, so the set's tables are built once and
+// reused on every transfer. MulVariableBases serves many bases multiplied
+// by one scalar once, with no table kept: the base-OT sender's a against
+// every reply point B_i, and the trusted setup's neighbor key against every
+// member key of a block certificate (MakeBlockCertificate). Either way a
+// scalar is recoded once and the recoding is shared by every lane that
+// uses it.
 #ifndef SRC_CRYPTO_FIXED_BASE_H_
 #define SRC_CRYPTO_FIXED_BASE_H_
 

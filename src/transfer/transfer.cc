@@ -67,13 +67,25 @@ BlockPublicKeys PublicKeysOf(const BlockKeys& keys) {
 }
 
 BlockCertificate MakeBlockCertificate(const BlockPublicKeys& publics, const crypto::U256& r) {
+  std::vector<EcPoint> points;
+  for (const auto& member : publics) {
+    for (const auto& pub : member) {
+      points.push_back(pub.point);
+    }
+  }
+  std::vector<crypto::AffinePoint> bases(points.size());
+  std::vector<crypto::AffinePoint> blinded(points.size());
+  EcPoint::ToAffineBatch(points.data(), points.size(), bases.data());
+  crypto::MulVariableBases(bases.data(), bases.size(), r, blinded.data());
+
   BlockCertificate cert;
   cert.keys.reserve(publics.size());
+  const crypto::AffinePoint* next = blinded.data();
   for (const auto& member : publics) {
     std::vector<crypto::ElGamalPublicKey> row;
     row.reserve(member.size());
-    for (const auto& pub : member) {
-      row.push_back(crypto::RandomizePublicKey(pub, r));
+    for (size_t b = 0; b < member.size(); b++) {
+      row.push_back(crypto::ElGamalPublicKey{EcPoint::FromAffinePoint(*next++)});
     }
     cert.keys.push_back(std::move(row));
   }

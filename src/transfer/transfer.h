@@ -114,6 +114,9 @@ struct BlockCertificate {
   // Lazy cache behind Tables(); not part of the serialized form.
   mutable std::shared_ptr<const CertTables> tables_cache_;
 };
+// Blinds every key P of `publics` into r·P (Appendix A's RandomizeKey, key
+// by key) in one crypto::MulVariableBases walk over all (k+1)·L keys: they
+// share r's recoding and pay one field inversion per batch step.
 BlockCertificate MakeBlockCertificate(const BlockPublicKeys& publics, const crypto::U256& r);
 
 // --- scheme messages --------------------------------------------------------

@@ -300,7 +300,8 @@ TEST(SetupTest, BlocksContainOwnerAndAreDistinct) {
   config.num_nodes = 20;
   config.block_size = 5;
   config.message_bits = 8;
-  TrustedSetup setup = RunTrustedSetup(config, g);
+  WorkerPool pool(4);
+  TrustedSetup setup = RunTrustedSetup(config, g, pool);
   ASSERT_EQ(setup.blocks.size(), 20u);
   for (int v = 0; v < 20; v++) {
     ASSERT_EQ(setup.blocks[v].size(), 5u);
@@ -331,7 +332,8 @@ TEST(SetupTest, NeighborKeysPerInSlot) {
   config.num_nodes = 15;
   config.block_size = 4;
   config.message_bits = 6;
-  TrustedSetup setup = RunTrustedSetup(config, g);
+  WorkerPool pool(4);
+  TrustedSetup setup = RunTrustedSetup(config, g, pool);
   for (int v = 0; v < 15; v++) {
     EXPECT_EQ(setup.neighbor_keys[v].size(), static_cast<size_t>(g.InDegree(v)));
   }

@@ -161,16 +161,21 @@ TEST_F(ElGamalTest, DeterministicEphemeralIsReproducible) {
 }
 
 TEST(DlogTableTest, CoversSymmetricRange) {
-  DlogTable table(50);
-  EXPECT_EQ(table.entries(), 101u);
-  for (int64_t m = -50; m <= 50; m++) {
+  // Every m in [-range, range] resolves to itself and range + 1 misses on
+  // both sides, including ranges on either side of the build's 512-entry
+  // chunk (the last chunk full, one short, and one entry into the next).
+  for (int64_t range : {0, 1, 2, 50, 511, 512, 513, 1023, 1024, 1025}) {
+    DlogTable table(range);
+    EXPECT_EQ(table.entries(), static_cast<size_t>(2 * range + 1)) << range;
+    for (int64_t m = -range; m <= range; m++) {
+      int64_t out = 0;
+      ASSERT_TRUE(table.Lookup(MulBase(EncodeExponent(m)), &out)) << range << ": " << m;
+      EXPECT_EQ(out, m) << range;
+    }
     int64_t out = 0;
-    ASSERT_TRUE(table.Lookup(MulBase(EncodeExponent(m)), &out)) << m;
-    EXPECT_EQ(out, m);
+    EXPECT_FALSE(table.Lookup(MulBase(EncodeExponent(range + 1)), &out)) << range;
+    EXPECT_FALSE(table.Lookup(MulBase(EncodeExponent(-range - 1)), &out)) << range;
   }
-  int64_t out = 0;
-  EXPECT_FALSE(table.Lookup(MulBase(U256(51)), &out));
-  EXPECT_FALSE(table.Lookup(MulBase(EncodeExponent(-51)), &out));
 }
 
 TEST(DlogTableTest, LargeRangeBuildsWithoutDigestCollisions) {
