@@ -62,10 +62,7 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
   dealers.reserve(block_size);  // `sources` points into it
   std::vector<mpc::TripleSource*> sources;
   if (use_ot) {
-    mpc::TripleFactoryOptions options;
-    options.prg_seed = seed;
-    options.pipeline = false;  // Enqueue generates the wave on this thread
-    factory = std::make_unique<mpc::TripleFactory>(&net, options);
+    factory = std::make_unique<mpc::TripleFactory>(&net, seed);
   }
   for (int p = 0; p < block_size; p++) {
     sources.push_back(use_ot ? factory->ViewFor(/*tag=*/0, p)
@@ -74,8 +71,9 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
 
   // The timer covers triple generation: with use_ot the factory's one wave
   // (base OTs with every peer, IKNP extension and the cross-term
-  // corrections) runs inside it, so fig3's OT ablation times the offline
-  // and online phases together. Dealer triples are local draws.
+  // corrections) runs on its dispatcher while EvalBlock's draws wait on the
+  // views, so fig3's OT ablation times the offline and online phases
+  // together. Dealer triples are local draws.
   Stopwatch timer;
   if (use_ot) {
     factory->Enqueue({{/*tag=*/0, ids, circuit.stats().num_and}});

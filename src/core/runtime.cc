@@ -163,10 +163,8 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   }
 
   if (config_.use_ot_triples) {
-    mpc::TripleFactoryOptions factory_options;
-    factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
-    factory_options.pipeline = config_.ot_prefetch;
-    triple_factory_ = std::make_unique<mpc::TripleFactory>(net_.get(), factory_options);
+    triple_factory_ =
+        std::make_unique<mpc::TripleFactory>(net_.get(), RolePrgSeed(config_.seed, 0x78));
   }
 
   // The aggregation plan: the shared shape, with extra blocks for the
@@ -505,7 +503,7 @@ void Runtime::CommunicatePhase(int scenario) {
   }
   auto session_of = [&](size_t e) { return kTransferSession | session_salt | e; };
 
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->Run(edges_.size(), [&](size_t e) {
     auto [i, j] = edges_[e];
     const int out_slot = edge_out_slot_[e];
     std::vector<mpc::BitVector> shares;
@@ -520,20 +518,20 @@ void Runtime::CommunicatePhase(int scenario) {
                           setup_.edge_certificates.at({i, j}), prgs);
   });
 
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->Run(edges_.size(), [&](size_t e) {
     auto [i, j] = edges_[e];
     auto prg = RolePrg(0x33, prg_base + e);
     transfer::AggregateAtSource(net_.get(), i, setup_.blocks[i], j, session_of(e),
                                 transfer_params_, prg, *noise_cache_);
   });
 
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->Run(edges_.size(), [&](size_t e) {
     auto [i, j] = edges_[e];
     transfer::AdjustAtDest(net_.get(), j, i, setup_.blocks[j], session_of(e),
                            setup_.neighbor_keys[j][edge_in_slot_[e]], transfer_params_);
   });
 
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->Run(edges_.size(), [&](size_t e) {
     const int j = edges_[e].second;
     std::vector<const transfer::MemberKeys*> keys;
     keys.reserve(k1);

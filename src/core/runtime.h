@@ -87,18 +87,11 @@ struct RuntimeConfig {
   // factory (src/mpc/triple_factory.h) — one IKNP session pair per node
   // pair, bulk extends sized to each phase's aggregate demand.
   bool use_ot_triples = false;
-  // With use_ot_triples: hand waves to the factory's background dispatcher,
-  // so iteration i+1's triples are generated while iteration i evaluates
-  // (the offline/online pipeline). False generates each wave synchronously
-  // at enqueue; figures, traffic and triple streams are identical either
-  // way (asserted in triple_factory_test.cc).
-  bool ot_prefetch = true;
   // 0 = single aggregation block; >0 = aggregation tree with this group
   // size per level (depth grows as log_fanout(N)). Either shape serves solo
   // runs and ensembles of any width alike.
   int aggregation_fanout = 0;
-  // Target number of concurrently live role threads (0 = auto). The worker
-  // pool grows past this if a single protocol group needs more.
+  // Thread budget of the worker pool (0 = auto, core::ResolveThreadBudget).
   int max_parallel_tasks = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
@@ -193,8 +186,8 @@ struct RunMetrics {
   int resumed_from_iteration = -1;
   // Offline-phase surface (docs/offline-phase.md), all zero for dealer
   // runs: wall time the triple factory spent generating waves (overlaps
-  // the phase timings above — with ot_prefetch the factory runs while the
-  // online phase evaluates), online time spent blocked on the triple pool,
+  // the phase timings above — the factory runs while the online phase
+  // evaluates), online time spent blocked on the triple pool,
   // and base-OT protocol executions during the run (both endpoints count,
   // so one node-pair setup contributes 4). ToString appends them only for
   // OT runs, so dealer reports are unchanged.

@@ -77,7 +77,7 @@ TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& grap
     }
   }
 
-  pool.RunGrouped(setup.node_keys.size(), 1, [&](size_t node, size_t) {
+  pool.Run(setup.node_keys.size(), [&](size_t node) {
     for (auto& kp : setup.node_keys[node].keys) {
       kp.pub.point = crypto::MulBase(kp.secret);
     }
@@ -96,7 +96,7 @@ TrustedSetup RunTrustedSetup(const SetupConfig& config, const graph::Graph& grap
     }
   }
   std::vector<transfer::BlockCertificate> certificates(slots.size());
-  pool.RunGrouped(slots.size(), 1, [&](size_t s, size_t) {
+  pool.Run(slots.size(), [&](size_t s) {
     const int j = slots[s].j;
     transfer::BlockPublicKeys publics;
     publics.reserve(config.block_size);

@@ -1,15 +1,21 @@
 #include "src/core/worker_pool.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace dstress::core {
+
+int HardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : static_cast<int>(hw);
+}
 
 int ResolveThreadBudget(int max_parallel_tasks) {
   if (max_parallel_tasks > 0) {
     return max_parallel_tasks;
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(hw == 0 ? 16 : 4 * hw);
+  return 4 * HardwareThreads();
 }
 
 WorkerPool::WorkerPool(int num_threads) : capacity_(static_cast<size_t>(num_threads)) {
@@ -27,85 +33,41 @@ WorkerPool::~WorkerPool() {
   }
 }
 
-int WorkerPool::num_threads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(capacity_);
-}
-
-void WorkerPool::EnsureThreadsLocked(size_t want) {
-  if (want > capacity_) {
-    want = capacity_;
-  }
-  while (threads_.size() < want) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-void WorkerPool::AdmitGroupsLocked() {
-  while (next_group_ < groups_ && outstanding_ + subtasks_ <= threads_.size()) {
-    for (size_t s = 0; s < subtasks_; s++) {
-      queue_.push_back(Task{next_group_, s});
-    }
-    outstanding_ += subtasks_;
-    next_group_++;
-  }
-  // The no-deadlock invariant itself: every admitted task can hold a
-  // thread at the same time.
-  DSTRESS_DCHECK(outstanding_ <= threads_.size());
-}
-
-void WorkerPool::RunGrouped(size_t groups, size_t subtasks,
-                            const std::function<void(size_t, size_t)>& fn) {
-  if (groups == 0 || subtasks == 0) {
+void WorkerPool::Run(size_t count, const std::function<void(size_t)>& fn) {
+  if (count == 0) {
     return;
   }
   std::lock_guard<std::mutex> run_lock(run_mu_);
   std::unique_lock<std::mutex> lock(mu_);
-  // Grow the budget (permanently) so one whole group always fits, then
-  // spawn no more threads than this workload can occupy.
-  if (subtasks > capacity_) {
-    capacity_ = subtasks;
+  // Spawn no more threads than this call can occupy.
+  while (threads_.size() < std::min(count, capacity_)) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
-  EnsureThreadsLocked(groups * subtasks);
   fn_ = &fn;
-  groups_ = groups;
-  subtasks_ = subtasks;
-  next_group_ = 0;
-  outstanding_ = 0;
-  remaining_ = groups * subtasks;
-  AdmitGroupsLocked();
+  count_ = count;
+  next_ = 0;
+  remaining_ = count;
   work_cv_.notify_all();
   done_cv_.wait(lock, [this] { return remaining_ == 0; });
   fn_ = nullptr;
+  count_ = 0;
+  next_ = 0;
 }
 
 void WorkerPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Task task;
-    const std::function<void(size_t, size_t)>* fn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (shutdown_) {
-        return;
-      }
-      task = queue_.front();
-      queue_.pop_front();
-      fn = fn_;
+    work_cv_.wait(lock, [this] { return shutdown_ || next_ < count_; });
+    if (shutdown_) {
+      return;
     }
-    (*fn)(task.group, task.subtask);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      outstanding_--;
-      remaining_--;
-      size_t queued_before = queue_.size();
-      AdmitGroupsLocked();
-      if (queue_.size() > queued_before) {
-        work_cv_.notify_all();
-      }
-      if (remaining_ == 0) {
-        done_cv_.notify_all();
-      }
+    const size_t index = next_++;
+    const std::function<void(size_t)>* fn = fn_;
+    lock.unlock();
+    (*fn)(index);
+    lock.lock();
+    if (--remaining_ == 0) {
+      done_cv_.notify_all();
     }
   }
 }

@@ -1,34 +1,23 @@
-// Persistent worker pool with group-affinity scheduling.
+// Persistent worker pool: a parallel-for over [0, count).
 //
-// The runtime's phases each run groups × subtasks protocol-role tasks,
-// where the subtasks of one group exchange blocking Recv messages with each
-// other (the members of a GMW block, the 2(k+1)+2 roles of one edge
-// transfer). Spawning a fresh thread per task per batch — what the seed
-// scheduler did — pays thread creation and teardown on every phase of every
-// iteration. This pool keeps a fixed set of threads alive across phases and
-// runs and feeds them tasks instead.
+// The runtime's transfer sub-phases, the trusted setup's EC walks, the
+// graph plane's word ranges and the triple factory's wave passes each run
+// a batch of independent tasks. Spawning a fresh thread per task per batch
+// — what the seed scheduler did — pays thread creation and teardown on
+// every phase of every iteration. This pool keeps its threads alive across
+// calls and hands them indices instead.
 //
-// No-deadlock invariant (the load-bearing part): a task may block inside an
-// intra-group Recv, so every subtask of its group must be able to hold a
-// thread at the same time. Tasks are therefore admitted to the run queue a
-// whole group at a time, and a group is only admitted while
-//   admitted-but-unfinished tasks + subtasks  <=  thread count.
-// Under that bound every admitted task is either running or has an idle
-// thread coming for it (threads only block inside tasks), so all admitted
-// tasks run concurrently, and since sends never block (transport.h), each
-// admitted group's blocking receives are eventually satisfied. Admission
-// order is group order, preserving the deterministic global scheduling the
-// phases rely on for reproducible traffic.
-//
-// If one group alone needs more threads than the pool has (subtasks >
-// num_threads), the pool grows permanently to fit it — equivalent to the
-// seed scheduler's batch floor of one whole group.
+// The one rule for every caller: a task never waits on another task of the
+// same call. A task may block in Recv only on a message that an earlier
+// call, or the task itself, has already sent (sends never block,
+// transport.h). Under that rule a call completes on any number of threads,
+// one included, so the pool needs no admission control: its threads claim
+// indices from one counter, in increasing order.
 #ifndef SRC_CORE_WORKER_POOL_H_
 #define SRC_CORE_WORKER_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -36,17 +25,21 @@
 
 namespace dstress::core {
 
-// Thread budget for a phase scheduler: `max_parallel_tasks` if nonzero,
-// else 4x hardware concurrency (oversubscribed so blocking intra-group
-// receives still leave runnable threads), 16 when concurrency is unknown.
-// core::Runtime's budget. The engine's cleartext backend sizes its pool
-// to the hardware threads instead: the graph plane's tasks never block.
+// The machine's hardware threads, 4 when the count is unknown.
+int HardwareThreads();
+
+// core::Runtime's thread budget: `max_parallel_tasks` if nonzero, else 4x
+// HardwareThreads(). No task needs the spare threads; the 4x is kept for
+// set-up time. At one thread per hardware thread, perfbench secure-ot's
+// peak_rss_mb fell 28%, but secure-sim's setup_s rose 6.4% (4-vCPU VM,
+// alternating 36 s pairs). The engine's cleartext backend and the triple
+// factory size their pools at HardwareThreads().
 int ResolveThreadBudget(int max_parallel_tasks);
 
 class WorkerPool {
  public:
   // `num_threads` is the pool's thread budget. Threads are spawned lazily
-  // as work demands them — a Runtime over a tiny graph never materializes
+  // as calls demand them — a Runtime over a tiny graph never materializes
   // a many-core machine's full budget — and persist once started.
   explicit WorkerPool(int num_threads);
   ~WorkerPool();
@@ -54,47 +47,29 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Current thread budget (grows past the constructor value only when a
-  // single group needs more).
-  int num_threads() const;
-
-  // Runs fn(group, subtask) for every pair in {0..groups-1} x
-  // {0..subtasks-1}, blocking until all complete. Group-affinity batching
-  // as described above; one RunGrouped executes at a time (concurrent
+  // Runs fn(i) once for every i in [0, count) on the pool's threads and
+  // blocks until all have returned. One Run executes at a time (concurrent
   // callers serialize).
-  void RunGrouped(size_t groups, size_t subtasks,
-                  const std::function<void(size_t, size_t)>& fn);
+  void Run(size_t count, const std::function<void(size_t)>& fn);
 
  private:
-  struct Task {
-    size_t group;
-    size_t subtask;
-  };
-
   void WorkerLoop();
-  // Admits whole groups while the invariant allows; callers hold mu_.
-  void AdmitGroupsLocked();
-  // Spawns threads up to min(capacity_, want); callers hold mu_.
-  void EnsureThreadsLocked(size_t want);
 
-  // Serializes RunGrouped callers.
+  // Serializes Run callers.
   std::mutex run_mu_;
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: queue non-empty or shutdown
-  std::condition_variable done_cv_;  // RunGrouped caller: remaining == 0
-  size_t capacity_;                  // thread budget; admission bound
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers: an unclaimed index or shutdown
+  std::condition_variable done_cv_;  // Run caller: remaining_ == 0
+  const size_t capacity_;             // thread budget
   std::vector<std::thread> threads_;  // spawned so far (<= capacity_)
-  std::deque<Task> queue_;
   bool shutdown_ = false;
 
-  // State of the in-flight RunGrouped, guarded by mu_.
-  const std::function<void(size_t, size_t)>* fn_ = nullptr;
-  size_t groups_ = 0;
-  size_t subtasks_ = 0;
-  size_t next_group_ = 0;    // first group not yet admitted
-  size_t outstanding_ = 0;   // admitted but unfinished tasks
-  size_t remaining_ = 0;     // all unfinished tasks
+  // State of the in-flight Run, guarded by mu_.
+  const std::function<void(size_t)>* fn_ = nullptr;
+  size_t count_ = 0;
+  size_t next_ = 0;       // first unclaimed index
+  size_t remaining_ = 0;  // indices not yet finished
 };
 
 }  // namespace dstress::core

@@ -5,7 +5,6 @@
 // pinned by the golden digests in tests/graphplane_test.cc.
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,16 +31,10 @@ constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
 
 // The plane's pool size: `max_parallel_tasks` if set, else one thread per
-// hardware thread (4 when the count is unknown). Its tasks never block, so
-// core::ResolveThreadBudget's 4x oversubscription, which keeps the secure
-// runtime's blocking groups fed, would only add threads and their
-// thread-local scratch.
+// hardware thread. core::ResolveThreadBudget's 4x would only add threads
+// and their thread-local scratch (worker_pool.h).
 int PlaneThreads(int max_parallel_tasks) {
-  if (max_parallel_tasks > 0) {
-    return max_parallel_tasks;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 4 : static_cast<int>(hw);
+  return max_parallel_tasks > 0 ? max_parallel_tasks : core::HardwareThreads();
 }
 
 uint64_t BitsToWord(const std::vector<uint8_t>& bits) {

@@ -163,7 +163,7 @@ void GraphPlane::PackStates(const std::vector<std::vector<mpc::BitVector>>& lane
   const size_t row_blocks = (static_cast<size_t>(sb_) + 63) / 64;
   const size_t stride = static_cast<size_t>(stride_);
   const size_t num_tasks = (words_ + kWordsPerTask - 1) / kWordsPerTask;
-  pool_->RunGrouped(num_tasks, 1, [&](size_t task, size_t) {
+  pool_->Run(num_tasks, [&](size_t task) {
     const size_t w0 = task * kWordsPerTask;
     const size_t cw = std::min(kWordsPerTask, words_ - w0);
     static thread_local std::vector<uint64_t> blocks;
@@ -230,7 +230,7 @@ void GraphPlane::ComputeStep() {
   const size_t num_wires = update_plan_.num_wires();
   const int d = degree_bound_;
   const size_t num_tasks = (active_list_.size() + kWordsPerTask - 1) / kWordsPerTask;
-  pool_->RunGrouped(num_tasks, 1, [&](size_t task, size_t) {
+  pool_->Run(num_tasks, [&](size_t task) {
     const size_t i0 = task * kWordsPerTask;
     const size_t cw = std::min(kWordsPerTask, active_list_.size() - i0);
     // Grow-only thread-local staging: the frontier's words are scattered,
@@ -430,7 +430,7 @@ mpc::PackedShareMatrix GraphPlane::EvalOverStates(const circuit::EvalPlan& plan)
   const size_t out_rows = plan.num_outputs();
   const size_t num_wires = plan.num_wires();
   const size_t num_tasks = (words_ + kWordsPerTask - 1) / kWordsPerTask;
-  pool_->RunGrouped(num_tasks, 1, [&](size_t task, size_t) {
+  pool_->Run(num_tasks, [&](size_t task) {
     const size_t w0 = task * kWordsPerTask;
     const size_t cw = std::min(kWordsPerTask, words_ - w0);
     static thread_local std::vector<uint64_t> in_buf;

@@ -16,35 +16,8 @@ namespace {
 // base-OT streams from the per-(tag, member) share streams below.
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ULL;
 
-// Circle-method tournament over n players: rounds 0 .. TournamentRounds(n)-1
-// enumerate all unordered pairs, one perfect matching per round (a padding
-// slot gives one player a bye per round when n is odd).
-int TournamentRounds(int n) {
-  int m = (n % 2 == 0) ? n : n + 1;
-  return m - 1;
-}
-
-int TournamentPeer(int n, int me, int round) {
-  int m = (n % 2 == 0) ? n : n + 1;
-  auto slot_player = [&](int slot) -> int {
-    if (slot == m - 1) {
-      return m - 1;
-    }
-    return (round + slot) % (m - 1);
-  };
-  for (int k = 0; k < m / 2; k++) {
-    int p1 = slot_player(k);
-    int p2 = slot_player(m - 1 - k);
-    if (p1 == me || p2 == me) {
-      int peer = (p1 == me) ? p2 : p1;
-      if (peer >= n) {
-        return -1;  // bye against the padding slot
-      }
-      return peer;
-    }
-  }
-  return -1;
-}
+// How far the factory may run ahead of the online phase, in waves.
+constexpr size_t kMaxPendingWaves = 2;
 
 // Appends `count` bits of (a, b, c) to the end of `dst` (bit-granular: the
 // destination's tail is rarely word-aligned once draws of mixed sizes have
@@ -97,23 +70,18 @@ class TripleFactory::View : public TripleSource {
   Buffer* buf_;
 };
 
-TripleFactory::TripleFactory(net::Transport* net, TripleFactoryOptions options)
-    : net_(net), options_(options), pool_(1) {
-  DSTRESS_CHECK(options_.max_pending_waves >= 1);
-  if (options_.pipeline) {
-    dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  }
+TripleFactory::TripleFactory(net::Transport* net, uint64_t prg_seed)
+    : net_(net), prg_seed_(prg_seed), pool_(core::HardwareThreads()) {
+  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
 TripleFactory::~TripleFactory() {
-  if (dispatcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      shutdown_ = true;
-    }
-    queue_cv_.notify_all();
-    dispatcher_.join();
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    shutdown_ = true;
   }
+  queue_cv_.notify_all();
+  dispatcher_.join();
 }
 
 void TripleFactory::Enqueue(std::vector<TripleDemand> demands) {
@@ -127,17 +95,11 @@ void TripleFactory::Enqueue(std::vector<TripleDemand> demands) {
       buf->promised += d.count;
     }
   }
-  if (!options_.pipeline) {
-    GenerateWave(demands);
-    return;
-  }
   std::unique_lock<std::mutex> lock(queue_mu_);
-  // Bounded pool: the factory runs at most max_pending_waves ahead of the
+  // Bounded queue: the factory runs at most kMaxPendingWaves ahead of the
   // online phase; beyond that the enqueuer (the runtime's scheduler) blocks
   // here, which is the backpressure.
-  queue_cv_.wait(lock, [&] {
-    return static_cast<int>(pending_waves_.size()) < options_.max_pending_waves;
-  });
+  queue_cv_.wait(lock, [&] { return pending_waves_.size() < kMaxPendingWaves; });
   pending_waves_.push_back(std::move(demands));
   queue_cv_.notify_all();
 }
@@ -171,37 +133,37 @@ TripleFactory::Buffer* TripleFactory::BufferFor(uint64_t tag, int member) {
   return buf.get();
 }
 
-TripleFactory::PeerIknp& TripleFactory::PairFor(net::NodeId self, net::NodeId peer) {
-  std::map<net::NodeId, std::unique_ptr<PeerIknp>>* mine;
-  {
-    std::lock_guard<std::mutex> lock(pairs_mu_);
-    mine = &pair_sessions_[self];
-  }
-  auto it = mine->find(peer);
-  if (it != mine->end()) {
-    return *it->second;
-  }
-  // First co-occurrence of this node pair in any wave: pay the base-OT
-  // setup once for the whole run. Construction order is keyed by node id
-  // (lower id acts as extension sender first) so both endpoints agree.
-  auto prg = crypto::ChaCha20Prg::FromSeed(
-      options_.prg_seed * kSeedMix + 0xba5e,
-      (static_cast<uint64_t>(self) << 32) | static_cast<uint32_t>(peer));
-  auto pair = std::make_unique<PeerIknp>();
-  if (self < peer) {
-    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, options_.session);
-    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, options_.session);
-  } else {
-    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, options_.session);
-    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, options_.session);
-  }
-  std::unique_ptr<PeerIknp>& slot = (*mine)[peer];
-  slot = std::move(pair);
-  if (self < peer) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.pair_sessions += 1;  // count unordered pairs once
-  }
-  return *slot;
+std::unique_ptr<TripleFactory::PairIknp> TripleFactory::EstablishPair(net::NodeId lo,
+                                                                      net::NodeId hi) {
+  // Each node draws from its own stream keyed by (self, peer): lo its
+  // choices and secrets, then its a; hi its a, then its choices and
+  // secrets. Lo acts as extension sender first.
+  auto prg_of = [&](net::NodeId self, net::NodeId peer) {
+    return crypto::ChaCha20Prg::FromSeed(
+        prg_seed_ * kSeedMix + 0xba5e,
+        (static_cast<uint64_t>(self) << 32) | static_cast<uint32_t>(peer));
+  };
+  crypto::ChaCha20Prg lo_prg = prg_of(lo, hi);
+  crypto::ChaCha20Prg hi_prg = prg_of(hi, lo);
+  const net::SessionId session = kOfflineSessionNamespace;
+  // One setup: the extension receiver announces, the extension sender
+  // replies, and the announcer finishes.
+  auto setup = [&](net::NodeId sender, crypto::ChaCha20Prg& sender_prg, net::NodeId receiver,
+                   crypto::ChaCha20Prg& receiver_prg) {
+    const ot::BaseOtAnnouncement announced =
+        ot::BaseOtAnnounce(net_, receiver, sender, receiver_prg, session);
+    const std::vector<bool> choices = ot::DrawIknpChoices(sender_prg);
+    const ot::BaseOtReceiverOutput chosen_keys =
+        ot::BaseOtRecv(net_, sender, receiver, choices, sender_prg, session);
+    const ot::BaseOtSenderOutput key_pairs =
+        ot::BaseOtFinish(net_, receiver, sender, announced, ot::kIknpKappa, session);
+    return std::make_pair(ot::IknpSender(net_, sender, receiver, choices, chosen_keys, session),
+                          ot::IknpReceiver(net_, receiver, sender, key_pairs, session));
+  };
+  auto [lo_sender, hi_receiver] = setup(lo, lo_prg, hi, hi_prg);
+  auto [hi_sender, lo_receiver] = setup(hi, hi_prg, lo, lo_prg);
+  return std::make_unique<PairIknp>(PairIknp{std::move(lo_sender), std::move(hi_receiver),
+                                             std::move(hi_sender), std::move(lo_receiver)});
 }
 
 void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
@@ -274,25 +236,16 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
     }
   }
 
-  // One task per participating node; whole-group admission on the private
-  // pool keeps every node runnable at once, which the tournament's blocking
-  // pairwise exchanges require (same invariant as the runtime's phase
-  // scheduling, see worker_pool.h).
-  const int rounds = TournamentRounds(num_nodes);
-  pool_.RunGrouped(1, num_nodes, [&](size_t, size_t task) {
-    const int p = static_cast<int>(task);
-    const net::NodeId self = participants[p];
-
-    // Local shares: a, b from this member's per-tag PRG stream (advanced
-    // once per wave — deterministic regardless of pipelining), c seeded
-    // with the local product a AND b; the tournament below folds in the
-    // cross terms.
+  // Pass 1, per participant: the local shares. a, b come from each
+  // member's per-tag PRG stream (advanced once per wave — deterministic
+  // regardless of pipelining), and c starts as the local product a AND b;
+  // pass 2 folds in the cross terms.
+  pool_.Run(num_nodes, [&](size_t p) {
     for (const auto& [d, m] : roles[p]) {
       const TripleDemand& dem = demands[d];
       size_t words = PackedWords(dem.count);
       auto prg = crypto::ChaCha20Prg::FromSeed(
-          options_.prg_seed * kSeedMix + ((dem.tag << 8) | static_cast<uint64_t>(m)),
-          streams[d][m]);
+          prg_seed_ * kSeedMix + ((dem.tag << 8) | static_cast<uint64_t>(m)), streams[d][m]);
       shares[d].a[m] = prg.NextWords(words);
       shares[d].b[m] = prg.NextWords(words);
       shares[d].c[m].assign(words, 0);
@@ -300,86 +253,104 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
         shares[d].c[m][w] = shares[d].a[m][w] & shares[d].b[m][w];
       }
     }
+  });
 
-    for (int round = 0; round < rounds; round++) {
-      const int q = TournamentPeer(num_nodes, p, round);
-      if (q < 0) {
-        continue;
-      }
-      auto it = shared.find({std::min(p, q), std::max(p, q)});
-      if (it == shared.end()) {
-        continue;  // no co-hosted role group with this peer
-      }
-      const std::vector<size_t>& segs = it->second;
-      const net::NodeId peer = participants[q];
-      size_t total = 0;
-      for (size_t d : segs) {
-        total += demands[d].count;
-      }
-      size_t twords = PackedWords(total);
-      PeerIknp& session = PairFor(self, peer);
-
-      // Concatenate this node's per-segment bits (tag order — `segs` is
-      // sorted because demands are) into one Extend-sized vector.
-      auto concat = [&](bool use_a) {
-        PackedBits cat(twords, 0);
-        size_t off = 0;
-        for (size_t d : segs) {
-          int m = member_of[d].at(p);
-          const PackedBits& src = use_a ? shares[d].a[m] : shares[d].b[m];
-          CopyBits(cat.data(), off, src.data(), 0, demands[d].count);
-          off += demands[d].count;
-        }
-        return cat;
-      };
-      // XOR a concatenated delta back into the per-segment c shares.
-      auto scatter = [&](const PackedBits& delta) {
-        size_t off = 0;
-        for (size_t d : segs) {
-          int m = member_of[d].at(p);
-          XorBits(shares[d].c[m].data(), 0, delta.data(), off, demands[d].count);
-          off += demands[d].count;
-        }
-      };
-
-      auto run_as_sender = [&] {
-        // I contribute the a sides; the peer's choice bits are its b
-        // shares. I keep r0 as my cross-term share and send the correction
-        // r0 ^ r1 ^ a for every segment in one message.
-        ot::RandomOtPairs pairs = session.sender->Extend(total);
-        PackedBits a_cat = concat(/*use_a=*/true);
-        ByteWriter corrections;
-        for (size_t w = 0; w < twords; w++) {
-          corrections.U64(pairs.r0[w] ^ pairs.r1[w] ^ a_cat[w]);
-        }
-        net_->Send(self, peer, corrections.Take(), options_.session);
-        scatter(pairs.r0);
-      };
-      auto run_as_receiver = [&] {
-        PackedBits b_cat = concat(/*use_a=*/false);
-        ot::RandomOtChosen chosen = session.receiver->Extend(b_cat, total);
-        Bytes corrections = net_->Recv(self, peer, options_.session);
-        DSTRESS_CHECK(corrections.size() == twords * 8);
-        ByteReader reader(corrections);
-        PackedBits delta(twords, 0);
-        for (size_t w = 0; w < twords; w++) {
-          delta[w] = chosen.r[w] ^ (b_cat[w] & reader.U64());
-        }
-        scatter(delta);
-      };
-
-      if (self < peer) {
-        run_as_sender();
-        run_as_receiver();
-      } else {
-        run_as_receiver();
-        run_as_sender();
-      }
+  // Pass 2, per co-hosting node pair (p < q): one task plays both ends of
+  // the pair's exchange, so no task waits on another. Each pair's state is
+  // slotted here, before the pass; a new pair's setup runs in its task.
+  struct PairTask {
+    int p, q;
+    const std::vector<size_t>* segs;
+    std::unique_ptr<PairIknp>* iknp;
+  };
+  std::vector<PairTask> pair_tasks;
+  uint64_t new_pairs = 0;
+  for (const auto& [pq, segs] : shared) {
+    std::unique_ptr<PairIknp>& slot = pairs_[{participants[pq.first], participants[pq.second]}];
+    new_pairs += slot == nullptr ? 1 : 0;
+    pair_tasks.push_back({pq.first, pq.second, &segs, &slot});
+  }
+  // Pair tasks sharing a node XOR their cross terms into its c shares
+  // under that node's lock; a and b are read-only in this pass.
+  std::vector<std::mutex> c_mu(num_nodes);
+  pool_.Run(pair_tasks.size(), [&](size_t k) {
+    const auto [p, q, segs_ptr, slot] = pair_tasks[k];
+    const std::vector<size_t>& segs = *segs_ptr;
+    if (*slot == nullptr) {
+      *slot = EstablishPair(participants[p], participants[q]);
     }
+    PairIknp& iknp = **slot;
+    size_t total = 0;
+    for (size_t d : segs) {
+      total += demands[d].count;
+    }
+    const size_t twords = PackedWords(total);
 
-    // Deal the finished shares out to this node's views. Per-(demand,
-    // member) arrays are owned by this task, so only the buffer append
-    // needs the lock.
+    // Concatenates node `x`'s per-segment bits (tag order — `segs` is
+    // sorted because demands are) into one Extend-sized vector.
+    auto concat = [&](int x, bool use_a) {
+      PackedBits cat(twords, 0);
+      size_t off = 0;
+      for (size_t d : segs) {
+        int m = member_of[d].at(x);
+        const PackedBits& src = use_a ? shares[d].a[m] : shares[d].b[m];
+        CopyBits(cat.data(), off, src.data(), 0, demands[d].count);
+        off += demands[d].count;
+      }
+      return cat;
+    };
+    // XORs a concatenated delta back into node `x`'s per-segment c shares.
+    auto scatter = [&](int x, const PackedBits& delta) {
+      std::lock_guard<std::mutex> lock(c_mu[x]);
+      size_t off = 0;
+      for (size_t d : segs) {
+        int m = member_of[d].at(x);
+        XorBits(shares[d].c[m].data(), 0, delta.data(), off, demands[d].count);
+        off += demands[d].count;
+      }
+    };
+    // One direction: node `s` contributes its a sides, and node `r`'s
+    // choice bits are its b shares. The sender keeps r0 as its cross-term
+    // share and sends the correction r0 ^ r1 ^ a for every segment in one
+    // message; the receiver's share is r ^ (b AND correction).
+    auto extend = [&](ot::IknpSender& sender, int s, ot::IknpReceiver& receiver, int r) {
+      const net::NodeId s_node = participants[s];
+      const net::NodeId r_node = participants[r];
+      const PackedBits b_cat = concat(r, /*use_a=*/false);
+      ot::RandomOtChosen chosen = receiver.Extend(b_cat, total);
+      ot::RandomOtPairs pairs = sender.Extend(total);
+      const PackedBits a_cat = concat(s, /*use_a=*/true);
+      ByteWriter corrections;
+      for (size_t w = 0; w < twords; w++) {
+        corrections.U64(pairs.r0[w] ^ pairs.r1[w] ^ a_cat[w]);
+      }
+      net_->Send(s_node, r_node, corrections.Take(), kOfflineSessionNamespace);
+      scatter(s, pairs.r0);
+      Bytes received = net_->Recv(r_node, s_node, kOfflineSessionNamespace);
+      DSTRESS_CHECK(received.size() == twords * 8);
+      ByteReader reader(received);
+      PackedBits delta(twords, 0);
+      for (size_t w = 0; w < twords; w++) {
+        delta[w] = chosen.r[w] ^ (b_cat[w] & reader.U64());
+      }
+      scatter(r, delta);
+    };
+    extend(iknp.lo_sender, p, iknp.hi_receiver, q);
+    extend(iknp.hi_sender, q, iknp.lo_receiver, p);
+  });
+
+  // Counted before the shares are dealt, so a consumer whose draw this
+  // wave satisfies reads stats that include it.
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.offline_seconds += wave_clock.ElapsedSeconds();
+    stats_.waves += 1;
+    stats_.triples += wave_triples;
+    stats_.pair_sessions += new_pairs;
+  }
+
+  // Pass 3, per participant: deal the finished shares out to its views.
+  pool_.Run(num_nodes, [&](size_t p) {
     for (const auto& [d, m] : roles[p]) {
       Buffer* buf = bufs[d][m];
       std::lock_guard<std::mutex> lock(buf->mu);
@@ -389,11 +360,6 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
       buf->cv.notify_all();
     }
   });
-
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.offline_seconds += wave_clock.ElapsedSeconds();
-  stats_.waves += 1;
-  stats_.triples += wave_triples;
 }
 
 void TripleFactory::DispatcherLoop() {

@@ -6,35 +6,39 @@
 // per-batch extends. On one executing node those roles overwhelmingly face
 // the same peer nodes — the factory exploits that:
 //
-//  * ONE IknpSender/IknpReceiver pair per unordered node pair per run
-//    (lazily established the first time two nodes co-occur in a wave, kept
-//    for the whole run), so base OTs are paid O(node pairs) instead of
-//    O(roles x peers).
-//  * Per wave, each co-occurring node pair runs ONE bulk Extend sized to
-//    the aggregate demand of every role group the two nodes share, with
-//    cross-term corrections for all groups batched into one message per
-//    direction.
+//  * ONE IknpSender/IknpReceiver pair per direction per unordered node
+//    pair per run (established the first time two nodes co-occur in a
+//    wave, kept for the whole run), so base OTs are paid O(node pairs)
+//    instead of O(roles x peers).
+//  * Per wave, each co-occurring node pair runs ONE bulk Extend per
+//    direction sized to the aggregate demand of every role group the two
+//    nodes share, with cross-term corrections for all groups batched into
+//    one message per direction.
 //  * A partitioner deals each group's shares out to per-(group, member)
 //    TripleSource views — blocking cursors over a buffered stream with
 //    SliceTriples semantics — which EvalBatchInstances' callers draw from
 //    like any other TripleSource, so the online phase does not know which
 //    source it runs on.
 //
-// Pipelining: with Options::pipeline, Enqueue hands waves to a background
-// dispatcher thread (with its own WorkerPool, so offline role tasks never
-// compete for the runtime's phase scheduler) and returns immediately; the
-// runtime enqueues iteration i+1's demand while iteration i evaluates
-// online. The queue is bounded (max_pending_waves) — Enqueue blocks when
-// the factory is that far ahead, which is the pool's backpressure.
+// A wave is three passes on the factory's own WorkerPool: one task per
+// participant draws its local shares, one task per co-hosting node pair
+// plays both ends of that pair's exchange (so no task waits on another,
+// the pool's one rule), and one task per participant deals its shares out.
+//
+// Pipelining: Enqueue hands waves to a background dispatcher thread and
+// returns; the runtime enqueues iteration i+1's demand while iteration i
+// evaluates online. The queue is bounded (kMaxPendingWaves) — Enqueue
+// blocks when the factory is that far ahead, which is the backpressure.
 //
 // Fidelity contract: every share is derived from per-(group, member) PRG
-// streams advanced once per wave plus OT extensions whose order within a
-// wave is fixed by the tournament schedule and tag-sorted segment layout.
-// Generation is therefore deterministic in (seed, wave sequence) no matter
-// how generation and consumption interleave, so pipelined and unpipelined
-// runs release bit-identical figures and identical per-node TrafficStats.
-// All factory traffic rides session ids under kOfflineSessionNamespace,
-// which is how tests split offline from online traffic.
+// streams advanced once per wave plus OT extensions whose order on each
+// channel is fixed by the pair task's schedule and the tag-sorted segment
+// layout. Generation is therefore deterministic in (seed, wave sequence)
+// no matter how generation and consumption interleave or how the pool
+// schedules the pair tasks: figures, per-node TrafficStats and every
+// channel's messages are fixed. All factory traffic rides session
+// kOfflineSessionNamespace, which is how tests split offline from online
+// traffic.
 #ifndef SRC_MPC_TRIPLE_FACTORY_H_
 #define SRC_MPC_TRIPLE_FACTORY_H_
 
@@ -71,17 +75,6 @@ struct TripleDemand {
   size_t count = 0;
 };
 
-struct TripleFactoryOptions {
-  net::SessionId session = kOfflineSessionNamespace;
-  uint64_t prg_seed = 0;
-  // Generate waves on a background dispatcher thread (Enqueue returns
-  // immediately, bounded by max_pending_waves). Off = Enqueue generates
-  // synchronously on the caller; the A/B knob behind the pipelined ==
-  // unpipelined fidelity tests.
-  bool pipeline = true;
-  int max_pending_waves = 2;
-};
-
 struct TripleFactoryStats {
   double offline_seconds = 0;       // wall time spent generating waves
   double online_wait_seconds = 0;   // consumer time blocked on the pool
@@ -92,7 +85,8 @@ struct TripleFactoryStats {
 
 class TripleFactory {
  public:
-  TripleFactory(net::Transport* net, TripleFactoryOptions options);
+  // Every share and base-OT draw comes from streams keyed by `prg_seed`.
+  TripleFactory(net::Transport* net, uint64_t prg_seed);
   ~TripleFactory();
 
   TripleFactory(const TripleFactory&) = delete;
@@ -101,7 +95,7 @@ class TripleFactory {
   // Registers one offline wave. Every (tag, member) gains `count` promised
   // triples; views fail fast (DSTRESS_CHECK) if consumption ever outruns
   // what was promised, instead of deadlocking on triples that will never
-  // arrive. Blocks when max_pending_waves are already queued.
+  // arrive. Blocks when kMaxPendingWaves are already queued.
   void Enqueue(std::vector<TripleDemand> demands);
 
   // Blocking cursor view over member `member`'s stream of `tag`. Stable for
@@ -130,43 +124,45 @@ class TripleFactory {
 
   class View;
 
-  // One extension-sender/receiver pair toward a peer node, established
-  // with one base-OT setup in each direction.
-  struct PeerIknp {
-    std::unique_ptr<ot::IknpSender> sender;
-    std::unique_ptr<ot::IknpReceiver> receiver;
+  // Both ends of one node pair's IKNP sessions: lo's sender with hi's
+  // receiver, and hi's sender with lo's receiver (lo < hi).
+  struct PairIknp {
+    ot::IknpSender lo_sender;
+    ot::IknpReceiver hi_receiver;
+    ot::IknpSender hi_sender;
+    ot::IknpReceiver lo_receiver;
   };
 
   Buffer* BufferFor(uint64_t tag, int member);
-  PeerIknp& PairFor(net::NodeId self, net::NodeId peer);
+  // Runs the pair's two base-OT setups on the calling thread.
+  std::unique_ptr<PairIknp> EstablishPair(net::NodeId lo, net::NodeId hi);
   void GenerateWave(const std::vector<TripleDemand>& demands);
   void DispatcherLoop();
   void AddWaitSeconds(double seconds);
 
   net::Transport* net_;
-  TripleFactoryOptions options_;
+  const uint64_t prg_seed_;
   core::WorkerPool pool_;
 
   std::mutex buffers_mu_;
   std::map<std::pair<uint64_t, int>, std::unique_ptr<Buffer>> buffers_;
   std::map<std::pair<uint64_t, int>, std::unique_ptr<View>> views_;
 
-  // Established IKNP state per (self, peer). The outer map is guarded by
-  // pairs_mu_; each inner per-self map is only ever touched by the worker
-  // task playing `self` (waves run one at a time, and RunGrouped's join
-  // orders successive waves' accesses).
-  std::mutex pairs_mu_;
-  std::map<net::NodeId, std::map<net::NodeId, std::unique_ptr<PeerIknp>>> pair_sessions_;
+  // Established IKNP state per node pair (lo, hi). Only the dispatcher
+  // thread inserts, between passes; within a pass, a pair's entry is only
+  // touched by that pair's task.
+  std::map<std::pair<net::NodeId, net::NodeId>, std::unique_ptr<PairIknp>> pairs_;
 
-  // Dispatcher state (pipeline mode).
+  // Dispatcher state; the thread is declared last, after what it uses.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::vector<TripleDemand>> pending_waves_;
   bool shutdown_ = false;
-  std::thread dispatcher_;
 
   mutable std::mutex stats_mu_;
   TripleFactoryStats stats_;
+
+  std::thread dispatcher_;
 };
 
 }  // namespace dstress::mpc

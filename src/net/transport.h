@@ -24,8 +24,9 @@
 //    on one channel arrive in send order. The session id keeps concurrent
 //    protocol instances' streams isolated, playing the role of one TCP
 //    connection per instance.
-//  * Send never blocks (the no-deadlock arguments of the scheduler rely on
-//    this); Recv blocks until a message is available.
+//  * Send never blocks (the worker pool's rule that no task waits on
+//    another relies on this, worker_pool.h); Recv blocks until a message
+//    is available.
 //  * Every message is metered per sender and per receiver — payload bytes
 //    only, never wire framing — so the paper's traffic figures (Figures 4,
 //    5-right, 6-right, §5.3) are exact and backend-independent.

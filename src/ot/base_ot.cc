@@ -36,28 +36,27 @@ OtKey DeriveKey(uint32_t index, const uint8_t* encoded) {
 
 uint64_t BaseOtExecutionCount() { return g_base_ot_executions.load(std::memory_order_relaxed); }
 
-BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId peer, int count,
-                              crypto::ChaCha20Prg& prg, net::SessionId session) {
-  using crypto::CurveOrder;
-  using crypto::MulBase;
+BaseOtAnnouncement BaseOtAnnounce(net::Transport* net, net::NodeId self, net::NodeId peer,
+                                  crypto::ChaCha20Prg& prg, net::SessionId session) {
   g_base_ot_executions.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = static_cast<size_t>(count);
-
-  crypto::U256 a = prg.NextScalar(CurveOrder());
-  EcPoint big_a = MulBase(a);
-
-  ByteWriter announce;
+  BaseOtAnnouncement out;
+  out.a = prg.NextScalar(crypto::CurveOrder());
+  const EcPoint big_a = crypto::MulBase(out.a);
   auto a_compressed = big_a.Compress();
-  announce.Raw(a_compressed.data(), a_compressed.size());
-  net->Send(self, peer, announce.Take(), session);
+  net->Send(self, peer, Bytes(a_compressed.begin(), a_compressed.end()), session);
 
   // a*(B_i - A) = a*B_i - a*A, so a*A is the only multiplication that does
-  // not depend on the reply; it runs, in affine form, while the receiver
-  // works.
-  const EcPoint neg_a_big_a = big_a.Mul(a).Neg();
-  AffinePoint neg_a_big_a_affine;
-  EcPoint::ToAffineBatch(&neg_a_big_a, 1, &neg_a_big_a_affine);
+  // not depend on the reply; it runs, in affine form, before the reply is
+  // read.
+  const EcPoint neg_a_big_a = big_a.Mul(out.a).Neg();
+  EcPoint::ToAffineBatch(&neg_a_big_a, 1, &out.neg_a_big_a);
+  return out;
+}
 
+BaseOtSenderOutput BaseOtFinish(net::Transport* net, net::NodeId self, net::NodeId peer,
+                                const BaseOtAnnouncement& announced, int count,
+                                net::SessionId session) {
+  const size_t n = static_cast<size_t>(count);
   Bytes reply = net->Recv(self, peer, session);
   DSTRESS_CHECK(reply.size() == n * EcPoint::kCompressedSize);
   std::vector<AffinePoint> b_points(n);
@@ -67,9 +66,9 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
   // a*B_i - a*A in one batch addition; both are affine, so all 2n points
   // encode with no inversion.
   std::vector<AffinePoint> points0(n);
-  crypto::MulVariableBases(b_points.data(), n, a, points0.data());
+  crypto::MulVariableBases(b_points.data(), n, announced.a, points0.data());
   std::vector<AffinePoint> points1 = points0;
-  const std::vector<AffinePoint> neg_a_big_a_lanes(n, neg_a_big_a_affine);
+  const std::vector<AffinePoint> neg_a_big_a_lanes(n, announced.neg_a_big_a);
   crypto::BatchAddAssign(points1.data(), neg_a_big_a_lanes.data(), n);
   Bytes encoded0(n * EcPoint::kCompressedSize);
   Bytes encoded1(n * EcPoint::kCompressedSize);

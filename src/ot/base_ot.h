@@ -9,10 +9,15 @@
 // seed the IKNP OT extension (iknp.h); DStress's HbC threat model (paper
 // §3.2) matches the HbC security of this construction.
 //
+// The protocol has three steps, one entry point each: the sender announces
+// (BaseOtAnnounce), the receiver replies (BaseOtRecv), and the sender
+// finishes (BaseOtFinish). Each step reads only the message of the step
+// before it, so one thread can play both ends by calling them in order.
+//
 // Each half runs its `count` transfers as one batch (docs/offline-phase.md,
 // "Cost of base-OT setup"):
-//  * The sender computes a*A once while the reply is in flight and decodes
-//    the reply with one DecompressBatch. Every a*B_i comes out of one
+//  * The sender computes a*A once, right after announcing, and decodes the
+//    reply with one DecompressBatch. Every a*B_i comes out of one
 //    crypto::MulVariableBases, which walks a's single recoding across all
 //    count lanes in lockstep, one shared inversion per step. One batch
 //    addition of -a*A then gives every second point a*B_i - a*A, which
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "src/crypto/chacha20.h"
+#include "src/crypto/ec.h"
 #include "src/net/transport.h"
 
 namespace dstress::ot {
@@ -46,17 +52,31 @@ struct BaseOtReceiverOutput {
   std::vector<OtKey> keys;  // keys[i] == (choices[i] ? keys1[i] : keys0[i])
 };
 
-// Both calls block until the peer completes its half. `count` transfers are
-// performed in one batch with a single round trip.
-BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId peer, int count,
-                              crypto::ChaCha20Prg& prg, net::SessionId session = 0);
+// What the sender keeps between its two steps: its secret a and -a*A.
+struct BaseOtAnnouncement {
+  crypto::U256 a;
+  crypto::AffinePoint neg_a_big_a;
+};
 
+// Sender, step 1: draws a from `prg`, sends A = a*G to `peer` and computes
+// -a*A. Never blocks.
+BaseOtAnnouncement BaseOtAnnounce(net::Transport* net, net::NodeId self, net::NodeId peer,
+                                  crypto::ChaCha20Prg& prg, net::SessionId session = 0);
+
+// Receiver: receives A, draws one secret b_i per choice, sends the reply of
+// choices.size() points and derives its keys. Blocks until A arrives.
 BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::NodeId peer,
                                 const std::vector<bool>& choices, crypto::ChaCha20Prg& prg,
                                 net::SessionId session = 0);
 
-// Process-wide count of base-OT protocol executions (one per BaseOtSend or
-// BaseOtRecv call, i.e. one per batch of `count` transfers — the unit the
+// Sender, step 2: receives the reply of `count` points and derives both
+// keys of every transfer. Blocks until the reply arrives.
+BaseOtSenderOutput BaseOtFinish(net::Transport* net, net::NodeId self, net::NodeId peer,
+                                const BaseOtAnnouncement& announced, int count,
+                                net::SessionId session = 0);
+
+// Process-wide count of base-OT protocol executions (one per BaseOtAnnounce
+// or BaseOtRecv call, i.e. one per batch of `count` transfers — the unit the
 // EC setup cost is paid in: one variable-base multiplication plus a
 // count-lane MulVariableBases on the sender, one table build plus a
 // count-lane MulBatch on the receiver). Base OTs are most of a fresh OT

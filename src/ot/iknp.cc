@@ -39,20 +39,25 @@ void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_
   }
 }
 
-IknpSender::IknpSender(net::Transport* net, net::NodeId self, net::NodeId peer,
-                       crypto::ChaCha20Prg& prg, net::SessionId session)
-    : net_(net), self_(self), peer_(peer), session_(session) {
-  // Extension sender = base-OT receiver with choice vector s.
-  s_bits_.assign(2, 0);
+std::vector<bool> DrawIknpChoices(crypto::ChaCha20Prg& prg) {
   std::vector<bool> choices(kIknpKappa);
   for (int i = 0; i < kIknpKappa; i++) {
-    bool bit = prg.NextBit();
-    choices[i] = bit;
-    SetBit(s_bits_, i, bit);
+    choices[i] = prg.NextBit();
   }
-  auto base = BaseOtRecv(net_, self_, peer_, choices, prg, session_);
+  return choices;
+}
+
+IknpSender::IknpSender(net::Transport* net, net::NodeId self, net::NodeId peer,
+                       const std::vector<bool>& choices, const BaseOtReceiverOutput& base,
+                       net::SessionId session)
+    : net_(net), self_(self), peer_(peer), session_(session) {
+  // Extension sender = base-OT receiver with choice vector s.
+  DSTRESS_CHECK(choices.size() == static_cast<size_t>(kIknpKappa));
+  DSTRESS_CHECK(base.keys.size() == static_cast<size_t>(kIknpKappa));
+  s_bits_.assign(2, 0);
   seed_prg_.reserve(kIknpKappa);
   for (int i = 0; i < kIknpKappa; i++) {
+    SetBit(s_bits_, i, choices[i]);
     seed_prg_.push_back(PrgFromKey(base.keys[i], static_cast<uint64_t>(i)));
   }
 }
@@ -92,9 +97,9 @@ RandomOtPairs IknpSender::Extend(size_t count) {
 }
 
 IknpReceiver::IknpReceiver(net::Transport* net, net::NodeId self, net::NodeId peer,
-                           crypto::ChaCha20Prg& prg, net::SessionId session)
+                           const BaseOtSenderOutput& base, net::SessionId session)
     : net_(net), self_(self), peer_(peer), session_(session) {
-  auto base = BaseOtSend(net_, self_, peer_, kIknpKappa, prg, session_);
+  DSTRESS_CHECK(base.keys0.size() == static_cast<size_t>(kIknpKappa));
   prg0_.reserve(kIknpKappa);
   prg1_.reserve(kIknpKappa);
   for (int i = 0; i < kIknpKappa; i++) {

@@ -10,7 +10,11 @@
 //
 // Roles are named from the *extension* point of view: the extension sender
 // obtains random bit pairs (r0_j, r1_j); the extension receiver chooses c_j
-// and learns r_{c_j}. Internally the base OTs run with the roles reversed.
+// and learns r_{c_j}. The base OTs run with the roles reversed, and the
+// caller runs them: the receiver announces (BaseOtAnnounce), the sender
+// draws its choices s (DrawIknpChoices) and replies (BaseOtRecv), and the
+// receiver finishes (BaseOtFinish). Each endpoint is then constructed from
+// its base-OT output.
 //
 // Output bits are packed little-endian into uint64 words: bit j of the
 // stream lives at word j/64, bit j%64.
@@ -56,15 +60,19 @@ void TransposeColumns(const std::vector<PackedBits>& cols, size_t count, uint64_
 // registers.
 inline constexpr uint64_t kCrHashTag = 0x4852432D504E4B49ULL;
 
+// The extension sender's kappa choice bits s: its first kappa draws from
+// `prg`, ahead of the base-OT receiver's secrets.
+std::vector<bool> DrawIknpChoices(crypto::ChaCha20Prg& prg);
+
 class IknpSender {
  public:
-  // Runs the base-OT setup with `peer` (blocking; the peer must construct a
-  // matching IknpReceiver).
-  IknpSender(net::Transport* net, net::NodeId self, net::NodeId peer, crypto::ChaCha20Prg& prg,
+  // `choices` are s, and `base` the keys BaseOtRecv returned for them.
+  IknpSender(net::Transport* net, net::NodeId self, net::NodeId peer,
+             const std::vector<bool>& choices, const BaseOtReceiverOutput& base,
              net::SessionId session = 0);
 
-  // Produces `count` random OT pairs. Blocking: the receiver must call
-  // Extend with the same count.
+  // Produces `count` random OT pairs. Blocks until the receiver's Extend of
+  // the same count has sent its message.
   RandomOtPairs Extend(size_t count);
 
  private:
@@ -79,10 +87,11 @@ class IknpSender {
 
 class IknpReceiver {
  public:
-  IknpReceiver(net::Transport* net, net::NodeId self, net::NodeId peer, crypto::ChaCha20Prg& prg,
-               net::SessionId session = 0);
+  // `base` is what BaseOtFinish returned for kappa transfers.
+  IknpReceiver(net::Transport* net, net::NodeId self, net::NodeId peer,
+               const BaseOtSenderOutput& base, net::SessionId session = 0);
 
-  // choices is a packed bit vector of length >= count bits.
+  // choices is a packed bit vector of length >= count bits. Never blocks.
   RandomOtChosen Extend(const PackedBits& choices, size_t count);
 
  private:

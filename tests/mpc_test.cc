@@ -213,10 +213,7 @@ std::vector<BitVector> EvalWithDealer(net::Transport* net, const Circuit& circui
 std::vector<BitVector> EvalWithOtTriples(net::Transport* net, const Circuit& circuit,
                                          const std::vector<BitVector>& shares, uint64_t seed) {
   const int parties = static_cast<int>(shares.size());
-  TripleFactoryOptions options;
-  options.prg_seed = seed;
-  options.pipeline = false;
-  TripleFactory factory(net, options);
+  TripleFactory factory(net, seed);
   factory.Enqueue({{/*tag=*/0, PartyIds(parties), circuit.stats().num_and}});
   std::vector<TripleSource*> sources;
   for (int p = 0; p < parties; p++) {

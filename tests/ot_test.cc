@@ -5,7 +5,6 @@
 #include <iterator>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "src/crypto/chacha20_lanes.h"
 #include "src/crypto/ec.h"
@@ -51,7 +50,7 @@ class PayloadRecorder : public net::NetworkObserver {
   }
   void OnRecv(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override {}
 
-  // Read only after the protocol threads have joined.
+  // Read only after the protocol has finished.
   const std::vector<Bytes>& SentBy(net::NodeId from) { return sent_[from]; }
 
  private:
@@ -66,24 +65,19 @@ struct BaseOtTranscript {
   BaseOtReceiverOutput receiver;
 };
 
-// One base-OT pair over SimNetwork, sender node 0 and receiver node 1, with
-// the two wire messages captured.
+// One base-OT pair over SimNetwork, sender node 0 and receiver node 1, run
+// step by step on this thread, with the two wire messages captured.
 BaseOtTranscript RunBaseOtPair(const std::vector<bool>& choices, uint64_t sender_seed,
                                uint64_t receiver_seed) {
   PayloadRecorder recorder;
   net::SimNetwork net(2);
   net.SetObserver(&recorder);
   BaseOtTranscript t;
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(sender_seed);
-    t.sender = BaseOtSend(&net, 0, 1, static_cast<int>(choices.size()), prg);
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(receiver_seed);
-    t.receiver = BaseOtRecv(&net, 1, 0, choices, prg);
-  });
-  sender.join();
-  receiver.join();
+  auto sender_prg = crypto::ChaCha20Prg::FromSeed(sender_seed);
+  auto receiver_prg = crypto::ChaCha20Prg::FromSeed(receiver_seed);
+  const BaseOtAnnouncement announced = BaseOtAnnounce(&net, 0, 1, sender_prg);
+  t.receiver = BaseOtRecv(&net, 1, 0, choices, receiver_prg);
+  t.sender = BaseOtFinish(&net, 0, 1, announced, static_cast<int>(choices.size()));
   EXPECT_EQ(recorder.SentBy(0).size(), 1u);
   EXPECT_EQ(recorder.SentBy(1).size(), 1u);
   t.announce = recorder.SentBy(0).at(0);
@@ -160,14 +154,10 @@ TEST(BaseOtTest, InfinityAnnounceGivesKeysOfTheZeroEncoding) {
   constexpr uint64_t kSeed = 61;
   std::vector<bool> choices = {false, true, true, false, true, false};
   net::SimNetwork net(2);
-  Bytes reply;
-  std::thread peer([&] {
-    net.Send(0, 1, Bytes(EcPoint::kCompressedSize, 0));
-    reply = net.Recv(0, 1);
-  });
+  net.Send(0, 1, Bytes(EcPoint::kCompressedSize, 0));
   auto prg = crypto::ChaCha20Prg::FromSeed(kSeed);
   BaseOtReceiverOutput out = BaseOtRecv(&net, 1, 0, choices, prg);
-  peer.join();
+  const Bytes reply = net.Recv(0, 1);
 
   auto ref_prg = crypto::ChaCha20Prg::FromSeed(kSeed);
   ASSERT_EQ(reply.size(), kCount * EcPoint::kCompressedSize);
@@ -179,16 +169,15 @@ TEST(BaseOtTest, InfinityAnnounceGivesKeysOfTheZeroEncoding) {
   }
 }
 
-// BaseOtSend (node 0) against a scripted receiver thread (node 1) that
-// answers the announce with make_reply(announce).
+// The sender (node 0) against a scripted receiver (node 1) that answers the
+// announce with make_reply(announce), all on this thread.
 BaseOtSenderOutput SendAgainstScriptedReceiver(
     int count, uint64_t seed, const std::function<Bytes(const Bytes&)>& make_reply) {
   net::SimNetwork net(2);
-  std::thread peer([&] { net.Send(1, 0, make_reply(net.Recv(1, 0))); });
   auto prg = crypto::ChaCha20Prg::FromSeed(seed);
-  BaseOtSenderOutput out = BaseOtSend(&net, 0, 1, count, prg);
-  peer.join();
-  return out;
+  const BaseOtAnnouncement announced = BaseOtAnnounce(&net, 0, 1, prg);
+  net.Send(1, 0, make_reply(net.Recv(1, 0)));
+  return BaseOtFinish(&net, 0, 1, announced, count);
 }
 
 // A reply whose transfers include infinity, A and -A among random points
@@ -255,29 +244,37 @@ TEST(BaseOtDeathTest, MalformedReplyAborts) {
   }
 }
 
+// One IKNP session pair on this thread: extension sender node 0 drawing
+// from `sender_seed`, extension receiver node 1 from `receiver_seed`. The
+// receiver announces, the sender draws its choices and replies, and the
+// receiver finishes.
+struct IknpPair {
+  IknpSender sender;
+  IknpReceiver receiver;
+};
+
+IknpPair SetUpIknpPair(net::Transport* net, uint64_t sender_seed, uint64_t receiver_seed) {
+  auto sender_prg = crypto::ChaCha20Prg::FromSeed(sender_seed);
+  auto receiver_prg = crypto::ChaCha20Prg::FromSeed(receiver_seed);
+  const BaseOtAnnouncement announced = BaseOtAnnounce(net, 1, 0, receiver_prg);
+  const std::vector<bool> s = DrawIknpChoices(sender_prg);
+  const BaseOtReceiverOutput chosen_keys = BaseOtRecv(net, 0, 1, s, sender_prg);
+  const BaseOtSenderOutput key_pairs = BaseOtFinish(net, 1, 0, announced, kIknpKappa);
+  return {IknpSender(net, 0, 1, s, chosen_keys), IknpReceiver(net, 1, 0, key_pairs)};
+}
+
 class IknpTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(IknpTest, ExtensionDeliversChosenBits) {
   size_t count = GetParam();
   net::SimNetwork net(2);
-  RandomOtPairs pairs;
-  RandomOtChosen chosen;
   PackedBits choices(PackedWords(count), 0);
   auto choice_prg = crypto::ChaCha20Prg::FromSeed(50);
   choice_prg.Fill(reinterpret_cast<uint8_t*>(choices.data()), choices.size() * 8);
 
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(5);
-    IknpSender s(&net, 0, 1, prg);
-    pairs = s.Extend(count);
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(6);
-    IknpReceiver r(&net, 1, 0, prg);
-    chosen = r.Extend(choices, count);
-  });
-  sender.join();
-  receiver.join();
+  IknpPair iknp = SetUpIknpPair(&net, 5, 6);
+  const RandomOtChosen chosen = iknp.receiver.Extend(choices, count);
+  const RandomOtPairs pairs = iknp.sender.Extend(count);
 
   for (size_t j = 0; j < count; j++) {
     bool expect = GetBit(choices, j) ? GetBit(pairs.r1, j) : GetBit(pairs.r0, j);
@@ -304,22 +301,11 @@ TEST(IknpTest, RepeatedExtendsStayConsistent) {
   std::vector<RandomOtChosen> all_chosen;
   PackedBits choices(PackedWords(kCount), 0xAAAAAAAAAAAAAAAAULL);
 
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(7);
-    IknpSender s(&net, 0, 1, prg);
-    for (int round = 0; round < 3; round++) {
-      all_pairs.push_back(s.Extend(kCount));
-    }
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(8);
-    IknpReceiver r(&net, 1, 0, prg);
-    for (int round = 0; round < 3; round++) {
-      all_chosen.push_back(r.Extend(choices, kCount));
-    }
-  });
-  sender.join();
-  receiver.join();
+  IknpPair iknp = SetUpIknpPair(&net, 7, 8);
+  for (int round = 0; round < 3; round++) {
+    all_chosen.push_back(iknp.receiver.Extend(choices, kCount));
+    all_pairs.push_back(iknp.sender.Extend(kCount));
+  }
 
   for (int round = 0; round < 3; round++) {
     for (size_t j = 0; j < kCount; j++) {
@@ -458,22 +444,11 @@ TEST(IknpKernelTest, ExtendTranscriptMatchesGoldenDigest) {
   }
   std::vector<RandomOtPairs> pairs;
   std::vector<RandomOtChosen> chosen;
-  std::thread sender([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(21);
-    IknpSender s(&net, 0, 1, prg);
-    for (size_t count : kExtendCounts) {
-      pairs.push_back(s.Extend(count));
-    }
-  });
-  std::thread receiver([&] {
-    auto prg = crypto::ChaCha20Prg::FromSeed(22);
-    IknpReceiver r(&net, 1, 0, prg);
-    for (size_t i = 0; i < std::size(kExtendCounts); i++) {
-      chosen.push_back(r.Extend(choices[i], kExtendCounts[i]));
-    }
-  });
-  sender.join();
-  receiver.join();
+  IknpPair iknp = SetUpIknpPair(&net, 21, 22);
+  for (size_t i = 0; i < std::size(kExtendCounts); i++) {
+    chosen.push_back(iknp.receiver.Extend(choices[i], kExtendCounts[i]));
+    pairs.push_back(iknp.sender.Extend(kExtendCounts[i]));
+  }
 
   FidelityDigest digest;
   for (size_t i = 0; i < std::size(kExtendCounts); i++) {

@@ -1,16 +1,18 @@
 // Tests for the node-pair OT triple factory (src/mpc/triple_factory.h):
 // share-relation correctness over randomized demand corpora, disjoint
-// deterministic view slices, deadlock-freedom under the tournament order
-// with mixed batch sizes, the O(roles x peers) -> O(node pairs) base-OT
-// dedup, and the fidelity contract — pipelined == unpipelined runs bit for
-// bit, and online traffic pinned to the retired per-role path's digest.
+// deterministic view slices, completion with mixed batch sizes over
+// overlapping blocks, the O(roles x peers) -> O(node pairs) base-OT dedup,
+// and the fidelity contract — the factory's whole transcript pinned to a
+// golden digest, and online traffic pinned to the retired per-role path's.
 #include "src/mpc/triple_factory.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -54,15 +56,9 @@ void ExpectSameTriples(const BitTriples& x, const BitTriples& y) {
 TEST(TripleFactoryTest, TriplesSatisfyRelationAcrossBlockSizes) {
   // Randomized corpus: per block size, several waves of varying counts
   // (word-aligned and not) over blocks carved out of a 9-node transport.
-  // The odd sizes give one node a bye in every tournament round.
   for (int block_size : {2, 3, 4, 5, 8}) {
     auto net = net::MakeTransport(net::SimTransportSpec(), 9);
-    TripleFactoryOptions options;
-    options.prg_seed = 0x5eed0000 + block_size;
-    // Synchronous mode so the stats assertions below are exact; the
-    // dispatcher path is exercised by the mixed-batch and runtime tests.
-    options.pipeline = false;
-    TripleFactory factory(net.get(), options);
+    TripleFactory factory(net.get(), 0x5eed0000 + block_size);
 
     std::vector<int> parties;
     for (int i = 0; i < block_size; i++) {
@@ -92,10 +88,7 @@ TEST(TripleFactoryTest, ViewsAreDisjointDeterministicSlices) {
   // not independent generators.
   auto make_run = [](const std::vector<size_t>& draws) {
     auto net = net::MakeTransport(net::SimTransportSpec(), 4);
-    TripleFactoryOptions options;
-    options.prg_seed = 42;
-    options.pipeline = false;
-    TripleFactory factory(net.get(), options);
+    TripleFactory factory(net.get(), 42);
     factory.Enqueue({{/*tag=*/3, {0, 1, 2}, 100}});
     std::vector<std::vector<BitTriples>> per_member(3);
     for (int m = 0; m < 3; m++) {
@@ -126,16 +119,13 @@ TEST(TripleFactoryTest, ViewsAreDisjointDeterministicSlices) {
   ExpectTripleRelation({split[0][1], split[1][1], split[2][1]});
 }
 
-TEST(TripleFactoryTest, MixedBatchSizesUnderTournamentOrderComplete) {
+TEST(TripleFactoryTest, MixedBatchSizesOverOverlappingBlocksComplete) {
   // One wave of overlapping blocks with very different counts: every
-  // co-occurring pair runs one bulk extend over its shared segments, and
-  // the circle-method schedule must complete without deadlock (a hang here
-  // trips the ctest timeout). Two waves reuse the pair sessions.
+  // co-occurring pair runs one bulk extend per direction over its shared
+  // segments, and the wave must complete (a hang here trips the ctest
+  // timeout). Two waves reuse the pair sessions.
   auto net = net::MakeTransport(net::SimTransportSpec(), 8);
-  TripleFactoryOptions options;
-  options.prg_seed = 99;
-  options.pipeline = true;
-  TripleFactory factory(net.get(), options);
+  TripleFactory factory(net.get(), 99);
 
   const std::vector<TripleDemand> wave = {
       {/*tag=*/0, {0, 1, 2, 3, 4}, 129},
@@ -167,6 +157,98 @@ TEST(TripleFactoryTest, MixedBatchSizesUnderTournamentOrderComplete) {
   // IKNP directions x two endpoints), not once per wave or per role.
   EXPECT_EQ(ot::BaseOtExecutionCount() - base_ots_before, 4 * pairs.size());
   EXPECT_EQ(factory.stats().pair_sessions, pairs.size());
+}
+
+// Every message of every channel, in channel order, keyed by (from, to,
+// session). OnSend runs under the channel's synchronization, so each
+// channel's sequence is its FIFO order whatever thread sent it.
+class ChannelRecorder : public net::NetworkObserver {
+ public:
+  void OnSend(net::NodeId from, net::NodeId to, net::SessionId session,
+              const Bytes& payload) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    channels_[{from, to, session}].push_back(payload);
+  }
+  void OnRecv(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override {}
+
+  // Read only after every wave has been dealt.
+  void AddTo(FidelityDigest& digest) {
+    std::lock_guard<std::mutex> lock(mu_);
+    digest.Add(channels_.size());
+    for (const auto& [key, messages] : channels_) {
+      const auto& [from, to, session] = key;
+      digest.Add(static_cast<uint64_t>(from)).Add(static_cast<uint64_t>(to)).Add(session);
+      digest.Add(messages.size());
+      for (const Bytes& m : messages) {
+        digest.AddBytes(m.data(), m.size());
+      }
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::tuple<net::NodeId, net::NodeId, net::SessionId>, std::vector<Bytes>> channels_;
+};
+
+// A draw's `count` bits of one share, word by word with the bits past
+// `count` cleared.
+void AddShareBits(FidelityDigest& digest, const PackedBits& bits, size_t count) {
+  for (size_t w = 0; w < PackedWords(count); w++) {
+    const size_t live = std::min<size_t>(64, count - 64 * w);
+    digest.Add(live == 64 ? bits[w] : bits[w] & ((1ULL << live) - 1));
+  }
+}
+
+// The factory's whole transcript over 11 nodes and 3 waves: every view's
+// triples, every node's TrafficStats and every channel's message sequence.
+// Blocks hold 2 to 8 nodes and counts run from 1 to 4097; wave 1 has 9
+// participants (an odd count), tag 5 is reused in wave 3, and nodes 9 and
+// 10 first meet in wave 2. Captured from the retired schedule, which ran
+// one thread per node through a circle-method tournament of blocking
+// pairwise exchanges; the pair tasks reproduce it byte for byte.
+constexpr char kTranscriptDigest[] =
+    "d11b88c60b7bff1e6c58bae81b5d1ad85951d8d0c518f5094b50dbf411da2b26";
+
+TEST(TripleFactoryTest, TranscriptMatchesGoldenDigest) {
+  const std::vector<std::vector<TripleDemand>> waves = {
+      {{/*tag=*/1, {0, 1, 2, 3, 4, 5, 6, 7}, 4097},
+       {/*tag=*/2, {8, 2}, 1},
+       {/*tag=*/5, {3, 8, 0}, 130}},
+      {{/*tag=*/3, {9, 10, 4}, 64}, {/*tag=*/4, {10, 1, 5, 6}, 63}},
+      {{/*tag=*/5, {3, 8, 0}, 1},
+       {/*tag=*/6, {9, 7, 2, 10, 5}, 257},
+       {/*tag=*/7, {1, 6}, 2048}},
+  };
+  auto net = net::MakeTransport(net::SimTransportSpec(), 11);
+  ChannelRecorder recorder;
+  net->SetObserver(&recorder);
+  TripleFactory factory(net.get(), 0x7a11);
+  const uint64_t base_ots_before = ot::BaseOtExecutionCount();
+  for (const std::vector<TripleDemand>& wave : waves) {
+    factory.Enqueue(wave);
+  }
+
+  FidelityDigest digest;
+  for (const std::vector<TripleDemand>& wave : waves) {
+    for (const TripleDemand& d : wave) {
+      std::vector<BitTriples> shares;
+      for (size_t m = 0; m < d.parties.size(); m++) {
+        shares.push_back(factory.ViewFor(d.tag, static_cast<int>(m))->Generate(d.count));
+        const BitTriples& t = shares.back();
+        digest.Add(d.tag).Add(m).Add(t.count);
+        AddShareBits(digest, t.a, d.count);
+        AddShareBits(digest, t.b, d.count);
+        AddShareBits(digest, t.c, d.count);
+      }
+      ExpectTripleRelation(shares);
+    }
+  }
+  digest.AddTraffic(*net);
+  recorder.AddTo(digest);
+  const TripleFactoryStats stats = factory.stats();
+  digest.Add(stats.waves).Add(stats.triples).Add(stats.pair_sessions);
+  ExpectGoldenDigest(digest.Hex(), kTranscriptDigest, "factory transcript");
+  EXPECT_EQ(ot::BaseOtExecutionCount() - base_ots_before, 4 * stats.pair_sessions);
 }
 
 // --- runtime-level fidelity and dedup --------------------------------------
@@ -216,12 +298,11 @@ std::vector<mpc::BitVector> RingStates(int n) {
   return states;
 }
 
-core::RuntimeConfig OtConfig(bool ot_prefetch) {
+core::RuntimeConfig OtConfig() {
   core::RuntimeConfig config;
   config.block_size = 3;
   config.seed = 11;
   config.use_ot_triples = true;
-  config.ot_prefetch = ot_prefetch;
   return config;
 }
 
@@ -259,34 +340,6 @@ class OnlineTrafficMeter : public net::NetworkObserver {
   std::map<net::NodeId, net::TrafficStats> nodes_;
 };
 
-TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
-  // The offline/online pipeline must be a pure latency optimization:
-  // released figure, full per-node TrafficStats and metered triple demand
-  // identical whether waves are generated ahead on the dispatcher or
-  // synchronously at enqueue.
-  constexpr int kN = 5;
-  graph::Graph g = Ring(kN);
-  core::VertexProgram program = MakeSumProgram(1, 2);
-
-  core::Runtime pipelined(OtConfig(/*ot_prefetch=*/true), g, program);
-  core::Runtime unpipelined(OtConfig(/*ot_prefetch=*/false), g, program);
-  core::RunMetrics mp, mu;
-  int64_t released_p = pipelined.Run(RingStates(kN), &mp);
-  int64_t released_u = unpipelined.Run(RingStates(kN), &mu);
-
-  EXPECT_EQ(released_p, released_u);
-  EXPECT_EQ(mp.triples_consumed, mu.triples_consumed);
-  EXPECT_EQ(mp.base_ot_executions, mu.base_ot_executions);
-  for (int node = 0; node < kN; node++) {
-    net::TrafficStats sp = pipelined.network().NodeStats(node);
-    net::TrafficStats su = unpipelined.network().NodeStats(node);
-    EXPECT_EQ(sp.bytes_sent, su.bytes_sent) << "node " << node;
-    EXPECT_EQ(sp.bytes_received, su.bytes_received) << "node " << node;
-    EXPECT_EQ(sp.messages_sent, su.messages_sent) << "node " << node;
-    EXPECT_EQ(sp.messages_received, su.messages_received) << "node " << node;
-  }
-}
-
 // The run surface both OT digests share: released figure, iteration count,
 // triples consumed and GMW rounds.
 FidelityDigest RunDigest(int64_t released, const core::RunMetrics& m) {
@@ -312,7 +365,7 @@ TEST(TripleFactoryTest, FactoryMatchesPerRoleDigestAndDedupsBaseOts) {
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime factory(OtConfig(/*ot_prefetch=*/true), g, program);
+  core::Runtime factory(OtConfig(), g, program);
   OnlineTrafficMeter meter;
   factory.AttachObserver(&meter);
   core::RunMetrics m;

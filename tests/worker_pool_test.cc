@@ -3,143 +3,68 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
-
-#include "src/net/sim_network.h"
 
 namespace dstress::core {
 namespace {
 
-TEST(WorkerPoolTest, RunsEveryPairExactlyOnce) {
+TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
   WorkerPool pool(4);
   std::mutex mu;
-  std::set<std::pair<size_t, size_t>> seen;
-  pool.RunGrouped(13, 3, [&](size_t g, size_t s) {
+  std::multiset<size_t> seen;
+  pool.Run(39, [&](size_t i) {
     std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(seen.emplace(g, s).second) << "duplicate (" << g << "," << s << ")";
+    seen.insert(i);
   });
-  EXPECT_EQ(seen.size(), 13u * 3u);
-}
-
-TEST(WorkerPoolTest, ReusableAcrossCalls) {
-  WorkerPool pool(2);
-  std::atomic<int> count{0};
-  for (int call = 0; call < 5; call++) {
-    pool.RunGrouped(4, 2, [&](size_t, size_t) { count.fetch_add(1); });
-  }
-  EXPECT_EQ(count.load(), 5 * 4 * 2);
-}
-
-// The user-visible face of the admission invariant: every group's subtasks
-// are all executing simultaneously at some point, even with far more groups
-// than thread capacity. A strict per-group rendezvous (no subtask may leave
-// until all of its group have arrived) deadlocks under any scheduler that
-// starts a group without room for all of it.
-TEST(WorkerPoolTest, EveryGroupGetsAllSubtasksConcurrently) {
-  constexpr size_t kGroups = 12;
-  constexpr size_t kSubtasks = 3;
-  WorkerPool pool(4);  // room for at most one group at a time
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<size_t> arrived(kGroups, 0);
-  pool.RunGrouped(kGroups, kSubtasks, [&](size_t g, size_t) {
-    std::unique_lock<std::mutex> lock(mu);
-    arrived[g]++;
-    if (arrived[g] == kSubtasks) {
-      cv.notify_all();
-    } else {
-      cv.wait(lock, [&] { return arrived[g] == kSubtasks; });
-    }
-  });
-  for (size_t g = 0; g < kGroups; g++) {
-    EXPECT_EQ(arrived[g], kSubtasks);
+  ASSERT_EQ(seen.size(), 39u);
+  for (size_t i = 0; i < 39; i++) {
+    EXPECT_EQ(seen.count(i), 1u) << "index " << i;
   }
 }
 
-// The no-deadlock invariant: every subtask of a group may block on a
-// message from another subtask of the same group, with far more groups
-// than threads. Whole-group admission makes this safe; per-task admission
-// would park all workers on receives whose senders never get a thread.
-TEST(WorkerPoolTest, IntraGroupBlockingRecvDoesNotDeadlock) {
-  constexpr int kGroups = 24;
-  constexpr int kSubtasks = 3;
-  WorkerPool pool(4);  // far fewer threads than total tasks
-  net::SimNetwork net(kSubtasks);
-
-  std::atomic<int> done{0};
-  pool.RunGrouped(kGroups, kSubtasks, [&](size_t g, size_t s) {
-    // All-to-all exchange within the group: send to both peers, then block
-    // receiving from both.
-    auto self = static_cast<net::NodeId>(s);
-    for (int p = 0; p < kSubtasks; p++) {
-      if (p != static_cast<int>(s)) {
-        net.Send(self, p, Bytes{static_cast<uint8_t>(s)}, /*session=*/g);
+// Many back-to-back calls of sizes 0, 1, below the thread count, at it and
+// far above it. Each call's counters die when it returns, so a task that
+// ran late, or twice, or for a neighbouring call would show as a wrong
+// count here or as a use after free under the sanitizers.
+TEST(WorkerPoolTest, BackToBackCallsRunEveryIndexExactlyOnce) {
+  constexpr size_t kThreads = 4;
+  WorkerPool pool(static_cast<int>(kThreads));
+  for (int round = 0; round < 200; round++) {
+    for (size_t count : {size_t{0}, size_t{1}, kThreads - 1, kThreads, 64 * kThreads + 3}) {
+      std::vector<std::atomic<int>> runs(count);
+      pool.Run(count, [&](size_t i) { runs[i].fetch_add(1, std::memory_order_relaxed); });
+      for (size_t i = 0; i < count; i++) {
+        ASSERT_EQ(runs[i].load(), 1) << "round " << round << " count " << count << " index " << i;
       }
     }
-    for (int p = 0; p < kSubtasks; p++) {
-      if (p != static_cast<int>(s)) {
-        Bytes got = net.Recv(self, p, /*session=*/g);
-        EXPECT_EQ(got, Bytes{static_cast<uint8_t>(p)});
-      }
-    }
-    done.fetch_add(1);
-  });
-  EXPECT_EQ(done.load(), kGroups * kSubtasks);
-}
-
-// A single group larger than the pool: the pool must grow so the whole
-// group holds threads concurrently (here enforced with a strict barrier —
-// no subtask may leave until all have arrived).
-TEST(WorkerPoolTest, GrowsWhenOneGroupExceedsThreads) {
-  constexpr size_t kSubtasks = 8;
-  WorkerPool pool(2);
-  EXPECT_EQ(pool.num_threads(), 2);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t arrived = 0;
-  pool.RunGrouped(3, kSubtasks, [&](size_t, size_t) {
-    std::unique_lock<std::mutex> lock(mu);
-    arrived++;
-    if (arrived % kSubtasks == 0) {
-      cv.notify_all();
-    } else {
-      cv.wait(lock, [&] { return arrived % kSubtasks == 0; });
-    }
-  });
-  EXPECT_EQ(arrived, 3 * kSubtasks);
-  EXPECT_GE(pool.num_threads(), static_cast<int>(kSubtasks));
-}
-
-TEST(WorkerPoolTest, GroupsAdmittedInOrder) {
-  // With whole-group admission, a group's first task cannot start before
-  // every earlier group was admitted; record the admission order of group
-  // starts and check it is non-decreasing in batches of the window size.
-  WorkerPool pool(2);
-  std::mutex mu;
-  std::vector<size_t> first_seen;
-  std::set<size_t> started;
-  pool.RunGrouped(10, 1, [&](size_t g, size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (started.insert(g).second) {
-      first_seen.push_back(g);
-    }
-  });
-  ASSERT_EQ(first_seen.size(), 10u);
-  // Group g is admitted only after groups 0..g-1; with a 2-thread window a
-  // group can start at most 1 position early.
-  for (size_t i = 0; i < first_seen.size(); i++) {
-    EXPECT_LE(first_seen[i], i + 2);
   }
+}
+
+// Threads are spawned lazily, no more than a call can occupy, and never
+// past the budget.
+TEST(WorkerPoolTest, SpawnsNoMoreThreadsThanTheBudget) {
+  WorkerPool pool(3);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  auto record = [&](size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  pool.Run(1, record);
+  EXPECT_EQ(threads.size(), 1u);
+  for (int call = 0; call < 20; call++) {
+    pool.Run(100, record);
+  }
+  EXPECT_LE(threads.size(), 3u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);  // the caller only waits
 }
 
 TEST(WorkerPoolTest, ZeroWorkIsANoOp) {
   WorkerPool pool(2);
-  pool.RunGrouped(0, 4, [&](size_t, size_t) { FAIL(); });
-  pool.RunGrouped(4, 0, [&](size_t, size_t) { FAIL(); });
+  pool.Run(0, [&](size_t) { FAIL(); });
 }
 
 }  // namespace
