@@ -17,9 +17,8 @@
 //     message between two blocks as a function of block size (285 ms at
 //     block 8 to 610 ms at block 20 in the paper; linear in k with a
 //     milder quadratic component at the source endpoint). Each transfer
-//     runs the four edge-transfer steps (SendBundles, AggregateAtSource,
-//     AdjustAtDest, RecoverAtMembers) in order on one thread over a sim
-//     transport — the schedule CommunicatePhase runs per edge.
+//     is one transfer::TransferEdge call on one thread over a sim
+//     transport — the task CommunicatePhase runs per (lane, edge) pair.
 //  4. The §5.3 bytes handled per role during those same transfers. Paper
 //     numbers (secp384r1 points): node i receives the (k+1)^2 encrypted
 //     subshares — 97 kB (8-node blocks) to 595 kB (20-node blocks); members
@@ -38,6 +37,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -322,8 +322,8 @@ std::vector<RoleRow> BenchRoles(int block_size) {
   return rows;
 }
 
-// §5.2 end-to-end single-message transfer: the four edge-transfer steps in
-// order on one thread over a sim transport, with the per-role bytes §5.3
+// §5.2 end-to-end single-message transfer: one TransferEdge call on one
+// thread over a sim transport, with the per-role bytes §5.3
 // reports read from the same transport. Steady state: the certificate's
 // tables, the lookup table and the noise cache are built before the timer,
 // as the runtime builds them once per run.
@@ -368,11 +368,9 @@ TransferRow SingleTransfer(int block_size) {
     std::vector<crypto::ChaCha20Prg> prgs = MemberPrgs(block_size);
     auto mask_prg = crypto::ChaCha20Prg::FromSeed(200);
     Stopwatch timer;
-    transfer::SendBundles(net, members_i, 0, kSession, shares, cert, prgs);
-    transfer::AggregateAtSource(net, 0, members_i, 1, kSession, params, mask_prg, noise);
-    transfer::AdjustAtDest(net, 1, 0, members_j, kSession, neighbor_key, params);
-    std::vector<mpc::BitVector> received =
-        transfer::RecoverAtMembers(net, members_j, 1, kSession, member_keys, table, params);
+    std::vector<mpc::BitVector> received = transfer::TransferEdge(
+        net, kSession, params, 0, members_i, shares, std::move(prgs), cert, std::move(mask_prg), noise, 1,
+        members_j, neighbor_key, member_keys, table);
     const double elapsed = timer.ElapsedSeconds();
     DSTRESS_CHECK(mpc::ReconstructBits(received) == message);
     row.i_recv_bytes = net->NodeStats(0).bytes_received;
@@ -408,7 +406,7 @@ void Run() {
   for (int b : {8, 12, 16, 20}) {
     transfers.push_back(SingleTransfer(b));
   }
-  std::printf("\n# §5.2 single 12-bit message transfer: the four edge-transfer steps over\n"
+  std::printf("\n# §5.2 single 12-bit message transfer: one TransferEdge call over\n"
               "# a sim transport (paper: 285 ms at block 8 .. 610 ms at block 20)\n");
   std::printf("%12s %12s\n", "block", "ms");
   for (const TransferRow& t : transfers) {

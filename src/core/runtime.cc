@@ -143,7 +143,7 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   // which must happen before the pool has started a thread. The trusted
   // setup then runs its EC work on the pool.
   net_ = net::MakeTransport(config.transport, graph.num_vertices());
-  pool_ = std::make_unique<WorkerPool>(ResolveThreadBudget(config.max_parallel_tasks));
+  pool_ = std::make_unique<WorkerPool>(config.max_parallel_tasks);
 
   SetupConfig setup_config;
   setup_config.num_nodes = graph.num_vertices();
@@ -354,13 +354,13 @@ int Runtime::RestoreCheckpoint(int num_scenarios) {
 // Scenario lanes. Run is RunEnsemble with one scenario: S scenarios advance
 // in lockstep as extra lanes of the batched planes, role (s, v) living at
 // flat share index s*n + v. Compute phases batch all S*n vertex instances
-// into one EvalBatchInstances pass, transfers run the scenario-salted
-// CommunicatePhase, and each aggregation stage batches every lane's groups;
-// lane 0's PRG instances, session ids and order keys are the solo run's.
-// Scenario s's released figure equals Run(initial_states[s]): init-share and
-// transfer randomness cancel out of opened values, and the aggregation
-// noise is drawn from the same (agg_noise_tag_, m) streams every solo run
-// uses.
+// into one EvalBatchInstances pass, a communication step runs every lane's
+// scenario-salted edge transfers in one pool pass, and each aggregation
+// stage batches every lane's groups; lane 0's PRG instances, session ids and
+// order keys are the solo run's. Scenario s's released figure equals
+// Run(initial_states[s]): init-share and transfer randomness cancel out of
+// opened values, and the aggregation noise is drawn from the same
+// (agg_noise_tag_, m) streams every solo run uses.
 
 void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
   const int n = graph_.num_vertices();
@@ -483,67 +483,39 @@ size_t Runtime::RunBatchedPhase(net::SessionId session,
   return stats.rounds;
 }
 
-// A communication step: every edge's transfer runs the four steps of the
-// edge-transfer engine (transfer/batch_engine.h) as four barrier-separated
-// sub-phases — senders, source endpoints, dest endpoints, receivers — with
-// one task per edge, so every Recv is satisfied by a Send from an earlier
-// sub-phase and no task ever parks on a peer.
-void Runtime::CommunicatePhase(int scenario) {
-  int k1 = config_.block_size;
-  const int n = graph_.num_vertices();
-  // Ensemble lane (scenario > 0): shares live at flat index s*n + v, and
-  // sessions / PRG instances are salted per scenario so lanes stay
-  // independent streams. scenario == 0 reduces to the solo schedule
-  // bit-for-bit (offset 0, salt 0, same PRG instances).
-  const size_t vertex_offset = static_cast<size_t>(scenario) * n;
-  const uint64_t session_salt = static_cast<uint64_t>(scenario) << 40;
-  const uint64_t prg_base = static_cast<uint64_t>(scenario) * edges_.size();
+// A communication step: one pool task per (lane, edge) pair runs that
+// edge's whole transfer (transfer::TransferEdge), so the step is a single
+// pool pass at any lane count. Every Recv of a task reads what the task
+// itself sent, so no task waits on another. Task t is edge t % |E| of lane
+// s = t / |E|: its shares live at flat index s*n + v, its session is salted
+// with s << 40, and t itself is its PRG instance (s*|E| + e), so lane 0
+// runs the solo schedule bit for bit and the lanes stay independent streams.
+void Runtime::CommunicatePhase(int num_scenarios) {
+  const int k1 = config_.block_size;
+  const size_t n = static_cast<size_t>(graph_.num_vertices());
+  const size_t num_edges = edges_.size();
   if (noise_cache_ == nullptr) {
     noise_cache_ = std::make_unique<transfer::EvenNoiseCache>(dlog_table_->range());
   }
-  auto session_of = [&](size_t e) { return kTransferSession | session_salt | e; };
 
-  pool_->Run(edges_.size(), [&](size_t e) {
+  pool_->Run(static_cast<size_t>(num_scenarios) * num_edges, [&](size_t t) {
+    const size_t s = t / num_edges;
+    const size_t e = t % num_edges;
     auto [i, j] = edges_[e];
-    const int out_slot = edge_out_slot_[e];
-    std::vector<mpc::BitVector> shares;
+    const int in_slot = edge_in_slot_[e];
     std::vector<crypto::ChaCha20Prg> prgs;
-    shares.reserve(k1);
-    prgs.reserve(k1);
-    for (int x = 0; x < k1; x++) {
-      shares.push_back(outmsg_shares_[vertex_offset + i][out_slot][x]);
-      prgs.push_back(RolePrg(0x22, ((prg_base + e) << 8) | static_cast<uint64_t>(x)));
-    }
-    transfer::SendBundles(net_.get(), setup_.blocks[i], i, session_of(e), shares,
-                          setup_.edge_certificates.at({i, j}), prgs);
-  });
-
-  pool_->Run(edges_.size(), [&](size_t e) {
-    auto [i, j] = edges_[e];
-    auto prg = RolePrg(0x33, prg_base + e);
-    transfer::AggregateAtSource(net_.get(), i, setup_.blocks[i], j, session_of(e),
-                                transfer_params_, prg, *noise_cache_);
-  });
-
-  pool_->Run(edges_.size(), [&](size_t e) {
-    auto [i, j] = edges_[e];
-    transfer::AdjustAtDest(net_.get(), j, i, setup_.blocks[j], session_of(e),
-                           setup_.neighbor_keys[j][edge_in_slot_[e]], transfer_params_);
-  });
-
-  pool_->Run(edges_.size(), [&](size_t e) {
-    const int j = edges_[e].second;
     std::vector<const transfer::MemberKeys*> keys;
+    prgs.reserve(k1);
     keys.reserve(k1);
-    for (int member_node : setup_.blocks[j]) {
-      keys.push_back(&setup_.node_keys[member_node]);
+    for (int x = 0; x < k1; x++) {
+      prgs.push_back(RolePrg(0x22, (t << 8) | static_cast<uint64_t>(x)));
+      keys.push_back(&setup_.node_keys[setup_.blocks[j][x]]);
     }
-    std::vector<mpc::BitVector> shares =
-        transfer::RecoverAtMembers(net_.get(), setup_.blocks[j], j, session_of(e), keys,
-                                   *dlog_table_, transfer_params_);
-    for (int y = 0; y < k1; y++) {
-      inmsg_shares_[vertex_offset + j][edge_in_slot_[e]][y] = std::move(shares[y]);
-    }
+    inmsg_shares_[s * n + j][in_slot] = transfer::TransferEdge(
+        net_.get(), kTransferSession | (s << 40) | e, transfer_params_, i, setup_.blocks[i],
+        outmsg_shares_[s * n + i][edge_out_slot_[e]], std::move(prgs),
+        setup_.edge_certificates.at({i, j}), RolePrg(0x33, t), *noise_cache_, j,
+        setup_.blocks[j], setup_.neighbor_keys[j][in_slot], keys, *dlog_table_);
   });
 }
 
@@ -728,9 +700,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    for (int s = 0; s < num_scenarios; s++) {
-      CommunicatePhase(s);
-    }
+    CommunicatePhase(num_scenarios);
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();

@@ -17,8 +17,8 @@
 //                           persistent core::WorkerPool.
 //
 // The runtime runs a vertex program over a distributed set of nodes, one
-// per vertex, where every protocol role executes as a pool task and
-// communicates exclusively through transport messages:
+// per vertex, where every protocol role communicates exclusively through
+// transport messages:
 //
 //  * Initialization — each node XOR-splits its vertex's initial state into
 //    k+1 shares and distributes them to its block; message slots start as
@@ -39,13 +39,14 @@
 //
 // Scheduling: a computation step and each stage of the aggregation (leaf,
 // combine levels and root alike) is one lockstep batched evaluation of all
-// its roles on the scheduler thread (docs/packed-eval.md). Transfers run as
-// (group, subtask) tasks on the worker pool, where a group is one edge
-// transfer. The pool admits whole groups only while every subtask of the
-// admitted set can hold a thread concurrently; sends never block, so every
-// admitted protocol instance eventually progresses — see worker_pool.h for
-// the full invariant. The pool's threads persist across phases and runs, so
-// a run pays thread creation once.
+// its roles on the scheduler thread (docs/packed-eval.md). A communication
+// step is one WorkerPool::Run with one task per (lane, edge) pair, each
+// running its edge's whole transfer (transfer::TransferEdge). Sends never
+// block and every Recv of a task reads what that task sent, so no task
+// waits on another — the pool's one rule (worker_pool.h) — and the step
+// completes on any number of threads, one included. The trusted setup's EC
+// walks run on the same pool at construction. The pool's threads persist
+// across phases and runs, so a run pays thread creation once.
 #ifndef SRC_CORE_RUNTIME_H_
 #define SRC_CORE_RUNTIME_H_
 
@@ -91,7 +92,8 @@ struct RuntimeConfig {
   // size per level (depth grows as log_fanout(N)). Either shape serves solo
   // runs and ensembles of any width alike.
   int aggregation_fanout = 0;
-  // Thread budget of the worker pool (0 = auto, core::ResolveThreadBudget).
+  // Thread budget of the worker pool (0 = one thread per hardware thread,
+  // core::WorkerPool).
   int max_parallel_tasks = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
@@ -240,9 +242,9 @@ class Runtime {
   // One lockstep batched evaluation of every (vertex, member) role of every
   // lane over bitsliced packed shares; see docs/packed-eval.md.
   void ComputePhase(int num_scenarios);
-  // Four barrier-separated sub-phases of per-edge batched transfer crypto
-  // for lane `scenario`; see docs/transfer-crypto.md.
-  void CommunicatePhase(int scenario);
+  // One pool pass with one edge transfer per (lane, edge) pair; see
+  // docs/transfer-crypto.md.
+  void CommunicatePhase(int num_scenarios);
   // The §3.6 aggregation of every lane along agg_stages_: each stage is one
   // lockstep batched evaluation over lanes x groups x members, and each
   // lane's noised total is then opened on the aggregation block. Returns
@@ -330,13 +332,14 @@ class Runtime {
   std::unique_ptr<transfer::EvenNoiseCache> noise_cache_;
   std::unique_ptr<WorkerPool> pool_;
 
-  // Shares indexed [vertex][member]: the runtime stores them centrally, but
-  // entry [v][m] is only ever touched by the thread playing member m of
-  // B_v — the access pattern respects the trust boundaries.
+  // Shares indexed [s*n + v][member] (lane s, vertex v): the runtime stores
+  // them centrally, but entry [..][m] is only ever touched on behalf of
+  // member m of B_v — the access pattern respects the trust boundaries. A
+  // communication step's task writes only its edge's in-slot of one lane.
   std::vector<std::vector<mpc::BitVector>> state_shares_;
-  // [vertex][in_slot][member]
+  // [s*n + v][in_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> inmsg_shares_;
-  // [vertex][out_slot][member]
+  // [s*n + v][out_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> outmsg_shares_;
 
   // Dealer triple tapes keyed by (vertex or agg tag, member index).

@@ -60,14 +60,6 @@ struct VertexProgram {
   dp::NoiseCircuitSpec output_noise;
 };
 
-// Materialized circuits for a program (built once per run).
-struct ProgramCircuits {
-  circuit::Circuit update;     // inputs: state + D*L; outputs: state + D*L
-  circuit::Circuit aggregate;  // inputs: group_size*state + noise bits (optional)
-  int aggregate_group_size = 0;
-  bool aggregate_has_noise = false;
-};
-
 // Builds the update circuit for `program`.
 circuit::Circuit BuildUpdateCircuit(const VertexProgram& program);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/check.h"
-
 namespace dstress::core {
 
 int HardwareThreads() {
@@ -11,16 +9,8 @@ int HardwareThreads() {
   return hw == 0 ? 4 : static_cast<int>(hw);
 }
 
-int ResolveThreadBudget(int max_parallel_tasks) {
-  if (max_parallel_tasks > 0) {
-    return max_parallel_tasks;
-  }
-  return 4 * HardwareThreads();
-}
-
-WorkerPool::WorkerPool(int num_threads) : capacity_(static_cast<size_t>(num_threads)) {
-  DSTRESS_CHECK(num_threads > 0);
-}
+WorkerPool::WorkerPool(int num_threads)
+    : capacity_(static_cast<size_t>(num_threads > 0 ? num_threads : HardwareThreads())) {}
 
 WorkerPool::~WorkerPool() {
   {

@@ -1,8 +1,8 @@
 // Persistent worker pool: a parallel-for over [0, count).
 //
-// The runtime's transfer sub-phases, the trusted setup's EC walks, the
-// graph plane's word ranges and the triple factory's wave passes each run
-// a batch of independent tasks. Spawning a fresh thread per task per batch
+// The runtime's edge transfers, the trusted setup's EC walks, the graph
+// plane's word ranges and the triple factory's wave passes each run a
+// batch of independent tasks. Spawning a fresh thread per task per batch
 // — what the seed scheduler did — pays thread creation and teardown on
 // every phase of every iteration. This pool keeps its threads alive across
 // calls and hands them indices instead.
@@ -28,19 +28,16 @@ namespace dstress::core {
 // The machine's hardware threads, 4 when the count is unknown.
 int HardwareThreads();
 
-// core::Runtime's thread budget: `max_parallel_tasks` if nonzero, else 4x
-// HardwareThreads(). No task needs the spare threads; the 4x is kept for
-// set-up time. At one thread per hardware thread, perfbench secure-ot's
-// peak_rss_mb fell 28%, but secure-sim's setup_s rose 6.4% (4-vCPU VM,
-// alternating 36 s pairs). The engine's cleartext backend and the triple
-// factory size their pools at HardwareThreads().
-int ResolveThreadBudget(int max_parallel_tasks);
-
 class WorkerPool {
  public:
-  // `num_threads` is the pool's thread budget. Threads are spawned lazily
-  // as calls demand them — a Runtime over a tiny graph never materializes
-  // a many-core machine's full budget — and persist once started.
+  // `num_threads` is the pool's thread budget, one thread per hardware
+  // thread when it is 0. That is the one sizing rule: core::Runtime and the
+  // engine's cleartext backend pass their `max_parallel_tasks` (0 unless a
+  // caller sets it), and the triple factory's pool takes HardwareThreads().
+  // No task needs more threads than cores, and every extra thread keeps its
+  // own malloc arena and scratch. Threads are spawned lazily as calls demand
+  // them — a Runtime over a tiny graph never materializes a many-core
+  // machine's full budget — and persist once started.
   explicit WorkerPool(int num_threads);
   ~WorkerPool();
 

@@ -30,13 +30,6 @@ constexpr net::SessionId kEdgeSession = 1ULL << 60;
 constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
 
-// The plane's pool size: `max_parallel_tasks` if set, else one thread per
-// hardware thread. core::ResolveThreadBudget's 4x would only add threads
-// and their thread-local scratch (worker_pool.h).
-int PlaneThreads(int max_parallel_tasks) {
-  return max_parallel_tasks > 0 ? max_parallel_tasks : core::HardwareThreads();
-}
-
 uint64_t BitsToWord(const std::vector<uint8_t>& bits) {
   uint64_t value = 0;
   for (size_t i = 0; i < bits.size(); i++) {
@@ -82,7 +75,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     }
 
     net_ = net::MakeTransport(config_.transport, graph_.num_vertices());
-    pool_ = std::make_unique<core::WorkerPool>(PlaneThreads(config_.max_parallel_tasks));
+    pool_ = std::make_unique<core::WorkerPool>(config_.max_parallel_tasks);
   }
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }

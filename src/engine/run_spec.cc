@@ -44,14 +44,6 @@ TopologySpec ScaleFreeTopology(int num_vertices, int links_per_vertex) {
   return topology;
 }
 
-TopologySpec ErdosRenyiTopology(int num_vertices, double edge_probability) {
-  TopologySpec topology;
-  topology.kind = TopologySpec::Kind::kErdosRenyi;
-  topology.num_vertices = num_vertices;
-  topology.edge_probability = edge_probability;
-  return topology;
-}
-
 TopologySpec ExplicitTopology(int num_vertices, std::vector<std::pair<int, int>> edges) {
   TopologySpec topology;
   topology.kind = TopologySpec::Kind::kExplicit;

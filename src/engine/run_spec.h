@@ -90,7 +90,6 @@ struct TopologySpec {
 
 TopologySpec CorePeripheryTopology(int num_vertices, int core_size);
 TopologySpec ScaleFreeTopology(int num_vertices, int links_per_vertex);
-TopologySpec ErdosRenyiTopology(int num_vertices, double edge_probability);
 TopologySpec ExplicitTopology(int num_vertices, std::vector<std::pair<int, int>> edges);
 
 // Materializes a topology spec (deterministic in `seed`).

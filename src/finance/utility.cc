@@ -32,11 +32,6 @@ double QueriesPerYear(double yearly_budget, double epsilon_per_query) {
   return yearly_budget / epsilon_per_query;
 }
 
-double LaplaceTailProbability(double scale, double bound) {
-  DSTRESS_CHECK(scale > 0 && bound >= 0);
-  return std::exp(-bound / scale);
-}
-
 double NoiseAlphaForRelease(double sensitivity_dollars, double epsilon, double unit_dollars) {
   DSTRESS_CHECK(sensitivity_dollars > 0 && epsilon > 0 && unit_dollars > 0);
   double sensitivity_units = sensitivity_dollars / unit_dollars;

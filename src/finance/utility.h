@@ -23,9 +23,6 @@ double EpsilonForAccuracy(double sensitivity, double granularity_dollars,
 // How many queries a yearly budget supports at the given per-query epsilon.
 double QueriesPerYear(double yearly_budget, double epsilon_per_query);
 
-// Probability that a Laplace(scale) draw exceeds `bound` in absolute value.
-double LaplaceTailProbability(double scale, double bound);
-
 // Geometric-mechanism alpha for an integer-valued query: the TDS is
 // released in money units of `unit_dollars`; sensitivity is in dollars.
 double NoiseAlphaForRelease(double sensitivity_dollars, double epsilon, double unit_dollars);

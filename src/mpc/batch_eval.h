@@ -29,21 +29,24 @@
 // instances are batched, on which thread runs them, or on the triple
 // values; only the synchronization cost differs.
 //
-// Deadlock freedom: all participating nodes run their batch call
-// concurrently (the runtime admits the whole phase as one worker-pool
-// group) and every round's sends are issued before any of its blocking
-// receives — a standard bulk-synchronous superstep. Across nodes, the
-// per-peer message order is fixed by each instance's `order_key`, on which
-// all parties of an instance agree.
+// Deadlock freedom: when an instance's parties run separate batch calls,
+// every round's sends are issued before any of its blocking receives — a
+// standard bulk-synchronous superstep — so the calls complete if they run
+// concurrently, each on a thread of its own (packed_eval_test's
+// one-thread-per-party mode). They must not be tasks of one
+// core::WorkerPool call, whose one rule is that no task waits on another
+// (worker_pool.h). Across nodes, the per-peer message order is fixed by
+// each instance's `order_key`, on which all parties of an instance agree.
 //
 // Because each instance names its own executing node (parties[my_index]),
-// one call may also cover the roles of *many* nodes — the runtime's
-// single-scheduler mode: with a non-interactive triple source the whole
-// phase runs as one call on one thread, every Recv is satisfied by a Send
-// earlier in the same round, no thread ever parks, and the bitslicing
-// width grows to every role of the phase. Wire traffic is unchanged — the
-// same messages cross the same (from, to) channels either way. EvalBlock
-// below is that mode for the instances of one block.
+// one call may also cover the roles of *many* nodes — the only mode
+// core::Runtime uses: each computation step and each aggregation stage is
+// one call on the scheduler thread. With a non-interactive triple source
+// every Recv is satisfied by a Send earlier in the same round, no thread
+// ever parks, and the bitslicing width grows to every role of the phase.
+// Wire traffic is unchanged — the same messages cross the same (from, to)
+// channels either way. EvalBlock below is that mode for the instances of
+// one block.
 #ifndef SRC_MPC_BATCH_EVAL_H_
 #define SRC_MPC_BATCH_EVAL_H_
 

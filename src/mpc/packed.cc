@@ -35,21 +35,6 @@ uint64_t PackedShareMatrix::GetLaneGroup(size_t r, size_t first, int count) cons
   return bits;
 }
 
-void PackedShareMatrix::SetLaneGroup(size_t r, size_t first, int count, uint64_t bits) {
-  DSTRESS_CHECK(count >= 1 && count <= 64 && first + count <= instances_);
-  const uint64_t mask = count == 64 ? ~0ULL : (1ULL << count) - 1;
-  bits &= mask;
-  uint64_t* w = row(r);
-  const size_t word = first / 64;
-  const int shift = static_cast<int>(first % 64);
-  w[word] = (w[word] & ~(mask << shift)) | (bits << shift);
-  if (shift != 0 && shift + count > 64) {
-    const int spill = shift + count - 64;
-    const uint64_t spill_mask = (1ULL << spill) - 1;
-    w[word + 1] = (w[word + 1] & ~spill_mask) | (bits >> (64 - shift));
-  }
-}
-
 PackedShareMatrix PackedShareMatrix::FromInstances(const std::vector<BitVector>& instances) {
   DSTRESS_CHECK(!instances.empty());
   PackedShareMatrix m(instances[0].size(), instances.size());

@@ -56,15 +56,12 @@ class PackedShareMatrix {
   BitVector Instance(size_t j) const;
   void SetInstance(size_t j, const BitVector& bits);
 
-  // Lane-group accessors for the scenario-ensemble planes (src/ensemble):
-  // a vertex's W scenario lanes form one contiguous `count`-bit group
-  // (count <= 64) that may straddle a word boundary. GetLaneGroup reads the
-  // group of row r starting at lane `first`; SetLaneGroup overwrites it
-  // (clearing the old group first, so per-iteration message rows can be
-  // re-injected without residue). These are how lane-distinct inputs enter
-  // and leave a packed matrix without per-bit Set/Get loops.
+  // Lane-group accessor for the graph plane's scenario lanes
+  // (src/graphplane): a vertex's W lanes form one contiguous `count`-bit
+  // group (count <= 64) that may straddle a word boundary. GetLaneGroup
+  // reads the group of row r starting at lane `first`, without a per-bit
+  // Get loop.
   uint64_t GetLaneGroup(size_t r, size_t first, int count) const;
-  void SetLaneGroup(size_t r, size_t first, int count, uint64_t bits);
 
   // Packs W same-length BitVectors (instances) into a matrix; instances[j]
   // becomes column j.

@@ -88,6 +88,22 @@ PeerEndpoint ReadEndpoint(ByteReader* reader) {
   return endpoint;
 }
 
+// A control frame whose only field is the sending node.
+WireFrame MakeNodeOnlyFrame(ControlType type, NodeId node) {
+  ByteWriter w;
+  w.U8(type);
+  w.U8(kBootstrapProtocolVersion);
+  w.U32(static_cast<uint32_t>(node));
+  return ControlFrame(node, w.Take());
+}
+
+NodeId ParseNodeOnlyFrame(const WireFrame& frame, ControlType type) {
+  ByteReader reader = ControlReader(frame, type);
+  NodeId node = static_cast<NodeId>(reader.U32());
+  DSTRESS_CHECK(reader.AtEnd());
+  return node;
+}
+
 }  // namespace
 
 uint8_t ControlFrameType(const WireFrame& frame) {
@@ -137,35 +153,15 @@ std::vector<PeerEndpoint> ParsePeersFrame(const WireFrame& frame, bool* ha_enabl
   return peers;
 }
 
-WireFrame MakeMeshHelloFrame(NodeId node) {
-  ByteWriter w;
-  w.U8(kCtrlMeshHello);
-  w.U8(kBootstrapProtocolVersion);
-  w.U32(static_cast<uint32_t>(node));
-  return ControlFrame(node, w.Take());
-}
+WireFrame MakeMeshHelloFrame(NodeId node) { return MakeNodeOnlyFrame(kCtrlMeshHello, node); }
 
 NodeId ParseMeshHelloFrame(const WireFrame& frame) {
-  ByteReader reader = ControlReader(frame, kCtrlMeshHello);
-  NodeId node = static_cast<NodeId>(reader.U32());
-  DSTRESS_CHECK(reader.AtEnd());
-  return node;
+  return ParseNodeOnlyFrame(frame, kCtrlMeshHello);
 }
 
-WireFrame MakeReadyFrame(NodeId node) {
-  ByteWriter w;
-  w.U8(kCtrlReady);
-  w.U8(kBootstrapProtocolVersion);
-  w.U32(static_cast<uint32_t>(node));
-  return ControlFrame(node, w.Take());
-}
+WireFrame MakeReadyFrame(NodeId node) { return MakeNodeOnlyFrame(kCtrlReady, node); }
 
-NodeId ParseReadyFrame(const WireFrame& frame) {
-  ByteReader reader = ControlReader(frame, kCtrlReady);
-  NodeId node = static_cast<NodeId>(reader.U32());
-  DSTRESS_CHECK(reader.AtEnd());
-  return node;
-}
+NodeId ParseReadyFrame(const WireFrame& frame) { return ParseNodeOnlyFrame(frame, kCtrlReady); }
 
 WireFrame MakeHeartbeatFrame(uint64_t seq) {
   ByteWriter w;
@@ -216,25 +212,6 @@ void ParseResumeHelloFrame(const WireFrame& frame, NodeId* node, PeerEndpoint* e
   *full_mesh = reader.U8() != 0;
   DSTRESS_CHECK(reader.AtEnd());
 }
-
-namespace {
-
-WireFrame MakeNodeOnlyFrame(ControlType type, NodeId node) {
-  ByteWriter w;
-  w.U8(type);
-  w.U8(kBootstrapProtocolVersion);
-  w.U32(static_cast<uint32_t>(node));
-  return ControlFrame(node, w.Take());
-}
-
-NodeId ParseNodeOnlyFrame(const WireFrame& frame, ControlType type) {
-  ByteReader reader = ControlReader(frame, type);
-  NodeId node = static_cast<NodeId>(reader.U32());
-  DSTRESS_CHECK(reader.AtEnd());
-  return node;
-}
-
-}  // namespace
 
 WireFrame MakeMeshResumeFrame(NodeId node) { return MakeNodeOnlyFrame(kCtrlMeshResume, node); }
 

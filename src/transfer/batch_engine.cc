@@ -263,54 +263,43 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
   return true;
 }
 
-void SendBundles(net::Transport* net, const std::vector<net::NodeId>& members_i,
-                 net::NodeId node_i, net::SessionId session,
-                 const std::vector<mpc::BitVector>& member_share_bits,
-                 const BlockCertificate& cert, std::vector<crypto::ChaCha20Prg>& prgs) {
+std::vector<mpc::BitVector> TransferEdge(
+    net::Transport* net, net::SessionId session, const TransferParams& params,
+    net::NodeId node_i, const std::vector<net::NodeId>& members_i,
+    const std::vector<mpc::BitVector>& member_share_bits,
+    std::vector<crypto::ChaCha20Prg> member_prgs, const BlockCertificate& cert,
+    crypto::ChaCha20Prg mask_prg, const EvenNoiseCache& noise, net::NodeId node_j,
+    const std::vector<net::NodeId>& members_j, const crypto::U256& neighbor_key,
+    const std::vector<const MemberKeys*>& member_keys, const crypto::DlogTable& table) {
+  const net::SessionId bundle_session = TransferSubSession(session, 0);
+  const net::SessionId aggregate_session = TransferSubSession(session, 1);
+  const net::SessionId column_session = TransferSubSession(session, 2);
   DSTRESS_CHECK(members_i.size() == member_share_bits.size());
-  std::vector<Bytes> bundles = EncryptSubsharesWire(member_share_bits, cert, prgs);
+  DSTRESS_CHECK(members_j.size() == member_keys.size());
+
+  std::vector<Bytes> bundles = EncryptSubsharesWire(member_share_bits, cert, member_prgs);
   for (size_t x = 0; x < members_i.size(); x++) {
-    net->Send(members_i[x], node_i, std::move(bundles[x]), TransferSubSession(session, 0));
+    net->Send(members_i[x], node_i, std::move(bundles[x]), bundle_session);
   }
-}
 
-void AggregateAtSource(net::Transport* net, net::NodeId node_i,
-                       const std::vector<net::NodeId>& members_i, net::NodeId node_j,
-                       net::SessionId session, const TransferParams& params,
-                       crypto::ChaCha20Prg& prg, const EvenNoiseCache& noise) {
-  std::vector<Bytes> bundles;
-  bundles.reserve(members_i.size());
-  for (net::NodeId member : members_i) {
-    bundles.push_back(net->Recv(node_i, member, TransferSubSession(session, 0)));
+  for (size_t x = 0; x < members_i.size(); x++) {
+    bundles[x] = net->Recv(node_i, members_i[x], bundle_session);
   }
-  net->Send(node_i, node_j, AggregateSubsharesWire(bundles, params, prg, noise),
-            TransferSubSession(session, 1));
-}
+  net->Send(node_i, node_j, AggregateSubsharesWire(bundles, params, mask_prg, noise),
+            aggregate_session);
 
-void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
-                  const std::vector<net::NodeId>& members_j, net::SessionId session,
-                  const crypto::U256& neighbor_key, const TransferParams& params) {
-  Bytes agg = net->Recv(node_j, node_i, TransferSubSession(session, 1));
-  std::vector<Bytes> columns = AdjustAndSplitWire(agg, neighbor_key, params);
+  std::vector<Bytes> columns =
+      AdjustAndSplitWire(net->Recv(node_j, node_i, aggregate_session), neighbor_key, params);
   DSTRESS_CHECK(columns.size() == members_j.size());
   for (size_t y = 0; y < members_j.size(); y++) {
-    net->Send(node_j, members_j[y], std::move(columns[y]), TransferSubSession(session, 2));
+    net->Send(node_j, members_j[y], std::move(columns[y]), column_session);
   }
-}
 
-std::vector<mpc::BitVector> RecoverAtMembers(net::Transport* net,
-                                             const std::vector<net::NodeId>& members_j,
-                                             net::NodeId node_j, net::SessionId session,
-                                             const std::vector<const MemberKeys*>& member_keys,
-                                             const crypto::DlogTable& table,
-                                             const TransferParams& params) {
-  std::vector<Bytes> columns;
-  columns.reserve(members_j.size());
-  for (net::NodeId member : members_j) {
-    columns.push_back(net->Recv(member, node_j, TransferSubSession(session, 2)));
+  for (size_t y = 0; y < members_j.size(); y++) {
+    columns[y] = net->Recv(members_j[y], node_j, column_session);
   }
   std::vector<mpc::BitVector> shares;
-  bool ok = RecoverSharesWire(columns, member_keys, table, params, &shares);
+  const bool ok = RecoverSharesWire(columns, member_keys, table, params, &shares);
   DSTRESS_CHECK(ok);  // the Appendix B P_fail event
   return shares;
 }

@@ -1,6 +1,6 @@
-// The edge-transfer engine (docs/transfer-crypto.md): the four networked
-// steps of one edge transfer, which are the only schedule the runtime runs,
-// and the batched wire-level role kernels they call.
+// The edge-transfer engine (docs/transfer-crypto.md): one edge transfer
+// over the network, the only schedule the runtime runs, and the batched
+// wire-level role kernels it calls.
 //
 // Each *Wire kernel performs the same cryptographic work as its pure-scheme
 // counterpart in transfer.h but for a whole per-edge burst at once, keeping
@@ -84,49 +84,40 @@ bool RecoverSharesWire(const std::vector<Bytes>& column_wires,
                        const crypto::DlogTable& table, const TransferParams& params,
                        std::vector<mpc::BitVector>* shares_out);
 
-// --- the edge-transfer wire schedule ---------------------------------------
+// --- one edge transfer ------------------------------------------------------
 //
-// One transfer along edge (i, j) is four steps, each on its own sub-session
-// of the caller's `session`: one physical node can be a sender member of B_i
-// and a receiver member of B_j for the same edge, and without the split the
-// bundle and the column would share a FIFO channel with two consumers. Each
-// step only receives what an earlier step sent, and Send never blocks, so
-// the runtime runs every edge's step s as one barrier-separated sub-phase,
-// and a single transfer runs by calling the four steps in order on one
-// thread. Messages, sessions and byte counts are pinned by the engine_test
+// TransferEdge runs one transfer along edge (i, j) end to end on the calling
+// thread, the chain B_i's members -> i -> j -> B_j's members:
+//
+//  1. the k+1 members of B_i encrypt their subshares in one
+//     EncryptSubsharesWire pass (member x's share is member_share_bits[x],
+//     its role PRG member_prgs[x]) and each sends its bundle to node i;
+//  2. node i aggregates and masks the bundles (AggregateSubsharesWire,
+//     masks drawn from mask_prg) and sends the aggregate to node j;
+//  3. node j adjusts it with the edge's neighbor key and sends one column to
+//     each member of B_j, in member order, once every column is ready;
+//  4. B_j's members recover their fresh shares in one RecoverSharesWire
+//     pass (member y's keys are member_keys[y]).
+//
+// Each hop rides a sub-session of `session` of its own: one physical node
+// can be a sender member of B_i and a receiver member of B_j for the same
+// edge, and without the split the bundle and the column would share a FIFO
+// channel with two consumers. Every Recv reads a message this call sent
+// earlier (Send never blocks), so a transfer never waits on another, and
+// transfers on distinct sessions can run as tasks of one core::WorkerPool
+// call. Messages, sessions and byte counts are pinned by the engine_test
 // fidelity digests.
-
-// Step 1: all k+1 members of B_i encrypt their subshares in one
-// EncryptSubsharesWire pass (member x's share is member_share_bits[x], its
-// role PRG prgs[x]); each sends its bundle to node i.
-void SendBundles(net::Transport* net, const std::vector<net::NodeId>& members_i,
-                 net::NodeId node_i, net::SessionId session,
-                 const std::vector<mpc::BitVector>& member_share_bits,
-                 const BlockCertificate& cert, std::vector<crypto::ChaCha20Prg>& prgs);
-
-// Step 2: node i receives the k+1 bundles, aggregates and masks them (mask
-// draws from `prg`), and sends the aggregate to node j.
-void AggregateAtSource(net::Transport* net, net::NodeId node_i,
-                       const std::vector<net::NodeId>& members_i, net::NodeId node_j,
-                       net::SessionId session, const TransferParams& params,
-                       crypto::ChaCha20Prg& prg, const EvenNoiseCache& noise);
-
-// Step 3: node j receives the aggregate, adjusts it with the edge's neighbor
-// key, and sends one column to each member of B_j, in member order, once
-// every column is ready.
-void AdjustAtDest(net::Transport* net, net::NodeId node_j, net::NodeId node_i,
-                  const std::vector<net::NodeId>& members_j, net::SessionId session,
-                  const crypto::U256& neighbor_key, const TransferParams& params);
-
-// Step 4: every member of B_j receives its column; one RecoverSharesWire
-// pass returns member y's fresh share at index y. A lookup-table miss is the
+//
+// Returns member y's fresh share at index y. A lookup-table miss is the
 // Appendix B P_fail event, negligible by parameter choice, and aborts.
-std::vector<mpc::BitVector> RecoverAtMembers(net::Transport* net,
-                                             const std::vector<net::NodeId>& members_j,
-                                             net::NodeId node_j, net::SessionId session,
-                                             const std::vector<const MemberKeys*>& member_keys,
-                                             const crypto::DlogTable& table,
-                                             const TransferParams& params);
+std::vector<mpc::BitVector> TransferEdge(
+    net::Transport* net, net::SessionId session, const TransferParams& params,
+    net::NodeId node_i, const std::vector<net::NodeId>& members_i,
+    const std::vector<mpc::BitVector>& member_share_bits,
+    std::vector<crypto::ChaCha20Prg> member_prgs, const BlockCertificate& cert,
+    crypto::ChaCha20Prg mask_prg, const EvenNoiseCache& noise, net::NodeId node_j,
+    const std::vector<net::NodeId>& members_j, const crypto::U256& neighbor_key,
+    const std::vector<const MemberKeys*>& member_keys, const crypto::DlogTable& table);
 
 }  // namespace dstress::transfer
 

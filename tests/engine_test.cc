@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
 #include "src/finance/utility.h"
@@ -158,7 +160,9 @@ std::string SecureDigest(const RunSpec& spec) {
       .Hex();
 }
 
-RunSpec SeedScheduleSpec(int fanout) {
+// max_parallel_tasks 0 is one pool thread per hardware thread. At 1, the
+// communicate step completes only if none of its tasks waits on another.
+RunSpec SeedScheduleSpec(int fanout, int max_parallel_tasks) {
   RunSpec spec;
   spec.topology = CorePeripheryTopology(12, 3);
   spec.model = ContagionModel::kEisenbergNoe;
@@ -167,6 +171,7 @@ RunSpec SeedScheduleSpec(int fanout) {
   spec.iterations = 2;
   spec.block_size = 4;
   spec.aggregation_fanout = fanout;
+  spec.max_parallel_tasks = max_parallel_tasks;
   spec.seed = 5;
   return spec;
 }
@@ -186,15 +191,23 @@ constexpr char kFlatSeedDigest[] =
 // figure over bit-identical per-node TrafficStats — bytes AND message
 // counts — as the seed schedules.
 TEST(EngineSecureModeTest, BatchedPlanesMatchSeedScheduleDigests) {
-  ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(3)), kTreeSeedDigest, "fanout=3 sim");
-  ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(0)), kFlatSeedDigest, "fanout=0 sim");
+  for (int threads : {0, 1}) {
+    const std::string label = " sim threads=" + std::to_string(threads);
+    ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(3, threads)), kTreeSeedDigest,
+                       "fanout=3" + label);
+    ExpectGoldenDigest(SecureDigest(SeedScheduleSpec(0, threads)), kFlatSeedDigest,
+                       "fanout=0" + label);
+  }
 }
 
 // The same contract over the tcp wire: one digest for both transports.
 TEST(EngineSecureModeTest, BatchedPlanesMatchSeedScheduleDigestOverTcp) {
-  RunSpec spec = SeedScheduleSpec(3);
-  spec.transport = net::TcpTransportSpec();
-  ExpectGoldenDigest(SecureDigest(spec), kTreeSeedDigest, "fanout=3 tcp");
+  for (int threads : {0, 1}) {
+    RunSpec spec = SeedScheduleSpec(3, threads);
+    spec.transport = net::TcpTransportSpec();
+    ExpectGoldenDigest(SecureDigest(spec), kTreeSeedDigest,
+                       "fanout=3 tcp threads=" + std::to_string(threads));
+  }
 }
 
 // Layer batching is what keeps GMW round count equal to the circuit's AND

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -302,11 +303,14 @@ TEST(EnsembleSecureTest, SingleScenarioTrafficIdenticalToSolo) {
 }
 
 // N=8 under fanout 2 aggregates through 4 leaves, a combine level of 2 and
-// the root, every stage carrying all three lanes.
+// the root, every stage carrying all three lanes. On a one-thread pool the
+// communicate step, one task per (lane, edge) pair, completes only if no
+// task waits on another.
 TEST(EnsembleSecureTest, ThreeExplicitScenariosMatchSolo) {
-  for (int fanout : {0, 2}) {
+  for (auto [fanout, threads] : {std::pair{0, 0}, {2, 0}, {2, 1}}) {
     RunSpec spec = SecureBase(8, 2);
     spec.aggregation_fanout = fanout;
+    spec.max_parallel_tasks = threads;
     spec.ensemble.emplace();
     for (std::vector<int> banks : {std::vector<int>{0}, {1, 2}, {3}}) {
       Scenario sc;

@@ -179,8 +179,8 @@ TEST(TransferTest, WireSizesMatchAnalyticFormulas) {
 
 TEST(TransferTest, NetworkedRolesEndToEnd) {
   // Full networked execution: 2 blocks of 3 members + the two endpoints,
-  // nodes 0..7 on a SimNetwork, with overlapping role assignments. The four
-  // edge-transfer steps run in order on this thread (Send never blocks).
+  // nodes 0..7 on a SimNetwork, with overlapping role assignments. The whole
+  // edge transfer runs on this thread (Send never blocks).
   constexpr int kBlock = 3;
   constexpr int kBits = 6;
   auto prg = crypto::ChaCha20Prg::FromSeed(6);
@@ -212,12 +212,10 @@ TEST(TransferTest, NetworkedRolesEndToEnd) {
     role_prgs.push_back(crypto::ChaCha20Prg::FromSeed(900 + x));
     member_keys.push_back(&keys_j.members[x]);
   }
-  auto mask_prg = crypto::ChaCha20Prg::FromSeed(800);
-  SendBundles(&net, block_i, 0, kSession, src_shares, cert, role_prgs);
-  AggregateAtSource(&net, 0, block_i, 1, kSession, params, mask_prg, noise);
-  AdjustAtDest(&net, 1, 0, block_j, kSession, neighbor_key, params);
   std::vector<mpc::BitVector> dest_shares =
-      RecoverAtMembers(&net, block_j, 1, kSession, member_keys, table, params);
+      TransferEdge(&net, kSession, params, 0, block_i, src_shares, role_prgs, cert,
+                   crypto::ChaCha20Prg::FromSeed(800), noise, 1, block_j, neighbor_key,
+                   member_keys, table);
   EXPECT_EQ(mpc::ReconstructBits(dest_shares), message);
 
   // Traffic sanity: node 0 (source endpoint) received the k+1 bundles.

@@ -44,22 +44,24 @@ TEST(WorkerPoolTest, BackToBackCallsRunEveryIndexExactlyOnce) {
 }
 
 // Threads are spawned lazily, no more than a call can occupy, and never
-// past the budget.
+// past the budget; a budget of 0 is one thread per hardware thread.
 TEST(WorkerPoolTest, SpawnsNoMoreThreadsThanTheBudget) {
-  WorkerPool pool(3);
-  std::mutex mu;
-  std::set<std::thread::id> threads;
-  auto record = [&](size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    threads.insert(std::this_thread::get_id());
-  };
-  pool.Run(1, record);
-  EXPECT_EQ(threads.size(), 1u);
-  for (int call = 0; call < 20; call++) {
-    pool.Run(100, record);
+  for (int budget : {3, 0}) {
+    WorkerPool pool(budget);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    auto record = [&](size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    };
+    pool.Run(1, record);
+    EXPECT_EQ(threads.size(), 1u);
+    for (int call = 0; call < 20; call++) {
+      pool.Run(100, record);
+    }
+    EXPECT_LE(threads.size(), static_cast<size_t>(budget > 0 ? budget : HardwareThreads()));
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);  // the caller only waits
   }
-  EXPECT_LE(threads.size(), 3u);
-  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);  // the caller only waits
 }
 
 TEST(WorkerPoolTest, ZeroWorkIsANoOp) {
